@@ -11,6 +11,7 @@ from .algebra import (
     adapted_transition,
     automorphism_matrix,
     change_basis,
+    classification_basis,
     is_automorphism,
     make_family_algebra,
 )
@@ -19,6 +20,7 @@ from .atlas import (
     ClosedFormCurvature,
     FormSpec,
     atlas_entries,
+    canonical_matrix,
     closed_form_report,
     cross_check,
     emit_tables,
@@ -31,8 +33,6 @@ from .canonical import (
     ConstantCurvatureClass,
     DegenerateMetricError,
     canonical_form,
-    canonical_matrix,
-    classification_basis,
     constant_curvature_class,
     equivalent,
     from_adapted_basis,

@@ -187,6 +187,15 @@ def change_basis(alg: LieAlgebra3, S: np.ndarray,
     return LieAlgebra3(consts, family=alg.family, basis_label=basis_label)
 
 
+def classification_basis(tag: FamilyTag) -> BasisLabel:
+    """Basis in which metrics of the family are reduced to canonical form:
+    natural for GI and c > 1, Q-adapted for c = 1, P-adapted for c < 1."""
+    key = tag.family_key()
+    if key in ("GI", "Gc_gt1"):
+        return BasisLabel.NATURAL
+    return BasisLabel.Q_ADAPTED if key == "G1" else BasisLabel.P_ADAPTED
+
+
 def adapted_transition(tag: FamilyTag) -> np.ndarray:
     """Matrix T with columns = natural basis vectors in adapted coordinates,
     i.e. [v]_adapted = T [v]_natural.  Defined for c <= 1."""

@@ -1,15 +1,16 @@
-"""Closed-form curvature atlas for the canonical metrics.
+"""Registry of the canonical forms and their closed-form curvature atlas.
 
-For every canonical form this module records, as explicit formulas in the
-form parameters: a distinguished orthonormal frame, the Ricci operator in
-that frame, the scalar curvature, the three frame sectional curvatures
-and the operator type.  cross_check() evaluates the formulas on a
-parameter point and compares them against the numerical curvature engine,
-reporting per-cell residuals instead of raising, so systematic
-discrepancies (e.g. transcription slips in the source material for these
-formulas) surface as data.  Cells where the formula implemented here
-deliberately differs from its printed source carry a ``notes`` entry with
-the printed variant.
+Each canonical form is keyed once, by its FormSpec.  The spec records, as
+explicit formulas in the form parameters: the canonical matrix in the
+classification basis of the family, a distinguished orthonormal frame,
+the Ricci operator in that frame, the scalar curvature, the three frame
+sectional curvatures and the operator type.  cross_check() evaluates the
+formulas on a parameter point and compares them against the numerical
+curvature engine, reporting per-cell residuals instead of raising, so
+systematic discrepancies (e.g. transcription slips in the source material
+for these formulas) surface as data.  Cells where the formula implemented
+here deliberately differs from its printed source carry a ``notes`` entry
+with the printed variant.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import FamilyTag, make_family_algebra
-from .canonical import canonical_matrix, classification_basis
+from .algebra import FamilyTag, classification_basis, make_family_algebra
 from .curvature import curvature_report
 from .metric import MetricTensor, OrthonormalFrame
 from .oneill import ONeillType
@@ -46,6 +46,7 @@ class FormSpec:
     form_id: str
     param_names: tuple[str, ...]
     domain: Callable          # (ctx, p) -> bool
+    matrix: Callable          # (ctx, p) -> 3x3 canonical matrix
     frame: Callable           # (ctx, p) -> 3x3 column matrix
     ric: Callable             # (ctx, p) -> 3x3 Ricci operator
     rho: Callable             # (ctx, p) -> float
@@ -73,6 +74,7 @@ _GI_FORMS = [
     FormSpec(
         "GI.1", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.diag([1.0, -1.0, p["mu"]]),
         frame=lambda ctx, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
         ric=lambda ctx, p: -(2.0 / p["mu"]) * np.eye(3),
         rho=lambda ctx, p: -6.0 / p["mu"],
@@ -82,6 +84,7 @@ _GI_FORMS = [
     FormSpec(
         "GI.2", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.diag([1.0, 1.0, -p["mu"]]),
         frame=lambda ctx, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
         ric=lambda ctx, p: (2.0 / p["mu"]) * np.eye(3),
         rho=lambda ctx, p: 6.0 / p["mu"],
@@ -91,6 +94,7 @@ _GI_FORMS = [
     FormSpec(
         "GI.3", (),
         domain=lambda ctx, p: True,
+        matrix=lambda ctx, p: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
         frame=lambda ctx, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
                                    (_E[1] - _E[2]) / _S2),
         ric=lambda ctx, p: np.zeros((3, 3)),
@@ -130,6 +134,7 @@ _GC_GT1_FORMS = [
     FormSpec(
         "Gc_gt1.1", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
         frame=lambda ctx, p: _cols(_E[0] / math.sqrt(p["mu"]),
                                    (_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2),
         ric=lambda ctx, p: np.array(
@@ -145,6 +150,8 @@ _GC_GT1_FORMS = [
     FormSpec(
         "Gc_gt1.2", ("mu", "tau"),
         domain=lambda ctx, p: p["mu"] > 0 and p["tau"] < 1,
+        matrix=lambda ctx, p: np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0],
+                                        [0, 0, p["mu"]]]),
         frame=lambda ctx, p: _cols(
             _E[2] / math.sqrt(p["mu"]), _E[0],
             (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
@@ -164,6 +171,8 @@ _GC_GT1_FORMS = [
     FormSpec(
         "Gc_gt1.3", ("mu", "nu"),
         domain=lambda ctx, p: p["mu"] > 0 and 1 < p["nu"] <= ctx.c,
+        matrix=lambda ctx, p: np.array([[1.0, 1.0, 0], [1.0, p["nu"], 0],
+                                        [0, 0, -p["mu"]]]),
         frame=lambda ctx, p: _cols(
             _E[0], (_E[0] - _E[1]) / math.sqrt(p["nu"] - 1.0),
             _E[2] / math.sqrt(p["mu"])),
@@ -190,6 +199,7 @@ _G1_FORMS = [
     FormSpec(
         "G1.1", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[0, 0, 1.0], [0, p["mu"], 0], [1.0, 0, 0]]),
         frame=lambda ctx, p: _cols(_E[1] / math.sqrt(p["mu"]),
                                    (_E[0] + _E[2]) / _S2, (_E[0] - _E[2]) / _S2),
         ric=lambda ctx, p: np.zeros((3, 3)),
@@ -200,6 +210,7 @@ _G1_FORMS = [
     FormSpec(
         "G1.2", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
         frame=lambda ctx, p: _cols(_E[0] / math.sqrt(p["mu"]),
                                    (_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2),
         ric=lambda ctx, p: np.array(
@@ -213,6 +224,7 @@ _G1_FORMS = [
     FormSpec(
         "G1.3", ("mu", "nu"),
         domain=lambda ctx, p: p["mu"] > 0 and p["nu"] > 0,
+        matrix=lambda ctx, p: np.diag([1.0, -p["nu"], p["mu"]]),
         frame=lambda ctx, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]),
                                    _E[1] / math.sqrt(p["nu"])),
         ric=lambda ctx, p: np.array(
@@ -230,6 +242,7 @@ _G1_FORMS = [
     FormSpec(
         "G1.4", ("mu", "nu"),
         domain=lambda ctx, p: p["mu"] > 0 and p["nu"] > 0,
+        matrix=lambda ctx, p: np.diag([1.0, p["nu"], -p["mu"]]),
         frame=lambda ctx, p: _cols(_E[0], _E[1] / math.sqrt(p["nu"]),
                                    _E[2] / math.sqrt(p["mu"])),
         ric=lambda ctx, p: np.array(
@@ -249,6 +262,7 @@ _G1_FORMS = [
     FormSpec(
         "G1.5", ("mu", "nu"),
         domain=lambda ctx, p: p["mu"] > 0 and p["nu"] > 0,
+        matrix=lambda ctx, p: np.diag([-1.0, p["nu"], p["mu"]]),
         frame=lambda ctx, p: _cols(_E[1] / math.sqrt(p["nu"]),
                                    _E[2] / math.sqrt(p["mu"]), _E[0]),
         ric=lambda ctx, p: np.array(
@@ -268,6 +282,7 @@ _G1_FORMS = [
     FormSpec(
         "G1.6", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
         frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]),
                                    (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
         ric=lambda ctx, p: np.array([[-2 / p["mu"], 0, 0],
@@ -280,6 +295,7 @@ _G1_FORMS = [
     FormSpec(
         "G1.7", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[0, -1.0, 0], [-1.0, 0, 0], [0, 0, p["mu"]]]),
         frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]),
                                    (_E[0] - _E[1]) / _S2, (_E[0] + _E[1]) / _S2),
         ric=lambda ctx, p: np.array([[-2 / p["mu"], 0, 0],
@@ -294,6 +310,10 @@ _G1_FORMS = [
 
 # --------------------------------------------------------------------------
 # family Gc, c < 1 (P-adapted basis)
+
+def _lt1_10_matrix(ctx, p):
+    return np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0], [0, 0, p["nu"]]])
+
 
 def _lt1_10_1_ric(ctx, p):
     w, t, nu = ctx.w, p["tau"], p["nu"]
@@ -332,6 +352,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.1", (),
         domain=lambda ctx, p: True,
+        matrix=lambda ctx, p: np.array([[0, 0, 1.0], [0, 1.0, 0], [1.0, 0, 0]]),
         frame=lambda ctx, p: _cols(_E[1], (_E[0] + _E[2]) / _S2,
                                    (_E[0] - _E[2]) / _S2),
         ric=lambda ctx, p: np.array(
@@ -346,6 +367,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.2", (),
         domain=lambda ctx, p: True,
+        matrix=lambda ctx, p: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
         frame=lambda ctx, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
                                    (_E[1] - _E[2]) / _S2),
         ric=lambda ctx, p: np.array(
@@ -359,6 +381,8 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.3", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[1.0, 1.0, 0], [1.0, 1.0, p["mu"]],
+                                        [0, p["mu"], 0]]),
         frame=lambda ctx, p: _cols(
             _E[0],
             _E[0] - _E[1] - _E[2] / (2 * p["mu"]),
@@ -384,6 +408,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.4", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.diag([1.0, 1.0, -p["mu"]]),
         frame=lambda ctx, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
         ric=lambda ctx, p: np.diag([2 * (1 + ctx.w) / p["mu"],
                                     2 * (1 - ctx.w) / p["mu"],
@@ -397,6 +422,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.5", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.diag([1.0, -1.0, p["mu"]]),
         frame=lambda ctx, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
         ric=lambda ctx, p: np.diag([-2 * (1 + ctx.w) / p["mu"],
                                     -2 * (1 + ctx.w ** 2) / p["mu"],
@@ -411,6 +437,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.6", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.diag([-1.0, 1.0, p["mu"]]),
         frame=lambda ctx, p: _cols(_E[1], _E[2] / math.sqrt(p["mu"]), _E[0]),
         ric=lambda ctx, p: np.diag([2 * (ctx.w - 1) / p["mu"],
                                     -2 * (1 + ctx.w ** 2) / p["mu"],
@@ -424,6 +451,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.7", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
         frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]),
                                    (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
         ric=lambda ctx, p: -(2.0 / p["mu"]) * np.eye(3),
@@ -434,6 +462,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.8", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[0, 1.0, 0], [1.0, 1.0, 0], [0, 0, p["mu"]]]),
         frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]), _E[1],
                                    _E[0] - _E[1]),
         ric=lambda ctx, p: np.array(
@@ -452,6 +481,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.9", ("mu",),
         domain=lambda ctx, p: p["mu"] > 0,
+        matrix=lambda ctx, p: np.array([[0, 1.0, 0], [1.0, -1.0, 0], [0, 0, p["mu"]]]),
         frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]), _E[0] + _E[1],
                                    _E[1]),
         ric=lambda ctx, p: np.array(
@@ -470,6 +500,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.10-1", ("nu", "tau"),
         domain=lambda ctx, p: p["nu"] > 0 and p["tau"] < 1,
+        matrix=_lt1_10_matrix,
         frame=lambda ctx, p: _cols(
             _E[0], _E[2] / math.sqrt(p["nu"]),
             (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
@@ -489,6 +520,7 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.10-2", ("nu", "tau"),
         domain=lambda ctx, p: p["nu"] < 0 and p["tau"] > 1,
+        matrix=_lt1_10_matrix,
         frame=lambda ctx, p: _cols(
             _E[0], (_E[0] - _E[1]) / math.sqrt(p["tau"] - 1.0),
             _E[2] / math.sqrt(-p["nu"])),
@@ -508,6 +540,8 @@ _GC_LT1_FORMS = [
     FormSpec(
         "Gc_lt1.11", ("mu", "eta"),
         domain=lambda ctx, p: p["mu"] > 0 and p["eta"] < 1,
+        matrix=lambda ctx, p: np.array([[-1.0, 1.0, 0], [1.0, -p["eta"], 0],
+                                        [0, 0, p["mu"]]]),
         frame=lambda ctx, p: _cols(
             _E[2] / math.sqrt(p["mu"]),
             (_E[0] + _E[1]) / math.sqrt(1.0 - p["eta"]), _E[0]),
@@ -542,6 +576,15 @@ def get_form_spec(tag: FamilyTag, form_id: str) -> FormSpec:
         if spec.form_id == form_id:
             return spec
     raise KeyError(form_id)
+
+
+def canonical_matrix(tag: FamilyTag, form_id: str,
+                     params: dict[str, float]) -> np.ndarray:
+    """Exact canonical matrix of a form, in its classification basis."""
+    family = tag.family_key()
+    if form_id.partition(".")[0] != family:
+        raise ValueError(f"form {form_id} does not belong to family {family}")
+    return get_form_spec(tag, form_id).matrix(_ctx(tag), params)
 
 
 def paper_frame(tag: FamilyTag, form_id: str,

@@ -24,8 +24,9 @@ import numpy as np
 
 from .algebra import (AutomorphismParams, BasisLabel, FamilyTag,
                       adapted_automorphism, adapted_basis_vectors,
-                      automorphism_matrix, is_automorphism,
-                      make_family_algebra)
+                      automorphism_matrix, classification_basis,
+                      is_automorphism, make_family_algebra)
+from .atlas import canonical_matrix
 from .curvature import curvature_report, riemann
 from .metric import J21, MetricTensor, pull_back_metric, validate_metric
 from .tolerance import DEFAULT_TOL, ToleranceConfig
@@ -53,13 +54,6 @@ class ConstantCurvatureClass(str, Enum):
     NON_CONSTANT = "non_constant"
 
 
-def classification_basis(tag: FamilyTag) -> BasisLabel:
-    key = tag.family_key()
-    if key in ("GI", "Gc_gt1"):
-        return BasisLabel.NATURAL
-    return BasisLabel.Q_ADAPTED if key == "G1" else BasisLabel.P_ADAPTED
-
-
 def to_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
     """Rewrite a natural-basis metric in the adapted basis (c <= 1)."""
     if h.basis_label != BasisLabel.NATURAL:
@@ -73,58 +67,6 @@ def from_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
     return pull_back_metric(h, np.linalg.inv(U), basis_label=BasisLabel.NATURAL)
 
 
-def canonical_matrix(tag: FamilyTag, form_id: str,
-                     params: dict[str, float]) -> np.ndarray:
-    """Exact canonical matrix of a form, in its classification basis."""
-    key, idx = form_id.split(".", 1)
-    if key != tag.family_key():
-        raise ValueError(f"form {form_id} does not belong to family {key}")
-    p = params
-    if key == "GI":
-        return {
-            "1": lambda: np.diag([1.0, -1.0, p["mu"]]),
-            "2": lambda: np.diag([1.0, 1.0, -p["mu"]]),
-            "3": lambda: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        }[idx]()
-    if key == "Gc_gt1":
-        return {
-            "1": lambda: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-            "2": lambda: np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0],
-                                   [0, 0, p["mu"]]]),
-            "3": lambda: np.array([[1.0, 1.0, 0], [1.0, p["nu"], 0],
-                                   [0, 0, -p["mu"]]]),
-        }[idx]()
-    if key == "G1":
-        return {
-            "1": lambda: np.array([[0, 0, 1.0], [0, p["mu"], 0], [1.0, 0, 0]]),
-            "2": lambda: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-            "3": lambda: np.diag([1.0, -p["nu"], p["mu"]]),
-            "4": lambda: np.diag([1.0, p["nu"], -p["mu"]]),
-            "5": lambda: np.diag([-1.0, p["nu"], p["mu"]]),
-            "6": lambda: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
-            "7": lambda: np.array([[0, -1.0, 0], [-1.0, 0, 0], [0, 0, p["mu"]]]),
-        }[idx]()
-    # Gc_lt1
-    return {
-        "1": lambda: np.array([[0, 0, 1.0], [0, 1.0, 0], [1.0, 0, 0]]),
-        "2": lambda: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        "3": lambda: np.array([[1.0, 1.0, 0], [1.0, 1.0, p["mu"]],
-                               [0, p["mu"], 0]]),
-        "4": lambda: np.diag([1.0, 1.0, -p["mu"]]),
-        "5": lambda: np.diag([1.0, -1.0, p["mu"]]),
-        "6": lambda: np.diag([-1.0, 1.0, p["mu"]]),
-        "7": lambda: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
-        "8": lambda: np.array([[0, 1.0, 0], [1.0, 1.0, 0], [0, 0, p["mu"]]]),
-        "9": lambda: np.array([[0, 1.0, 0], [1.0, -1.0, 0], [0, 0, p["mu"]]]),
-        "10-1": lambda: np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0],
-                                  [0, 0, p["nu"]]]),
-        "10-2": lambda: np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0],
-                                  [0, 0, p["nu"]]]),
-        "11": lambda: np.array([[-1.0, 1.0, 0], [1.0, -p["eta"], 0],
-                                [0, 0, p["mu"]]]),
-    }[idx]()
-
-
 class _Reducer:
     """Accumulates automorphism steps and the congruence they induce."""
 
@@ -133,22 +75,35 @@ class _Reducer:
         self.h0 = np.asarray(h0, dtype=float)
         self.tol = tol
         self.A = np.eye(3)
-
-    @property
-    def cur(self) -> np.ndarray:
-        return self.A.T @ self.h0 @ self.A
+        self.cur = self.h0           # A^T h0 A, kept current by apply
 
     def band(self) -> float:
         return self.tol.classification_tol * (1.0 + float(np.max(np.abs(self.cur))))
 
     def apply(self, B: np.ndarray) -> None:
         self.A = self.A @ np.asarray(B, dtype=float)
+        self.cur = self.A.T @ self.h0 @ self.A
 
     def entry(self, i: int, j: int) -> float:
         return float(self.cur[i, j])
 
     def is_zero(self, i: int, j: int) -> bool:
         return abs(self.entry(i, j)) <= self.band()
+
+    def plane_degenerate(self) -> bool:
+        """Whether the 2x2 block on span(x1, x2) is singular to tolerance."""
+        c = self.cur
+        p = c[0, 0] * c[1, 1] - c[0, 1] ** 2
+        scale2 = (1.0 + float(np.max(np.abs(c)))) ** 2
+        return abs(p) <= self.tol.classification_tol * scale2
+
+    def plane_translation(self) -> tuple[float, float]:
+        """Translation (t1, t2) that clears the (x1, z) and (x2, z) entries
+        when the plane block is non-degenerate."""
+        c = self.cur
+        pprime = c[0, 1] ** 2 - c[0, 0] * c[1, 1]
+        return ((c[0, 2] * c[1, 1] - c[0, 1] * c[1, 2]) / pprime,
+                (c[0, 0] * c[1, 2] - c[0, 1] * c[0, 2]) / pprime)
 
 
 def _natural_step(tag: FamilyTag, *, block=None, alpha=None, beta=None,
@@ -261,12 +216,7 @@ def _reduce_gi(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
 
 def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
     cpar = float(tag.c)  # type: ignore[arg-type]
-    c = red.cur
-    p = c[0, 0] * c[1, 1] - c[0, 1] ** 2
-    scale2 = (1.0 + float(np.max(np.abs(c)))) ** 2
-    degenerate = abs(p) <= red.tol.classification_tol * scale2
-
-    if degenerate:
+    if red.plane_degenerate():
         if not red.is_zero(0, 1):
             c = red.cur
             red.apply(_natural_step(tag, alpha=c[0, 0], beta=c[0, 0] - c[0, 1]))
@@ -288,12 +238,8 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
         return "Gc_gt1.1", {"mu": mu}
 
     # non-degenerate: kill the translation column
-    c = red.cur
-    pprime = c[0, 1] ** 2 - c[0, 0] * c[1, 1]
-    red.apply(_natural_step(
-        tag, alpha=0.0, beta=1.0,
-        translation=((c[0, 2] * c[1, 1] - c[0, 1] * c[1, 2]) / pprime,
-                     (c[0, 0] * c[1, 2] - c[0, 1] * c[0, 2]) / pprime)))
+    red.apply(_natural_step(tag, alpha=0.0, beta=1.0,
+                            translation=red.plane_translation()))
 
     c = red.cur
     if abs(c[0, 0] - c[0, 1]) > red.band():
@@ -347,12 +293,7 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
 # family Gc with c = 1 (Q-adapted basis, unipotent-diagonal automorphisms)
 
 def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
-    c = red.cur
-    p = c[0, 0] * c[1, 1] - c[0, 1] ** 2
-    scale2 = (1.0 + float(np.max(np.abs(c)))) ** 2
-    degenerate = abs(p) <= red.tol.classification_tol * scale2
-
-    if degenerate:
+    if red.plane_degenerate():
         if not red.is_zero(0, 1):
             c = red.cur
             red.apply(adapted_automorphism(tag, c[0, 0], -c[0, 1]))
@@ -377,12 +318,7 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
         red.apply(adapted_automorphism(tag, 1.0, 0.0, (0.0, -c[2, 2] / 2.0)))
         return "G1.2", {"mu": red.entry(0, 0)}
 
-    c = red.cur
-    pprime = c[0, 1] ** 2 - c[0, 0] * c[1, 1]
-    red.apply(adapted_automorphism(
-        tag, 1.0, 0.0,
-        ((c[0, 2] * c[1, 1] - c[0, 1] * c[1, 2]) / pprime,
-         (c[0, 0] * c[1, 2] - c[0, 1] * c[0, 2]) / pprime)))
+    red.apply(adapted_automorphism(tag, 1.0, 0.0, red.plane_translation()))
 
     c = red.cur
     if not red.is_zero(0, 0):
@@ -422,12 +358,7 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
 # family Gc with c < 1 (P-adapted basis, diagonal automorphisms)
 
 def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
-    c = red.cur
-    p = c[0, 0] * c[1, 1] - c[0, 1] ** 2
-    scale2 = (1.0 + float(np.max(np.abs(c)))) ** 2
-    degenerate = abs(p) <= red.tol.classification_tol * scale2
-
-    if degenerate:
+    if red.plane_degenerate():
         if not red.is_zero(0, 1):
             c = red.cur
             if red.is_zero(0, 0) or red.is_zero(1, 1):
@@ -475,12 +406,7 @@ def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
             tag, 1.0 / math.sqrt(c[0, 0]), 1.0, (0.0, -c[2, 2] / 2.0)))
         return "Gc_lt1.2", {}
 
-    c = red.cur
-    pprime = c[0, 1] ** 2 - c[0, 0] * c[1, 1]
-    red.apply(adapted_automorphism(
-        tag, 1.0, 1.0,
-        ((c[0, 2] * c[1, 1] - c[0, 1] * c[1, 2]) / pprime,
-         (c[0, 0] * c[1, 2] - c[0, 1] * c[0, 2]) / pprime)))
+    red.apply(adapted_automorphism(tag, 1.0, 1.0, red.plane_translation()))
 
     c = red.cur
     if red.is_zero(0, 1):
@@ -567,69 +493,40 @@ def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
     return True, W
 
 
-#: forms of constant curvature: (family key, form id, extra predicate on c)
-_CONSTANT_FORMS = {
-    ("GI", "GI.3"): ConstantCurvatureClass.FLAT,
-    ("GI", "GI.2"): ConstantCurvatureClass.POSITIVE,
-    ("GI", "GI.1"): ConstantCurvatureClass.NEGATIVE,
-    ("G1", "G1.1"): ConstantCurvatureClass.FLAT,
-    ("Gc_lt1", "Gc_lt1.7"): ConstantCurvatureClass.NEGATIVE,
-}
-
-
 def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
                              tol: ToleranceConfig = DEFAULT_TOL
                              ) -> tuple[ConstantCurvatureClass, CanonicalForm]:
     """Classify a metric as flat / positive / negative constant curvature
-    or non-constant.  The canonical-form table drives the answer and the
-    curvature engine double-checks it."""
-    cf = canonical_form(tag, h, tol)
-    cls = _CONSTANT_FORMS.get((tag.family_key(), cf.form_id),
-                              ConstantCurvatureClass.NON_CONSTANT)
-    if tag.family_key() == "Gc_lt1" and cf.form_id == "Gc_lt1.1" and tag.c == 0:
-        cls = ConstantCurvatureClass.FLAT
-    if tag.family_key() == "Gc_lt1" and tag.c == 0 \
-            and cf.form_id in ("Gc_lt1.8", "Gc_lt1.9"):
-        # at w = 1 the off-diagonal Ricci entries 2w(w-1)/mu vanish and
-        # both forms collapse to Ric = -(2/mu) I: negative constant
-        # curvature, like form 7, though inequivalent to it
-        cls = ConstantCurvatureClass.NEGATIVE
-    if tag.family_key() == "Gc_gt1" and cf.form_id == "Gc_gt1.3":
-        # at nu = c (the edge of the fundamental domain) this form is
-        # Einstein with Ric = (2/mu) I, hence of positive constant
-        # curvature; every sectional curvature equals 1/mu there
-        nu_band = tol.classification_tol * (1.0 + abs(tag.c))
-        if abs(cf.params["nu"] - tag.c) <= nu_band:
-            cls = ConstantCurvatureClass.POSITIVE
+    or non-constant.
 
-    # engine cross-check on the canonical representative
+    The curvature engine decides on the canonical representative.  In
+    dimension three the Ricci tensor determines the whole curvature tensor
+    (Milnor 1976), so the metric has constant curvature k = rho/6 exactly
+    when it is Einstein, ric = 2k h; the Riemann tensor is then checked
+    against the model k(<u, w> v - <v, w> u) as well.  The sign of k names
+    the class."""
+    cf = canonical_form(tag, h, tol)
     alg = make_family_algebra(tag, cf.basis_label)
     hc = MetricTensor(cf.canonical_matrix, basis_label=cf.basis_label,
                       tolerance=tol)
     report = curvature_report(alg, hc, tol=tol)
     k = report.scalar / 6.0
     band = tol.classification_tol * (1.0 + float(np.max(np.abs(report.ric_matrix))))
-    einstein = float(np.max(np.abs(report.ric_matrix - 2.0 * k * J21))) <= band
+    if float(np.max(np.abs(report.ric_matrix - 2.0 * k * J21))) > band:
+        return ConstantCurvatureClass.NON_CONSTANT, cf
+    e = np.eye(3)
     model_res = 0.0
-    if einstein:
-        e = np.eye(3)
-        for i in range(3):
-            for j in range(3):
-                for m in range(3):
-                    rv = riemann(report.connection, e[i], e[j], e[m])
-                    model = k * (float(e[i] @ J21 @ e[m]) * e[j]
-                                 - float(e[j] @ J21 @ e[m]) * e[i])
-                    model_res = max(model_res, float(np.max(np.abs(rv - model))))
-        einstein = model_res <= band
-    is_constant = cls != ConstantCurvatureClass.NON_CONSTANT
-    if einstein != is_constant:
-        raise ArithmeticError(
-            f"constant-curvature table disagrees with the engine for {cf.form_id}")
-    if is_constant:
-        expected = (ConstantCurvatureClass.FLAT if abs(k) <= band else
-                    ConstantCurvatureClass.POSITIVE if k > 0 else
-                    ConstantCurvatureClass.NEGATIVE)
-        if expected != cls:
-            raise ArithmeticError(
-                f"constant-curvature sign disagrees with the engine for {cf.form_id}")
-    return cls, cf
+    for i in range(3):
+        for j in range(3):
+            for m in range(3):
+                rv = riemann(report.connection, e[i], e[j], e[m])
+                model = k * (float(e[i] @ J21 @ e[m]) * e[j]
+                             - float(e[j] @ J21 @ e[m]) * e[i])
+                model_res = max(model_res, float(np.max(np.abs(rv - model))))
+    if model_res > band:
+        return ConstantCurvatureClass.NON_CONSTANT, cf
+    if abs(k) <= band:
+        return ConstantCurvatureClass.FLAT, cf
+    if k > 0:
+        return ConstantCurvatureClass.POSITIVE, cf
+    return ConstantCurvatureClass.NEGATIVE, cf

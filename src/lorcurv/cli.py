@@ -31,7 +31,6 @@ from .atlas import emit_tables, paper_frame
 from .canonical import (
     DegenerateMetricError,
     canonical_form,
-    classification_basis,
     constant_curvature_class,
     equivalent,
     to_adapted_basis,
@@ -58,6 +57,13 @@ class DomainError(Exception):
     pass
 
 
+def _finite_real(value) -> bool:
+    """A finite JSON number.  JSON true and false parse to Python bools,
+    which are ints, so they are excluded explicitly."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _default_tolerance() -> ToleranceConfig:
     env = os.environ.get("LORCURV_TOL")
     if env is None:
@@ -66,6 +72,8 @@ def _default_tolerance() -> ToleranceConfig:
         abs_tol = float(env)
     except ValueError as exc:
         raise InputError("$LORCURV_TOL", f"not a number: {env!r}") from exc
+    if not _finite_real(abs_tol) or abs_tol <= 0:
+        raise InputError("$LORCURV_TOL", "must be a positive number")
     return ToleranceConfig(abs_tol=abs_tol,
                            rel_tol=DEFAULT_TOL.rel_tol,
                            classification_tol=DEFAULT_TOL.classification_tol)
@@ -76,8 +84,8 @@ def _parse_family(node) -> FamilyTag:
         return FamilyTag("GI")
     if isinstance(node, dict) and set(node) == {"Gc"}:
         c = node["Gc"]
-        if not isinstance(c, (int, float)):
-            raise InputError("family.Gc", "c must be a real number")
+        if not _finite_real(c):
+            raise InputError("family.Gc", "c must be a finite real number")
         return FamilyTag("Gc", float(c))
     raise InputError("family", 'expected "GI" or {"Gc": c}')
 
@@ -108,18 +116,23 @@ def _parse_tolerance(node) -> ToleranceConfig:
     values = {}
     for key in known:
         value = node.get(key, getattr(base, key))
-        if not isinstance(value, (int, float)) or value <= 0:
+        if not _finite_real(value) or value <= 0:
             raise InputError(f"tolerance.{key}", "must be a positive number")
         values[key] = float(value)
     return ToleranceConfig(**values)
 
 
 def _parse_metric(node, basis: BasisLabel, tol: ToleranceConfig) -> MetricTensor:
-    arr = np.asarray(node, dtype=float) if isinstance(node, list) else None
-    if arr is None or arr.shape != (3, 3):
+    if not (isinstance(node, list) and len(node) == 3
+            and all(isinstance(row, list) and len(row) == 3 for row in node)):
         raise InputError("metric", "expected a 3x3 array of reals")
+    for i, row in enumerate(node):
+        for j, value in enumerate(row):
+            if not _finite_real(value):
+                raise InputError(f"metric[{i}][{j}]", "must be a finite real number")
     try:
-        return MetricTensor(arr, basis_label=basis, tolerance=tol)
+        return MetricTensor(np.array(node, dtype=float), basis_label=basis,
+                            tolerance=tol)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
 
@@ -254,6 +267,8 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
             raise InputError("--grid", f"bad number in {chunk!r}") from exc
         if not grid[name]:
             raise InputError("--grid", f"no values for {name!r}")
+        if not all(_finite_real(v) for v in grid[name]):
+            raise InputError("--grid", f"non-finite value in {chunk!r}")
     if not grid:
         raise InputError("--grid", "empty grid")
     return grid
@@ -265,6 +280,8 @@ def cmd_atlas(args) -> int:
     else:
         if args.c is None:
             raise InputError("--c", "required for --family Gc")
+        if not _finite_real(args.c):
+            raise InputError("--c", "must be a finite real number")
         tag = FamilyTag("Gc", args.c)
     grid = _parse_grid(args.grid)
     tol = _default_tolerance()

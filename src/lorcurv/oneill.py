@@ -18,7 +18,6 @@ has one of the two recognisable block shapes, the block discriminant.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from enum import Enum
 
@@ -165,11 +164,6 @@ def _orthonormalize(B: np.ndarray, band: float) -> list[tuple[np.ndarray, int]]:
     return out
 
 
-def _assemble_frame(spacelike: list[np.ndarray], timelike: np.ndarray) -> np.ndarray:
-    C = np.column_stack(spacelike + [timelike])
-    return C
-
-
 def _split_complement(v: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
     """For a spacelike unit v, return (p, q): a J-orthonormal basis of the
     J-orthogonal complement with p spacelike, q timelike."""
@@ -185,8 +179,7 @@ def _split_complement(v: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarra
     return p, q
 
 
-def _block_boost_2x2(b: float, r: float, d: float, kind: str,
-                     band: float) -> tuple[float, int | None]:
+def _block_boost_2x2(b: float, r: float, d: float, kind: str) -> float:
     """Boost angle normalising the block [[b, r], [-r, d]] in a (+,-) plane.
 
     Conjugation by a boost with parameter theta sends
@@ -194,17 +187,26 @@ def _block_boost_2x2(b: float, r: float, d: float, kind: str,
       b - d  -> (b - d) cosh(2 theta) + 2 r sinh(2 theta)
     kind selects the target: "diag" kills r (needs D > 0), "equal" equates
     the diagonal (needs D < 0), "unit" rescales a D = 0 block so r' = 1.
-    Returns (theta, epsilon) where epsilon is the {21} arrangement sign.
     """
     if kind == "diag":
-        return 0.5 * float(np.arctanh(2 * r / (d - b))), None
+        return 0.5 * float(np.arctanh(2 * r / (d - b)))
     if kind == "equal":
-        return 0.5 * float(np.arctanh((d - b) / (2 * r))), None
+        return 0.5 * float(np.arctanh((d - b) / (2 * r)))
     # kind == "unit": here b - d = 2 eps r up to the tolerance band
     eps = 1 if (b - d) >= 0 else -1
     # with r > 0 enforced by the caller: r' = r * exp(2 eps theta)
-    theta = -eps * 0.5 * float(np.log(r))
-    return theta, eps
+    return -eps * 0.5 * float(np.log(r))
+
+
+def _reflect_then_boost(b: float, r: float, d: float,
+                        kind: str | None) -> np.ndarray:
+    """O(2,1) transition for the block [[b, r], [-r, d]] on the (y2, y3)
+    plane: reflecting the timelike axis when r < 0 flips the sign of r and
+    stays in O(2,1); the boost for kind follows (none when kind is None)."""
+    F = np.diag([1.0, 1.0, -1.0]) if r < 0 else np.eye(3)
+    if kind is None:
+        return F
+    return F @ boost(_block_boost_2x2(b, abs(r), d, kind))
 
 
 def classify_self_adjoint(T: np.ndarray,
@@ -307,29 +309,17 @@ def _classify_from_shape(T, shape, eigen, tol: ToleranceConfig
     D = (b - d) ** 2 - 4 * r * r
     D_band = tol.classification_tol * (1.0 + norm * norm)
 
-    F = np.eye(3)
-    if r < 0:
-        # reflecting the timelike axis flips the sign of r; stays in O(2,1)
-        F = np.diag([1.0, 1.0, -1.0])
-        r = -r
-
     boundary = False
     if abs(r) <= band:
-        ttype = ONeillType.DIAGONAL
-        C = P @ F
+        ttype, kind = ONeillType.DIAGONAL, None
     elif abs(D) <= D_band:
-        ttype = ONeillType.DOUBLE
+        ttype, kind = ONeillType.DOUBLE, "unit"
         boundary = bool(abs(D) > 0.0)
-        theta, _ = _block_boost_2x2(b, r, d, "unit", band)
-        C = P @ F @ boost(theta)
     elif D > 0:
-        ttype = ONeillType.DIAGONAL
-        theta, _ = _block_boost_2x2(b, r, d, "diag", band)
-        C = P @ F @ boost(theta)
+        ttype, kind = ONeillType.DIAGONAL, "diag"
     else:
-        ttype = ONeillType.COMPLEX
-        theta, _ = _block_boost_2x2(b, r, d, "equal", band)
-        C = P @ F @ boost(theta)
+        ttype, kind = ONeillType.COMPLEX, "equal"
+    C = P @ _reflect_then_boost(b, r, d, kind)
 
     normal = np.linalg.inv(C) @ T @ C
     eps = _arrangement(normal, band) if ttype == ONeillType.DOUBLE else None
@@ -360,7 +350,7 @@ def _construct_transition(T: np.ndarray, ttype: ONeillType,
                 timelike = v
         if len(spacelike) != 2 or timelike is None:
             raise ArithmeticError("diagonalisable case must split as (+,+,-)")
-        return _assemble_frame(spacelike, timelike)
+        return np.column_stack(spacelike + [timelike])
 
     if ttype == ONeillType.COMPLEX:
         real_d = min(eigen, key=lambda d: abs(d.value.imag))
@@ -373,16 +363,10 @@ def _construct_transition(T: np.ndarray, ttype: ONeillType,
                                   "must be spacelike")
         v = v / np.sqrt(nv)
         p, q = _split_complement(v, band)
-        C0 = _assemble_frame([v, p], q)
+        C0 = np.column_stack([v, p, q])
         T1 = np.linalg.inv(C0) @ T @ C0
-        b, d = T1[1, 1], T1[2, 2]
         r = 0.5 * (T1[1, 2] - T1[2, 1])
-        F = np.eye(3)
-        if r < 0:
-            F = np.diag([1.0, 1.0, -1.0])
-            r = -r
-        theta, _ = _block_boost_2x2(b, r, d, "equal", band)
-        return C0 @ F @ boost(theta)
+        return C0 @ _reflect_then_boost(T1[1, 1], r, T1[2, 2], "equal")
 
     if ttype == ONeillType.DOUBLE:
         # find a spacelike eigenvector; the remaining invariant plane is
@@ -399,18 +383,12 @@ def _construct_transition(T: np.ndarray, ttype: ONeillType,
         if v is None:
             raise ArithmeticError("no spacelike eigenvector found for {21}")
         p, q = _split_complement(v, band)
-        C0 = _assemble_frame([v, p], q)
+        C0 = np.column_stack([v, p, q])
         T1 = np.linalg.inv(C0) @ T @ C0
-        b, d = T1[1, 1], T1[2, 2]
         r = 0.5 * (T1[1, 2] - T1[2, 1])
-        F = np.eye(3)
-        if r < 0:
-            F = np.diag([1.0, 1.0, -1.0])
-            r = -r
-        if r <= band:
+        if abs(r) <= band:
             raise ArithmeticError("{21} block has no skew part")
-        theta, _ = _block_boost_2x2(b, r, d, "unit", band)
-        return C0 @ F @ boost(theta)
+        return C0 @ _reflect_then_boost(T1[1, 1], r, T1[2, 2], "unit")
 
     # ONeillType.TRIPLE: build the Jordan chain basis realising the exact
     # normal form [[a,1,-1],[1,a,0],[1,0,a]] with Gram matrix J.
@@ -433,15 +411,7 @@ def _construct_transition(T: np.ndarray, ttype: ONeillType,
     p = (N @ N @ u) / 2.0
     y2 = (p + u) / 2.0
     y3 = (p - u) / 2.0
-    return _assemble_frame([y1, y2], y3)
-
-
-_PATTERNS = {
-    ONeillType.DIAGONAL: lambda a: np.diag(np.diag(a)),
-    ONeillType.COMPLEX: None,
-    ONeillType.DOUBLE: None,
-    ONeillType.TRIPLE: None,
-}
+    return np.column_stack([y1, y2, y3])
 
 
 def _check_transition(T, C, normal, ttype, tol: ToleranceConfig,

@@ -62,6 +62,10 @@ def test_domain_rejection():
         closed_form_report(FamilyTag("GI"), "GI.1", {"mu": -1.0})
     with pytest.raises(KeyError):
         get_form_spec(FamilyTag("GI"), "GI.9")
+    with pytest.raises(KeyError):
+        canonical_matrix(FamilyTag("GI"), "GI.9", {})
+    with pytest.raises(ValueError):
+        canonical_matrix(FamilyTag("GI"), "Gc_gt1.2", {"mu": 1.0, "tau": 0.0})
 
 
 def test_flat_entries_zero_engine_ricci():

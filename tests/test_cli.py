@@ -174,6 +174,8 @@ def test_tolerance_override(tmp_path, capsys, monkeypatch):
     assert main(["validate", f]) == 0
     monkeypatch.setenv("LORCURV_TOL", "not-a-number")
     assert main(["validate", f]) == 2
+    monkeypatch.setenv("LORCURV_TOL", "nan")
+    assert main(["validate", f]) == 2
 
 
 def test_explicit_tolerance_field(tmp_path, capsys):
@@ -188,3 +190,30 @@ def test_explicit_tolerance_field(tmp_path, capsys):
                [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
                tolerance={"abs_tol": -1})
     assert main(["validate", bad]) == 2
+
+
+_LORENTZIAN = "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]"
+
+
+@pytest.mark.parametrize("argv,doc,path", [
+    (["classify"], '{"family": {"Gc": true}, "metric": %s}' % _LORENTZIAN,
+     "family.Gc"),
+    (["classify"], '{"family": {"Gc": 1e400}, "metric": %s}' % _LORENTZIAN,
+     "family.Gc"),
+    (["classify"], '{"family": "GI", "metric": %s, "tolerance": {"abs_tol": NaN}}'
+     % _LORENTZIAN, "tolerance.abs_tol"),
+    (["classify"], '{"family": "GI", "metric": [[1, 0, 0], [0, "a", 0], [0, 0, -1]]}',
+     "metric[1][1]"),
+    (["classify"], '{"family": "GI", "metric": [[1, 0, 0], [0, 1], [0, 0, -1]]}',
+     "metric"),
+    (["atlas", "--family", "Gc", "--c", "nan", "--grid", "mu=1"], None, "--c"),
+    (["atlas", "--family", "GI", "--grid", "mu=inf"], None, "--grid"),
+], ids=["bool-c", "infinite-c", "nan-abs-tol", "non-numeric-metric",
+        "ragged-metric", "atlas-nan-c", "atlas-infinite-grid"])
+def test_malformed_input_exit2(tmp_path, capsys, argv, doc, path):
+    if doc is not None:
+        f = tmp_path / "m.json"
+        f.write_text(doc)
+        argv = argv + [str(f)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
