@@ -116,13 +116,13 @@ class LieAlgebra3:
         return worst
 
 
-def _constants_from_pairs(pairs: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
-    """Build a (3,3,3) antisymmetric array from brackets given for i < j."""
+def _constants_from_pairs(pairs: dict[tuple[int, int], list[float]]) -> np.ndarray:
+    """Build a (3,3,3) antisymmetric array from brackets [e_i, e_j] = vec."""
     c = np.zeros((3, 3, 3))
     for (i, j), vec in pairs.items():
-        if not i < j:
-            raise ValueError("pairs must be keyed with i < j")
-        c[i, j] = np.asarray(vec, dtype=float)
+        if i == j:
+            raise ValueError("pairs must be keyed with i != j")
+        c[i, j] = vec
         c[j, i] = -c[i, j]
     return c
 
@@ -142,34 +142,19 @@ def make_family_algebra(tag: FamilyTag,
         else:
             c = float(tag.c)  # type: ignore[arg-type]
             pairs = {(2, 0): [0.0, 1.0, 0.0], (2, 1): [-c, 2.0, 0.0]}
-        consts = np.zeros((3, 3, 3))
-        for (i, j), vec in pairs.items():
-            consts[i, j] = vec
-            consts[j, i] = [-v for v in vec]
-        return LieAlgebra3(consts, family=tag, basis_label=basis_label)
-
-    if basis_label == BasisLabel.Q_ADAPTED:
+    elif basis_label == BasisLabel.Q_ADAPTED:
         if tag.kind != "Gc" or tag.c != 1:
             raise ValueError("Q_adapted basis exists only for Gc with c = 1")
-        consts = _constants_from_pairs({})
-        consts[2, 0] = [1.0, 0.0, 0.0]
-        consts[0, 2] = [-1.0, 0.0, 0.0]
-        consts[2, 1] = [1.0, 1.0, 0.0]
-        consts[1, 2] = [-1.0, -1.0, 0.0]
-        return LieAlgebra3(consts, family=tag, basis_label=basis_label)
-
-    if basis_label == BasisLabel.P_ADAPTED:
+        pairs = {(2, 0): [1.0, 0.0, 0.0], (2, 1): [1.0, 1.0, 0.0]}
+    elif basis_label == BasisLabel.P_ADAPTED:
         if tag.kind != "Gc" or tag.c is None or tag.c >= 1:
             raise ValueError("P_adapted basis exists only for Gc with c < 1")
         w = tag.w
-        consts = np.zeros((3, 3, 3))
-        consts[2, 0] = [1.0 + w, 0.0, 0.0]
-        consts[0, 2] = [-(1.0 + w), 0.0, 0.0]
-        consts[2, 1] = [0.0, 1.0 - w, 0.0]
-        consts[1, 2] = [0.0, -(1.0 - w), 0.0]
-        return LieAlgebra3(consts, family=tag, basis_label=basis_label)
-
-    raise ValueError(f"cannot synthesise structure constants for {basis_label}")
+        pairs = {(2, 0): [1.0 + w, 0.0, 0.0], (2, 1): [0.0, 1.0 - w, 0.0]}
+    else:
+        raise ValueError(f"cannot synthesise structure constants for {basis_label}")
+    return LieAlgebra3(_constants_from_pairs(pairs), family=tag,
+                       basis_label=basis_label)
 
 
 def change_basis(alg: LieAlgebra3, S: np.ndarray,

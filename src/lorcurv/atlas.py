@@ -3,14 +3,16 @@
 Each canonical form is keyed once, by its FormSpec.  The spec records, as
 explicit formulas in the form parameters: the canonical matrix in the
 classification basis of the family, a distinguished orthonormal frame,
-the Ricci operator in that frame, the scalar curvature, the three frame
-sectional curvatures and the operator type.  cross_check() evaluates the
-formulas on a parameter point and compares them against the numerical
-curvature engine, reporting per-cell residuals instead of raising, so
-systematic discrepancies (e.g. transcription slips in the source material
-for these formulas) surface as data.  Cells where the formula implemented
-here deliberately differs from its printed source carry a ``notes`` entry
-with the printed variant.
+the Ricci operator in that frame and the operator type.  In dimension
+three the Ricci operator fixes the rest of the curvature, so the scalar
+curvature rho = tr Ric and the three frame sectional curvatures are
+derived from it (Milnor's identity, see curvature.milnor_sectional).
+cross_check() evaluates the formulas on a parameter point and compares
+them against the numerical curvature engine, reporting per-cell residuals
+instead of raising, so systematic discrepancies (e.g. transcription slips
+in the source material for these formulas) surface as data.  Cells where
+the formula implemented here deliberately differs from its printed source
+carry a ``notes`` entry with the printed variant.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from typing import Callable
 import numpy as np
 
 from .algebra import FamilyTag, classification_basis, make_family_algebra
-from .curvature import curvature_report
-from .metric import MetricTensor, OrthonormalFrame
+from .curvature import curvature_report, milnor_sectional
+from .metric import J21, MetricTensor, OrthonormalFrame
 from .oneill import ONeillType
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -49,8 +51,6 @@ class FormSpec:
     matrix: Callable          # (ctx, p) -> 3x3 canonical matrix
     frame: Callable           # (ctx, p) -> 3x3 column matrix
     ric: Callable             # (ctx, p) -> 3x3 Ricci operator
-    rho: Callable             # (ctx, p) -> float
-    kappas: Callable          # (ctx, p) -> (k12, k23, k31)
     oneill: Callable          # (ctx, p, band) -> ONeillType
     notes: dict[str, str] = field(default_factory=dict)
 
@@ -77,8 +77,6 @@ _GI_FORMS = [
         matrix=lambda ctx, p: np.diag([1.0, -1.0, p["mu"]]),
         frame=lambda ctx, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
         ric=lambda ctx, p: -(2.0 / p["mu"]) * np.eye(3),
-        rho=lambda ctx, p: -6.0 / p["mu"],
-        kappas=lambda ctx, p: (-1.0 / p["mu"],) * 3,
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
@@ -87,8 +85,6 @@ _GI_FORMS = [
         matrix=lambda ctx, p: np.diag([1.0, 1.0, -p["mu"]]),
         frame=lambda ctx, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
         ric=lambda ctx, p: (2.0 / p["mu"]) * np.eye(3),
-        rho=lambda ctx, p: 6.0 / p["mu"],
-        kappas=lambda ctx, p: (1.0 / p["mu"],) * 3,
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
@@ -98,8 +94,6 @@ _GI_FORMS = [
         frame=lambda ctx, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
                                    (_E[1] - _E[2]) / _S2),
         ric=lambda ctx, p: np.zeros((3, 3)),
-        rho=lambda ctx, p: 0.0,
-        kappas=lambda ctx, p: (0.0, 0.0, 0.0),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
     ),
 ]
@@ -141,10 +135,6 @@ _GC_GT1_FORMS = [
             [[-ctx.c ** 2 * p["mu"] / 2, 0, 0],
              [0, ctx.c * (ctx.c * p["mu"] + 1) / 2, -ctx.c / 2],
              [0, ctx.c / 2, ctx.c * (ctx.c * p["mu"] - 1) / 2]]),
-        rho=lambda ctx, p: ctx.c ** 2 * p["mu"] / 2,
-        kappas=lambda ctx, p: (-ctx.c * (ctx.c * p["mu"] - 2) / 4,
-                               3 * ctx.c ** 2 * p["mu"] / 4,
-                               -ctx.c * (ctx.c * p["mu"] + 2) / 4),
         oneill=lambda ctx, p, band: ONeillType.DOUBLE,
     ),
     FormSpec(
@@ -156,15 +146,6 @@ _GC_GT1_FORMS = [
             _E[2] / math.sqrt(p["mu"]), _E[0],
             (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
         ric=_gc_gt1_2_ric,
-        rho=lambda ctx, p: (p["tau"] ** 2 - 2 * (ctx.c - 6) * p["tau"]
-                            + ctx.c ** 2 - 12) / (2 * (1 - p["tau"]) * p["mu"]),
-        kappas=lambda ctx, p: (
-            (3 * p["tau"] ** 2 - 2 * ctx.c * p["tau"]
-             - (ctx.c ** 2 - 4 * ctx.c + 4)) / (4 * (1 - p["tau"]) * p["mu"]),
-            -(p["tau"] ** 2 - 2 * (ctx.c + 2) * p["tau"] + ctx.c ** 2 + 4)
-            / (4 * (1 - p["tau"]) * p["mu"]),
-            -(p["tau"] ** 2 + 2 * (ctx.c - 4) * p["tau"]
-              - (3 * ctx.c ** 2 - 4 * ctx.c - 4)) / (4 * (1 - p["tau"]) * p["mu"])),
         oneill=lambda ctx, p, band: _tri((ctx.c + p["tau"]) ** 2 - 4 * ctx.c, band),
         notes={"kappa31": "printed without the factor 4 in the denominator"},
     ),
@@ -177,15 +158,6 @@ _GC_GT1_FORMS = [
             _E[0], (_E[0] - _E[1]) / math.sqrt(p["nu"] - 1.0),
             _E[2] / math.sqrt(p["mu"])),
         ric=_gc_gt1_3_ric,
-        rho=lambda ctx, p: ((p["nu"] - ctx.c) ** 2 + 12 * (p["nu"] - 1))
-        / (2 * (p["nu"] - 1) * p["mu"]),
-        kappas=lambda ctx, p: (
-            -(p["nu"] ** 2 - (2 * ctx.c + 4) * p["nu"] + ctx.c ** 2 + 4)
-            / (4 * (p["nu"] - 1) * p["mu"]),
-            -(p["nu"] ** 2 + 2 * (ctx.c - 4) * p["nu"]
-              - (3 * ctx.c ** 2 - 4 * ctx.c - 4)) / (4 * (p["nu"] - 1) * p["mu"]),
-            (3 * p["nu"] ** 2 - 2 * ctx.c * p["nu"]
-             - (ctx.c ** 2 - 4 * ctx.c + 4)) / (4 * (p["nu"] - 1) * p["mu"])),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
         notes={"ric11": "printed with an overall minus sign"},
     ),
@@ -203,8 +175,6 @@ _G1_FORMS = [
         frame=lambda ctx, p: _cols(_E[1] / math.sqrt(p["mu"]),
                                    (_E[0] + _E[2]) / _S2, (_E[0] - _E[2]) / _S2),
         ric=lambda ctx, p: np.zeros((3, 3)),
-        rho=lambda ctx, p: 0.0,
-        kappas=lambda ctx, p: (0.0, 0.0, 0.0),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
@@ -217,8 +187,6 @@ _G1_FORMS = [
             [[-p["mu"] / 2, math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)],
              [math.sqrt(p["mu"] / 2), p["mu"] / 2, 0.0],
              [math.sqrt(p["mu"] / 2), 0.0, p["mu"] / 2]]),
-        rho=lambda ctx, p: p["mu"] / 2,
-        kappas=lambda ctx, p: (-p["mu"] / 4, 3 * p["mu"] / 4, -p["mu"] / 4),
         oneill=lambda ctx, p, band: ONeillType.DOUBLE,
     ),
     FormSpec(
@@ -233,10 +201,6 @@ _G1_FORMS = [
              [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
              [1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
               (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"])]]),
-        rho=lambda ctx, p: (1 - 12 * p["nu"]) / (2 * p["mu"] * p["nu"]),
-        kappas=lambda ctx, p: (-(1 + 4 * p["nu"]) / (4 * p["mu"] * p["nu"]),
-                               (3 - 4 * p["nu"]) / (4 * p["mu"] * p["nu"]),
-                               -(1 + 4 * p["nu"]) / (4 * p["mu"] * p["nu"])),
         oneill=lambda ctx, p, band: _tri(1 - 4 * p["nu"], band),
     ),
     FormSpec(
@@ -251,10 +215,6 @@ _G1_FORMS = [
              [1.0 / (p["mu"] * math.sqrt(p["nu"])),
               (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0],
              [0.0, 0.0, (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
-        rho=lambda ctx, p: (1 + 12 * p["nu"]) / (2 * p["mu"] * p["nu"]),
-        kappas=lambda ctx, p: ((4 * p["nu"] - 1) / (4 * p["mu"] * p["nu"]),
-                               (4 * p["nu"] + 3) / (4 * p["mu"] * p["nu"]),
-                               (4 * p["nu"] - 1) / (4 * p["mu"] * p["nu"])),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
         notes={"ric22": "printed as (4 mu + 1)/(2 mu nu)",
                "ric33": "printed as (4 mu + 1)/(2 mu nu)"},
@@ -271,10 +231,6 @@ _G1_FORMS = [
              [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
              [-1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
               -(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
-        rho=lambda ctx, p: (1 - 12 * p["nu"]) / (2 * p["mu"] * p["nu"]),
-        kappas=lambda ctx, p: ((3 - 4 * p["nu"]) / (4 * p["mu"] * p["nu"]),
-                               -(1 + 4 * p["nu"]) / (4 * p["mu"] * p["nu"]),
-                               -(1 + 4 * p["nu"]) / (4 * p["mu"] * p["nu"])),
         oneill=lambda ctx, p, band: _tri(1 - 4 * p["nu"], band),
         notes={"ric22": "printed as (1 - 4 mu)/(2 mu nu)",
                "ric33": "printed as -(4 mu + 1)/(2 mu nu)"},
@@ -288,8 +244,6 @@ _G1_FORMS = [
         ric=lambda ctx, p: np.array([[-2 / p["mu"], 0, 0],
                                      [0, -3 / p["mu"], 1 / p["mu"]],
                                      [0, -1 / p["mu"], -1 / p["mu"]]]),
-        rho=lambda ctx, p: -6.0 / p["mu"],
-        kappas=lambda ctx, p: (-2 / p["mu"], -1 / p["mu"], 0.0),
         oneill=lambda ctx, p, band: ONeillType.DOUBLE,
     ),
     FormSpec(
@@ -301,8 +255,6 @@ _G1_FORMS = [
         ric=lambda ctx, p: np.array([[-2 / p["mu"], 0, 0],
                                      [0, -1 / p["mu"], -1 / p["mu"]],
                                      [0, 1 / p["mu"], -3 / p["mu"]]]),
-        rho=lambda ctx, p: -6.0 / p["mu"],
-        kappas=lambda ctx, p: (0.0, -1 / p["mu"], -2 / p["mu"]),
         oneill=lambda ctx, p, band: ONeillType.DOUBLE,
     ),
 ]
@@ -359,8 +311,6 @@ _GC_LT1_FORMS = [
             [[0, 0, 0],
              [0, -ctx.w * (ctx.w - 1), ctx.w * (ctx.w - 1)],
              [0, -ctx.w * (ctx.w - 1), ctx.w * (ctx.w - 1)]], dtype=float),
-        rho=lambda ctx, p: 0.0,
-        kappas=lambda ctx, p: (-ctx.w * (ctx.w - 1), 0.0, ctx.w * (ctx.w - 1)),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL
         if abs(ctx.w - 1) <= band else ONeillType.DOUBLE,
     ),
@@ -374,8 +324,6 @@ _GC_LT1_FORMS = [
             [[0, 0, 0],
              [0, -ctx.w * (ctx.w + 1), ctx.w * (ctx.w + 1)],
              [0, -ctx.w * (ctx.w + 1), ctx.w * (ctx.w + 1)]], dtype=float),
-        rho=lambda ctx, p: 0.0,
-        kappas=lambda ctx, p: (-ctx.w * (ctx.w + 1), 0.0, ctx.w * (ctx.w + 1)),
         oneill=lambda ctx, p, band: ONeillType.DOUBLE,
     ),
     FormSpec(
@@ -397,10 +345,6 @@ _GC_LT1_FORMS = [
              [ctx.w * (1 + ctx.w) / p["mu"] ** 2,
               -ctx.w * (1 + ctx.w) / (2 * p["mu"] ** 2),
               ctx.w * (1 + 5 * ctx.w) / (2 * p["mu"] ** 2)]]),
-        rho=lambda ctx, p: 2 * ctx.w ** 2 / p["mu"] ** 2,
-        kappas=lambda ctx, p: (-ctx.w * (1 + 3 * ctx.w) / (2 * p["mu"] ** 2),
-                               3 * ctx.w ** 2 / p["mu"] ** 2,
-                               ctx.w * (1 - ctx.w) / (2 * p["mu"] ** 2)),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL
         if abs(ctx.w - 1) <= band else ONeillType.DOUBLE,
         notes={"ric33": "printed as z(1+5w)/(2 mu^2)"},
@@ -413,10 +357,6 @@ _GC_LT1_FORMS = [
         ric=lambda ctx, p: np.diag([2 * (1 + ctx.w) / p["mu"],
                                     2 * (1 - ctx.w) / p["mu"],
                                     2 * (1 + ctx.w ** 2) / p["mu"]]),
-        rho=lambda ctx, p: 2 * (3 + ctx.w ** 2) / p["mu"],
-        kappas=lambda ctx, p: ((1 - ctx.w ** 2) / p["mu"],
-                               (1 - ctx.w) ** 2 / p["mu"],
-                               (1 + ctx.w) ** 2 / p["mu"]),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
@@ -427,10 +367,6 @@ _GC_LT1_FORMS = [
         ric=lambda ctx, p: np.diag([-2 * (1 + ctx.w) / p["mu"],
                                     -2 * (1 + ctx.w ** 2) / p["mu"],
                                     2 * (ctx.w - 1) / p["mu"]]),
-        rho=lambda ctx, p: -2 * (3 + ctx.w ** 2) / p["mu"],
-        kappas=lambda ctx, p: (-(1 + ctx.w) ** 2 / p["mu"],
-                               -(1 - ctx.w) ** 2 / p["mu"],
-                               -(1 - ctx.w ** 2) / p["mu"]),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
         notes={"ric33": "printed as 2(1-w)/mu"},
     ),
@@ -442,10 +378,6 @@ _GC_LT1_FORMS = [
         ric=lambda ctx, p: np.diag([2 * (ctx.w - 1) / p["mu"],
                                     -2 * (1 + ctx.w ** 2) / p["mu"],
                                     -2 * (1 + ctx.w) / p["mu"]]),
-        rho=lambda ctx, p: -2 * (3 + ctx.w ** 2) / p["mu"],
-        kappas=lambda ctx, p: (-(1 - ctx.w) ** 2 / p["mu"],
-                               -(1 + ctx.w) ** 2 / p["mu"],
-                               -(1 - ctx.w ** 2) / p["mu"]),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
@@ -455,8 +387,6 @@ _GC_LT1_FORMS = [
         frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]),
                                    (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
         ric=lambda ctx, p: -(2.0 / p["mu"]) * np.eye(3),
-        rho=lambda ctx, p: -6.0 / p["mu"],
-        kappas=lambda ctx, p: (-1.0 / p["mu"],) * 3,
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
@@ -471,10 +401,6 @@ _GC_LT1_FORMS = [
               2 * ctx.w * (ctx.w - 1) / p["mu"]],
              [0, -2 * ctx.w * (ctx.w - 1) / p["mu"],
               2 * (ctx.w ** 2 - ctx.w - 1) / p["mu"]]]),
-        rho=lambda ctx, p: -6.0 / p["mu"],
-        kappas=lambda ctx, p: (-(2 * ctx.w ** 2 - 2 * ctx.w + 1) / p["mu"],
-                               -1.0 / p["mu"],
-                               (2 * ctx.w ** 2 - 2 * ctx.w - 1) / p["mu"]),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL
         if abs(ctx.w - 1) <= band else ONeillType.DOUBLE,
     ),
@@ -490,10 +416,6 @@ _GC_LT1_FORMS = [
               2 * ctx.w * (ctx.w - 1) / p["mu"]],
              [0, -2 * ctx.w * (ctx.w - 1) / p["mu"],
               -2 * (ctx.w ** 2 - ctx.w + 1) / p["mu"]]]),
-        rho=lambda ctx, p: -6.0 / p["mu"],
-        kappas=lambda ctx, p: ((2 * ctx.w ** 2 - 2 * ctx.w - 1) / p["mu"],
-                               -1.0 / p["mu"],
-                               -(2 * ctx.w ** 2 - 2 * ctx.w + 1) / p["mu"]),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL
         if abs(ctx.w - 1) <= band else ONeillType.DOUBLE,
     ),
@@ -505,14 +427,6 @@ _GC_LT1_FORMS = [
             _E[0], _E[2] / math.sqrt(p["nu"]),
             (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
         ric=_lt1_10_1_ric,
-        rho=lambda ctx, p: 2 * (ctx.w ** 2 * p["tau"] + 3 * p["tau"] - 3)
-        / (p["nu"] * (1 - p["tau"])),
-        kappas=lambda ctx, p: (
-            ((ctx.w ** 2 + 2 * ctx.w + 1) * p["tau"]
-             - (2 * ctx.w ** 2 + 2 * ctx.w + 1)) / (p["nu"] * (1 - p["tau"])),
-            ((ctx.w ** 2 - 2 * ctx.w + 1) * p["tau"]
-             + (2 * ctx.w ** 2 + 2 * ctx.w - 1)) / (p["nu"] * (1 - p["tau"])),
-            -(ctx.w ** 2 * p["tau"] - p["tau"] + 1) / (p["nu"] * (1 - p["tau"]))),
         oneill=lambda ctx, p, band: _tri(
             p["tau"] * (p["tau"] - 1 + ctx.w ** 2), band),
         notes={"ric33": "printed with denominator nu sqrt(1-tau)"},
@@ -525,14 +439,6 @@ _GC_LT1_FORMS = [
             _E[0], (_E[0] - _E[1]) / math.sqrt(p["tau"] - 1.0),
             _E[2] / math.sqrt(-p["nu"])),
         ric=_lt1_10_2_ric,
-        rho=lambda ctx, p: -2 * (ctx.w ** 2 * p["tau"] + 3 * p["tau"] - 3)
-        / (p["nu"] * (p["tau"] - 1)),
-        kappas=lambda ctx, p: (
-            (ctx.w ** 2 * p["tau"] - p["tau"] + 1) / (p["nu"] * (p["tau"] - 1)),
-            -((ctx.w ** 2 - 2 * ctx.w + 1) * p["tau"]
-              + (2 * ctx.w ** 2 + 2 * ctx.w - 1)) / (p["nu"] * (p["tau"] - 1)),
-            -((ctx.w ** 2 + 2 * ctx.w + 1) * p["tau"]
-              - (2 * ctx.w ** 2 + 2 * ctx.w + 1)) / (p["nu"] * (p["tau"] - 1))),
         oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
         notes={"domain": "constraint column printed nu > 0; the matching "
                          "Lorentzian branch requires nu < 0"},
@@ -546,14 +452,6 @@ _GC_LT1_FORMS = [
             _E[2] / math.sqrt(p["mu"]),
             (_E[0] + _E[1]) / math.sqrt(1.0 - p["eta"]), _E[0]),
         ric=_lt1_11_ric,
-        rho=lambda ctx, p: 2 * (ctx.w ** 2 * p["eta"] + 3 * p["eta"] - 3)
-        / (p["mu"] * (1 - p["eta"])),
-        kappas=lambda ctx, p: (
-            ((ctx.w ** 2 - 2 * ctx.w + 1) * p["eta"]
-             + (2 * ctx.w ** 2 + 2 * ctx.w - 1)) / (p["mu"] * (1 - p["eta"])),
-            -(1 - p["eta"] + ctx.w ** 2 * p["eta"]) / (p["mu"] * (1 - p["eta"])),
-            ((ctx.w ** 2 + 2 * ctx.w + 1) * p["eta"]
-             - (2 * ctx.w ** 2 + 2 * ctx.w + 1)) / (p["mu"] * (1 - p["eta"]))),
         oneill=lambda ctx, p, band: _tri(
             p["eta"] * (p["eta"] - 1 + ctx.w ** 2), band),
     ),
@@ -615,11 +513,11 @@ def closed_form_report(tag: FamilyTag, form_id: str, params: dict[str, float],
     if not spec.domain(ctx, params):
         raise ValueError(f"parameters {params} outside the domain of {form_id}")
     ric = spec.ric(ctx, params)
-    band = tol.classification_tol
-    return ClosedFormCurvature(form_id, dict(params), ric,
-                               float(spec.rho(ctx, params)),
-                               tuple(float(k) for k in spec.kappas(ctx, params)),
-                               spec.oneill(ctx, params, band))
+    rho = float(np.trace(ric))
+    kappas = tuple(milnor_sectional(J21 @ ric, rho, _E[i], _E[j], tol)
+                   for i, j in ((0, 1), (1, 2), (2, 0)))
+    return ClosedFormCurvature(form_id, dict(params), ric, rho, kappas,
+                               spec.oneill(ctx, params, tol.classification_tol))
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ from .algebra import (AutomorphismParams, BasisLabel, FamilyTag,
                       automorphism_matrix, classification_basis,
                       is_automorphism, make_family_algebra)
 from .atlas import canonical_matrix
-from .curvature import curvature_report, riemann
-from .metric import J21, MetricTensor, pull_back_metric, validate_metric
+from .curvature import levi_civita, ricci_tensor, riemann
+from .metric import (J21, MetricTensor, orthonormal_frame, pull_back_metric,
+                     validate_metric)
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -504,22 +505,24 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     (Milnor 1976), so the metric has constant curvature k = rho/6 exactly
     when it is Einstein, ric = 2k h; the Riemann tensor is then checked
     against the model k(<u, w> v - <v, w> u) as well.  The sign of k names
-    the class."""
+    the class.  No operator type is needed, so the O'Neill classifier is
+    not run."""
     cf = canonical_form(tag, h, tol)
     alg = make_family_algebra(tag, cf.basis_label)
     hc = MetricTensor(cf.canonical_matrix, basis_label=cf.basis_label,
                       tolerance=tol)
-    report = curvature_report(alg, hc, tol=tol)
-    k = report.scalar / 6.0
-    band = tol.classification_tol * (1.0 + float(np.max(np.abs(report.ric_matrix))))
-    if float(np.max(np.abs(report.ric_matrix - 2.0 * k * J21))) > band:
+    conn = levi_civita(alg, hc, orthonormal_frame(hc, tol))
+    ric = ricci_tensor(conn)
+    k = float(np.trace(J21 @ ric)) / 6.0
+    band = tol.classification_tol * (1.0 + float(np.max(np.abs(ric))))
+    if float(np.max(np.abs(ric - 2.0 * k * J21))) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
     e = np.eye(3)
     model_res = 0.0
     for i in range(3):
         for j in range(3):
             for m in range(3):
-                rv = riemann(report.connection, e[i], e[j], e[m])
+                rv = riemann(conn, e[i], e[j], e[m])
                 model = k * (float(e[i] @ J21 @ e[m]) * e[j]
                              - float(e[j] @ J21 @ e[m]) * e[i])
                 model_res = max(model_res, float(np.max(np.abs(rv - model))))

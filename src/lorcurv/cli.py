@@ -7,14 +7,14 @@ Input is a JSON document (file path or ``-`` for stdin):
       "family": "GI" | {"Gc": <real c>},
       "basis": "natural" | "Q_adapted" | "P_adapted",
       "metric": [[..], [..], [..]],
-      "tolerance": {"abs_tol": .., "rel_tol": .., "classification_tol": ..}
+      "tolerance": {"abs_tol": .., "classification_tol": ..}
     }
 
 Exit codes: 0 success, 1 domain rejection (invalid metric / wrong
 signature / inconsistent basis), 2 parse or I/O error, 3 "not
 equivalent" (equiv only).  The environment variable LORCURV_TOL, when
 set, overrides the default abs_tol; an explicit "tolerance" field in the
-document wins over both.
+document wins over both.  Each tolerance must be at least 1e-16.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .canonical import (
 )
 from .curvature import curvature_report
 from .metric import MetricTensor, validate_metric
-from .tolerance import DEFAULT_TOL, ToleranceConfig
+from .tolerance import DEFAULT_TOL, TOL_FLOOR, ToleranceConfig
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -64,6 +64,9 @@ def _finite_real(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+_TOL_MESSAGE = f"must be a finite number of at least {TOL_FLOOR:g}"
+
+
 def _default_tolerance() -> ToleranceConfig:
     env = os.environ.get("LORCURV_TOL")
     if env is None:
@@ -72,10 +75,9 @@ def _default_tolerance() -> ToleranceConfig:
         abs_tol = float(env)
     except ValueError as exc:
         raise InputError("$LORCURV_TOL", f"not a number: {env!r}") from exc
-    if not _finite_real(abs_tol) or abs_tol <= 0:
-        raise InputError("$LORCURV_TOL", "must be a positive number")
+    if not _finite_real(abs_tol) or abs_tol < TOL_FLOOR:
+        raise InputError("$LORCURV_TOL", _TOL_MESSAGE)
     return ToleranceConfig(abs_tol=abs_tol,
-                           rel_tol=DEFAULT_TOL.rel_tol,
                            classification_tol=DEFAULT_TOL.classification_tol)
 
 
@@ -109,15 +111,15 @@ def _parse_tolerance(node) -> ToleranceConfig:
         return base
     if not isinstance(node, dict):
         raise InputError("tolerance", "expected an object")
-    known = {"abs_tol", "rel_tol", "classification_tol"}
-    extra = set(node) - known
+    known = ("abs_tol", "classification_tol")
+    extra = set(node) - set(known)
     if extra:
         raise InputError(f"tolerance.{sorted(extra)[0]}", "unknown field")
     values = {}
     for key in known:
         value = node.get(key, getattr(base, key))
-        if not _finite_real(value) or value <= 0:
-            raise InputError(f"tolerance.{key}", "must be a positive number")
+        if not _finite_real(value) or value < TOL_FLOOR:
+            raise InputError(f"tolerance.{key}", _TOL_MESSAGE)
         values[key] = float(value)
     return ToleranceConfig(**values)
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import LieAlgebra3, change_basis
 from .metric import J21, MetricTensor, OrthonormalFrame, frame_gram_residual, \
-    orthonormal_frame
+    frame_inner, orthonormal_frame
 from .oneill import ONeillClassification, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -98,10 +98,6 @@ def ricci_operator(ric: np.ndarray) -> np.ndarray:
 
 def scalar_curvature(ricci_op: np.ndarray) -> float:
     return float(np.trace(ricci_op))
-
-
-def frame_inner(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.asarray(u, float) @ J21 @ np.asarray(v, float))
 
 
 def sectional(conn: Connection, u: np.ndarray, v: np.ndarray,

@@ -19,6 +19,11 @@ from .tolerance import DEFAULT_TOL, ToleranceConfig
 J21 = np.diag([1.0, 1.0, -1.0])
 
 
+def frame_inner(u: np.ndarray, v: np.ndarray) -> float:
+    """h(u, v) for vectors given in orthonormal-frame coordinates."""
+    return float(np.asarray(u, float) @ J21 @ np.asarray(v, float))
+
+
 @dataclass(frozen=True)
 class MetricTensor:
     """A symmetric bilinear form given by its matrix in some basis.
@@ -43,9 +48,6 @@ class MetricTensor:
         if asym > self.tolerance.abs_tol * scale:
             raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
         object.__setattr__(self, "entries", 0.5 * (h + h.T))
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.asarray(u, float) @ self.entries @ np.asarray(v, float))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metric import J21
+from .metric import J21, frame_inner
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -72,21 +72,6 @@ def _perm(order: tuple[int, int, int]) -> np.ndarray:
     for new, old in enumerate(order):
         P[old, new] = 1.0
     return P
-
-
-def ric_signature(M: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL
-                  ) -> tuple[int, int, int]:
-    """Sylvester signature (n_plus, n_zero, n_minus) of a symmetric matrix."""
-    M = np.asarray(M, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    n_zero = int(np.sum(np.abs(eigs) <= tol.classification_tol * scale))
-    n_plus = int(np.sum(eigs > tol.classification_tol * scale))
-    return (n_plus, n_zero, 3 - n_zero - n_plus)
-
-
-def _bform(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u @ J21 @ v)
 
 
 def _eigen_data(T: np.ndarray, band: float) -> tuple[EigenDatum, ...]:
@@ -357,7 +342,7 @@ def _construct_transition(T: np.ndarray, ttype: ONeillType,
         lam = real_d.value.real
         B = _null_basis(T, lam, 1)
         v = B[:, 0]
-        nv = _bform(v, v)
+        nv = frame_inner(v, v)
         if nv <= 0:
             raise ArithmeticError("real eigenvector of a {1zz} operator "
                                   "must be spacelike")
@@ -398,9 +383,9 @@ def _construct_transition(T: np.ndarray, ttype: ONeillType,
     u0 = max(candidates, key=lambda u: float(np.linalg.norm(N @ N @ u)))
     if float(np.linalg.norm(N @ N @ u0)) <= band:
         raise ArithmeticError("{3} operator has no length-3 chain")
-    m0 = _bform(u0, u0)
-    m1 = _bform(u0, N @ u0)
-    m2 = _bform(N @ u0, N @ u0)
+    m0 = frame_inner(u0, u0)
+    m1 = frame_inner(u0, N @ u0)
+    m2 = frame_inner(N @ u0, N @ u0)
     if m2 <= 0:
         raise ArithmeticError("chain Gram coefficient must be positive for {3}")
     x = 2.0 / np.sqrt(m2)

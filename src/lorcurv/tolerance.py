@@ -4,26 +4,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: smallest accepted tolerance: a band below double-precision rounding of
+#: O(1) quantities cannot be met by any residual the package computes
+TOL_FLOOR = 1e-16
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numerical thresholds for residual checks and sign/zero decisions.
 
-    abs_tol / rel_tol control residual comparisons (e.g. Gram conditions,
-    witness congruences).  classification_tol is the wider band used for
+    abs_tol controls residual comparisons (e.g. Gram conditions, witness
+    congruences).  classification_tol is the wider band used for
     discriminant signs, eigenvalue clustering and rank decisions, where a
     misread sign would change a discrete answer.
     """
 
     abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
     classification_tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "classification_tol"):
+        for name in ("abs_tol", "classification_tol"):
             value = getattr(self, name)
-            if not (value > 0.0):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not (value >= TOL_FLOOR):
+                raise ValueError(f"{name} must be at least {TOL_FLOOR:g}, got {value}")
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -20,6 +20,7 @@ from lorcurv import (
     paper_frame,
     validate_metric,
 )
+from lorcurv.atlas import _ctx, _param_grid
 from tests.conftest import ALL_TAGS, SWEEP_GRID
 
 
@@ -32,6 +33,102 @@ def test_closed_forms_match_engine(tag):
     for e in entries:
         assert not e.flags, (tag.family_key(), e.form_id, e.params, e.flags)
         assert e.max_residual < 1e-7
+
+
+# --------------------------------------------------------------------------
+# the printed scalar and sectional curvatures, as the oracle for the rho
+# and kappa columns that closed_form_report derives from the Ricci operator
+
+def _printed_rho_kappas(ctx, form_id, p):
+    """The paper's scalar and frame sectional curvatures of a canonical
+    form, as (rho, (k12, k23, k31)), with the catalogued corrections."""
+    c, w = ctx.c, ctx.w
+    mu, nu, t, e = (p.get(k) for k in ("mu", "nu", "tau", "eta"))
+    table = {
+        "GI.1": lambda: (-6 / mu, (-1 / mu,) * 3),
+        "GI.2": lambda: (6 / mu, (1 / mu,) * 3),
+        "GI.3": lambda: (0.0, (0.0, 0.0, 0.0)),
+        "Gc_gt1.1": lambda: (c * c * mu / 2, (-c * (c * mu - 2) / 4,
+                                              3 * c * c * mu / 4,
+                                              -c * (c * mu + 2) / 4)),
+        "Gc_gt1.2": lambda: (
+            (t * t - 2 * (c - 6) * t + c * c - 12) / (2 * (1 - t) * mu),
+            ((3 * t * t - 2 * c * t - (c * c - 4 * c + 4)) / (4 * (1 - t) * mu),
+             -(t * t - 2 * (c + 2) * t + c * c + 4) / (4 * (1 - t) * mu),
+             -(t * t + 2 * (c - 4) * t - (3 * c * c - 4 * c - 4))
+             / (4 * (1 - t) * mu))),
+        "Gc_gt1.3": lambda: (
+            ((nu - c) ** 2 + 12 * (nu - 1)) / (2 * (nu - 1) * mu),
+            (-(nu * nu - (2 * c + 4) * nu + c * c + 4) / (4 * (nu - 1) * mu),
+             -(nu * nu + 2 * (c - 4) * nu - (3 * c * c - 4 * c - 4))
+             / (4 * (nu - 1) * mu),
+             (3 * nu * nu - 2 * c * nu - (c * c - 4 * c + 4))
+             / (4 * (nu - 1) * mu))),
+        "G1.1": lambda: (0.0, (0.0, 0.0, 0.0)),
+        "G1.2": lambda: (mu / 2, (-mu / 4, 3 * mu / 4, -mu / 4)),
+        "G1.3": lambda: ((1 - 12 * nu) / (2 * mu * nu),
+                         (-(1 + 4 * nu) / (4 * mu * nu), (3 - 4 * nu) / (4 * mu * nu),
+                          -(1 + 4 * nu) / (4 * mu * nu))),
+        "G1.4": lambda: ((1 + 12 * nu) / (2 * mu * nu),
+                         ((4 * nu - 1) / (4 * mu * nu), (4 * nu + 3) / (4 * mu * nu),
+                          (4 * nu - 1) / (4 * mu * nu))),
+        "G1.5": lambda: ((1 - 12 * nu) / (2 * mu * nu),
+                         ((3 - 4 * nu) / (4 * mu * nu), -(1 + 4 * nu) / (4 * mu * nu),
+                          -(1 + 4 * nu) / (4 * mu * nu))),
+        "G1.6": lambda: (-6 / mu, (-2 / mu, -1 / mu, 0.0)),
+        "G1.7": lambda: (-6 / mu, (0.0, -1 / mu, -2 / mu)),
+        "Gc_lt1.1": lambda: (0.0, (-w * (w - 1), 0.0, w * (w - 1))),
+        "Gc_lt1.2": lambda: (0.0, (-w * (w + 1), 0.0, w * (w + 1))),
+        "Gc_lt1.3": lambda: (2 * w * w / mu ** 2,
+                             (-w * (1 + 3 * w) / (2 * mu ** 2), 3 * w * w / mu ** 2,
+                              w * (1 - w) / (2 * mu ** 2))),
+        "Gc_lt1.4": lambda: (2 * (3 + w * w) / mu,
+                             ((1 - w * w) / mu, (1 - w) ** 2 / mu, (1 + w) ** 2 / mu)),
+        "Gc_lt1.5": lambda: (-2 * (3 + w * w) / mu,
+                             (-(1 + w) ** 2 / mu, -(1 - w) ** 2 / mu,
+                              -(1 - w * w) / mu)),
+        "Gc_lt1.6": lambda: (-2 * (3 + w * w) / mu,
+                             (-(1 - w) ** 2 / mu, -(1 + w) ** 2 / mu,
+                              -(1 - w * w) / mu)),
+        "Gc_lt1.7": lambda: (-6 / mu, (-1 / mu,) * 3),
+        "Gc_lt1.8": lambda: (-6 / mu, (-(2 * w * w - 2 * w + 1) / mu, -1 / mu,
+                                       (2 * w * w - 2 * w - 1) / mu)),
+        "Gc_lt1.9": lambda: (-6 / mu, ((2 * w * w - 2 * w - 1) / mu, -1 / mu,
+                                       -(2 * w * w - 2 * w + 1) / mu)),
+        "Gc_lt1.10-1": lambda: (
+            2 * (w * w * t + 3 * t - 3) / (nu * (1 - t)),
+            (((w + 1) ** 2 * t - (2 * w * w + 2 * w + 1)) / (nu * (1 - t)),
+             ((w - 1) ** 2 * t + (2 * w * w + 2 * w - 1)) / (nu * (1 - t)),
+             -(w * w * t - t + 1) / (nu * (1 - t)))),
+        "Gc_lt1.10-2": lambda: (
+            -2 * (w * w * t + 3 * t - 3) / (nu * (t - 1)),
+            ((w * w * t - t + 1) / (nu * (t - 1)),
+             -((w - 1) ** 2 * t + (2 * w * w + 2 * w - 1)) / (nu * (t - 1)),
+             -((w + 1) ** 2 * t - (2 * w * w + 2 * w + 1)) / (nu * (t - 1)))),
+        "Gc_lt1.11": lambda: (
+            2 * (w * w * e + 3 * e - 3) / (mu * (1 - e)),
+            (((w - 1) ** 2 * e + (2 * w * w + 2 * w - 1)) / (mu * (1 - e)),
+             -(1 - e + w * w * e) / (mu * (1 - e)),
+             ((w + 1) ** 2 * e - (2 * w * w + 2 * w + 1)) / (mu * (1 - e)))),
+    }
+    return table[form_id]()
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
+def test_derived_rho_kappas_match_printed_tables(tag):
+    ctx = _ctx(tag)
+    cells = 0
+    for spec in form_specs(tag):
+        for params in _param_grid(spec, ctx, SWEEP_GRID):
+            closed = closed_form_report(tag, spec.form_id, params)
+            rho, kappas = _printed_rho_kappas(ctx, spec.form_id, params)
+            for label, derived, printed in zip(
+                    ("rho", "kappa12", "kappa23", "kappa31"),
+                    (closed.rho, *closed.kappas), (rho, *kappas)):
+                assert abs(derived - printed) <= 1e-12 * (1.0 + abs(printed)), \
+                    (spec.form_id, params, label, derived, printed)
+            cells += 1
+    assert cells > 0
 
 
 def test_form_counts():

@@ -176,6 +176,10 @@ def test_tolerance_override(tmp_path, capsys, monkeypatch):
     assert main(["validate", f]) == 2
     monkeypatch.setenv("LORCURV_TOL", "nan")
     assert main(["validate", f]) == 2
+    capsys.readouterr()
+    monkeypatch.setenv("LORCURV_TOL", "1e-20")
+    assert main(["validate", f]) == 2
+    assert capsys.readouterr().err.startswith("error: $LORCURV_TOL: ")
 
 
 def test_explicit_tolerance_field(tmp_path, capsys):
@@ -202,13 +206,19 @@ _LORENTZIAN = "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]"
      "family.Gc"),
     (["classify"], '{"family": "GI", "metric": %s, "tolerance": {"abs_tol": NaN}}'
      % _LORENTZIAN, "tolerance.abs_tol"),
+    (["curvature"], '{"family": {"Gc": 2}, "metric": [[-1, -1, 0], [-1, 0, 0], '
+     '[0, 0, 4]], "tolerance": {"classification_tol": 1e-20}}',
+     "tolerance.classification_tol"),
+    (["classify"], '{"family": "GI", "metric": %s, "tolerance": {"rel_tol": 1e-9}}'
+     % _LORENTZIAN, "tolerance.rel_tol"),
     (["classify"], '{"family": "GI", "metric": [[1, 0, 0], [0, "a", 0], [0, 0, -1]]}',
      "metric[1][1]"),
     (["classify"], '{"family": "GI", "metric": [[1, 0, 0], [0, 1], [0, 0, -1]]}',
      "metric"),
     (["atlas", "--family", "Gc", "--c", "nan", "--grid", "mu=1"], None, "--c"),
     (["atlas", "--family", "GI", "--grid", "mu=inf"], None, "--grid"),
-], ids=["bool-c", "infinite-c", "nan-abs-tol", "non-numeric-metric",
+], ids=["bool-c", "infinite-c", "nan-abs-tol", "tiny-classification-tol",
+        "unknown-rel-tol", "non-numeric-metric",
         "ragged-metric", "atlas-nan-c", "atlas-infinite-grid"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc, path):
     if doc is not None:

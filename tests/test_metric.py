@@ -4,6 +4,7 @@ import pytest
 from lorcurv import (
     J21,
     MetricTensor,
+    ToleranceConfig,
     frame_gram_residual,
     orthonormal_frame,
     pull_back_metric,
@@ -87,3 +88,11 @@ def test_frame_is_deterministic():
     f1 = orthonormal_frame(h)
     f2 = orthonormal_frame(h)
     assert np.array_equal(f1.columns, f2.columns)
+
+
+@pytest.mark.parametrize("field", ["abs_tol", "classification_tol"])
+@pytest.mark.parametrize("value", [1e-20, 0.0, -1.0, float("nan")])
+def test_tolerance_floor(field, value):
+    with pytest.raises(ValueError, match=field):
+        ToleranceConfig(**{field: value})
+    ToleranceConfig(**{field: 1e-16})
