@@ -14,7 +14,7 @@ live here as well.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -93,7 +93,8 @@ class LieAlgebra3:
         c = np.asarray(self.structure_constants, dtype=float)
         if c.shape != (3, 3, 3):
             raise ValueError("structure constants must have shape (3, 3, 3)")
-        if not np.allclose(c, -np.transpose(c, (1, 0, 2)), atol=0.0):
+        ct = np.transpose(c, (1, 0, 2))
+        if not np.all(np.abs(c + ct) <= 1e-5 * np.abs(ct)):
             raise ValueError("structure constants must be antisymmetric in (i, j)")
         object.__setattr__(self, "structure_constants", c)
 
@@ -162,13 +163,9 @@ def change_basis(alg: LieAlgebra3, S: np.ndarray,
     """Structure constants in the basis e'_j = S e_j (columns of S are the
     new basis vectors written in the old coordinates)."""
     S = np.asarray(S, dtype=float)
-    S_inv = np.linalg.inv(S)
-    consts = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            vec = S_inv @ alg.bracket(S[:, i], S[:, j])
-            consts[i, j] = vec
-            consts[j, i] = -vec
+    consts = np.einsum("ai,bj,abc,kc->ijk", S, S, alg.structure_constants,
+                       np.linalg.inv(S))
+    consts = 0.5 * (consts - np.transpose(consts, (1, 0, 2)))
     return LieAlgebra3(consts, family=alg.family, basis_label=basis_label)
 
 

@@ -15,7 +15,7 @@ R_{u,v} w = k (h(u,w) v - h(v,w) u) and ric = 2k h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,10 +35,12 @@ class Connection:
     gamma[i, j, k] is the k-th component of nabla_{y_i} y_j; brackets holds
     the structure constants of the frame vectors, so that covariant
     derivatives and curvature never need to leave frame coordinates.
+    curvature[i, j, k, l] is the l-th component of R_{y_i, y_j} y_k.
     """
 
     gamma: np.ndarray      # (3, 3, 3)
     brackets: np.ndarray   # (3, 3, 3), frame structure constants
+    curvature: np.ndarray  # (3, 3, 3, 3), Riemann tensor
 
     def nabla(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", np.asarray(u, float),
@@ -54,27 +56,26 @@ def levi_civita(alg: LieAlgebra3, h: MetricTensor,
     """Koszul formula specialised to an orthonormal frame.
 
     2 h(nabla_a b, y_k) = h([a,b], y_k) + h([y_k, a], b) + h([y_k, b], a)
-    and h(x, y_k) = sign_k x_k in frame coordinates.
+    and h(x, y_k) = sign_k x_k in frame coordinates.  The Riemann tensor
+    is built here, once per connection.
     """
-    frame_alg = change_basis(alg, frame.columns)
-    c = frame_alg.structure_constants
-    gamma = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                gamma[i, j, k] = 0.5 * _SIGNS[k] * (
-                    _SIGNS[k] * c[i, j, k]
-                    + _SIGNS[j] * c[k, i, j]
-                    + _SIGNS[i] * c[k, j, i])
-    return Connection(gamma, c)
+    c = change_basis(alg, frame.columns).structure_constants
+    s = _SIGNS
+    gamma = 0.5 * s * (s * c
+                       + s[:, None] * np.einsum("kij->ijk", c)
+                       + s[:, None, None] * np.einsum("kji->ijk", c))
+    curv = (np.einsum("ijm,mkl->ijkl", c, gamma)
+            - np.einsum("jkm,iml->ijkl", gamma, gamma)
+            + np.einsum("ikm,jml->ijkl", gamma, gamma))
+    return Connection(gamma, c, curv)
 
 
 def riemann(conn: Connection, u: np.ndarray, v: np.ndarray,
             w: np.ndarray) -> np.ndarray:
     """R_{u,v} w = nabla_{[u,v]} w - nabla_u nabla_v w + nabla_v nabla_u w."""
-    return (conn.nabla(conn.bracket(u, v), w)
-            - conn.nabla(u, conn.nabla(v, w))
-            + conn.nabla(v, conn.nabla(u, w)))
+    return np.einsum("i,j,k,ijkl->l", np.asarray(u, float),
+                     np.asarray(v, float), np.asarray(w, float),
+                     conn.curvature)
 
 
 def ricci_tensor(conn: Connection) -> np.ndarray:
@@ -83,11 +84,7 @@ def ricci_tensor(conn: Connection) -> np.ndarray:
     With frame coordinates the trace collapses to summing the a-th
     component of R_{y_i, y_a} y_j.
     """
-    e = np.eye(3)
-    ric = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            ric[i, j] = sum(riemann(conn, e[i], e[a], e[j])[a] for a in range(3))
+    ric = np.einsum("iaja->ij", conn.curvature)
     return 0.5 * (ric + ric.T)
 
 

@@ -4,10 +4,7 @@ Each test covers one numbered criterion and prints a single PASS/FAIL
 line (visible with ``pytest -s`` or in captured output on failure).
 """
 
-import math
-
 import numpy as np
-import pytest
 
 from lorcurv import (
     ConstantCurvatureClass,

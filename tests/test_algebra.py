@@ -4,6 +4,7 @@ import pytest
 from lorcurv import (
     BasisLabel,
     FamilyTag,
+    LieAlgebra3,
     adapted_basis_vectors,
     adapted_transition,
     change_basis,
@@ -11,6 +12,33 @@ from lorcurv import (
     make_family_algebra,
 )
 from tests.conftest import ALL_TAGS, rand_automorphism
+
+
+def _pair_constants(upper, lower):
+    """Constants with [e_2, e_0] = upper and [e_0, e_2] = lower."""
+    c = np.zeros((3, 3, 3))
+    c[2, 0], c[0, 2] = upper, lower
+    return c
+
+
+def test_structure_constants_must_be_antisymmetric():
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LieAlgebra3(_pair_constants([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+
+
+def test_structure_constants_accept_relative_1e5_asymmetry():
+    """The check is relative, |c_ij + c_ji| <= 1e-5 |c_ji|, with no
+    absolute floor."""
+    LieAlgebra3(_pair_constants([1.0 + 9e-6, 0.0, 0.0], [-1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LieAlgebra3(_pair_constants([1.0 + 2e-5, 0.0, 0.0], [-1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LieAlgebra3(_pair_constants([1e-300, 0.0, 0.0], [0.0, 0.0, 0.0]))
+
+
+def test_structure_constants_reject_nan():
+    with pytest.raises(ValueError, match="antisymmetric"):
+        LieAlgebra3(_pair_constants([np.nan, 0.0, 0.0], [np.nan, 0.0, 0.0]))
 
 
 def test_family_keys():

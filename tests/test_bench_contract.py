@@ -11,6 +11,15 @@ import pytest
 
 import lorcurv.canonical
 import lorcurv.curvature
+from lorcurv import (
+    FamilyTag,
+    MetricTensor,
+    canonical_matrix,
+    constant_curvature_class,
+    curvature_report,
+    make_family_algebra,
+    orthonormal_frame,
+)
 
 
 def _load_tracer():
@@ -46,3 +55,27 @@ def test_tracer_installs_and_uninstalls():
     finally:
         t.uninstall()
     assert lorcurv.canonical.riemann is original
+
+
+def test_traced_survey_calls_riemann_outside_ricci():
+    """bench/selftest.py expects more than 27 riemann calls for a survey op
+    on the Einstein form GI.1: the 27 of the Riemann-model check in
+    constant_curvature_class and the 3 of the frame sectional curvatures.
+    ricci_tensor reads the curvature tensor and calls no riemann."""
+    tag = FamilyTag("GI")
+    alg = make_family_algebra(tag)
+    h = MetricTensor(canonical_matrix(tag, "GI.1", {"mu": 1.0}))
+    t = tracer.Tracer()
+    t.install()
+    try:
+        curvature_report(alg, h)
+        constant_curvature_class(tag, h)
+        before = t.calls["curvature.riemann"]
+        conn = lorcurv.curvature.levi_civita(alg, h, orthonormal_frame(h))
+        lorcurv.curvature.ricci_tensor(conn)
+        inside_ricci = t.calls["curvature.riemann"] - before
+    finally:
+        t.uninstall()
+    assert t.calls["curvature.riemann"] > 27
+    assert t.calls["curvature.ricci_tensor"] == 3
+    assert inside_ricci == 0

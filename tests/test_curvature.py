@@ -8,17 +8,19 @@ from lorcurv import (
     canonical_matrix,
     cross,
     curvature_report,
-    frame_gram_residual,
+    form_specs,
     levi_civita,
     make_family_algebra,
     milnor_sectional,
     orthonormal_frame,
     pull_back_metric,
+    ricci_tensor,
     riemann,
     sectional,
 )
+from lorcurv.atlas import _ctx, _param_grid
 from lorcurv.curvature import frame_inner
-from lorcurv.metric import J21
+from tests.conftest import ALL_TAGS, SWEEP_GRID, rand_automorphism
 
 
 def _report(tag, form_id, params):
@@ -167,3 +169,122 @@ def test_to_dict_serializes():
     rep = _report(FamilyTag("Gc", 1.0), "G1.6", {"mu": 1.0})
     payload = json.dumps(rep.to_dict())
     assert "{21}" in payload
+
+
+# --------------------------------------------------------------------------
+# frozen loop oracle: the scalar-loop forms the tensor core replaced
+
+_LOOP_SIGNS = np.array([1.0, 1.0, -1.0])
+
+
+def _loop_change_basis(c, S):
+    S = np.asarray(S, dtype=float)
+    S_inv = np.linalg.inv(S)
+    consts = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j in range(i + 1, 3):
+            vec = S_inv @ np.einsum("i,j,ijk->k", S[:, i], S[:, j], c)
+            consts[i, j] = vec
+            consts[j, i] = -vec
+    return consts
+
+
+def _loop_levi_civita(c):
+    gamma = np.zeros((3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                gamma[i, j, k] = 0.5 * _LOOP_SIGNS[k] * (
+                    _LOOP_SIGNS[k] * c[i, j, k]
+                    + _LOOP_SIGNS[j] * c[k, i, j]
+                    + _LOOP_SIGNS[i] * c[k, j, i])
+    return gamma
+
+
+def _loop_riemann(gamma, c, u, v, w):
+    def nabla(a, b):
+        return np.einsum("i,j,ijk->k", a, b, gamma)
+
+    bracket = np.einsum("i,j,ijk->k", u, v, c)
+    return nabla(bracket, w) - nabla(u, nabla(v, w)) + nabla(v, nabla(u, w))
+
+
+def _loop_ricci_tensor(gamma, c):
+    e = np.eye(3)
+    ric = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(3):
+            ric[i, j] = sum(_loop_riemann(gamma, c, e[i], e[a], e[j])[a]
+                            for a in range(3))
+    return 0.5 * (ric + ric.T)
+
+
+def _sweep_images(rng):
+    """One automorphism image of every ALL_TAGS x SWEEP_GRID cell."""
+    for tag in ALL_TAGS:
+        basis = classification_basis(tag)
+        alg = make_family_algebra(tag, basis)
+        for spec in form_specs(tag):
+            for params in _param_grid(spec, _ctx(tag), SWEEP_GRID):
+                h = MetricTensor(canonical_matrix(tag, spec.form_id, params),
+                                 basis_label=basis)
+                yield alg, pull_back_metric(h, rand_automorphism(tag, rng))
+
+
+def _fuzz_metrics(c, count=300):
+    """Q diag(+, +, -) Q^T, Q orthogonal, |eigenvalues| in [0.1, 3], rng
+    seed 0: the fuzz set of the robustness baseline, natural basis."""
+    tag = FamilyTag("GI") if c is None else FamilyTag("Gc", c)
+    alg = make_family_algebra(tag)
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        Q, R = np.linalg.qr(rng.normal(size=(3, 3)))
+        Q = Q * np.sign(np.diag(R))
+        d = rng.uniform(0.1, 3.0, size=3) * _LOOP_SIGNS
+        H = Q @ np.diag(d) @ Q.T
+        yield alg, MetricTensor(0.5 * (H + H.T))
+
+
+def _assert_rel(new, old, scale, what):
+    err = float(np.max(np.abs(np.asarray(new) - old)))
+    assert err <= 1e-12 * scale, (what, err, scale)
+
+
+def _check_against_loop_oracle(alg, h):
+    """Gamma and brackets are linear in the frame constants, R and Ric
+    quadratic, so each is compared relative to that power of max|C|."""
+    frame = orthonormal_frame(h)
+    conn = levi_civita(alg, h, frame)
+    c = _loop_change_basis(alg.structure_constants, frame.columns)
+    gamma = _loop_levi_civita(c)
+    e = np.eye(3)
+    curv = np.array([[[_loop_riemann(gamma, c, e[i], e[j], e[k])
+                       for k in range(3)] for j in range(3)]
+                     for i in range(3)])
+    s1 = float(np.max(np.abs(c)))
+    s2 = s1 * s1
+    _assert_rel(conn.brackets, c, s1, "brackets")
+    _assert_rel(conn.gamma, gamma, s1, "gamma")
+    _assert_rel(conn.curvature, curv, s2, "R")
+    _assert_rel(ricci_tensor(conn), _loop_ricci_tensor(gamma, c), s2, "Ric")
+    R = conn.curvature
+    _assert_rel(R, -np.einsum("jikl->ijkl", R), s2, "R antisymmetry")
+    bianchi = R + np.einsum("jkil->ijkl", R) + np.einsum("kijl->ijkl", R)
+    _assert_rel(bianchi, 0.0, s2, "first Bianchi identity")
+    u, v, w = np.cos(np.arange(9.0)).reshape(3, 3)
+    _assert_rel(riemann(conn, u, v, w), _loop_riemann(gamma, c, u, v, w),
+                s2 * 27, "riemann")
+
+
+def test_tensor_core_matches_loop_oracle_on_sweep_images(rng):
+    count = 0
+    for alg, h in _sweep_images(rng):
+        _check_against_loop_oracle(alg, h)
+        count += 1
+    assert count == 335
+
+
+@pytest.mark.parametrize("c", [None, 2.0, 0.75, -3.0])
+def test_tensor_core_matches_loop_oracle_on_fuzz_metrics(c):
+    for alg, h in _fuzz_metrics(c):
+        _check_against_loop_oracle(alg, h)
