@@ -134,6 +134,11 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     diag = validate_metric(h_cls, tol)
     if not diag.accepted:
         raise DegenerateMetricError(diag.reason or "invalid signature")
+    # the reducer's zero band is absolute, so it refuses an eigenvalue within
+    # classification_tol of zero that the relative signature band accepts
+    if min(map(abs, diag.eigenvalues)) <= tol.classification_tol:
+        raise DegenerateMetricError(
+            "degenerate form (eigenvalue within tolerance of zero)")
 
     key = tag.family_key()
     red = _Reducer(tag, h_cls.entries, tol)

@@ -15,7 +15,7 @@ R_{u,v} w = k (h(u,w) v - h(v,w) u) and ric = 2k h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -203,5 +203,11 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     eigs = np.linalg.eigvals(op)
     principal = tuple(sorted((complex(z) for z in eigs),
                              key=lambda z: (round(z.real, 12), z.imag)))
-    cls = classify_self_adjoint(op, tol)
+    # the classifier's bands are absolute: it sees Ric in units of the
+    # squared frame brackets, and its normal form and D are scaled back
+    s = float(np.max(np.abs(conn.brackets))) ** 2 or 1.0
+    cls = classify_self_adjoint(op / s, tol)
+    D = cls.discriminant
+    cls = replace(cls, normal_form=s * cls.normal_form,
+                  discriminant=None if D is None else s * s * D)
     return CurvatureReport(frame, conn, ric, op, rho, kappas, principal, cls)

@@ -61,24 +61,30 @@ class SignatureDiagnostics:
     reason: str | None = None
 
 
+def _signature(eigs: np.ndarray, tol: ToleranceConfig
+               ) -> tuple[tuple[int, int, int], str | None]:
+    """Signature (n_plus, n_zero, n_minus) of a symmetric matrix from its
+    eigenvalues, and the reason it is not Lorentzian (None when it is).
+    The zero band is relative to the largest |eigenvalue|, so the verdict
+    does not change under h -> lambda h."""
+    band = tol.classification_tol * float(np.max(np.abs(eigs)))
+    n_zero = int(np.sum(np.abs(eigs) <= band))
+    n_plus = int(np.sum(eigs > band))
+    sig = (n_plus, n_zero, 3 - n_zero - n_plus)
+    if n_zero > 0:
+        return sig, "degenerate form (eigenvalue within tolerance of zero)"
+    if sig != (2, 0, 1):
+        return sig, f"signature {sig} is not Lorentzian (+,+,-)"
+    return sig, None
+
+
 def validate_metric(h: MetricTensor,
                     tol: ToleranceConfig | None = None) -> SignatureDiagnostics:
     """Check that h has Lorentzian signature (+, +, -)."""
-    tol = tol or h.tolerance
     eigs = np.linalg.eigvalsh(h.entries)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    n_zero = int(np.sum(np.abs(eigs) <= tol.classification_tol * scale))
-    n_plus = int(np.sum(eigs > tol.classification_tol * scale))
-    n_minus = 3 - n_zero - n_plus
-    det = float(np.linalg.det(h.entries))
-    sig = (n_plus, n_zero, n_minus)
-    if n_zero > 0:
-        reason = "degenerate form (eigenvalue within tolerance of zero)"
-        return SignatureDiagnostics(False, sig, tuple(map(float, eigs)), det, reason)
-    if sig != (2, 0, 1):
-        reason = f"signature {sig} is not Lorentzian (+,+,-)"
-        return SignatureDiagnostics(False, sig, tuple(map(float, eigs)), det, reason)
-    return SignatureDiagnostics(True, sig, tuple(map(float, eigs)), det, None)
+    sig, reason = _signature(eigs, tol or h.tolerance)
+    return SignatureDiagnostics(reason is None, sig, tuple(map(float, eigs)),
+                                float(np.linalg.det(h.entries)), reason)
 
 
 def pull_back_metric(h: MetricTensor, S: np.ndarray,
@@ -120,12 +126,12 @@ def orthonormal_frame(h: MetricTensor,
     returned so the canonical frames of diagonal examples stay literal.
     """
     tol = tol or h.tolerance
-    diag = validate_metric(h, tol)
-    if not diag.accepted:
-        raise ValueError(f"cannot build a frame: {diag.reason}")
     if np.array_equal(h.entries, J21):
         return OrthonormalFrame(np.eye(3))
     eigvals, eigvecs = np.linalg.eigh(h.entries)
+    _, reason = _signature(eigvals, tol)
+    if reason is not None:
+        raise ValueError(f"cannot build a frame: {reason}")
     order = np.concatenate([np.where(eigvals > 0)[0], np.where(eigvals < 0)[0]])
     cols = eigvecs[:, order] / np.sqrt(np.abs(eigvals[order]))
     # deterministic sign: make the largest-magnitude entry of each column positive

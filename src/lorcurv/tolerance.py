@@ -15,8 +15,8 @@ class ToleranceConfig:
 
     abs_tol controls residual comparisons (e.g. Gram conditions, witness
     congruences).  classification_tol is the wider band used for
-    discriminant signs, eigenvalue clustering and rank decisions, where a
-    misread sign would change a discrete answer.
+    signature, rank and discriminant decisions, where a misread sign would
+    change a discrete answer.
     """
 
     abs_tol: float = 1e-9

@@ -4,8 +4,10 @@ import pytest
 from lorcurv import (
     FamilyTag,
     MetricTensor,
+    ONeillType,
     classification_basis,
     canonical_matrix,
+    closed_form_report,
     cross,
     curvature_report,
     form_specs,
@@ -153,6 +155,36 @@ def test_report_covariance(rng):
         p1 = np.array(rep1.principal_ricci)
         p2 = np.array(rep2.principal_ricci)
         assert np.max(np.abs(p1 - p2)) < 1e-7
+
+
+@pytest.mark.parametrize("mu,nu", [(1.33e-4, 2 - 3.44e-7), (1.5e-4, 2 - 5e-7)])
+def test_gt1_3_near_einstein_edge_is_diagonal(mu, nu):
+    """Near nu = c with small mu the Ricci block is close to the {21}
+    boundary; the discriminant still reads {11,1}, as the closed form."""
+    tag, params = FamilyTag("Gc", 2.0), {"mu": mu, "nu": nu}
+    rep = _report(tag, "Gc_gt1.3", params)
+    closed = closed_form_report(tag, "Gc_gt1.3", params)
+    assert rep.oneill.type_tag == closed.oneill_type == ONeillType.DIAGONAL
+
+
+def test_report_scale_covariance(rng):
+    """h -> lam h keeps the operator type and scales rho by 1/lam, on one
+    automorphism image of every sweep cell."""
+    for tag in ALL_TAGS:
+        basis = classification_basis(tag)
+        alg = make_family_algebra(tag, basis)
+        for spec in form_specs(tag):
+            for params in _param_grid(spec, _ctx(tag), SWEEP_GRID):
+                A = rand_automorphism(tag, rng)
+                h = A.T @ canonical_matrix(tag, spec.form_id, params) @ A
+                base = curvature_report(alg, MetricTensor(h, basis_label=basis))
+                for lam in (1e-4, 1e4):
+                    rep = curvature_report(
+                        alg, MetricTensor(lam * h, basis_label=basis))
+                    where = (tag.c, spec.form_id, params, lam)
+                    assert rep.oneill.type_tag == base.oneill.type_tag, where
+                    assert rep.scalar * lam == pytest.approx(
+                        base.scalar, rel=1e-8, abs=1e-12), where
 
 
 def test_report_rejects_bad_frame():

@@ -1,7 +1,9 @@
 """Static hygiene checks that need no linter: every name a module imports
-is used in that module.  ``__init__.py`` files re-export by importing, and
-``from __future__`` imports switch on compiler features, so both are
-exempt."""
+is used in that module, and every module-private top-level function or
+class of the package is used outside its own definition.
+``__init__.py`` files re-export by importing, and ``from __future__``
+imports switch on compiler features, so both are exempt from the import
+scan."""
 
 import ast
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 _ROOT = Path(__file__).resolve().parents[1]
 _MODULES = sorted(p for d in ("src/lorcurv", "tests")
                   for p in (_ROOT / d).glob("*.py") if p.name != "__init__.py")
+_PACKAGE = sorted((_ROOT / "src/lorcurv").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +43,35 @@ def test_scan_finds_unused_import():
               "import os.path\nimport numpy as np\nfrom math import pi, tau\n"
               "print(np.pi, tau)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: pi"]
+
+
+def unused_private_definitions(source: str) -> list[str]:
+    """Top-level functions and classes named ``_name`` that nothing in
+    ``source`` refers to outside their own body."""
+    tree = ast.parse(source)
+    defs = [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+    unused = []
+    for node in defs:
+        inside = {id(n) for n in ast.walk(node)}
+        used = any(isinstance(n, ast.Name) and n.id == node.name
+                   and id(n) not in inside for n in ast.walk(tree))
+        if not used:
+            unused.append(f"line {node.lineno}: {node.name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_no_unused_private_definitions(path):
+    assert unused_private_definitions(path.read_text()) == []
+
+
+def test_scan_finds_unused_private_definition():
+    source = ("def _used():\n    return 1\n\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+              "class _Dead:\n    pass\n\n"
+              "def public():\n    return _used()\n")
+    assert unused_private_definitions(source) == ["line 4: _recursive",
+                                                  "line 7: _Dead"]

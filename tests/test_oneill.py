@@ -75,9 +75,15 @@ def test_boost_is_in_o21():
     assert np.allclose(B.T @ J21 @ B, J21)
 
 
-@pytest.mark.parametrize("ttype", list(REPS), ids=[t.name for t in REPS])
-def test_conjugation_invariance(ttype, rng):
-    T0 = REPS[ttype]
+#: a {21} block perturbed far inside the discriminant band: D = 8e-12
+REP_DOUBLE_NEAR = REP_DOUBLE + np.diag([0.0, 1e-12, -1e-12])
+
+CONJUGATED = list(REPS.items()) + [(ONeillType.DOUBLE, REP_DOUBLE_NEAR)]
+
+
+@pytest.mark.parametrize("ttype,T0", CONJUGATED,
+                         ids=[t.name for t in REPS] + ["DOUBLE_NEAR"])
+def test_conjugation_invariance(ttype, T0, rng):
     for _ in range(125):
         A = rand_o21(rng)
         T = A @ T0 @ np.linalg.inv(A)
@@ -89,9 +95,9 @@ def test_conjugation_invariance(ttype, rng):
 def test_boundary_band_reports_double():
     """A perturbation far below classification_tol of a {21} block must
     still classify {21}, with the boundary warning raised."""
-    T = REP_DOUBLE + np.diag([0.0, 1e-12, -1e-12])
-    cls = classify_self_adjoint(T)
+    cls = classify_self_adjoint(REP_DOUBLE_NEAR)
     assert cls.type_tag == ONeillType.DOUBLE
+    assert cls.boundary_warning
 
 
 def test_near_boundary_sides():
