@@ -522,16 +522,14 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     band = tol.classification_tol * (1.0 + float(np.max(np.abs(ric))))
     if float(np.max(np.abs(ric - 2.0 * k * J21))) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
+    # R[i, j, m] = R_{y_i, y_j} y_m against k (J_im y_j - J_jm y_i), compared
+    # in one step; building the model per triple cost more than riemann
     e = np.eye(3)
-    model_res = 0.0
-    for i in range(3):
-        for j in range(3):
-            for m in range(3):
-                rv = riemann(conn, e[i], e[j], e[m])
-                model = k * (float(e[i] @ J21 @ e[m]) * e[j]
-                             - float(e[j] @ J21 @ e[m]) * e[i])
-                model_res = max(model_res, float(np.max(np.abs(rv - model))))
-    if model_res > band:
+    R = np.array([[[riemann(conn, e[i], e[j], e[m]) for m in range(3)]
+                   for j in range(3)] for i in range(3)])
+    model = k * (np.einsum("im,jl->ijml", J21, e)
+                 - np.einsum("jm,il->ijml", J21, e))
+    if float(np.max(np.abs(R - model))) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
     if abs(k) <= band:
         return ConstantCurvatureClass.FLAT, cf

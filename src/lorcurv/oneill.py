@@ -102,6 +102,9 @@ def _spacelike_eigenvector(T: np.ndarray, band: float,
         _, sv, vt = np.linalg.svd(T - mean * np.eye(3))
         dim = max(1, int(np.sum(sv <= width * 10 * max(1.0, float(sv[0])))))
         B = vt[3 - dim:].T
+        if dim == 1:            # one null direction: the only candidate
+            candidates.append(B[:, 0])
+            continue
         candidates.append(B @ np.linalg.eigh(B.T @ J21 @ B)[1][:, -1])
         candidates.extend((B @ np.linalg.eig(B.T @ T @ B)[1]).real.T)
 
