@@ -2,7 +2,6 @@
 three-dimensional non-unimodular Lie groups."""
 
 from .algebra import (
-    AutomorphismParams,
     BasisLabel,
     FamilyTag,
     LieAlgebra3,
@@ -67,7 +66,7 @@ from .tolerance import DEFAULT_TOL, ToleranceConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtlasEntry", "AutomorphismParams", "BasisLabel", "CanonicalForm",
+    "AtlasEntry", "BasisLabel", "CanonicalForm",
     "ClosedFormCurvature", "Connection", "ConstantCurvatureClass",
     "CurvatureReport", "DEFAULT_TOL", "DegenerateMetricError", "FamilyTag",
     "FormSpec", "J21", "LieAlgebra3", "MetricTensor", "ONeillClassification",

@@ -199,9 +199,10 @@ def adapted_basis_vectors(tag: FamilyTag) -> np.ndarray:
     return np.linalg.inv(adapted_transition(tag))
 
 
-@dataclass(frozen=True)
-class AutomorphismParams:
-    """Parameters of an automorphism in the natural basis.
+def automorphism_matrix(tag: FamilyTag, *, block=None, alpha: float | None = None,
+                        beta: float | None = None,
+                        translation: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+    """Assemble the 3x3 automorphism matrix in the natural basis.
 
     GI uses an arbitrary invertible 2x2 block acting on span(x, y);
     Gc uses the two-parameter (alpha, beta) block
@@ -209,37 +210,28 @@ class AutomorphismParams:
     beta^2 + (c - 1) alpha^2 != 0.  Both act trivially on z up to the
     translation part (t1, t2) in the last column.
     """
-
-    block: np.ndarray | None = None          # GI: 2x2 invertible
-    alpha: float | None = None               # Gc
-    beta: float | None = None                # Gc
-    translation: tuple[float, float] = (0.0, 0.0)
-
-
-def automorphism_matrix(tag: FamilyTag, params: AutomorphismParams) -> np.ndarray:
-    """Assemble the 3x3 automorphism matrix in the natural basis."""
     A = np.eye(3)
     if tag.kind == "GI":
-        if params.block is None:
+        if block is None:
             raise ValueError("GI automorphisms require a 2x2 block")
-        block = np.asarray(params.block, dtype=float)
+        block = np.asarray(block, dtype=float)
         if block.shape != (2, 2):
             raise ValueError("block must be 2x2")
         if abs(np.linalg.det(block)) == 0.0:
             raise ValueError("block must be invertible")
         A[:2, :2] = block
     else:
-        if params.alpha is None or params.beta is None:
+        if alpha is None or beta is None:
             raise ValueError("Gc automorphisms require alpha and beta")
         c = float(tag.c)  # type: ignore[arg-type]
-        a, b = float(params.alpha), float(params.beta)
+        a, b = float(alpha), float(beta)
         if b * b + (c - 1.0) * a * a == 0.0:
             raise ValueError("degenerate (alpha, beta) pair")
         A[0, 0] = b - a
         A[0, 1] = -c * a
         A[1, 0] = a
         A[1, 1] = b + a
-    A[0, 2], A[1, 2] = params.translation
+    A[0, 2], A[1, 2] = translation
     return A
 
 

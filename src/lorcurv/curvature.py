@@ -51,8 +51,7 @@ class Connection:
                          np.asarray(v, float), self.brackets)
 
 
-def levi_civita(alg: LieAlgebra3, h: MetricTensor,
-                frame: OrthonormalFrame) -> Connection:
+def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
     """Koszul formula specialised to an orthonormal frame.
 
     2 h(nabla_a b, y_k) = h([a,b], y_k) + h([y_k, a], b) + h([y_k, b], a)
@@ -192,7 +191,7 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     scale = 1.0 + float(np.max(np.abs(h.entries)))
     if res > tol.classification_tol * scale:
         raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
-    conn = levi_civita(alg, h, frame)
+    conn = levi_civita(alg, frame)
     ric = ricci_tensor(conn)
     op = ricci_operator(ric)
     rho = scalar_curvature(op)

@@ -6,12 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lorcurv import (
-    AutomorphismParams,
-    FamilyTag,
-    adapted_automorphism,
-    automorphism_matrix,
-)
+from lorcurv import FamilyTag, adapted_automorphism, automorphism_matrix
 from lorcurv.oneill import boost
 
 
@@ -42,8 +37,7 @@ def rand_automorphism(tag: FamilyTag, rng: np.random.Generator) -> np.ndarray:
         while True:
             B = rng.normal(size=(2, 2))
             if abs(np.linalg.det(B)) > 0.1:
-                return automorphism_matrix(
-                    tag, AutomorphismParams(block=B, translation=t))
+                return automorphism_matrix(tag, block=B, translation=t)
     c = tag.c
     if c == 1 or c < 1:
         while True:
@@ -53,8 +47,7 @@ def rand_automorphism(tag: FamilyTag, rng: np.random.Generator) -> np.ndarray:
     while True:
         a, b = rng.normal(), rng.normal()
         if b * b + (c - 1) * a * a > 0.1:
-            return automorphism_matrix(
-                tag, AutomorphismParams(alpha=a, beta=b, translation=t))
+            return automorphism_matrix(tag, alpha=a, beta=b, translation=t)
 
 
 def rand_o21(rng: np.random.Generator) -> np.ndarray:

@@ -71,7 +71,7 @@ def test_traced_survey_calls_riemann_outside_ricci():
         curvature_report(alg, h)
         constant_curvature_class(tag, h)
         before = t.calls["curvature.riemann"]
-        conn = lorcurv.curvature.levi_civita(alg, h, orthonormal_frame(h))
+        conn = lorcurv.curvature.levi_civita(alg, orthonormal_frame(h))
         lorcurv.curvature.ricci_tensor(conn)
         inside_ricci = t.calls["curvature.riemann"] - before
     finally:

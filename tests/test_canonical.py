@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import lorcurv.canonical
 from lorcurv import (
+    BasisLabel,
     ConstantCurvatureClass,
     DegenerateMetricError,
     FamilyTag,
@@ -16,6 +18,7 @@ from lorcurv import (
     make_family_algebra,
     to_adapted_basis,
 )
+from lorcurv.metric import SignatureDiagnostics
 from lorcurv.atlas import form_specs, _ctx, _param_grid
 from tests.conftest import ALL_TAGS, SWEEP_GRID, rand_automorphism
 
@@ -215,3 +218,46 @@ def test_no_unexpected_constant_forms(tag):
             expected_constant = form_id in constant
         assert (cls != ConstantCurvatureClass.NON_CONSTANT) == \
             expected_constant, (form_id, params, cls)
+
+
+def test_g1_degenerate_branch_rejects_vanishing_pivot():
+    """G1.6 (mu = 0.5) moved by the adapted automorphism with gamma = 0.006:
+    the plane block is degenerate and its (x1, x1) entry is exactly zero,
+    so the shear that would clear (x1, x2) has no pivot."""
+    h = MetricTensor(np.array([[0.0, 3.6e-5, 0.0], [3.6e-5, 0.0, 0.0],
+                               [0.0, 0.0, 0.5]]), basis_label=BasisLabel.Q_ADAPTED)
+    with pytest.raises(DegenerateMetricError,
+                       match="pivot vanishes in degenerate branch"):
+        canonical_form(FamilyTag("Gc", 1.0), h)
+
+
+def test_gt1_form3_nu_within_band_of_c_is_clamped():
+    """nu a rounding step above c takes no fold; it comes back as c, the
+    edge of the form's domain 1 < nu <= c."""
+    tag = FamilyTag("Gc", 2.0)
+    h = MetricTensor(np.array([[1.0, 1.0, 0.0], [1.0, 2.00000001, 0.0],
+                               [0.0, 0.0, -1.0]]))
+    cf = canonical_form(tag, h)
+    assert cf.form_id == "Gc_gt1.3"
+    assert cf.params == {"mu": 1.0, "nu": 2.0}
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, -1), (-1, -1, -1)],
+                         ids=["riemannian", "two-negative", "negative"])
+def test_signature_test_rejects_non_lorentzian_reductions(tag, signs,
+                                                          monkeypatch):
+    """With the input check switched off, the one signature test on the
+    canonical matrix must still refuse every non-Lorentzian metric: no
+    answer, and no exception other than DegenerateMetricError."""
+    monkeypatch.setattr(
+        lorcurv.canonical, "validate_metric",
+        lambda h, tol: SignatureDiagnostics(True, (2, 0, 1), (-1.0, 1.0, 1.0),
+                                            -1.0))
+    basis = classification_basis(tag)
+    rng = np.random.default_rng([ALL_TAGS.index(tag), signs.count(-1)])
+    S = np.diag(np.asarray(signs, dtype=float))
+    for _ in range(200):
+        Q = rng.normal(size=(3, 3))
+        with pytest.raises(DegenerateMetricError):
+            canonical_form(tag, MetricTensor(Q.T @ S @ Q, basis_label=basis))

@@ -227,3 +227,26 @@ def test_malformed_input_exit2(tmp_path, capsys, argv, doc, path):
         argv = argv + [str(f)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+_G1_ZERO_PIVOT = [[0, 3.6e-5, 0], [3.6e-5, 0, 0], [0, 0, 0.5]]
+
+
+@pytest.mark.parametrize("command", ["classify", "constcurv", "equiv"])
+def test_vanishing_pivot_is_a_rejection(tmp_path, capsys, command):
+    f = _doc(tmp_path, "m.json", {"Gc": 1}, _G1_ZERO_PIVOT, basis="Q_adapted")
+    argv = [command, f] + ([f] if command == "equiv" else [])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: pivot vanishes")
+    assert "Traceback" not in err
+
+
+def test_paper_frame_near_gt1_form3_edge(tmp_path, capsys):
+    f = _doc(tmp_path, "m.json", {"Gc": 2},
+             [[1, 1, 0], [1, 2.00000001, 0], [0, 0, -1]])
+    code, out = _run(capsys, "curvature", f, "--frame", "paper")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["scalar"] == pytest.approx(6.0)
+    assert payload["oneill"]["type"] == "{11,1}"

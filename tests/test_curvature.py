@@ -39,7 +39,7 @@ def test_connection_is_metric_compatible():
     alg = make_family_algebra(tag)
     h = MetricTensor(canonical_matrix(tag, "Gc_gt1.2", {"mu": 1.0, "tau": 0.0}))
     frame = orthonormal_frame(h)
-    conn = levi_civita(alg, h, frame)
+    conn = levi_civita(alg, frame)
     e = np.eye(3)
     for a in range(3):
         for b in range(3):
@@ -56,7 +56,7 @@ def test_connection_is_torsion_free():
     h = MetricTensor(canonical_matrix(tag, "Gc_lt1.4", {"mu": 2.0}),
                      basis_label=basis)
     frame = orthonormal_frame(h)
-    conn = levi_civita(alg, h, frame)
+    conn = levi_civita(alg, frame)
     e = np.eye(3)
     for a in range(3):
         for b in range(3):
@@ -71,7 +71,7 @@ def test_riemann_antisymmetry(rng):
     alg = make_family_algebra(tag, basis)
     h = MetricTensor(canonical_matrix(tag, "G1.3", {"mu": 1.0, "nu": 2.0}),
                      basis_label=basis)
-    conn = levi_civita(alg, h, orthonormal_frame(h))
+    conn = levi_civita(alg, orthonormal_frame(h))
     for _ in range(20):
         u, v, w = rng.normal(size=(3, 3))
         assert np.allclose(riemann(conn, u, v, w), -riemann(conn, v, u, w))
@@ -286,7 +286,7 @@ def _check_against_loop_oracle(alg, h):
     """Gamma and brackets are linear in the frame constants, R and Ric
     quadratic, so each is compared relative to that power of max|C|."""
     frame = orthonormal_frame(h)
-    conn = levi_civita(alg, h, frame)
+    conn = levi_civita(alg, frame)
     c = _loop_change_basis(alg.structure_constants, frame.columns)
     gamma = _loop_levi_civita(c)
     e = np.eye(3)

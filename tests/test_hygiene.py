@@ -1,6 +1,7 @@
 """Static hygiene checks that need no linter: every name a module imports
-is used in that module, and every module-private top-level function or
-class of the package is used outside its own definition.
+is used in that module, every module-private top-level function or
+class of the package is used outside its own definition, and every
+parameter of a function of the package is read by its body.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -75,3 +76,40 @@ def test_scan_finds_unused_private_definition():
               "def public():\n    return _used()\n")
     assert unused_private_definitions(source) == ["line 4: _recursive",
                                                   "line 7: _Dead"]
+
+
+#: functions whose signature a caller fixes: FormSpec calls every
+#: ``matrix`` with ``(ctx, p)``, and the Gc_lt1.10 matrix needs no ctx
+_FIXED_SIGNATURES = {"_lt1_10_matrix"}
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a ``def`` in ``source`` that its body never reads."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name in _FIXED_SIGNATURES):
+            continue
+        args = node.args
+        params = [a.arg for a in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs, args.vararg, args.kwarg)
+                  if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [f"line {node.lineno}: {node.name}({name})"
+                   for name in params if name not in read]
+    return unused
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text()) == []
+
+
+def test_scan_finds_unused_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n    b = a\n    return kw\n\n"
+              "class K:\n    def m(self, x):\n        return lambda: self.n + x\n\n"
+              "def g(y=lambda z: z):\n    return 0\n\n"
+              "def _lt1_10_matrix(ctx, p):\n    return p\n")
+    assert unused_parameters(source) == ["line 1: f(b)", "line 1: f(c)",
+                                         "line 1: f(args)", "line 9: g(y)"]
