@@ -158,14 +158,23 @@ def make_family_algebra(tag: FamilyTag,
                        basis_label=basis_label)
 
 
+def bracket_constants(c: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Structure constants c rewritten in the basis e'_j = S e_j, exactly
+    antisymmetric in (i, j):
+    c'[i, j, k] = sum S[a, i] S[b, j] c[a, b, m] inv(S)[k, m].
+    The pair (a, b) -> (i, j) is one 9x9 matrix, so the rewrite is two
+    matrix products."""
+    SS = (S[:, None, :, None] * S[None, :, None, :]).reshape(9, 9)
+    consts = (SS.T @ c.reshape(9, 3) @ np.linalg.inv(S).T).reshape(3, 3, 3)
+    return 0.5 * (consts - consts.transpose(1, 0, 2))
+
+
 def change_basis(alg: LieAlgebra3, S: np.ndarray,
                  basis_label: BasisLabel = BasisLabel.CUSTOM) -> LieAlgebra3:
     """Structure constants in the basis e'_j = S e_j (columns of S are the
     new basis vectors written in the old coordinates)."""
-    S = np.asarray(S, dtype=float)
-    consts = np.einsum("ai,bj,abc,kc->ijk", S, S, alg.structure_constants,
-                       np.linalg.inv(S))
-    consts = 0.5 * (consts - np.transpose(consts, (1, 0, 2)))
+    consts = bracket_constants(alg.structure_constants,
+                               np.asarray(S, dtype=float))
     return LieAlgebra3(consts, family=alg.family, basis_label=basis_label)
 
 

@@ -48,6 +48,11 @@ class CanonicalForm:
     basis_label: BasisLabel      # basis the canonical matrix lives in
 
 
+#: the Riemann tensor of the unit-curvature model, J_im d_jl - J_jm d_il
+_UNIT_MODEL = (np.einsum("im,jl->ijml", J21, np.eye(3))
+               - np.einsum("jm,il->ijml", J21, np.eye(3)))
+
+
 class ConstantCurvatureClass(str, Enum):
     FLAT = "flat"
     POSITIVE = "positive"
@@ -476,17 +481,15 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     conn = levi_civita(alg, orthonormal_frame(hc, tol))
     ric = ricci_tensor(conn)
     k = float(np.trace(J21 @ ric)) / 6.0
-    band = tol.classification_tol * (1.0 + float(np.max(np.abs(ric))))
-    if float(np.max(np.abs(ric - 2.0 * k * J21))) > band:
+    band = tol.classification_tol * (1.0 + float(np.abs(ric).max()))
+    if float(np.abs(ric - 2.0 * k * J21).max()) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
     # R[i, j, m] = R_{y_i, y_j} y_m against k (J_im y_j - J_jm y_i), compared
     # in one step; building the model per triple cost more than riemann
     e = np.eye(3)
     R = np.array([[[riemann(conn, e[i], e[j], e[m]) for m in range(3)]
                    for j in range(3)] for i in range(3)])
-    model = k * (np.einsum("im,jl->ijml", J21, e)
-                 - np.einsum("jm,il->ijml", J21, e))
-    if float(np.max(np.abs(R - model))) > band:
+    if float(np.abs(R - k * _UNIT_MODEL).max()) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
     if abs(k) <= band:
         return ConstantCurvatureClass.FLAT, cf

@@ -12,9 +12,11 @@ Input is a JSON document (file path or ``-`` for stdin):
 
 Exit codes: 0 success, 1 domain rejection (invalid metric / wrong
 signature / inconsistent basis), 2 parse or I/O error, 3 "not
-equivalent" (equiv only).  The environment variable LORCURV_TOL, when
-set, overrides the default abs_tol; an explicit "tolerance" field in the
-document wins over both.  Each tolerance must be at least 1e-16.
+equivalent" (equiv only), 4 internal fault (a residual check of the
+engine failed; one ``fault: <subcommand>: <message>`` line on stderr).
+The environment variable LORCURV_TOL, when set, overrides the default
+abs_tol; an explicit "tolerance" field in the document wins over both.
+Each tolerance must be at least 1e-16.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_NOT_EQUIVALENT = 3
+EXIT_FAULT = 4
 
 
 class InputError(Exception):
@@ -381,6 +384,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_DOMAIN, f"rejected: {exc}")
     except OSError as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
+    except ArithmeticError as exc:
+        return _fail(EXIT_FAULT, f"fault: {args.command}: {exc}")
 
 
 if __name__ == "__main__":

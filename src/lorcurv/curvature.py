@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import LieAlgebra3, change_basis
+from .algebra import LieAlgebra3, bracket_constants
 from .metric import J21, MetricTensor, OrthonormalFrame, frame_gram_residual, \
     frame_inner, orthonormal_frame
 from .oneill import ONeillClassification, classify_self_adjoint
@@ -56,25 +56,32 @@ def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
 
     2 h(nabla_a b, y_k) = h([a,b], y_k) + h([y_k, a], b) + h([y_k, b], a)
     and h(x, y_k) = sign_k x_k in frame coordinates.  The Riemann tensor
-    is built here, once per connection.
+    is built here, once per connection:
+
+    R[i,j,k,l] = sum_m c[i,j,m] G[m,k,l] - P[j,k,i,l] + P[i,k,j,l]
+
+    with G = gamma and P[a,b,c,d] = sum_m G[a,b,m] G[c,m,d], so R takes
+    two matrix products.
     """
-    c = change_basis(alg, frame.columns).structure_constants
+    c = bracket_constants(alg.structure_constants, frame.columns)
     s = _SIGNS
+    # c.transpose(1, 2, 0)[i, j, k] = c[k, i, j]; (2, 1, 0) gives c[k, j, i]
     gamma = 0.5 * s * (s * c
-                       + s[:, None] * np.einsum("kij->ijk", c)
-                       + s[:, None, None] * np.einsum("kji->ijk", c))
-    curv = (np.einsum("ijm,mkl->ijkl", c, gamma)
-            - np.einsum("jkm,iml->ijkl", gamma, gamma)
-            + np.einsum("ikm,jml->ijkl", gamma, gamma))
+                       + s[:, None] * c.transpose(1, 2, 0)
+                       + s[:, None, None] * c.transpose(2, 1, 0))
+    P = (gamma.reshape(9, 3)
+         @ gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(3, 3, 3, 3)
+    curv = ((c.reshape(9, 3) @ gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
+            - P.transpose(2, 0, 1, 3) + P.transpose(0, 2, 1, 3))
     return Connection(gamma, c, curv)
 
 
 def riemann(conn: Connection, u: np.ndarray, v: np.ndarray,
             w: np.ndarray) -> np.ndarray:
     """R_{u,v} w = nabla_{[u,v]} w - nabla_u nabla_v w + nabla_v nabla_u w."""
-    return np.einsum("i,j,k,ijkl->l", np.asarray(u, float),
-                     np.asarray(v, float), np.asarray(w, float),
-                     conn.curvature)
+    x = np.dot(u, conn.curvature.reshape(3, 27))
+    x = np.dot(v, x.reshape(3, 9))
+    return np.dot(w, x.reshape(3, 3))
 
 
 def ricci_tensor(conn: Connection) -> np.ndarray:
@@ -188,7 +195,7 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     if frame is None:
         frame = orthonormal_frame(h, tol)
     res = frame_gram_residual(frame, h)
-    scale = 1.0 + float(np.max(np.abs(h.entries)))
+    scale = 1.0 + float(np.abs(h.entries).max())
     if res > tol.classification_tol * scale:
         raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
     conn = levi_civita(alg, frame)
@@ -199,14 +206,15 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     kappas = (sectional(conn, e[0], e[1], tol),
               sectional(conn, e[1], e[2], tol),
               sectional(conn, e[2], e[0], tol))
-    eigs = np.linalg.eigvals(op)
-    principal = tuple(sorted((complex(z) for z in eigs),
-                             key=lambda z: (round(z.real, 12), z.imag)))
     # the classifier's bands are absolute: it sees Ric in units of the
-    # squared frame brackets, and its normal form and D are scaled back
-    s = float(np.max(np.abs(conn.brackets))) ** 2 or 1.0
+    # squared frame brackets, and its normal form, eigenvalues and D are
+    # scaled back
+    s = float(np.abs(conn.brackets).max()) ** 2 or 1.0
     cls = classify_self_adjoint(op / s, tol)
     D = cls.discriminant
     cls = replace(cls, normal_form=s * cls.normal_form,
+                  eigenvalues=s * cls.eigenvalues,
                   discriminant=None if D is None else s * s * D)
+    principal = tuple(sorted((complex(z) for z in cls.eigenvalues),
+                             key=lambda z: (round(z.real, 12), z.imag)))
     return CurvatureReport(frame, conn, ric, op, rho, kappas, principal, cls)

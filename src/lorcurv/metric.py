@@ -21,7 +21,7 @@ J21 = np.diag([1.0, 1.0, -1.0])
 
 def frame_inner(u: np.ndarray, v: np.ndarray) -> float:
     """h(u, v) for vectors given in orthonormal-frame coordinates."""
-    return float(np.asarray(u, float) @ J21 @ np.asarray(v, float))
+    return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ class OrthonormalFrame:
 
 def frame_gram_residual(frame: OrthonormalFrame, h: MetricTensor) -> float:
     gram = frame.columns.T @ h.entries @ frame.columns
-    return float(np.max(np.abs(gram - J21)))
+    return float(np.abs(gram - J21).max())
 
 
 def orthonormal_frame(h: MetricTensor,
@@ -132,16 +132,14 @@ def orthonormal_frame(h: MetricTensor,
     _, reason = _signature(eigvals, tol)
     if reason is not None:
         raise ValueError(f"cannot build a frame: {reason}")
-    order = np.concatenate([np.where(eigvals > 0)[0], np.where(eigvals < 0)[0]])
+    order = np.argsort(eigvals < 0, kind="stable")     # timelike column last
     cols = eigvecs[:, order] / np.sqrt(np.abs(eigvals[order]))
     # deterministic sign: make the largest-magnitude entry of each column positive
-    for k in range(3):
-        pivot = int(np.argmax(np.abs(cols[:, k])))
-        if cols[pivot, k] < 0:
-            cols[:, k] = -cols[:, k]
+    pivots = cols[np.abs(cols).argmax(axis=0), [0, 1, 2]]
+    cols = np.where(pivots < 0, -cols, cols)
     frame = OrthonormalFrame(cols)
     res = frame_gram_residual(frame, h)
-    scale = 1.0 + float(np.max(np.abs(h.entries)))
+    scale = 1.0 + float(np.abs(h.entries).max())
     if res > tol.abs_tol * scale * 100:
         raise ArithmeticError(f"frame Gram residual {res:g} too large")
     return frame

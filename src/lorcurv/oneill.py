@@ -46,6 +46,7 @@ class ONeillClassification:
     discriminant: float | None = None   # (b-d)^2 - 4 r^2; None for {3}
     epsilon: int | None = None          # {21}: +1 if (2,2) entry is the larger one
     boundary_warning: bool = False
+    eigenvalues: np.ndarray | None = None   # of A, as np.linalg.eig returns them
 
 
 def boost(theta: float) -> np.ndarray:
@@ -56,10 +57,11 @@ def boost(theta: float) -> np.ndarray:
                      [0.0, s, c]])
 
 
-def _spacelike_eigenvector(T: np.ndarray, band: float,
-                           floor: float) -> np.ndarray | None:
+def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
+                           band: float, floor: float) -> np.ndarray | None:
     """The most spacelike eigenvector of T, h-normalised, or None when no
     eigenvector u has h(u, u) > floor |u|^2 (then T is of type {3}).
+    (lam, vecs) is np.linalg.eig(T).
 
     For a J-self-adjoint T the left eigenvector of u is J u, so
     h(u, u) / |u|^2 is the reciprocal condition number of its eigenvalue:
@@ -76,7 +78,6 @@ def _spacelike_eigenvector(T: np.ndarray, band: float,
     for close but distinct eigenvalues).  Only candidates that are
     eigenvectors to within the band count.
     """
-    lam, vecs = np.linalg.eig(T)
     vals = lam.tolist()
     scale = max(1.0, max(map(abs, vals)))
     eps = float(np.finfo(float).eps)
@@ -119,17 +120,20 @@ def _spacelike_eigenvector(T: np.ndarray, band: float,
     return None if best is None else best / np.sqrt(best_h)
 
 
-def _split_complement(v: np.ndarray, band: float) -> tuple[np.ndarray, np.ndarray]:
+def _split_complement(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For a spacelike unit v, return (p, q): a J-orthonormal basis of the
-    J-orthogonal complement with p spacelike, q timelike."""
-    _, _, vt = np.linalg.svd((J21 @ v).reshape(1, 3))
-    B = vt[1:].T                                 # complement, Euclidean basis
-    vals, W = np.linalg.eigh(B.T @ J21 @ B)      # ascending: timelike first
-    floor = band * max(1.0, float(np.max(np.abs(vals))))
-    if not (vals[0] < -floor and vals[1] > floor):
-        raise ArithmeticError("complement of spacelike vector must be Lorentzian")
-    q, p = (B @ W / np.sqrt(np.abs(vals))).T
-    return p, q
+    J-orthogonal complement with p spacelike, q timelike.
+
+    With n = sqrt(1 + v3^2): q = (y3 + v3 v) / n is y3 made J-orthogonal
+    to v (h(y3, v) = -v3), and h(y3 + v3 v, y3 + v3 v) = -n^2.  p is the
+    Lorentzian cross product v x q = (v x y3) / n = (v2, -v1, 0) / n,
+    written out: h(p, p) = (v1^2 + v2^2) / n^2 = 1 as h(v, v) = 1, and p is
+    J-orthogonal to v and to y3, hence to q.
+    """
+    n = np.sqrt(1.0 + v[2] * v[2])
+    q = v[2] * v
+    q[2] += 1.0
+    return np.array([v[1], -v[0], 0.0]) / n, q / n
 
 
 def _block_transition(b: float, r: float, d: float,
@@ -177,22 +181,24 @@ def classify_self_adjoint(T: np.ndarray,
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3):
         raise ValueError("operator must be 3x3")
-    norm = float(np.max(np.abs(T)))
-    sym_res = float(np.max(np.abs(J21 @ T - (J21 @ T).T)))
+    norm = float(np.abs(T).max())
+    JT = J21 @ T
+    sym_res = float(np.abs(JT - JT.T).max())
     if sym_res > tol.classification_tol * (1.0 + norm):
         raise ValueError(f"operator is not J-self-adjoint (residual {sym_res:g})")
 
     band = tol.classification_tol * (1.0 + norm)
-    v = _spacelike_eigenvector(T, band, tol.classification_tol)
+    lam, vecs = np.linalg.eig(T)
+    v = _spacelike_eigenvector(T, lam, vecs, band, tol.classification_tol)
     if v is None:
         C = _jordan_chain(T, band)
-        normal = np.linalg.inv(C) @ T @ C
+        normal = _conjugate(C, T)
         _check_transition(C, normal, ONeillType.TRIPLE, band)
-        return ONeillClassification(ONeillType.TRIPLE, normal, C)
+        return ONeillClassification(ONeillType.TRIPLE, normal, C, eigenvalues=lam)
 
-    p, q = _split_complement(v, band)
+    p, q = _split_complement(v)
     C0 = np.column_stack([v, p, q])
-    T1 = J21 @ C0.T @ J21 @ T @ C0          # inv(C0) = J C0^T J in O(2,1)
+    T1 = _conjugate(C0, T)
     b, d = T1[1, 1], T1[2, 2]
     r = 0.5 * (T1[1, 2] - T1[2, 1])
     # with e = (b - d)/2, D = 4 (|e| - |r|)(|e| + |r|): the block is {21}
@@ -214,12 +220,19 @@ def classify_self_adjoint(T: np.ndarray,
         ttype, kind = ONeillType.COMPLEX, "equal"
     C = C0 @ _block_transition(b, r, d, kind)
 
-    normal = np.linalg.inv(C) @ T @ C
+    normal = _conjugate(C, T)
     # {21} arrangement: +1 when the (2,2) entry is the larger one
     eps = (1 if normal[1, 1] >= normal[2, 2] else -1) \
         if ttype == ONeillType.DOUBLE else None
     _check_transition(C, normal, ttype, band, lenient=boundary)
-    return ONeillClassification(ttype, normal, C, float(D), eps, boundary)
+    return ONeillClassification(ttype, normal, C, float(D), eps, boundary,
+                                eigenvalues=lam)
+
+
+def _conjugate(C: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """inv(C) T C for C in O(2,1), where inv(C) = J C^T J; _check_transition
+    tests that C is in O(2,1)."""
+    return J21 @ C.T @ J21 @ T @ C
 
 
 def _jordan_chain(T: np.ndarray, band: float) -> np.ndarray:
@@ -249,7 +262,7 @@ def _jordan_chain(T: np.ndarray, band: float) -> np.ndarray:
 
 def _check_transition(C, normal, ttype: ONeillType, band: float,
                       lenient: bool = False) -> None:
-    gram_res = float(np.max(np.abs(C.T @ J21 @ C - J21)))
+    gram_res = float(np.abs(C.T @ J21 @ C - J21).max())
     if gram_res > band * 100:
         raise ArithmeticError(f"transition is not in O(2,1) (residual {gram_res:g})")
     res = _pattern_residual(normal, ttype)
@@ -263,7 +276,7 @@ def _pattern_residual(a: np.ndarray, ttype: ONeillType) -> float:
     if ttype == ONeillType.TRIPLE:
         model = np.trace(a) / 3.0 * np.eye(3) \
             + np.array([[0.0, 1, -1], [1, 0, 0], [1, 0, 0]])
-        return float(np.max(np.abs(a - model)))
+        return float(np.abs(a - model).max())
     model = np.diag(np.diag(a))
     m = 0.5 * (a[1, 1] + a[2, 2])
     if ttype == ONeillType.COMPLEX:
@@ -273,4 +286,4 @@ def _pattern_residual(a: np.ndarray, ttype: ONeillType) -> float:
         e = 1.0 if a[1, 1] >= a[2, 2] else -1.0
         sgn = 1.0 if a[1, 2] >= 0 else -1.0
         model[1:, 1:] = [[m + e, sgn], [-sgn, m - e]]
-    return float(np.max(np.abs(a - model)))
+    return float(np.abs(a - model).max())

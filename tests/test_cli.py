@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from lorcurv import cli
 from lorcurv.cli import main
 
 
@@ -250,3 +251,24 @@ def test_paper_frame_near_gt1_form3_edge(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["scalar"] == pytest.approx(6.0)
     assert payload["oneill"]["type"] == "{11,1}"
+
+
+#: the engine call of each subcommand, as lorcurv.cli binds it
+_ENGINE_CALLS = {"classify": "canonical_form", "curvature": "curvature_report",
+                 "constcurv": "constant_curvature_class", "equiv": "equivalent"}
+
+
+@pytest.mark.parametrize("command", sorted(_ENGINE_CALLS))
+def test_internal_fault_exit4(tmp_path, capsys, monkeypatch, command):
+    """An ArithmeticError from the engine is an internal fault: exit 4 and
+    one line naming the subcommand, not a traceback and not exit 1."""
+    def fault(*args, **kwargs):
+        raise ArithmeticError("transition is not in O(2,1) (residual 1)")
+
+    monkeypatch.setattr(cli, _ENGINE_CALLS[command], fault)
+    f = _doc(tmp_path, "m.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]])
+    argv = [command, f] + ([f] if command == "equiv" else [])
+    assert main(argv) == cli.EXIT_FAULT == 4
+    err = capsys.readouterr().err
+    assert err == (f"fault: {command}: "
+                   "transition is not in O(2,1) (residual 1)\n")

@@ -320,3 +320,79 @@ def test_tensor_core_matches_loop_oracle_on_sweep_images(rng):
 def test_tensor_core_matches_loop_oracle_on_fuzz_metrics(c):
     for alg, h in _fuzz_metrics(c):
         _check_against_loop_oracle(alg, h)
+
+
+# --------------------------------------------------------------------------
+# the reused decompositions of curvature_report
+
+_LAPACK = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "inv", "det")
+
+
+def _lapack_calls(monkeypatch, call):
+    """The result of call() and the number of calls it made to each
+    np.linalg decomposition, inverse or determinant (zero counts left out)."""
+    counts = dict.fromkeys(_LAPACK, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in _LAPACK:
+            m.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        result = call()
+    return result, {name: n for name, n in counts.items() if n}
+
+
+def test_curvature_report_lapack_budget(monkeypatch):
+    """One report makes the frame's eigh, the inverse of the frame in the
+    bracket rewrite and the classifier's eig, and nothing else; the
+    principal Ricci values reuse the classifier's eigenvalues.  A scalar
+    Ricci operator (Einstein GI.1) merges all three eigenvalues, and the
+    classifier's cluster search adds an SVD, an eigh and an eig."""
+    tag = FamilyTag("Gc", 2.0)
+    alg = make_family_algebra(tag)
+    h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
+    rep, calls = _lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
+    assert rep.oneill.type_tag == ONeillType.COMPLEX
+    assert calls == {"eig": 1, "eigh": 1, "inv": 1}
+
+    tag = FamilyTag("GI")
+    alg = make_family_algebra(tag)
+    h = MetricTensor(canonical_matrix(tag, "GI.1", {"mu": 1.0}))
+    rep, calls = _lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
+    assert np.abs(rep.ricci_op - rep.scalar / 3 * np.eye(3)).max() < 1e-12
+    assert sum(calls.values()) <= 6, calls
+
+
+def test_principal_ricci_matches_eigvals_on_sweep_images(rng):
+    """principal_ricci comes from the classifier's eig of Ric / s, scaled
+    back.  On one automorphism image of every sweep cell it must match
+    np.linalg.eigvals(ricci_op), and the transition must conjugate
+    ricci_op to the normal form, both relative to max|Ric|.  The
+    characteristic polynomial is compared to 1e-12 everywhere, and each
+    eigenvalue to 1e-12 where all three are simple.  A {21} double
+    eigenvalue is defective: rounding of order eps moves it by about
+    sqrt(eps), so there the eigenvalues are compared at 20 sqrt(eps)."""
+    eps = float(np.finfo(float).eps)
+    count = 0
+    for alg, h in _sweep_images(rng):
+        rep = curvature_report(alg, h)
+        op = rep.ricci_op
+        s = float(np.abs(op).max()) or 1.0
+        got = np.array(rep.principal_ricci)
+        want = np.array(sorted(np.linalg.eigvals(op).tolist(),
+                               key=lambda z: (round(z.real, 12), z.imag)))
+        where = (rep.oneill.type_tag.value, got, want)
+        for k, (a, b) in enumerate(zip(np.poly(got), np.poly(want))):
+            assert abs(a - b) <= 1e-12 * s ** k, where
+        tol = 20 * eps ** 0.5 if rep.oneill.type_tag == ONeillType.DOUBLE \
+            else 1e-12
+        assert np.abs(got - want).max() <= tol * s, where
+        C = rep.oneill.transition
+        assert np.abs(np.linalg.inv(C) @ op @ C
+                      - rep.oneill.normal_form).max() <= 1e-12 * s, where
+        count += 1
+    assert count == 335

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lorcurv import J21, ONeillType, classify_self_adjoint
-from lorcurv.oneill import boost
+from lorcurv.oneill import _split_complement, boost
 from tests.conftest import rand_o21
 
 # J-self-adjoint representatives of the four types
@@ -107,3 +109,15 @@ def test_near_boundary_sides():
         T = np.array([[0.0, 0, 0], [0, 2 + eps, 1], [0, -1, 0]])
         cls = classify_self_adjoint(T)
         assert cls.type_tag == expected, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(-8.0, 8.0), phi=st.floats(0.0, 2 * np.pi))
+def test_split_complement_is_j_orthonormal(theta, phi):
+    """(v, p, q) from the closed-form complement is a J-orthonormal basis,
+    p spacelike and q timelike, for h-unit spacelike v = boost rotation e1
+    at any rapidity up to 8 (|v|^2 up to about 4e6)."""
+    v = boost(theta) @ np.array([np.cos(phi), np.sin(phi), 0.0])
+    p, q = _split_complement(v)
+    C = np.column_stack([v, p, q])
+    assert np.abs(C.T @ J21 @ C - J21).max() <= 1e-12 * (1.0 + v @ v)
