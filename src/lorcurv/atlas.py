@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -582,24 +583,10 @@ def _param_grid(spec: FormSpec, ctx, grid: dict[str, list[float]]):
     """Cross product of grid values over the form's parameters, filtered
     by the form's domain, in deterministic order."""
     names = spec.param_names
-    if not names:
-        yield {}
-        return
-    pools = [sorted(grid.get(n, [])) for n in names]
-    if any(not pool for pool in pools):
-        return
-
-    def rec(k: int, acc: dict):
-        if k == len(names):
-            if spec.domain(ctx, acc):
-                yield dict(acc)
-            return
-        for v in pools[k]:
-            acc[names[k]] = float(v)
-            yield from rec(k + 1, acc)
-        acc.pop(names[k], None)
-
-    yield from rec(0, {})
+    for values in itertools.product(*(sorted(grid.get(n, [])) for n in names)):
+        params = {n: float(v) for n, v in zip(names, values)}
+        if spec.domain(ctx, params):
+            yield params
 
 
 def atlas_entries(tag: FamilyTag, grid: dict[str, list[float]],

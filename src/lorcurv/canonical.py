@@ -103,13 +103,45 @@ class _Reducer:
         scale2 = (1.0 + float(np.max(np.abs(c)))) ** 2
         return abs(p) <= self.tol.classification_tol * scale2
 
-    def plane_translation(self) -> tuple[float, float]:
-        """Translation (t1, t2) that clears the (x1, z) and (x2, z) entries
-        when the plane block is non-degenerate."""
+    @staticmethod
+    def scale_translate(g: float, t: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+        """[[g, 0, t1], [0, g, t2], [0, 0, 1]]: a scaling of the plane with a
+        translation of z, an automorphism of every family in its
+        classification basis."""
+        return np.array([[g, 0.0, t[0]], [0.0, g, t[1]], [0.0, 0.0, 1.0]])
+
+    def clear_translation(self) -> None:
+        """Translate z so that the (x1, z) and (x2, z) entries vanish; the
+        plane block must be non-degenerate."""
         c = self.cur
         pprime = c[0, 1] ** 2 - c[0, 0] * c[1, 1]
-        return ((c[0, 2] * c[1, 1] - c[0, 1] * c[1, 2]) / pprime,
-                (c[0, 0] * c[1, 2] - c[0, 1] * c[0, 2]) / pprime)
+        self.apply(self.scale_translate(
+            1.0, ((c[0, 2] * c[1, 1] - c[0, 1] * c[1, 2]) / pprime,
+                  (c[0, 0] * c[1, 2] - c[0, 1] * c[0, 2]) / pprime)))
+
+    def null_index(self) -> int:
+        """For a rank-one plane block with the (x1, x2) entry cleared: 0 if
+        x1 is the null vector, 1 if x2 is."""
+        x1_null = self.is_zero(0, 0)
+        if x1_null and self.is_zero(1, 1):
+            raise DegenerateMetricError("rank-deficient plane block")
+        return 0 if x1_null else 1
+
+    def null_tail(self, i: int) -> float:
+        """Drive a rank-one plane block with x_i null and (x1, x2) cleared to
+        h(x_i, z) = 1 and (x_j, z) = (z, z) = 0, j = 1 - i; returns
+        h(x_j, x_j), which must be positive."""
+        j = 1 - i
+        c = self.cur
+        if self.is_zero(i, 2) or self.is_zero(j, j) or c[j, j] < 0:
+            raise DegenerateMetricError("pivot vanishes in degenerate branch")
+        t = [0.0, 0.0]
+        t[j] = -c[j, 2] / c[j, j]
+        self.apply(self.scale_translate(1.0 / c[i, 2], t))
+        t = [0.0, 0.0]
+        t[i] = -self.cur[2, 2] / 2.0
+        self.apply(self.scale_translate(1.0, t))
+        return self.entry(j, j)
 
 
 def canonical_form(tag: FamilyTag, h: MetricTensor,
@@ -178,35 +210,20 @@ def _reduce_gi(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
         red.apply(swap)
 
     if red.is_zero(1, 1):
-        # degenerate plane block: drive to the off-diagonal model
-        c = red.cur
-        if red.is_zero(0, 0) or red.is_zero(1, 2):
-            raise DegenerateMetricError("pivot vanishes in the degenerate branch")
-        d1 = c[0, 0]
-        if d1 < 0:
-            raise DegenerateMetricError("inconsistent signature in reduction")
+        # degenerate plane block, x2 null: drive to the off-diagonal model
+        d1 = red.null_tail(1)
         red.apply(automorphism_matrix(
-            tag, block=[[1.0 / math.sqrt(d1), 0.0], [0.0, 1.0]],
-            translation=(-c[0, 2] / d1, 0.0)))
-        c = red.cur
-        m, n = c[1, 2], c[2, 2]
-        red.apply(automorphism_matrix(tag, block=[[1.0, 0.0], [0.0, 1.0 / m]],
-                                      translation=(0.0, -n / (2 * m))))
+            tag, block=[[1.0 / math.sqrt(d1), 0.0], [0.0, 1.0]]))
         return "GI.3", {}
 
     # both pivots alive: translate, order signs, scale
+    red.clear_translation()
     c = red.cur
-    d1, d2 = c[0, 0], c[1, 1]
-    red.apply(automorphism_matrix(tag, block=[[1.0, 0.0], [0.0, 1.0]],
-                                  translation=(-c[0, 2] / d1, -c[1, 2] / d2)))
-    c = red.cur
-    d1, d2 = c[0, 0], c[1, 1]
-    if d1 < 0 and d2 > 0:
+    if c[0, 0] < 0 < c[1, 1]:
         red.apply(swap)
         c = red.cur
-        d1, d2 = c[0, 0], c[1, 1]
-    red.apply(automorphism_matrix(tag, block=[[1.0 / math.sqrt(abs(d1)), 0.0],
-                                              [0.0, 1.0 / math.sqrt(abs(d2))]]))
+    red.apply(automorphism_matrix(tag, block=[[1.0 / math.sqrt(abs(c[0, 0])), 0.0],
+                                              [0.0, 1.0 / math.sqrt(abs(c[1, 1]))]]))
     c = red.cur
     if c[1, 1] < 0:
         return "GI.1", {"mu": float(c[2, 2])}
@@ -222,23 +239,12 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
         if not red.is_zero(0, 1):
             c = red.cur
             red.apply(automorphism_matrix(tag, alpha=c[0, 0], beta=c[0, 0] - c[0, 1]))
-        if red.is_zero(0, 0) and red.is_zero(1, 1):
-            raise DegenerateMetricError("rank-deficient plane block")
-        if red.is_zero(0, 0):
+        if red.null_index() == 0:
             red.apply(automorphism_matrix(tag, alpha=1.0, beta=-1.0))
-        c = red.cur
-        m11, m13, m23 = c[0, 0], c[0, 2], c[1, 2]
-        if red.is_zero(1, 2) or m11 <= 0:
-            raise DegenerateMetricError("pivot vanishes in the degenerate branch")
-        red.apply(automorphism_matrix(
-            tag, alpha=0.0, beta=1.0 / m23,
-            translation=(-m13 / m11,
-                         (m13 ** 2 - m11 * c[2, 2]) / (2 * m11 * m23))))
-        return "Gc_gt1.1", {"mu": red.entry(0, 0)}
+        return "Gc_gt1.1", {"mu": red.null_tail(1)}
 
     # non-degenerate: kill the translation column
-    red.apply(automorphism_matrix(tag, alpha=0.0, beta=1.0,
-                                  translation=red.plane_translation()))
+    red.clear_translation()
 
     c = red.cur
     if abs(c[0, 0] - c[0, 1]) > red.band():
@@ -259,8 +265,7 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     h11 = 0.5 * (c[0, 0] + c[0, 1])
     if abs(h11) <= red.band():
         raise DegenerateMetricError("pivot vanishes after fold")
-    s = 1.0 / math.sqrt(abs(h11))
-    red.apply(automorphism_matrix(tag, alpha=0.0, beta=s))
+    red.apply(red.scale_translate(1.0 / math.sqrt(abs(h11))))
     c = red.cur
     eps = 1.0 if c[0, 0] > 0 else -1.0
     tau = c[1, 1] * eps
@@ -294,36 +299,17 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
             if red.is_zero(0, 0):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
             red.apply(adapted_automorphism(tag, c[0, 0], -c[0, 1]))
-        if red.is_zero(0, 0) and red.is_zero(1, 1):
-            raise DegenerateMetricError("rank-deficient plane block")
-        c = red.cur
-        if red.is_zero(0, 0):
-            m22, m13 = c[1, 1], c[0, 2]
-            if red.is_zero(0, 2) or m22 <= 0:
-                raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            red.apply(adapted_automorphism(tag, 1.0 / m13, 0.0,
-                                           (0.0, -c[1, 2] / m22)))
-            c = red.cur
-            red.apply(adapted_automorphism(tag, 1.0, 0.0, (-c[2, 2] / 2.0, 0.0)))
-            return "G1.1", {"mu": red.entry(1, 1)}
-        m11, m23 = c[0, 0], c[1, 2]
-        if red.is_zero(1, 2) or m11 <= 0:
-            raise DegenerateMetricError("pivot vanishes in degenerate branch")
-        red.apply(adapted_automorphism(tag, 1.0 / m23, 0.0,
-                                       (-c[0, 2] / m11, 0.0)))
-        c = red.cur
-        red.apply(adapted_automorphism(tag, 1.0, 0.0, (0.0, -c[2, 2] / 2.0)))
-        return "G1.2", {"mu": red.entry(0, 0)}
+        i = red.null_index()
+        return ("G1.1", "G1.2")[i], {"mu": red.null_tail(i)}
 
-    red.apply(adapted_automorphism(tag, 1.0, 0.0, red.plane_translation()))
+    red.clear_translation()
 
     c = red.cur
     if not red.is_zero(0, 0):
         if not red.is_zero(0, 1):
             red.apply(adapted_automorphism(tag, c[0, 0], -c[0, 1]))
         c = red.cur
-        s = 1.0 / math.sqrt(abs(c[0, 0]))
-        red.apply(adapted_automorphism(tag, s, 0.0))
+        red.apply(red.scale_translate(1.0 / math.sqrt(abs(c[0, 0]))))
         c = red.cur
         d1, d2, d3 = c[0, 0], c[1, 1], c[2, 2]
         if d1 > 0 and d2 < 0:
@@ -334,8 +320,7 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
 
     # h11 = 0 with non-degenerate block: h12 != 0
     m12 = c[0, 1]
-    g = 1.0 / math.sqrt(abs(m12))
-    red.apply(adapted_automorphism(tag, g, 0.0))
+    red.apply(red.scale_translate(1.0 / math.sqrt(abs(m12))))
     c = red.cur
     sgn = 1.0 if c[0, 1] > 0 else -1.0
     red.apply(adapted_automorphism(tag, 1.0, -sgn * c[1, 1] / 2.0))
@@ -356,45 +341,26 @@ def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
             a = 0.5 * (c[0, 0] + c[0, 1])  # the block is a multiple of ones
             if a <= 0:
                 raise DegenerateMetricError("inconsistent signature in reduction")
-            s = 1.0 / math.sqrt(a)
-            red.apply(adapted_automorphism(tag, s, s))
+            red.apply(red.scale_translate(1.0 / math.sqrt(a)))
             c = red.cur
             nu_, lam = c[0, 2], c[1, 2]
             if abs(lam - nu_) <= red.band():
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            red.apply(adapted_automorphism(
-                tag, 1.0, 1.0,
-                ((nu_ ** 2 - 2 * nu_ * lam + c[2, 2]) / (2 * (lam - nu_)),
-                 (nu_ ** 2 - c[2, 2]) / (2 * (lam - nu_)))))
+            red.apply(red.scale_translate(
+                1.0, ((nu_ ** 2 - 2 * nu_ * lam + c[2, 2]) / (2 * (lam - nu_)),
+                      (nu_ ** 2 - c[2, 2]) / (2 * (lam - nu_)))))
             mu = red.entry(1, 2)
             if mu < 0:
-                red.apply(adapted_automorphism(tag, -1.0, -1.0))
+                red.apply(red.scale_translate(-1.0))
                 mu = -mu
             return "Gc_lt1.3", {"mu": float(mu)}
-        c = red.cur
-        if red.is_zero(0, 0) and red.is_zero(1, 1):
-            raise DegenerateMetricError("rank-deficient plane block")
-        if red.is_zero(0, 0):
-            m22, m13 = c[1, 1], c[0, 2]
-            if red.is_zero(0, 2) or m22 <= 0:
-                raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            g = 1.0 / m13
-            red.apply(adapted_automorphism(tag, g, g, (0.0, -c[1, 2] / m22)))
-            c = red.cur
-            red.apply(adapted_automorphism(
-                tag, 1.0, 1.0 / math.sqrt(c[1, 1]), (-c[2, 2] / 2.0, 0.0)))
-            return "Gc_lt1.1", {}
-        m11, m23 = c[0, 0], c[1, 2]
-        if red.is_zero(1, 2) or m11 <= 0:
-            raise DegenerateMetricError("pivot vanishes in degenerate branch")
-        g = 1.0 / m23
-        red.apply(adapted_automorphism(tag, g, g, (-c[0, 2] / m11, 0.0)))
-        c = red.cur
-        red.apply(adapted_automorphism(
-            tag, 1.0 / math.sqrt(c[0, 0]), 1.0, (0.0, -c[2, 2] / 2.0)))
-        return "Gc_lt1.2", {}
+        i = red.null_index()
+        scale = [1.0, 1.0]
+        scale[1 - i] = 1.0 / math.sqrt(red.null_tail(i))
+        red.apply(adapted_automorphism(tag, *scale))
+        return ("Gc_lt1.1", "Gc_lt1.2")[i], {}
 
-    red.apply(adapted_automorphism(tag, 1.0, 1.0, red.plane_translation()))
+    red.clear_translation()
 
     c = red.cur
     if red.is_zero(0, 1):
@@ -467,18 +433,18 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     """Classify a metric as flat / positive / negative constant curvature
     or non-constant.
 
-    The curvature engine decides on the canonical representative.  In
-    dimension three the Ricci tensor determines the whole curvature tensor
-    (Milnor 1976), so the metric has constant curvature k = rho/6 exactly
-    when it is Einstein, ric = 2k h; the Riemann tensor is then checked
-    against the model k(<u, w> v - <v, w> u) as well.  The sign of k names
-    the class.  No operator type is needed, so the O'Neill classifier is
-    not run."""
+    The curvature engine decides on the input metric itself: the verdict
+    is an isometry invariant, and near c = 1 the canonical representative
+    is correctly signed but nearly singular, so a frame built on it is
+    not.  In dimension three the Ricci tensor determines the whole
+    curvature tensor (Milnor 1976), so the metric has constant curvature
+    k = rho/6 exactly when it is Einstein, ric = 2k h; the Riemann tensor
+    is then checked against the model k(<u, w> v - <v, w> u) as well.  The
+    sign of k names the class.  No operator type is needed, so the
+    O'Neill classifier is not run."""
     cf = canonical_form(tag, h, tol)
-    alg = make_family_algebra(tag, cf.basis_label)
-    hc = MetricTensor(cf.canonical_matrix, basis_label=cf.basis_label,
-                      tolerance=tol)
-    conn = levi_civita(alg, orthonormal_frame(hc, tol))
+    conn = levi_civita(make_family_algebra(tag, h.basis_label),
+                       orthonormal_frame(h, tol))
     ric = ricci_tensor(conn)
     k = float(np.trace(J21 @ ric)) / 6.0
     band = tol.classification_tol * (1.0 + float(np.abs(ric).max()))

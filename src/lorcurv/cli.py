@@ -232,24 +232,24 @@ def cmd_classify(args) -> int:
 def cmd_curvature(args) -> int:
     tag, h, tol = _load_document(args.file)
     from .algebra import make_family_algebra
-    if args.frame == "paper":
-        cf = _canonicalize(tag, h, tol)
-        target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
-        res = float(np.max(np.abs(target.entries - cf.canonical_matrix)))
-        band = tol.classification_tol * (1.0 + float(np.max(np.abs(cf.canonical_matrix))))
-        if res > band:
-            raise DomainError(
-                "metric is not in canonical form; canonicalize first "
-                f"(form {cf.form_id}, residual {res:g})")
-        frame = paper_frame(tag, cf.form_id, cf.params)
-        alg = make_family_algebra(tag, cf.basis_label)
-        report = curvature_report(alg, target, frame=frame, tol=tol)
-    else:
-        alg = make_family_algebra(tag, h.basis_label)
-        try:
+    try:
+        if args.frame == "paper":
+            cf = canonical_form(tag, h, tol)
+            target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
+            res = float(np.max(np.abs(target.entries - cf.canonical_matrix)))
+            band = tol.classification_tol * (1.0 + float(np.max(np.abs(cf.canonical_matrix))))
+            if res > band:
+                raise DomainError(
+                    "metric is not in canonical form; canonicalize first "
+                    f"(form {cf.form_id}, residual {res:g})")
+            frame = paper_frame(tag, cf.form_id, cf.params)
+            alg = make_family_algebra(tag, cf.basis_label)
+            report = curvature_report(alg, target, frame=frame, tol=tol)
+        else:
+            alg = make_family_algebra(tag, h.basis_label)
             report = curvature_report(alg, h, tol=tol)
-        except ValueError as exc:
-            raise DomainError(str(exc)) from exc
+    except ValueError as exc:
+        raise DomainError(str(exc)) from exc
     _emit(report.to_dict())
     return EXIT_OK
 

@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import LieAlgebra3, bracket_constants
 from .metric import J21, MetricTensor, OrthonormalFrame, frame_gram_residual, \
     frame_inner, orthonormal_frame
-from .oneill import ONeillClassification, classify_self_adjoint
+from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 _SIGNS = np.array([1.0, 1.0, -1.0])
@@ -215,6 +215,14 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     cls = replace(cls, normal_form=s * cls.normal_form,
                   eigenvalues=s * cls.eigenvalues,
                   discriminant=None if D is None else s * s * D)
-    principal = tuple(sorted((complex(z) for z in cls.eigenvalues),
+    values = cls.eigenvalues
+    if cls.type_tag == ONeillType.DOUBLE:
+        # eig splits a defective double root by about sqrt(eps), often into
+        # a complex pair; the normal form gives it exactly, as the mean of
+        # the diagonal of its Jordan block
+        n = cls.normal_form
+        m = 0.5 * (n[1, 1] + n[2, 2])
+        values = (n[0, 0], m, m)
+    principal = tuple(sorted((complex(z) for z in values),
                              key=lambda z: (round(z.real, 12), z.imag)))
     return CurvatureReport(frame, conn, ric, op, rho, kappas, principal, cls)

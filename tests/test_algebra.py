@@ -134,3 +134,61 @@ def test_change_basis_round_trip(rng):
     back = change_basis(change_basis(alg, S), np.linalg.inv(S))
     assert np.allclose(back.structure_constants,
                        alg.structure_constants, atol=1e-9)
+
+
+def _loop_is_automorphism(alg, A, tol):
+    """The pairwise loop that is_automorphism replaced, kept as its oracle."""
+    if abs(np.linalg.det(A)) <= tol.abs_tol:
+        return False
+    scale = 1.0 + float(np.max(np.abs(A))) ** 2 * float(
+        np.max(np.abs(alg.structure_constants)) + 1.0)
+    e = np.eye(3)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            lhs = A @ alg.bracket(e[i], e[j])
+            rhs = alg.bracket(A[:, i], A[:, j])
+            if np.max(np.abs(lhs - rhs)) > tol.abs_tol * scale + tol.abs_tol:
+                return False
+    return True
+
+
+def _loop_jacobi_residual(alg):
+    worst = 0.0
+    e = np.eye(3)
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                s = (alg.bracket(e[i], alg.bracket(e[j], e[k]))
+                     + alg.bracket(e[j], alg.bracket(e[k], e[i]))
+                     + alg.bracket(e[k], alg.bracket(e[i], e[j])))
+                worst = max(worst, float(np.max(np.abs(s))))
+    return worst
+
+
+def test_tensor_forms_match_loop_oracles(rng):
+    """is_automorphism and jacobi_residual against their loop forms: the
+    same verdict on automorphisms, on perturbations of them across the
+    band and on random matrices, for every family, a random basis, a
+    non-Lie bracket and a bracket antisymmetric only to 1e-5; the same
+    residual up to summation order."""
+    from lorcurv import DEFAULT_TOL, classification_basis
+    c = rng.normal(size=(3, 3, 3))
+    # [z, x] off by 5e-6 from -[x, z]: the loop reads only [x, z], so the
+    # automorphisms of the family still pass
+    skew = make_family_algebra(ALL_TAGS[1]).structure_constants.copy()
+    skew[2, 0] *= 1.0 + 5e-6
+    algs = [(make_family_algebra(t, classification_basis(t)), t) for t in ALL_TAGS]
+    algs += [(change_basis(make_family_algebra(ALL_TAGS[1]), rng.normal(size=(3, 3))),
+              None), (LieAlgebra3(c - c.transpose(1, 0, 2)), None),
+             (LieAlgebra3(skew), ALL_TAGS[1])]
+    verdicts = set()
+    for alg, tag in algs:
+        want = _loop_jacobi_residual(alg)
+        assert alg.jacobi_residual() == pytest.approx(want, rel=1e-12, abs=1e-15)
+        for _ in range(60):
+            A = rand_automorphism(tag, rng) if tag else rng.normal(size=(3, 3))
+            for B in (A, A + 10.0 ** rng.uniform(-12, -4) * rng.normal(size=(3, 3))):
+                verdict = is_automorphism(alg, B)
+                assert verdict == _loop_is_automorphism(alg, B, DEFAULT_TOL)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}

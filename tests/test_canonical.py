@@ -8,6 +8,8 @@ from lorcurv import (
     DegenerateMetricError,
     FamilyTag,
     MetricTensor,
+    adapted_basis_vectors,
+    automorphism_matrix,
     canonical_form,
     canonical_matrix,
     classification_basis,
@@ -21,6 +23,7 @@ from lorcurv import (
 from lorcurv.metric import SignatureDiagnostics
 from lorcurv.atlas import form_specs, _ctx, _param_grid
 from tests.conftest import ALL_TAGS, SWEEP_GRID, rand_automorphism
+from tests.test_curvature import _fuzz_metrics
 
 
 def _canonical_metrics(tag):
@@ -261,3 +264,68 @@ def test_signature_test_rejects_non_lorentzian_reductions(tag, signs,
         Q = rng.normal(size=(3, 3))
         with pytest.raises(DegenerateMetricError):
             canonical_form(tag, MetricTensor(Q.T @ S @ Q, basis_label=basis))
+
+
+_GI_SWAP = automorphism_matrix(FamilyTag("GI"), block=[[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("h,form_id,params", [
+    # timelike direction on x1: swapped onto x2 after the translation step
+    (np.diag([-1.0, 1.0, 3.0]), "GI.1", {"mu": 3.0}),
+    # null vector of the plane block on x1: swapped onto x2 before the
+    # degenerate branch
+    (_GI_SWAP.T @ canonical_matrix(FamilyTag("GI"), "GI.3", {}) @ _GI_SWAP,
+     "GI.3", {}),
+], ids=["GI.1", "GI.3"])
+def test_gi_swap_branches(h, form_id, params):
+    tag = FamilyTag("GI")
+    h = MetricTensor(h)
+    cf = canonical_form(tag, h)
+    assert cf.form_id == form_id
+    assert cf.params == pytest.approx(params, rel=1e-12)
+    W = cf.witness
+    res = np.max(np.abs(W.T @ h.entries @ W - cf.canonical_matrix))
+    assert res < 1e-12 * (1 + np.abs(cf.canonical_matrix).max())
+    assert is_automorphism(make_family_algebra(tag), W)
+
+
+@pytest.mark.parametrize("c", [1.0, 0.75, 0.0, -3.0])
+def test_natural_basis_images_are_equivalent(c, rng):
+    """For c <= 1 the reduction runs in the adapted basis; equivalent maps
+    its witness back to the natural basis.  Every canonical metric, given
+    in the natural basis, is equivalent to its images under random
+    automorphisms, with a natural-basis automorphism as witness.  The
+    forms include both null vectors of a rank-one plane block (x1 for
+    G1.1 and Gc_lt1.1, x2 for G1.2 and Gc_lt1.2)."""
+    tag = FamilyTag("Gc", c)
+    U = adapted_basis_vectors(tag)
+    alg = make_family_algebra(tag)
+    forms = set()
+    for form_id, _, h_ad in _canonical_metrics(tag):
+        h = from_adapted_basis(tag, h_ad)
+        for _ in range(3):
+            A = U @ rand_automorphism(tag, rng) @ np.linalg.inv(U)
+            h2 = MetricTensor(A.T @ h.entries @ A)
+            flag, W = equivalent(tag, h, h2)
+            assert flag, (form_id, c)
+            res = np.max(np.abs(W.T @ h.entries @ W - h2.entries))
+            assert res < 1e-7 * (1 + np.abs(h2.entries).max())
+            assert is_automorphism(alg, W)
+        forms.add(form_id)
+    null_forms = {"G1.1", "G1.2"} if c == 1 else {"Gc_lt1.1", "Gc_lt1.2"}
+    assert null_forms <= forms
+
+
+@pytest.mark.parametrize("c", [1.01, 1.001, 1.0001])
+def test_constant_curvature_near_c1_raises_only_rejections(c):
+    """Near c = 1 the canonical representative is correctly signed but
+    nearly singular.  The verdict is built from the input metric, so a
+    fuzz metric gets a class or a DegenerateMetricError, never another
+    exception."""
+    tag = FamilyTag("Gc", c)
+    for _, h in _fuzz_metrics(c):
+        try:
+            cls, _ = constant_curvature_class(tag, h)
+        except DegenerateMetricError:
+            continue
+        assert isinstance(cls, ConstantCurvatureClass)

@@ -102,6 +102,28 @@ def test_curvature_paper_frame_rejects_non_canonical(tmp_path, capsys):
     assert code == 1
 
 
+def test_curvature_paper_frame_gram_residual_is_a_rejection(tmp_path, capsys):
+    """Within the canonical-residual band of GI.3 but 1.5e-5 off in the
+    Gram residual of the paper frame: a rejection, not a traceback."""
+    f = _doc(tmp_path, "m.json", "GI",
+             [[1, 0, 0], [0, -1, 1.5e-7], [0, 1.5e-7, 1e-4]])
+    assert main(["curvature", f, "--frame", "paper"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: frame is not h-orthonormal")
+
+
+def test_constcurv_near_c1(tmp_path, capsys):
+    """A c = 1.01 metric whose canonical representative is nearly singular
+    (a frame built on it failed): the verdict comes from the input."""
+    f = _doc(tmp_path, "m.json", {"Gc": 1.01},
+             [[1.5814, -0.7739, 0.2963], [-0.7739, 0.5365, 1.4887],
+              [0.2963, 1.4887, 1.1192]])
+    assert main(["constcurv", f]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["class"] == "non_constant"
+    assert captured.err == ""
+
+
 def test_equiv_exit_codes(tmp_path, capsys):
     h = [[1, 1, 0], [1, 0, 0], [0, 0, 4]]
     f1 = _doc(tmp_path, "a.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]])

@@ -396,3 +396,27 @@ def test_principal_ricci_matches_eigvals_on_sweep_images(rng):
                       - rep.oneill.normal_form).max() <= 1e-12 * s, where
         count += 1
     assert count == 335
+
+
+def test_principal_ricci_double_root_is_real_and_repeated(rng):
+    """A {21} Ricci operator has a real double eigenvalue m.  eig splits it
+    by about sqrt(eps), often into a complex pair; principal_ricci reads m
+    from the normal form instead (the mean of the diagonal of its Jordan
+    block), so on every {21} sweep image the values are real and m is
+    repeated exactly.  The mean of the two eigvals roots nearest m agrees
+    with it to 1e-7 max|Ric| (4.8e-8 measured)."""
+    count = 0
+    for alg, h in _sweep_images(rng):
+        rep = curvature_report(alg, h)
+        if rep.oneill.type_tag != ONeillType.DOUBLE:
+            continue
+        got = rep.principal_ricci
+        n = rep.oneill.normal_form
+        m = complex(0.5 * (n[1, 1] + n[2, 2]))
+        assert all(z.imag == 0.0 for z in got), got
+        assert got.count(m) >= 2, (got, m)
+        roots = sorted(np.linalg.eigvals(rep.ricci_op), key=lambda z: abs(z - m))
+        s = float(np.abs(rep.ricci_op).max())
+        assert abs(0.5 * (roots[0] + roots[1]) - m) <= 1e-7 * s, (got, roots)
+        count += 1
+    assert count == 76
