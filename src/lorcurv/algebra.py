@@ -14,6 +14,8 @@ live here as well.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +49,10 @@ class FamilyTag:
         if self.kind == "Gc":
             if self.c is None:
                 raise ValueError("family Gc requires a parameter c")
+            # bools are ints, so they are excluded explicitly
+            if (isinstance(self.c, bool) or not isinstance(self.c, numbers.Real)
+                    or not abs(self.c) <= sys.float_info.max):
+                raise ValueError("family Gc requires a finite real c")
         elif self.c is not None:
             raise ValueError("family GI takes no parameter")
 
@@ -93,8 +99,8 @@ class LieAlgebra3:
         c = np.asarray(self.structure_constants, dtype=float)
         if c.shape != (3, 3, 3):
             raise ValueError("structure constants must have shape (3, 3, 3)")
-        ct = np.transpose(c, (1, 0, 2))
-        if not np.all(np.abs(c + ct) <= 1e-5 * np.abs(ct)):
+        ct = c.transpose(1, 0, 2)
+        if not (np.abs(c + ct) <= 1e-5 * np.abs(ct)).all():
             raise ValueError("structure constants must be antisymmetric in (i, j)")
         object.__setattr__(self, "structure_constants", c)
 
@@ -110,7 +116,7 @@ class LieAlgebra3:
         c = self.structure_constants
         t = np.einsum("jkm,iml->ijkl", c, c)
         s = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-        return float(np.max(np.abs(s)))
+        return float(np.abs(s).max())
 
 
 def _constants_from_pairs(pairs: dict[tuple[int, int], list[float]]) -> np.ndarray:
@@ -215,29 +221,24 @@ def automorphism_matrix(tag: FamilyTag, *, block=None, alpha: float | None = Non
     beta^2 + (c - 1) alpha^2 != 0.  Both act trivially on z up to the
     translation part (t1, t2) in the last column.
     """
-    A = np.eye(3)
+    t1, t2 = translation
     if tag.kind == "GI":
         if block is None:
             raise ValueError("GI automorphisms require a 2x2 block")
         block = np.asarray(block, dtype=float)
         if block.shape != (2, 2):
             raise ValueError("block must be 2x2")
-        if abs(np.linalg.det(block)) == 0.0:
+        (p, q), (r, s) = block.tolist()
+        if p * s - q * r == 0.0:
             raise ValueError("block must be invertible")
-        A[:2, :2] = block
-    else:
-        if alpha is None or beta is None:
-            raise ValueError("Gc automorphisms require alpha and beta")
-        c = float(tag.c)  # type: ignore[arg-type]
-        a, b = float(alpha), float(beta)
-        if b * b + (c - 1.0) * a * a == 0.0:
-            raise ValueError("degenerate (alpha, beta) pair")
-        A[0, 0] = b - a
-        A[0, 1] = -c * a
-        A[1, 0] = a
-        A[1, 1] = b + a
-    A[0, 2], A[1, 2] = translation
-    return A
+        return np.array([[p, q, t1], [r, s, t2], [0.0, 0.0, 1.0]])
+    if alpha is None or beta is None:
+        raise ValueError("Gc automorphisms require alpha and beta")
+    c = float(tag.c)  # type: ignore[arg-type]
+    a, b = float(alpha), float(beta)
+    if b * b + (c - 1.0) * a * a == 0.0:
+        raise ValueError("degenerate (alpha, beta) pair")
+    return np.array([[b - a, -c * a, t1], [a, b + a, t2], [0.0, 0.0, 1.0]])
 
 
 def adapted_automorphism(tag: FamilyTag, gamma: float, delta: float,
@@ -249,19 +250,14 @@ def adapted_automorphism(tag: FamilyTag, gamma: float, delta: float,
     """
     if tag.kind != "Gc" or tag.c is None or tag.c > 1:
         raise ValueError("adapted automorphisms exist only for Gc with c <= 1")
-    A = np.eye(3)
+    t1, t2 = translation
     if tag.c == 1:
         if gamma == 0.0:
             raise ValueError("gamma must be nonzero")
-        A[0, 0] = A[1, 1] = gamma
-        A[0, 1] = delta
-    else:
-        if gamma * delta == 0.0:
-            raise ValueError("gamma and delta must be nonzero")
-        A[0, 0] = gamma
-        A[1, 1] = delta
-    A[0, 2], A[1, 2] = translation
-    return A
+        return np.array([[gamma, delta, t1], [0.0, gamma, t2], [0.0, 0.0, 1.0]])
+    if gamma * delta == 0.0:
+        raise ValueError("gamma and delta must be nonzero")
+    return np.array([[gamma, 0.0, t1], [0.0, delta, t2], [0.0, 0.0, 1.0]])
 
 
 def is_automorphism(alg: LieAlgebra3, A: np.ndarray,
@@ -273,10 +269,11 @@ def is_automorphism(alg: LieAlgebra3, A: np.ndarray,
     if abs(np.linalg.det(A)) <= tol.abs_tol:
         return False
     c = alg.structure_constants.reshape(9, 3)
-    scale = 1.0 + float(np.max(np.abs(A))) ** 2 * float(np.max(np.abs(c)) + 1.0)
+    scale = 1.0 + float(np.abs(A).max()) ** 2 * (float(np.abs(c).max()) + 1.0)
     # rows (i, j) = (0, 1), (0, 2), (1, 2) of A [e_i, e_j] against
     # [A e_i, A e_j]; the constants may be antisymmetric only to 1e-5, so
-    # the other rows are not implied by these
-    pairs = [1, 2, 5]
-    res = float(np.max(np.abs(c[pairs] @ A.T - np.kron(A, A)[:, pairs].T @ c)))
+    # the other rows are not implied by these.  AA[(k, l), p] = A[k, i] A[l, j]
+    # for the p-th pair (i, j)
+    AA = (A[:, None, [0, 0, 1]] * A[None, :, [1, 2, 2]]).reshape(9, 3)
+    res = float(np.abs(c[[1, 2, 5]] @ A.T - AA.T @ c).max())
     return res <= tol.abs_tol * scale + tol.abs_tol

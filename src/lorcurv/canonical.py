@@ -82,13 +82,15 @@ class _Reducer:
         self.tol = tol
         self.A = np.eye(3)
         self.cur = self.h0           # A^T h0 A, kept current by apply
+        self.scale = 1.0 + float(np.abs(self.cur).max())
 
     def band(self) -> float:
-        return self.tol.classification_tol * (1.0 + float(np.max(np.abs(self.cur))))
+        return self.tol.classification_tol * self.scale
 
     def apply(self, B: np.ndarray) -> None:
-        self.A = self.A @ np.asarray(B, dtype=float)
+        self.A = self.A @ B
         self.cur = self.A.T @ self.h0 @ self.A
+        self.scale = 1.0 + float(np.abs(self.cur).max())
 
     def entry(self, i: int, j: int) -> float:
         return float(self.cur[i, j])
@@ -100,8 +102,7 @@ class _Reducer:
         """Whether the 2x2 block on span(x1, x2) is singular to tolerance."""
         c = self.cur
         p = c[0, 0] * c[1, 1] - c[0, 1] ** 2
-        scale2 = (1.0 + float(np.max(np.abs(c)))) ** 2
-        return abs(p) <= self.tol.classification_tol * scale2
+        return abs(p) <= self.tol.classification_tol * self.scale ** 2
 
     @staticmethod
     def scale_translate(g: float, t: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
@@ -187,8 +188,8 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     ev = np.linalg.eigvalsh(canon)
     if not ev[0] < 0.0 < ev[1]:
         raise DegenerateMetricError("inconsistent signature in reduction")
-    res = float(np.max(np.abs(red.cur - canon)))
-    band = tol.classification_tol * (1.0 + float(np.max(np.abs(canon)))) * 100
+    res = float(np.abs(red.cur - canon).max())
+    band = tol.classification_tol * (1.0 + float(np.abs(canon).max())) * 100
     if res > band:
         raise DegenerateMetricError(
             f"reduction residual {res:g} too large for form {form_id}")
@@ -416,8 +417,8 @@ def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
     if h1.basis_label == BasisLabel.NATURAL and cf1.basis_label != BasisLabel.NATURAL:
         U = adapted_basis_vectors(tag)
         W = U @ W @ np.linalg.inv(U)
-    res = float(np.max(np.abs(W.T @ h1.entries @ W - h2.entries)))
-    scale = 1.0 + float(np.max(np.abs(h2.entries)))
+    res = float(np.abs(W.T @ h1.entries @ W - h2.entries).max())
+    scale = 1.0 + float(np.abs(h2.entries).max())
     if res > tol.classification_tol * scale * 100:
         raise ArithmeticError(f"equivalence witness residual {res:g} too large")
     alg = make_family_algebra(tag, h1.basis_label) \

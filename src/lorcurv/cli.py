@@ -236,8 +236,8 @@ def cmd_curvature(args) -> int:
         if args.frame == "paper":
             cf = canonical_form(tag, h, tol)
             target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
-            res = float(np.max(np.abs(target.entries - cf.canonical_matrix)))
-            band = tol.classification_tol * (1.0 + float(np.max(np.abs(cf.canonical_matrix))))
+            res = float(np.abs(target.entries - cf.canonical_matrix).max())
+            band = tol.classification_tol * (1.0 + float(np.abs(cf.canonical_matrix).max()))
             if res > band:
                 raise DomainError(
                     "metric is not in canonical form; canonicalize first "

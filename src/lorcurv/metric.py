@@ -41,10 +41,10 @@ class MetricTensor:
         h = np.asarray(self.entries, dtype=float)
         if h.shape != (3, 3):
             raise ValueError("metric matrix must be 3x3")
-        if not np.all(np.isfinite(h)):
+        if not np.isfinite(h).all():
             raise ValueError("metric matrix must be finite")
-        asym = float(np.max(np.abs(h - h.T)))
-        scale = 1.0 + float(np.max(np.abs(h)))
+        asym = float(np.abs(h - h.T).max())
+        scale = 1.0 + float(np.abs(h).max())
         if asym > self.tolerance.abs_tol * scale:
             raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
         object.__setattr__(self, "entries", 0.5 * (h + h.T))
@@ -67,9 +67,10 @@ def _signature(eigs: np.ndarray, tol: ToleranceConfig
     eigenvalues, and the reason it is not Lorentzian (None when it is).
     The zero band is relative to the largest |eigenvalue|, so the verdict
     does not change under h -> lambda h."""
-    band = tol.classification_tol * float(np.max(np.abs(eigs)))
-    n_zero = int(np.sum(np.abs(eigs) <= band))
-    n_plus = int(np.sum(eigs > band))
+    band = tol.classification_tol * float(np.abs(eigs).max())  # NaN propagates
+    ev = eigs.tolist()
+    n_zero = sum(abs(e) <= band for e in ev)
+    n_plus = sum(e > band for e in ev)
     sig = (n_plus, n_zero, 3 - n_zero - n_plus)
     if n_zero > 0:
         return sig, "degenerate form (eigenvalue within tolerance of zero)"

@@ -101,7 +101,7 @@ def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
             continue
         mean = sum(vals[i].real for i in idx) / len(idx)
         _, sv, vt = np.linalg.svd(T - mean * np.eye(3))
-        dim = max(1, int(np.sum(sv <= width * 10 * max(1.0, float(sv[0])))))
+        dim = max(1, int((sv <= width * 10 * max(1.0, float(sv[0]))).sum()))
         B = vt[3 - dim:].T
         if dim == 1:            # one null direction: the only candidate
             candidates.append(B[:, 0])

@@ -1,5 +1,6 @@
-"""Shared helpers: random automorphisms, random O(2,1) elements, and the
-parameter grids used by the table-reproduction tests."""
+"""Shared helpers: random automorphisms, random O(2,1) elements, the
+parameter grids used by the table-reproduction tests, and a counter of
+LAPACK calls."""
 
 from __future__ import annotations
 
@@ -60,6 +61,27 @@ def rand_o21(rng: np.random.Generator) -> np.ndarray:
         @ rot(rng.uniform(0, 2 * np.pi))
     signs = np.diag(rng.choice([-1.0, 1.0], size=3))
     return A @ signs
+
+
+_LAPACK = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "inv", "det")
+
+
+def lapack_calls(monkeypatch, call):
+    """The result of call() and the number of calls it made to each
+    np.linalg decomposition, inverse or determinant (zero counts left out)."""
+    counts = dict.fromkeys(_LAPACK, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        for name in _LAPACK:
+            m.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        result = call()
+    return result, {name: n for name, n in counts.items() if n}
 
 
 @pytest.fixture

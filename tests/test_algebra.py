@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,12 @@ from lorcurv import (
     BasisLabel,
     FamilyTag,
     LieAlgebra3,
+    adapted_automorphism,
     adapted_basis_vectors,
     adapted_transition,
+    automorphism_matrix,
     change_basis,
+    classification_basis,
     is_automorphism,
     make_family_algebra,
 )
@@ -46,6 +51,16 @@ def test_family_keys():
     assert FamilyTag("Gc", 2.0).family_key() == "Gc_gt1"
     assert FamilyTag("Gc", 1.0).family_key() == "G1"
     assert FamilyTag("Gc", 0.5).family_key() == "Gc_lt1"
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, True, False],
+                         ids=["nan", "inf", "-inf", "True", "False"])
+def test_gc_requires_finite_real_c(c):
+    """The rule the CLI parser applies.  Without it, c = inf fails inside
+    canonical_form with a LinAlgError, and c = nan rejects a finite
+    metric as not finite."""
+    with pytest.raises(ValueError, match="^family Gc requires a finite real c$"):
+        FamilyTag("Gc", c)
 
 
 def test_w_and_z_param():
@@ -192,3 +207,73 @@ def test_tensor_forms_match_loop_oracles(rng):
                 assert verdict == _loop_is_automorphism(alg, B, DEFAULT_TOL)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+# --------------------------------------------------------------------------
+# the automorphism builders
+
+def _raises(message):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+def test_builder_errors():
+    gi, c2, c1, lt1 = (FamilyTag("GI"), FamilyTag("Gc", 2.0), FamilyTag("Gc", 1.0),
+                       FamilyTag("Gc", 0.75))
+    with _raises("GI automorphisms require a 2x2 block"):
+        automorphism_matrix(gi)
+    with _raises("block must be 2x2"):
+        automorphism_matrix(gi, block=np.eye(3))
+    with _raises("block must be invertible"):
+        automorphism_matrix(gi, block=[[1.0, 2.0], [2.0, 4.0]])
+    # p s - q r is exactly 0.0 here, and so is its LU determinant
+    with _raises("block must be invertible"):
+        automorphism_matrix(gi, block=[[1.0, 2.0], [0.5, 1.0]])
+    with _raises("Gc automorphisms require alpha and beta"):
+        automorphism_matrix(c2, alpha=1.0)
+    with _raises("Gc automorphisms require alpha and beta"):
+        automorphism_matrix(c2, beta=1.0)
+    with _raises("degenerate (alpha, beta) pair"):
+        automorphism_matrix(c2, alpha=0.0, beta=0.0)
+    with _raises("degenerate (alpha, beta) pair"):       # beta^2 = alpha^2 / 4
+        automorphism_matrix(lt1, alpha=2.0, beta=-1.0)
+    with _raises("gamma must be nonzero"):
+        adapted_automorphism(c1, 0.0, 1.0)
+    with _raises("gamma and delta must be nonzero"):
+        adapted_automorphism(lt1, 1.0, 0.0)
+    with _raises("gamma and delta must be nonzero"):
+        adapted_automorphism(lt1, 0.0, 1.0)
+    for tag in (gi, c2):
+        with _raises("adapted automorphisms exist only for Gc with c <= 1"):
+            adapted_automorphism(tag, 1.0, 1.0)
+
+
+def _eye_assembled(block, translation):
+    """A builder's matrix as it was assembled before, item by item into
+    np.eye; their oracle."""
+    A = np.eye(3)
+    A[:2, :2] = block
+    A[0, 2], A[1, 2] = translation
+    return A
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
+def test_builders_match_eye_assembly(tag, rng):
+    """Random outputs of both builders equal the matrices assembled into
+    np.eye exactly, and are automorphisms of their basis's algebra."""
+    basis = classification_basis(tag)
+    for _ in range(40):
+        p, q, r, s, *t = rng.normal(size=6).tolist()
+        if tag.kind == "GI":
+            A = automorphism_matrix(tag, block=[[p, q], [r, s]], translation=t)
+            block = [[p, q], [r, s]]
+        else:
+            A = automorphism_matrix(tag, alpha=p, beta=q, translation=t)
+            block = [[q - p, -tag.c * p], [p, q + p]]
+        assert np.array_equal(A, _eye_assembled(block, t))
+        assert is_automorphism(make_family_algebra(tag), A)
+        if basis == BasisLabel.NATURAL:
+            continue
+        A = adapted_automorphism(tag, p, q, translation=t)
+        block = [[p, q], [0.0, p]] if tag.c == 1 else [[p, 0.0], [0.0, q]]
+        assert np.array_equal(A, _eye_assembled(block, t))
+        assert is_automorphism(make_family_algebra(tag, basis), A)

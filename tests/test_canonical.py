@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorcurv.canonical
 from lorcurv import (
+    DEFAULT_TOL,
     BasisLabel,
     ConstantCurvatureClass,
     DegenerateMetricError,
     FamilyTag,
     MetricTensor,
+    adapted_automorphism,
     adapted_basis_vectors,
     automorphism_matrix,
     canonical_form,
@@ -22,7 +26,7 @@ from lorcurv import (
 )
 from lorcurv.metric import SignatureDiagnostics
 from lorcurv.atlas import form_specs, _ctx, _param_grid
-from tests.conftest import ALL_TAGS, SWEEP_GRID, rand_automorphism
+from tests.conftest import ALL_TAGS, SWEEP_GRID, lapack_calls, rand_automorphism
 from tests.test_curvature import _fuzz_metrics
 
 
@@ -329,3 +333,90 @@ def test_constant_curvature_near_c1_raises_only_rejections(c):
         except DegenerateMetricError:
             continue
         assert isinstance(cls, ConstantCurvatureClass)
+
+
+# --------------------------------------------------------------------------
+# the work of one reduction
+
+def test_canonical_form_lapack_budget(monkeypatch):
+    """A reduction makes the signature check's eigvalsh and det and the
+    strict eigvalsh of the canonical matrix, whatever its steps: the GI
+    block builder tests invertibility without a determinant call.  A
+    verdict of equivalence adds the witness's inverse and the
+    automorphism check's det."""
+    budget = {"eigvalsh": 2, "det": 1}
+    tag = FamilyTag("Gc", 2.0)
+    h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
+    cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h))
+    assert cf.form_id == "Gc_gt1.2"
+    assert calls == budget
+
+    tag = FamilyTag("GI")
+    C = canonical_matrix(tag, "GI.1", {"mu": 1.0})
+    A = automorphism_matrix(tag, block=[[1.0, 2.0], [-0.5, 3.0]],
+                            translation=(0.3, -0.2))
+    B = automorphism_matrix(tag, block=[[0.0, -2.0], [1.5, 0.5]],
+                            translation=(-1.0, 0.4))
+    h1, h2 = MetricTensor(A.T @ C @ A), MetricTensor(B.T @ C @ B)
+    cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h1))
+    assert cf.form_id == "GI.1"
+    assert calls == budget
+    (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
+    assert flag
+    assert calls == {"eigvalsh": 4, "det": 3, "inv": 1}
+
+
+#: one family of each reducer, in its classification basis
+_REDUCER_TAGS = [FamilyTag("GI"), FamilyTag("Gc", 2.0), FamilyTag("Gc", 1.0),
+                 FamilyTag("Gc", 0.75)]
+_entry = st.floats(-3.0, 3.0)
+
+
+def _step(tag, kind, x):
+    """An automorphism of tag's classification basis from five numbers:
+    kind 0 is the family's own builder, kind 1 the reducer's shared
+    scale-and-translate step.  None where the numbers give no
+    automorphism."""
+    p, q, r, s, t = x
+    try:
+        if kind == 1:
+            return lorcurv.canonical._Reducer.scale_translate(p, (q, r)) if p else None
+        key = tag.family_key()
+        if key == "GI":
+            return automorphism_matrix(tag, block=[[p, q], [r, s]], translation=(t, p))
+        if key == "Gc_gt1":
+            return automorphism_matrix(tag, alpha=p, beta=q, translation=(r, s))
+        return adapted_automorphism(tag, p, q, translation=(r, s))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=st.sampled_from(_REDUCER_TAGS),
+       h=st.lists(_entry, min_size=6, max_size=6),
+       steps=st.lists(st.tuples(st.sampled_from([0, 1]),
+                                st.lists(_entry, min_size=5, max_size=5)),
+                      max_size=6))
+def test_reducer_band_follows_every_step(family, h, steps):
+    """band, is_zero and plane_degenerate read a scale the reducer stores
+    once per step; after every apply they must equal the formulas
+    recomputed from A^T h0 A."""
+    h0 = np.array([[h[0], h[1], h[2]], [h[1], h[3], h[4]], [h[2], h[4], h[5]]])
+    red = lorcurv.canonical._Reducer(family, h0, DEFAULT_TOL)
+    tol = DEFAULT_TOL.classification_tol
+
+    def check():
+        cur = red.A.T @ h0 @ red.A
+        scale = 1.0 + np.abs(cur).max()
+        assert np.array_equal(red.cur, cur)
+        assert red.band() == tol * scale
+        assert red.is_zero(0, 1) == (abs(cur[0, 1]) <= tol * scale)
+        p = cur[0, 0] * cur[1, 1] - cur[0, 1] ** 2
+        assert red.plane_degenerate() == (abs(p) <= tol * scale ** 2)
+
+    check()
+    for kind, x in steps:
+        B = _step(family, kind, x)
+        if B is not None:
+            red.apply(B)
+            check()

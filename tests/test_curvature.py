@@ -22,7 +22,7 @@ from lorcurv import (
 )
 from lorcurv.atlas import _ctx, _param_grid
 from lorcurv.curvature import frame_inner
-from tests.conftest import ALL_TAGS, SWEEP_GRID, rand_automorphism
+from tests.conftest import ALL_TAGS, SWEEP_GRID, lapack_calls, rand_automorphism
 
 
 def _report(tag, form_id, params):
@@ -325,27 +325,6 @@ def test_tensor_core_matches_loop_oracle_on_fuzz_metrics(c):
 # --------------------------------------------------------------------------
 # the reused decompositions of curvature_report
 
-_LAPACK = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "inv", "det")
-
-
-def _lapack_calls(monkeypatch, call):
-    """The result of call() and the number of calls it made to each
-    np.linalg decomposition, inverse or determinant (zero counts left out)."""
-    counts = dict.fromkeys(_LAPACK, 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    with monkeypatch.context() as m:
-        for name in _LAPACK:
-            m.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        result = call()
-    return result, {name: n for name, n in counts.items() if n}
-
-
 def test_curvature_report_lapack_budget(monkeypatch):
     """One report makes the frame's eigh, the inverse of the frame in the
     bracket rewrite and the classifier's eig, and nothing else; the
@@ -355,14 +334,14 @@ def test_curvature_report_lapack_budget(monkeypatch):
     tag = FamilyTag("Gc", 2.0)
     alg = make_family_algebra(tag)
     h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
-    rep, calls = _lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
+    rep, calls = lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
     assert rep.oneill.type_tag == ONeillType.COMPLEX
     assert calls == {"eig": 1, "eigh": 1, "inv": 1}
 
     tag = FamilyTag("GI")
     alg = make_family_algebra(tag)
     h = MetricTensor(canonical_matrix(tag, "GI.1", {"mu": 1.0}))
-    rep, calls = _lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
+    rep, calls = lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
     assert np.abs(rep.ricci_op - rep.scalar / 3 * np.eye(3)).max() < 1e-12
     assert sum(calls.values()) <= 6, calls
 

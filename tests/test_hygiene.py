@@ -1,7 +1,8 @@
 """Static hygiene checks that need no linter: every name a module imports
 is used in that module, every module-private top-level function or
-class of the package is used outside its own definition, and every
-parameter of a function of the package is read by its body.
+class of the package is used outside its own definition, every
+parameter of a function of the package is read by its body, and the
+package calls no function-style numpy reduction.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -113,3 +114,34 @@ def test_scan_finds_unused_parameter():
               "def _lt1_10_matrix(ctx, p):\n    return p\n")
     assert unused_parameters(source) == ["line 1: f(b)", "line 1: f(c)",
                                          "line 1: f(args)", "line 9: g(y)"]
+
+
+#: reductions the package calls as ndarray methods: on 3x3 arrays the
+#: ``np.max(x)`` wrappers cost more than the arithmetic
+_REDUCTIONS = {"max", "min", "sum", "all", "any"}
+
+
+def function_style_reductions(source: str) -> list[str]:
+    """Calls ``np.max(...)``, ``np.min(...)``, ``np.sum(...)``,
+    ``np.all(...)`` or ``np.any(...)`` in ``source``."""
+    calls = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in _REDUCTIONS
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
+    return [f"line {node.lineno}: np.{node.func.attr}"
+            for node in sorted(calls, key=lambda n: (n.lineno, n.col_offset))]
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_no_function_style_reductions(path):
+    assert function_style_reductions(path.read_text()) == []
+
+
+def test_scan_finds_function_style_reduction():
+    source = ("import numpy as np\nx = np.zeros(3)\n"
+              "a = np.max(np.abs(x))\nb = np.abs(x).max() + np.sum(x)\n"
+              "c = np.all(x > 0) or np.any(x)\nd = np.min(x) + x.min() + max(x)\n"
+              "e = np.maximum(x, 1.0).sum()\n")
+    assert function_style_reductions(source) == [
+        "line 3: np.max", "line 4: np.sum", "line 5: np.all", "line 5: np.any",
+        "line 6: np.min"]
