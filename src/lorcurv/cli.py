@@ -10,10 +10,15 @@ Input is a JSON document (file path or ``-`` for stdin):
       "tolerance": {"abs_tol": .., "classification_tol": ..}
     }
 
-Exit codes: 0 success, 1 domain rejection (invalid metric / wrong
-signature / inconsistent basis), 2 parse or I/O error, 3 "not
-equivalent" (equiv only), 4 internal fault (a residual check of the
-engine failed; one ``fault: <subcommand>: <message>`` line on stderr).
+Exit codes, all decided in ``main``: 0 success; 1 rejection, any
+``ValueError`` of the library (invalid metric, wrong signature, a
+basis that does not fit the family, a pivot inside the tolerance band,
+a metric that ``--frame paper`` finds not h-orthonormal), with one
+``rejected: <message>`` line on stderr; 2 parse or I/O error (``error:
+<field>: <message>``); 3 "not equivalent" (equiv only); 4 internal
+fault, an ``ArithmeticError`` or ``LinAlgError`` of the engine (one
+``fault: <subcommand>: <message>`` line on stderr).  ``validate``
+prints its diagnostics and exits 1 when the metric is not Lorentzian.
 The environment variable LORCURV_TOL, when set, overrides the default
 abs_tol; an explicit "tolerance" field in the document wins over both.
 Each tolerance must be at least 1e-16.
@@ -31,7 +36,6 @@ import numpy as np
 from .algebra import BasisLabel, FamilyTag
 from .atlas import emit_tables, paper_frame
 from .canonical import (
-    DegenerateMetricError,
     canonical_form,
     constant_curvature_class,
     equivalent,
@@ -54,10 +58,6 @@ class InputError(Exception):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-class DomainError(Exception):
-    pass
 
 
 def _finite_real(value) -> bool:
@@ -96,15 +96,14 @@ def _parse_family(node) -> FamilyTag:
 
 
 def _parse_basis(node, tag: FamilyTag) -> BasisLabel:
-    try:
-        basis = BasisLabel(node)
-    except ValueError as exc:
+    if node not in ("natural", "Q_adapted", "P_adapted"):
         raise InputError(
-            "basis", 'expected "natural", "Q_adapted" or "P_adapted"') from exc
+            "basis", 'expected "natural", "Q_adapted" or "P_adapted"')
+    basis = BasisLabel(node)
     if basis == BasisLabel.Q_ADAPTED and not (tag.kind == "Gc" and tag.c == 1):
-        raise DomainError("Q_adapted basis is only defined for the c = 1 family")
+        raise ValueError("Q_adapted basis is only defined for the c = 1 family")
     if basis == BasisLabel.P_ADAPTED and not (tag.kind == "Gc" and tag.c < 1):
-        raise DomainError("P_adapted basis is only defined for c < 1 families")
+        raise ValueError("P_adapted basis is only defined for c < 1 families")
     return basis
 
 
@@ -135,11 +134,8 @@ def _parse_metric(node, basis: BasisLabel, tol: ToleranceConfig) -> MetricTensor
         for j, value in enumerate(row):
             if not _finite_real(value):
                 raise InputError(f"metric[{i}][{j}]", "must be a finite real number")
-    try:
-        return MetricTensor(np.array(node, dtype=float), basis_label=basis,
-                            tolerance=tol)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    return MetricTensor(np.array(node, dtype=float), basis_label=basis,
+                        tolerance=tol)
 
 
 def _read_json(path: str):
@@ -148,7 +144,7 @@ def _read_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # ValueError: bad JSON or UTF-8
         raise InputError(path, str(exc)) from exc
 
 
@@ -170,13 +166,8 @@ def _load_document(path: str, family_required: bool = True):
     return tag, h, tol
 
 
-def _emit(payload, out=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _emit(payload) -> None:
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fail(code: int, message: str) -> int:
@@ -203,13 +194,6 @@ def cmd_validate(args) -> int:
     return EXIT_OK if diag.accepted else EXIT_DOMAIN
 
 
-def _canonicalize(tag, h, tol):
-    try:
-        return canonical_form(tag, h, tol)
-    except DegenerateMetricError as exc:
-        raise DomainError(str(exc)) from exc
-
-
 def _form_payload(cf) -> dict:
     payload = {
         "form_id": cf.form_id,
@@ -224,32 +208,24 @@ def _form_payload(cf) -> dict:
 
 def cmd_classify(args) -> int:
     tag, h, tol = _load_document(args.file)
-    cf = _canonicalize(tag, h, tol)
-    _emit(_form_payload(cf))
+    _emit(_form_payload(canonical_form(tag, h, tol)))
     return EXIT_OK
 
 
 def cmd_curvature(args) -> int:
     tag, h, tol = _load_document(args.file)
     from .algebra import make_family_algebra
-    try:
-        if args.frame == "paper":
-            cf = canonical_form(tag, h, tol)
-            target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
-            res = float(np.abs(target.entries - cf.canonical_matrix).max())
-            band = tol.classification_tol * (1.0 + float(np.abs(cf.canonical_matrix).max()))
-            if res > band:
-                raise DomainError(
-                    "metric is not in canonical form; canonicalize first "
-                    f"(form {cf.form_id}, residual {res:g})")
-            frame = paper_frame(tag, cf.form_id, cf.params)
-            alg = make_family_algebra(tag, cf.basis_label)
-            report = curvature_report(alg, target, frame=frame, tol=tol)
-        else:
-            alg = make_family_algebra(tag, h.basis_label)
-            report = curvature_report(alg, h, tol=tol)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    if args.frame == "paper":
+        # the frame's Gram check in curvature_report rejects a metric that
+        # is not its own canonical matrix
+        cf = canonical_form(tag, h, tol)
+        target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
+        frame = paper_frame(tag, cf.form_id, cf.params)
+        alg = make_family_algebra(tag, cf.basis_label)
+        report = curvature_report(alg, target, frame=frame, tol=tol)
+    else:
+        alg = make_family_algebra(tag, h.basis_label)
+        report = curvature_report(alg, h, tol=tol)
     _emit(report.to_dict())
     return EXIT_OK
 
@@ -309,10 +285,7 @@ def cmd_equiv(args) -> int:
         raise InputError("family", "the two documents describe different families")
     if h1.basis_label != h2.basis_label:
         raise InputError("basis", "the two metrics use different bases")
-    try:
-        flag, witness = equivalent(tag1, h1, h2, tol)
-    except DegenerateMetricError as exc:
-        raise DomainError(str(exc)) from exc
+    flag, witness = equivalent(tag1, h1, h2, tol)
     if not flag:
         _emit({"equivalent": False, "witness": None})
         return EXIT_NOT_EQUIVALENT
@@ -322,10 +295,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_constcurv(args) -> int:
     tag, h, tol = _load_document(args.file)
-    try:
-        cls, cf = constant_curvature_class(tag, h, tol)
-    except DegenerateMetricError as exc:
-        raise DomainError(str(exc)) from exc
+    cls, cf = constant_curvature_class(tag, h, tol)
     _emit({"class": cls.value, "form_id": cf.form_id, "params": cf.params})
     return EXIT_OK
 
@@ -378,14 +348,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
-    except DomainError as exc:
-        return _fail(EXIT_DOMAIN, f"rejected: {exc}")
-    except OSError as exc:
-        return _fail(EXIT_PARSE, f"error: {exc}")
-    except ArithmeticError as exc:
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
         return _fail(EXIT_FAULT, f"fault: {args.command}: {exc}")
+    except ValueError as exc:       # the library's rejections
+        return _fail(EXIT_DOMAIN, f"rejected: {exc}")
 
 
 if __name__ == "__main__":

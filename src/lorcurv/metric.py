@@ -8,7 +8,7 @@ J = diag(1, 1, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,30 +24,33 @@ def frame_inner(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricTensor:
     """A symmetric bilinear form given by its matrix in some basis.
 
     Construction only enforces symmetry and finiteness; signature is
     checked separately by validate_metric so that rejected inputs can be
-    reported with diagnostics instead of an exception.
+    reported with diagnostics instead of an exception.  ``tolerance``
+    sets only the symmetry band and is not stored (nor an InitVar, whose
+    default would stay readable on the class): later calls take a tol.
     """
 
     entries: np.ndarray
     basis_label: BasisLabel = BasisLabel.NATURAL
-    tolerance: ToleranceConfig = field(default=DEFAULT_TOL)
 
-    def __post_init__(self) -> None:
-        h = np.asarray(self.entries, dtype=float)
+    def __init__(self, entries, basis_label: BasisLabel = BasisLabel.NATURAL,
+                 tolerance: ToleranceConfig = DEFAULT_TOL) -> None:
+        h = np.asarray(entries, dtype=float)
         if h.shape != (3, 3):
             raise ValueError("metric matrix must be 3x3")
         if not np.isfinite(h).all():
             raise ValueError("metric matrix must be finite")
         asym = float(np.abs(h - h.T).max())
         scale = 1.0 + float(np.abs(h).max())
-        if asym > self.tolerance.abs_tol * scale:
+        if asym > tolerance.abs_tol * scale:
             raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
         object.__setattr__(self, "entries", 0.5 * (h + h.T))
+        object.__setattr__(self, "basis_label", basis_label)
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class SignatureDiagnostics:
     accepted: bool
     signature: tuple[int, int, int]        # (n_plus, n_zero, n_minus)
     eigenvalues: tuple[float, float, float]  # ascending
-    det: float
+    det: float                               # product of the eigenvalues
     reason: str | None = None
 
 
@@ -80,20 +83,19 @@ def _signature(eigs: np.ndarray, tol: ToleranceConfig
 
 
 def validate_metric(h: MetricTensor,
-                    tol: ToleranceConfig | None = None) -> SignatureDiagnostics:
+                    tol: ToleranceConfig = DEFAULT_TOL) -> SignatureDiagnostics:
     """Check that h has Lorentzian signature (+, +, -)."""
     eigs = np.linalg.eigvalsh(h.entries)
-    sig, reason = _signature(eigs, tol or h.tolerance)
+    sig, reason = _signature(eigs, tol)
     return SignatureDiagnostics(reason is None, sig, tuple(map(float, eigs)),
-                                float(np.linalg.det(h.entries)), reason)
+                                float(eigs.prod()), reason)
 
 
 def pull_back_metric(h: MetricTensor, S: np.ndarray,
                      basis_label: BasisLabel = BasisLabel.CUSTOM) -> MetricTensor:
     """Matrix of the same form in the basis with vectors S e_j: S^T [h] S."""
     S = np.asarray(S, dtype=float)
-    return MetricTensor(S.T @ h.entries @ S, basis_label=basis_label,
-                        tolerance=h.tolerance)
+    return MetricTensor(S.T @ h.entries @ S, basis_label=basis_label)
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def frame_gram_residual(frame: OrthonormalFrame, h: MetricTensor) -> float:
 
 
 def orthonormal_frame(h: MetricTensor,
-                      tol: ToleranceConfig | None = None) -> OrthonormalFrame:
+                      tol: ToleranceConfig = DEFAULT_TOL) -> OrthonormalFrame:
     """Build an orthonormal frame for a valid Lorentzian metric.
 
     Eigenvectors of [h] are rescaled by 1/sqrt(|lambda|) and ordered so
@@ -126,7 +128,6 @@ def orthonormal_frame(h: MetricTensor,
     O(2,1) right-multiple works); when [h] is exactly J the identity is
     returned so the canonical frames of diagonal examples stay literal.
     """
-    tol = tol or h.tolerance
     if np.array_equal(h.entries, J21):
         return OrthonormalFrame(np.eye(3))
     eigvals, eigvecs = np.linalg.eigh(h.entries)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 #: smallest accepted tolerance: a band below double-precision rounding of
@@ -25,8 +26,9 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for name in ("abs_tol", "classification_tol"):
             value = getattr(self, name)
-            if not (value >= TOL_FLOOR):
-                raise ValueError(f"{name} must be at least {TOL_FLOOR:g}, got {value}")
+            if not TOL_FLOOR <= value < math.inf:      # NaN fails both
+                raise ValueError(f"{name} must be finite and at least "
+                                 f"{TOL_FLOOR:g}, got {value}")
 
 
 DEFAULT_TOL = ToleranceConfig()

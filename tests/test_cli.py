@@ -98,8 +98,10 @@ def test_curvature_paper_frame(tmp_path, capsys):
 def test_curvature_paper_frame_rejects_non_canonical(tmp_path, capsys):
     # equivalent to GI.1 but not literally canonical
     f = _doc(tmp_path, "m.json", "GI", [[2, 0, 0], [0, -1, 0], [0, 0, 1]])
-    code, _ = _run(capsys, "curvature", f, "--frame", "paper")
-    assert code == 1
+    assert main(["curvature", f, "--frame", "paper"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: frame is not h-orthonormal (residual ")
+    assert err.count("\n") == 1
 
 
 def test_curvature_paper_frame_gram_residual_is_a_rejection(tmp_path, capsys):
@@ -294,3 +296,57 @@ def test_internal_fault_exit4(tmp_path, capsys, monkeypatch, command):
     err = capsys.readouterr().err
     assert err == (f"fault: {command}: "
                    "transition is not in O(2,1) (residual 1)\n")
+
+
+@pytest.mark.parametrize("command", sorted(_ENGINE_CALLS))
+def test_engine_value_error_exit1(tmp_path, capsys, monkeypatch, command):
+    """Any ValueError of the engine is a rejection: exit 1 and one line,
+    whichever subcommand raised it."""
+    def reject(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, _ENGINE_CALLS[command], reject)
+    f = _doc(tmp_path, "m.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]])
+    argv = [command, f] + ([f] if command == "equiv" else [])
+    assert main(argv) == cli.EXIT_DOMAIN == 1
+    assert capsys.readouterr().err == "rejected: boom\n"
+
+
+@pytest.mark.parametrize("command", sorted(_ENGINE_CALLS))
+def test_linalg_error_is_a_fault(tmp_path, capsys, monkeypatch, command):
+    """numpy's LinAlgError is a ValueError, but a failed factorisation is
+    the engine's fault, not a verdict on the input."""
+    def fault(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, _ENGINE_CALLS[command], fault)
+    f = _doc(tmp_path, "m.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]])
+    argv = [command, f] + ([f] if command == "equiv" else [])
+    assert main(argv) == cli.EXIT_FAULT
+    assert capsys.readouterr().err == f"fault: {command}: Singular matrix\n"
+
+
+_DOCUMENT_COMMANDS = ["validate", "classify", "curvature", "constcurv", "equiv"]
+
+
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS)
+def test_non_utf8_document_exit2(tmp_path, capsys, command):
+    f = tmp_path / "m.json"
+    f.write_bytes(b"\xff\xfe{}")
+    argv = [command, str(f)] + ([str(f)] if command == "equiv" else [])
+    assert main(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", _DOCUMENT_COMMANDS)
+def test_custom_basis_exit2(tmp_path, capsys, command):
+    """"custom" names a basis the library builds internally; a document
+    can only use the three bases of the paper."""
+    f = _doc(tmp_path, "m.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]],
+             basis="custom")
+    argv = [command, f] + ([f] if command == "equiv" else [])
+    assert main(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == (
+        'error: basis: expected "natural", "Q_adapted" or "P_adapted"\n')

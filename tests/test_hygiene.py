@@ -1,8 +1,9 @@
 """Static hygiene checks that need no linter: every name a module imports
 is used in that module, every module-private top-level function or
 class of the package is used outside its own definition, every
-parameter of a function of the package is read by its body, and the
-package calls no function-style numpy reduction.
+parameter of a function of the package is read by its body, every
+default of a module-private function is overridden by some call, and
+the package calls no function-style numpy reduction.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -114,6 +115,59 @@ def test_scan_finds_unused_parameter():
               "def _lt1_10_matrix(ctx, p):\n    return p\n")
     assert unused_parameters(source) == ["line 1: f(b)", "line 1: f(c)",
                                          "line 1: f(args)", "line 9: g(y)"]
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether ``call`` gives the parameter at positional ``index`` (None
+    for keyword-only) called ``name`` a value; a starred argument may."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unpassed_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of module-private top-level functions that no
+    call in ``sources`` (module name -> source) passes, by position or by
+    name: such a default is the only value its parameter ever takes."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = [n for tree in trees.values() for n in ast.walk(tree)
+             if isinstance(n, ast.Call)]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or not node.name.startswith("_") or node.name.startswith("__")):
+                continue
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                        args.kw_defaults)
+                          if d is not None]
+            mine = [c for c in calls
+                    if getattr(c.func, "id", getattr(c.func, "attr", None)) == node.name]
+            found += [f"{module} line {node.lineno}: {node.name}({name})"
+                      for index, name in defaulted
+                      if not any(_passes(c, index, name) for c in mine)]
+    return found
+
+
+def test_every_private_default_is_passed():
+    assert unpassed_defaults({p.name: p.read_text() for p in _PACKAGE}) == []
+
+
+def test_scan_finds_unpassed_default():
+    a = ("def _f(x, y=1, z=2, *, k=3, m=4):\n    return x\n\n"
+         "def _g(u=0):\n    return u\n\n"
+         "def _h(v=0):\n    return v\n\n"
+         "def public(w=0):\n    return _f(1, 2, m=5)\n")
+    b = ("import a\nargs = (1,)\n"
+         "a._g(*args)\n")
+    assert unpassed_defaults({"a.py": a, "b.py": b}) == [
+        "a.py line 1: _f(z)", "a.py line 1: _f(k)", "a.py line 7: _h(v)"]
 
 
 #: reductions the package calls as ndarray methods: on 3x3 arrays the

@@ -3,9 +3,13 @@ import pytest
 
 from lorcurv import (
     J21,
+    FamilyTag,
     MetricTensor,
     ToleranceConfig,
+    canonical_form,
+    curvature_report,
     frame_gram_residual,
+    make_family_algebra,
     orthonormal_frame,
     pull_back_metric,
     validate_metric,
@@ -91,8 +95,27 @@ def test_frame_is_deterministic():
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "classification_tol"])
-@pytest.mark.parametrize("value", [1e-20, 0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("value", [1e-20, 0.0, -1.0, float("nan"), float("inf")])
 def test_tolerance_floor(field, value):
     with pytest.raises(ValueError, match=field):
         ToleranceConfig(**{field: value})
     ToleranceConfig(**{field: 1e-16})
+
+
+def test_tolerance_is_decided_per_call():
+    """MetricTensor(tolerance=...) sets only the symmetry check: it is not
+    kept, so the frame builder and the curvature report that calls it give
+    one verdict on a nearly degenerate metric, the verdict of their tol."""
+    loose = ToleranceConfig(classification_tol=1e-9)
+    h = MetricTensor(np.diag([1.0, 1e-8, -1.0]), tolerance=loose)
+    assert not hasattr(h, "tolerance")
+    tag = FamilyTag("GI")
+    alg = make_family_algebra(tag, h.basis_label)
+    assert not validate_metric(h).accepted
+    for decide in (lambda: orthonormal_frame(h), lambda: canonical_form(tag, h),
+                   lambda: curvature_report(alg, h)):
+        with pytest.raises(ValueError, match="degenerate form"):
+            decide()
+    assert validate_metric(h, loose).accepted
+    frame = orthonormal_frame(h, loose)
+    assert curvature_report(alg, h, frame=frame, tol=loose).frame is frame
