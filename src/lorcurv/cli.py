@@ -13,7 +13,8 @@ Input is a JSON document (file path or ``-`` for stdin):
 Exit codes, all decided in ``main``: 0 success; 1 rejection, any
 ``ValueError`` of the library (invalid metric, wrong signature, a
 basis that does not fit the family, a pivot inside the tolerance band,
-a metric that ``--frame paper`` finds not h-orthonormal), with one
+a metric that ``--frame paper`` finds not canonical or not
+h-orthonormal), with one
 ``rejected: <message>`` line on stderr; 2 parse or I/O error (``error:
 <field>: <message>``); 3 "not equivalent" (equiv only); 4 internal
 fault, an ``ArithmeticError`` or ``LinAlgError`` of the engine (one
@@ -216,10 +217,16 @@ def cmd_curvature(args) -> int:
     tag, h, tol = _load_document(args.file)
     from .algebra import make_family_algebra
     if args.frame == "paper":
-        # the frame's Gram check in curvature_report rejects a metric that
-        # is not its own canonical matrix
+        # the frame's Gram band in curvature_report scales with max|h| while
+        # its residual does not, so it alone would pass a large non-canonical
+        # metric; the entrywise check keeps the frame tied to the input
         cf = canonical_form(tag, h, tol)
         target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
+        res = float(np.abs(target.entries - cf.canonical_matrix).max())
+        band = tol.classification_tol * (1.0 + float(np.abs(cf.canonical_matrix).max()))
+        if res > band:
+            raise ValueError("metric is not in canonical form; canonicalize first "
+                             f"(form {cf.form_id}, residual {res:g})")
         frame = paper_frame(tag, cf.form_id, cf.params)
         alg = make_family_algebra(tag, cf.basis_label)
         report = curvature_report(alg, target, frame=frame, tol=tol)
@@ -268,11 +275,8 @@ def cmd_atlas(args) -> int:
     tol = _default_tolerance()
     text = emit_tables(tag, grid, fmt=args.format, tol=tol)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise InputError(args.out, str(exc)) from exc
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

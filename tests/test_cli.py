@@ -100,8 +100,22 @@ def test_curvature_paper_frame_rejects_non_canonical(tmp_path, capsys):
     f = _doc(tmp_path, "m.json", "GI", [[2, 0, 0], [0, -1, 0], [0, 0, 1]])
     assert main(["curvature", f, "--frame", "paper"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("rejected: frame is not h-orthonormal (residual ")
+    assert err.startswith("rejected: metric is not in canonical form; "
+                          "canonicalize first (form GI.1, residual ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mu,t", [(1e6, 90.0), (1e4, 0.09)])
+def test_curvature_paper_frame_rejects_large_translated_metric(
+        tmp_path, capsys, mu, t):
+    """GI.1 pulled back by e3 -> e3 - t e1.  The paper frame is off from
+    h-orthonormal by t/sqrt(mu), which lies inside the Gram band
+    classification_tol (1 + max|h|); the entrywise check still rejects it."""
+    metric = [[1, 0, t], [0, -1, 0], [t, 0, mu + t * t]]
+    f = _doc(tmp_path, "m.json", "GI", metric)
+    assert main(["curvature", f, "--frame", "paper"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: metric is not in canonical form")
 
 
 def test_curvature_paper_frame_gram_residual_is_a_rejection(tmp_path, capsys):
@@ -177,6 +191,15 @@ def test_atlas_out_file(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert len(payload) == 3
+
+
+def test_atlas_unwritable_out_exit2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "atlas.csv"
+    assert main(["atlas", "--family", "GI", "--grid", "mu=1",
+                 "--out", str(out_path)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_path) in err
+    assert err.count("\n") == 1
 
 
 def test_atlas_bad_grid_exit2():
