@@ -13,6 +13,7 @@ live here as well.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import sys
@@ -130,6 +131,7 @@ def _constants_from_pairs(pairs: dict[tuple[int, int], list[float]]) -> np.ndarr
     return c
 
 
+@functools.lru_cache(maxsize=64)
 def make_family_algebra(tag: FamilyTag,
                         basis_label: BasisLabel = BasisLabel.NATURAL) -> LieAlgebra3:
     """Structure constants of GI or Gc in the requested basis.
@@ -138,6 +140,9 @@ def make_family_algebra(tag: FamilyTag,
 
     * Q_adapted (c = 1):  [x3, x1] = x1,           [x3, x2] = x1 + x2
     * P_adapted (c < 1):  [x3, x1] = (1 + w) x1,   [x3, x2] = (1 - w) x2
+
+    The algebra is a fixed object of (tag, basis_label), so it is built
+    once and shared: its constants are read-only.
     """
     if basis_label == BasisLabel.NATURAL:
         if tag.kind == "GI":
@@ -156,8 +161,10 @@ def make_family_algebra(tag: FamilyTag,
         pairs = {(2, 0): [1.0 + w, 0.0, 0.0], (2, 1): [0.0, 1.0 - w, 0.0]}
     else:
         raise ValueError(f"cannot synthesise structure constants for {basis_label}")
-    return LieAlgebra3(_constants_from_pairs(pairs), family=tag,
-                       basis_label=basis_label)
+    alg = LieAlgebra3(_constants_from_pairs(pairs), family=tag,
+                      basis_label=basis_label)
+    alg.structure_constants.setflags(write=False)
+    return alg
 
 
 def bracket_constants(c: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -205,9 +212,18 @@ def adapted_transition(tag: FamilyTag) -> np.ndarray:
 
 
 def adapted_basis_vectors(tag: FamilyTag) -> np.ndarray:
-    """Columns = adapted basis vectors in natural coordinates (the inverse
-    of adapted_transition)."""
-    return np.linalg.inv(adapted_transition(tag))
+    """Columns = adapted basis vectors in natural coordinates: the exact
+    inverse of adapted_transition.  Defined for c <= 1."""
+    if tag.kind != "Gc" or tag.c is None or tag.c > 1:
+        raise ValueError("adapted bases exist only for Gc with c <= 1")
+    if tag.c == 1:
+        return np.array([[-1.0, -1.0, 0.0],
+                         [1.0, 2.0, 0.0],
+                         [0.0, 0.0, 1.0]])
+    w = tag.w
+    return np.array([[w - 1.0, -(1.0 + w), 0.0],
+                     [1.0, 1.0, 0.0],
+                     [0.0, 0.0, 1.0]])
 
 
 def automorphism_matrix(tag: FamilyTag, *, block=None, alpha: float | None = None,
@@ -260,6 +276,13 @@ def adapted_automorphism(tag: FamilyTag, gamma: float, delta: float,
     return np.array([[gamma, 0.0, t1], [0.0, delta, t2], [0.0, 0.0, 1.0]])
 
 
+#: the basis pairs (i, j) = (0, 1), (0, 2), (1, 2) and their rows 3 i + j
+#: of the constants reshaped to (9, 3)
+_PAIR_I = np.array([0, 0, 1])
+_PAIR_J = np.array([1, 2, 2])
+_PAIR_ROWS = 3 * _PAIR_I + _PAIR_J
+
+
 def is_automorphism(alg: LieAlgebra3, A: np.ndarray,
                     tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Check A [u, v] = [A u, A v] on all basis pairs, to tolerance."""
@@ -274,6 +297,6 @@ def is_automorphism(alg: LieAlgebra3, A: np.ndarray,
     # [A e_i, A e_j]; the constants may be antisymmetric only to 1e-5, so
     # the other rows are not implied by these.  AA[(k, l), p] = A[k, i] A[l, j]
     # for the p-th pair (i, j)
-    AA = (A[:, None, [0, 0, 1]] * A[None, :, [1, 2, 2]]).reshape(9, 3)
-    res = float(np.abs(c[[1, 2, 5]] @ A.T - AA.T @ c).max())
+    AA = (A[:, None, _PAIR_I] * A[None, :, _PAIR_J]).reshape(9, 3)
+    res = float(np.abs(c[_PAIR_ROWS] @ A.T - AA.T @ c).max())
     return res <= tol.abs_tol * scale + tol.abs_tol

@@ -23,13 +23,13 @@ from enum import Enum
 import numpy as np
 
 from .algebra import (BasisLabel, FamilyTag, adapted_automorphism,
-                      adapted_basis_vectors, automorphism_matrix,
-                      classification_basis, is_automorphism,
-                      make_family_algebra)
+                      adapted_basis_vectors, adapted_transition,
+                      automorphism_matrix, classification_basis,
+                      is_automorphism, make_family_algebra)
 from .atlas import canonical_matrix
 from .curvature import levi_civita, ricci_tensor, riemann
-from .metric import (J21, MetricTensor, orthonormal_frame, pull_back_metric,
-                     validate_metric)
+from .metric import (J21, MetricTensor, _signature, orthonormal_frame,
+                     pull_back_metric)
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -69,8 +69,18 @@ def to_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
 
 
 def from_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
-    U = adapted_basis_vectors(tag)
-    return pull_back_metric(h, np.linalg.inv(U), basis_label=BasisLabel.NATURAL)
+    return pull_back_metric(h, adapted_transition(tag),
+                            basis_label=BasisLabel.NATURAL)
+
+
+def _strictly_lorentzian(C: np.ndarray) -> bool:
+    """Whether the symmetric matrix C has signature (2, 0, 1), with no
+    tolerance band.  det C < 0 leaves one or three negative eigenvalues,
+    and three exactly when C is negative definite, which Sylvester's
+    criterion reads off the leading minors C00 and C00 C11 - C01^2."""
+    (a, b, c), (_, d, e), (_, _, f) = C.tolist()
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    return det < 0.0 and not (a < 0.0 and a * d - b * b > 0.0)
 
 
 class _Reducer:
@@ -162,12 +172,13 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     else:
         raise ValueError(f"metric basis {h.basis_label} not usable for {tag}")
 
-    diag = validate_metric(h_cls, tol)
-    if not diag.accepted:
-        raise DegenerateMetricError(diag.reason or "invalid signature")
+    ev = np.linalg.eigvalsh(h_cls.entries).tolist()
+    _, reason = _signature(ev, tol)
+    if reason is not None:
+        raise DegenerateMetricError(reason)
     # the reducer's zero band is absolute, so it refuses an eigenvalue within
     # classification_tol of zero that the relative signature band accepts
-    if min(map(abs, diag.eigenvalues)) <= tol.classification_tol:
+    if min(map(abs, ev)) <= tol.classification_tol:
         raise DegenerateMetricError(
             "degenerate form (eigenvalue within tolerance of zero)")
 
@@ -185,8 +196,7 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     canon = canonical_matrix(tag, form_id, params)
     # A^T h A is congruent to the validated input, so this strict test stands
     # in for a sign test per reducer branch; a banded test refuses good forms
-    ev = np.linalg.eigvalsh(canon)
-    if not ev[0] < 0.0 < ev[1]:
+    if not _strictly_lorentzian(canon):
         raise DegenerateMetricError("inconsistent signature in reduction")
     res = float(np.abs(red.cur - canon).max())
     band = tol.classification_tol * (1.0 + float(np.abs(canon).max())) * 100
@@ -415,15 +425,12 @@ def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
             return False, None
     W = cf1.witness @ np.linalg.inv(cf2.witness)
     if h1.basis_label == BasisLabel.NATURAL and cf1.basis_label != BasisLabel.NATURAL:
-        U = adapted_basis_vectors(tag)
-        W = U @ W @ np.linalg.inv(U)
+        W = adapted_basis_vectors(tag) @ W @ adapted_transition(tag)
     res = float(np.abs(W.T @ h1.entries @ W - h2.entries).max())
     scale = 1.0 + float(np.abs(h2.entries).max())
     if res > tol.classification_tol * scale * 100:
         raise ArithmeticError(f"equivalence witness residual {res:g} too large")
-    alg = make_family_algebra(tag, h1.basis_label) \
-        if h1.basis_label != BasisLabel.CUSTOM else None
-    if alg is not None and not is_automorphism(alg, W, tol):
+    if not is_automorphism(make_family_algebra(tag, h1.basis_label), W, tol):
         raise ArithmeticError("equivalence witness is not an automorphism")
     return True, W
 

@@ -8,6 +8,7 @@ J = diag(1, 1, -1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,11 +44,11 @@ class MetricTensor:
         h = np.asarray(entries, dtype=float)
         if h.shape != (3, 3):
             raise ValueError("metric matrix must be 3x3")
-        if not np.isfinite(h).all():
+        big = float(np.abs(h).max())
+        if not big < math.inf:          # an inf or a NaN entry
             raise ValueError("metric matrix must be finite")
         asym = float(np.abs(h - h.T).max())
-        scale = 1.0 + float(np.abs(h).max())
-        if asym > tolerance.abs_tol * scale:
+        if asym > tolerance.abs_tol * (1.0 + big):
             raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
         object.__setattr__(self, "entries", 0.5 * (h + h.T))
         object.__setattr__(self, "basis_label", basis_label)
@@ -64,16 +65,21 @@ class SignatureDiagnostics:
     reason: str | None = None
 
 
-def _signature(eigs: np.ndarray, tol: ToleranceConfig
+def _signature(ev: list[float], tol: ToleranceConfig
                ) -> tuple[tuple[int, int, int], str | None]:
     """Signature (n_plus, n_zero, n_minus) of a symmetric matrix from its
     eigenvalues, and the reason it is not Lorentzian (None when it is).
     The zero band is relative to the largest |eigenvalue|, so the verdict
     does not change under h -> lambda h."""
-    band = tol.classification_tol * float(np.abs(eigs).max())  # NaN propagates
-    ev = eigs.tolist()
-    n_zero = sum(abs(e) <= band for e in ev)
-    n_plus = sum(e > band for e in ev)
+    band = tol.classification_tol * max(map(abs, ev))
+    if any(map(math.isnan, ev)):    # NaN propagates: no eigenvalue passes
+        band = math.nan
+    n_zero = n_plus = 0
+    for e in ev:
+        if abs(e) <= band:
+            n_zero += 1
+        elif e > band:
+            n_plus += 1
     sig = (n_plus, n_zero, 3 - n_zero - n_plus)
     if n_zero > 0:
         return sig, "degenerate form (eigenvalue within tolerance of zero)"
@@ -85,10 +91,10 @@ def _signature(eigs: np.ndarray, tol: ToleranceConfig
 def validate_metric(h: MetricTensor,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SignatureDiagnostics:
     """Check that h has Lorentzian signature (+, +, -)."""
-    eigs = np.linalg.eigvalsh(h.entries)
-    sig, reason = _signature(eigs, tol)
-    return SignatureDiagnostics(reason is None, sig, tuple(map(float, eigs)),
-                                float(eigs.prod()), reason)
+    ev = np.linalg.eigvalsh(h.entries).tolist()
+    sig, reason = _signature(ev, tol)
+    return SignatureDiagnostics(reason is None, sig, tuple(ev), math.prod(ev),
+                                reason)
 
 
 def pull_back_metric(h: MetricTensor, S: np.ndarray,
@@ -131,7 +137,7 @@ def orthonormal_frame(h: MetricTensor,
     if np.array_equal(h.entries, J21):
         return OrthonormalFrame(np.eye(3))
     eigvals, eigvecs = np.linalg.eigh(h.entries)
-    _, reason = _signature(eigvals, tol)
+    _, reason = _signature(eigvals.tolist(), tol)
     if reason is not None:
         raise ValueError(f"cannot build a frame: {reason}")
     order = np.argsort(eigvals < 0, kind="stable")     # timelike column last

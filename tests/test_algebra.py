@@ -127,6 +127,39 @@ def test_adapted_transition_consistency(c):
                        target.structure_constants, atol=1e-12)
 
 
+@pytest.mark.parametrize("c", [1.0, 0.75, 0.0, -3.0])
+def test_adapted_basis_vectors_invert_transition(c):
+    """adapted_basis_vectors is the closed-form inverse of
+    adapted_transition: exact for these c, whose w are dyadic."""
+    tag = FamilyTag("Gc", c)
+    U, T = adapted_basis_vectors(tag), adapted_transition(tag)
+    assert np.array_equal(U @ T, np.eye(3))
+    assert np.array_equal(T @ U, np.eye(3))
+
+
+def test_adapted_basis_vectors_match_inverse(rng):
+    for c in rng.uniform(-50.0, 1.0, size=50):
+        tag = FamilyTag("Gc", float(c))
+        assert np.allclose(adapted_basis_vectors(tag),
+                           np.linalg.inv(adapted_transition(tag)),
+                           rtol=1e-12, atol=1e-12)
+    with pytest.raises(ValueError, match="adapted bases exist only"):
+        adapted_basis_vectors(FamilyTag("Gc", 2.0))
+
+
+def test_family_algebra_is_built_once_and_read_only():
+    """Equal (tag, basis) give the same algebra object, whose constants
+    cannot be written: a caller cannot change it for the next one."""
+    for tag in ALL_TAGS:
+        basis = classification_basis(tag)
+        alg = make_family_algebra(tag, basis)
+        assert make_family_algebra(FamilyTag(tag.kind, tag.c), basis) is alg
+        with pytest.raises(ValueError, match="read-only"):
+            alg.structure_constants[2, 0, 0] = 5.0
+    assert make_family_algebra(FamilyTag("Gc", 2)) is \
+        make_family_algebra(FamilyTag("Gc", 2.0))
+
+
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
 def test_random_automorphisms_are_automorphisms(tag, rng):
     from lorcurv import classification_basis

@@ -24,7 +24,6 @@ from lorcurv import (
     make_family_algebra,
     to_adapted_basis,
 )
-from lorcurv.metric import SignatureDiagnostics
 from lorcurv.atlas import form_specs, _ctx, _param_grid
 from tests.conftest import ALL_TAGS, SWEEP_GRID, lapack_calls, rand_automorphism
 from tests.test_curvature import _fuzz_metrics
@@ -257,10 +256,8 @@ def test_signature_test_rejects_non_lorentzian_reductions(tag, signs,
     """With the input check switched off, the one signature test on the
     canonical matrix must still refuse every non-Lorentzian metric: no
     answer, and no exception other than DegenerateMetricError."""
-    monkeypatch.setattr(
-        lorcurv.canonical, "validate_metric",
-        lambda h, tol: SignatureDiagnostics(True, (2, 0, 1), (-1.0, 1.0, 1.0),
-                                            -1.0))
+    monkeypatch.setattr(lorcurv.canonical, "_signature",
+                        lambda ev, tol: ((2, 0, 1), None))
     basis = classification_basis(tag)
     rng = np.random.default_rng([ALL_TAGS.index(tag), signs.count(-1)])
     S = np.diag(np.asarray(signs, dtype=float))
@@ -339,12 +336,12 @@ def test_constant_curvature_near_c1_raises_only_rejections(c):
 # the work of one reduction
 
 def test_canonical_form_lapack_budget(monkeypatch):
-    """A reduction makes the signature check's eigvalsh and the strict
-    eigvalsh of the canonical matrix, whatever its steps: the signature
-    check reads det off its eigenvalues, and the GI block builder tests
+    """A reduction makes one eigvalsh, the signature check's, whatever its
+    steps: the strict test of the canonical matrix is closed form, the
+    signature check reads nothing else, and the GI block builder tests
     invertibility without a determinant call.  A verdict of equivalence
     adds the witness's inverse and the automorphism check's det."""
-    budget = {"eigvalsh": 2}
+    budget = {"eigvalsh": 1}
     tag = FamilyTag("Gc", 2.0)
     h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
     cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h))
@@ -363,7 +360,68 @@ def test_canonical_form_lapack_budget(monkeypatch):
     assert calls == budget
     (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
     assert flag
-    assert calls == {"eigvalsh": 4, "det": 1, "inv": 1}
+    assert calls == {"eigvalsh": 2, "det": 1, "inv": 1}
+
+
+@pytest.mark.parametrize("c", [0.75, 1.0])
+def test_natural_basis_equivalent_lapack_budget(c, monkeypatch):
+    """Natural-basis input for c <= 1 moves to the adapted basis and the
+    witness moves back with the closed-form adapted_basis_vectors and
+    adapted_transition: no inverse beyond the witness's."""
+    tag = FamilyTag("Gc", c)
+    form_id, params = ("G1.3", {"nu": 2.0, "mu": 1.0}) if c == 1 \
+        else ("Gc_lt1.5", {"mu": 2.0})
+    h_ad = MetricTensor(canonical_matrix(tag, form_id, params),
+                        basis_label=classification_basis(tag))
+    h = from_adapted_basis(tag, h_ad)
+    A = automorphism_matrix(tag, alpha=0.7, beta=1.3, translation=(0.4, -0.6))
+    h2 = MetricTensor(A.T @ h.entries @ A)
+    cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h))
+    assert cf.form_id == form_id
+    assert calls == {"eigvalsh": 1}
+    (flag, W), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h, h2))
+    assert flag
+    assert calls == {"eigvalsh": 2, "det": 1, "inv": 1}
+    assert is_automorphism(make_family_algebra(tag), W)
+
+
+def test_custom_basis_is_refused():
+    """Only the natural basis and the family's classification basis can be
+    reduced; equivalent refuses a custom basis through canonical_form."""
+    tag = FamilyTag("Gc", 2.0)
+    h = MetricTensor(canonical_matrix(tag, "Gc_gt1.2", {"mu": 1.0, "tau": 0.5}),
+                     basis_label=BasisLabel.CUSTOM)
+    with pytest.raises(ValueError, match="not usable"):
+        canonical_form(tag, h)
+    with pytest.raises(ValueError, match="not usable"):
+        equivalent(tag, h, h)
+
+
+def _eigvalsh_lorentzian(C):
+    ev = np.linalg.eigvalsh(C)
+    return bool(ev[0] < 0.0 < ev[1])
+
+
+def test_strict_signature_test_matches_eigvalsh(rng):
+    """The closed-form strict test of the canonical matrix (det < 0 and not
+    negative definite) gives the eigvalsh sign pattern's verdict on every
+    canonical matrix of the sweep and on random symmetric matrices of
+    every signature."""
+    strict = lorcurv.canonical._strictly_lorentzian
+    for tag in ALL_TAGS:
+        for form_id, params, h in _canonical_metrics(tag):
+            assert strict(h.entries), (tag, form_id, params)
+            assert _eigvalsh_lorentzian(h.entries)
+    verdicts = set()
+    for signs in [(1, 1, -1), (1, 1, 1), (1, -1, -1), (-1, -1, -1)]:
+        for _ in range(500):
+            Q = rng.normal(size=(3, 3))
+            lam = np.asarray(signs) * rng.uniform(0.1, 3.0, size=3)
+            for C in (Q.T @ np.diag(lam) @ Q, Q + Q.T):
+                verdict = strict(C)
+                assert verdict == _eigvalsh_lorentzian(C), C
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 #: one family of each reducer, in its classification basis

@@ -14,6 +14,7 @@ from lorcurv import (
     pull_back_metric,
     validate_metric,
 )
+from lorcurv.metric import _signature
 
 
 def test_rejects_non_symmetric():
@@ -30,6 +31,39 @@ def test_rejects_nan():
     m = np.diag([1.0, 1.0, np.nan])
     with pytest.raises(ValueError):
         MetricTensor(m)
+
+
+def test_rejects_inf():
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MetricTensor(np.diag([1.0, 1.0, bad]))
+
+
+def _array_signature(eigs, tol):
+    """The signature count on the eigenvalue array, as numpy reductions:
+    the reference for _signature."""
+    band = tol.classification_tol * float(np.abs(eigs).max())
+    n_zero = int((np.abs(eigs) <= band).sum())
+    n_plus = int((eigs > band).sum())
+    return n_plus, n_zero, 3 - n_zero - n_plus
+
+
+def test_signature_matches_array_reference(rng):
+    """_signature counts on a list of floats; it must give the array
+    count's verdict on every sign pattern, on eigenvalues at the edge of
+    the band and on non-finite ones (a NaN anywhere makes the band NaN,
+    so no eigenvalue is zero or positive)."""
+    tol = ToleranceConfig()
+    cases = [np.sort(rng.choice([-1.0, 0.0, 1.0], size=3)
+                     * 10.0 ** rng.uniform(-9, 3, size=3)) for _ in range(300)]
+    cases += [np.array(ev) for ev in ([-1.0, 1e-7, 1.0], [-1.0, 1.0000001e-7, 1.0],
+                                      [np.nan, 1.0, 2.0], [-1.0, np.nan, 1.0],
+                                      [-1.0, 1.0, np.nan], [-np.inf, 1.0, 2.0],
+                                      [-1.0, 1.0, np.inf])]
+    for eigs in cases:
+        sig, reason = _signature(eigs.tolist(), tol)
+        assert sig == _array_signature(eigs, tol), eigs
+        assert (reason is None) == (sig == (2, 0, 1))
 
 
 def test_validate_lorentzian():
