@@ -36,9 +36,9 @@ class BasisLabel(str, Enum):
 class FamilyTag:
     """Identifies which Lie algebra family a computation refers to.
 
-    kind is "GI" or "Gc"; c is the real family parameter for "Gc"
-    (any value except 1 is a genuinely two-step-solvable algebra, c = 1
-    included here as the degenerate double-root case).
+    kind is "GI" or "Gc"; c is the real family parameter for "Gc", stored
+    as a float (any value except 1 is a genuinely two-step-solvable
+    algebra, c = 1 included here as the degenerate double-root case).
     """
 
     kind: str
@@ -54,28 +54,21 @@ class FamilyTag:
             if (isinstance(self.c, bool) or not isinstance(self.c, numbers.Real)
                     or not abs(self.c) <= sys.float_info.max):
                 raise ValueError("family Gc requires a finite real c")
+            object.__setattr__(self, "c", float(self.c))
         elif self.c is not None:
             raise ValueError("family GI takes no parameter")
 
     @property
     def w(self) -> float:
         """sqrt(1 - c), defined for c < 1 (distinct real eigenvalues of ad z)."""
-        if self.kind != "Gc" or self.c is None or self.c >= 1:
+        if self.kind != "Gc" or self.c >= 1:
             raise ValueError("w is defined only for Gc with c < 1")
         return math.sqrt(1.0 - self.c)
-
-    @property
-    def z_param(self) -> float:
-        """sqrt(c - 1), defined for c > 1 (complex eigenvalues of ad z)."""
-        if self.kind != "Gc" or self.c is None or self.c <= 1:
-            raise ValueError("z_param is defined only for Gc with c > 1")
-        return math.sqrt(self.c - 1.0)
 
     def family_key(self) -> str:
         """Coarse key used for canonical-form ids: GI, Gc_gt1, G1, Gc_lt1."""
         if self.kind == "GI":
             return "GI"
-        assert self.c is not None
         if self.c > 1:
             return "Gc_gt1"
         if self.c == 1:
@@ -93,8 +86,6 @@ class LieAlgebra3:
     """
 
     structure_constants: np.ndarray
-    family: FamilyTag | None = None
-    basis_label: BasisLabel = BasisLabel.CUSTOM
 
     def __post_init__(self) -> None:
         c = np.asarray(self.structure_constants, dtype=float)
@@ -148,21 +139,19 @@ def make_family_algebra(tag: FamilyTag,
         if tag.kind == "GI":
             pairs = {(2, 0): [1.0, 0.0, 0.0], (2, 1): [0.0, 1.0, 0.0]}
         else:
-            c = float(tag.c)  # type: ignore[arg-type]
-            pairs = {(2, 0): [0.0, 1.0, 0.0], (2, 1): [-c, 2.0, 0.0]}
+            pairs = {(2, 0): [0.0, 1.0, 0.0], (2, 1): [-tag.c, 2.0, 0.0]}
     elif basis_label == BasisLabel.Q_ADAPTED:
-        if tag.kind != "Gc" or tag.c != 1:
+        if classification_basis(tag) != basis_label:
             raise ValueError("Q_adapted basis exists only for Gc with c = 1")
         pairs = {(2, 0): [1.0, 0.0, 0.0], (2, 1): [1.0, 1.0, 0.0]}
     elif basis_label == BasisLabel.P_ADAPTED:
-        if tag.kind != "Gc" or tag.c is None or tag.c >= 1:
+        if classification_basis(tag) != basis_label:
             raise ValueError("P_adapted basis exists only for Gc with c < 1")
         w = tag.w
         pairs = {(2, 0): [1.0 + w, 0.0, 0.0], (2, 1): [0.0, 1.0 - w, 0.0]}
     else:
         raise ValueError(f"cannot synthesise structure constants for {basis_label}")
-    alg = LieAlgebra3(_constants_from_pairs(pairs), family=tag,
-                      basis_label=basis_label)
+    alg = LieAlgebra3(_constants_from_pairs(pairs))
     alg.structure_constants.setflags(write=False)
     return alg
 
@@ -178,13 +167,11 @@ def bracket_constants(c: np.ndarray, S: np.ndarray) -> np.ndarray:
     return 0.5 * (consts - consts.transpose(1, 0, 2))
 
 
-def change_basis(alg: LieAlgebra3, S: np.ndarray,
-                 basis_label: BasisLabel = BasisLabel.CUSTOM) -> LieAlgebra3:
+def change_basis(alg: LieAlgebra3, S: np.ndarray) -> LieAlgebra3:
     """Structure constants in the basis e'_j = S e_j (columns of S are the
     new basis vectors written in the old coordinates)."""
-    consts = bracket_constants(alg.structure_constants,
-                               np.asarray(S, dtype=float))
-    return LieAlgebra3(consts, family=alg.family, basis_label=basis_label)
+    return LieAlgebra3(bracket_constants(alg.structure_constants,
+                                         np.asarray(S, dtype=float)))
 
 
 def classification_basis(tag: FamilyTag) -> BasisLabel:
@@ -199,7 +186,7 @@ def classification_basis(tag: FamilyTag) -> BasisLabel:
 def adapted_transition(tag: FamilyTag) -> np.ndarray:
     """Matrix T with columns = natural basis vectors in adapted coordinates,
     i.e. [v]_adapted = T [v]_natural.  Defined for c <= 1."""
-    if tag.kind != "Gc" or tag.c is None or tag.c > 1:
+    if classification_basis(tag) == BasisLabel.NATURAL:
         raise ValueError("adapted bases exist only for Gc with c <= 1")
     if tag.c == 1:
         return np.array([[-2.0, -1.0, 0.0],
@@ -214,7 +201,7 @@ def adapted_transition(tag: FamilyTag) -> np.ndarray:
 def adapted_basis_vectors(tag: FamilyTag) -> np.ndarray:
     """Columns = adapted basis vectors in natural coordinates: the exact
     inverse of adapted_transition.  Defined for c <= 1."""
-    if tag.kind != "Gc" or tag.c is None or tag.c > 1:
+    if classification_basis(tag) == BasisLabel.NATURAL:
         raise ValueError("adapted bases exist only for Gc with c <= 1")
     if tag.c == 1:
         return np.array([[-1.0, -1.0, 0.0],
@@ -250,7 +237,7 @@ def automorphism_matrix(tag: FamilyTag, *, block=None, alpha: float | None = Non
         return np.array([[p, q, t1], [r, s, t2], [0.0, 0.0, 1.0]])
     if alpha is None or beta is None:
         raise ValueError("Gc automorphisms require alpha and beta")
-    c = float(tag.c)  # type: ignore[arg-type]
+    c = tag.c
     a, b = float(alpha), float(beta)
     if b * b + (c - 1.0) * a * a == 0.0:
         raise ValueError("degenerate (alpha, beta) pair")
@@ -264,7 +251,7 @@ def adapted_automorphism(tag: FamilyTag, gamma: float, delta: float,
     c = 1:  [[gamma, delta, t1], [0, gamma, t2], [0, 0, 1]],  gamma != 0
     c < 1:  [[gamma, 0, t1], [0, delta, t2], [0, 0, 1]],      gamma delta != 0
     """
-    if tag.kind != "Gc" or tag.c is None or tag.c > 1:
+    if classification_basis(tag) == BasisLabel.NATURAL:
         raise ValueError("adapted automorphisms exist only for Gc with c <= 1")
     t1, t2 = translation
     if tag.c == 1:

@@ -3,7 +3,9 @@
 Each canonical form is keyed once, by its FormSpec.  The spec records, as
 explicit formulas in the form parameters: the canonical matrix in the
 classification basis of the family, a distinguished orthonormal frame,
-the Ricci operator in that frame and the operator type.  In dimension
+the Ricci operator in that frame and the operator type.  Each formula is
+a callable of the FamilyTag (its c and, for c < 1, w) and the parameters,
+so the family constants are read from the tag itself.  In dimension
 three the Ricci operator fixes the rest of the curvature, so the scalar
 curvature rho = tr Ric and the three frame sectional curvatures are
 derived from it (Milnor's identity, see curvature.milnor_sectional).
@@ -23,7 +25,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -48,17 +49,12 @@ def _tri(x: float, band: float) -> ONeillType:
 class FormSpec:
     form_id: str
     param_names: tuple[str, ...]
-    domain: Callable          # (ctx, p) -> bool
-    matrix: Callable          # (ctx, p) -> 3x3 canonical matrix
-    frame: Callable           # (ctx, p) -> 3x3 column matrix
-    ric: Callable             # (ctx, p) -> 3x3 Ricci operator
-    oneill: Callable          # (ctx, p, band) -> ONeillType
+    domain: Callable          # (tag, p) -> bool
+    matrix: Callable          # (tag, p) -> 3x3 canonical matrix
+    frame: Callable           # (tag, p) -> 3x3 column matrix
+    ric: Callable             # (tag, p) -> 3x3 Ricci operator
+    oneill: Callable          # (tag, p, band) -> ONeillType
     notes: dict[str, str] = field(default_factory=dict)
-
-
-def _ctx(tag: FamilyTag) -> SimpleNamespace:
-    w = tag.w if (tag.kind == "Gc" and tag.c is not None and tag.c < 1) else None
-    return SimpleNamespace(c=tag.c, w=w)
 
 
 def _cols(*vectors) -> np.ndarray:
@@ -69,42 +65,10 @@ _E = np.eye(3)
 
 
 # --------------------------------------------------------------------------
-# family GI
+# formulas too long for a lambda, or shared by two forms
 
-_GI_FORMS = [
-    FormSpec(
-        "GI.1", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.diag([1.0, -1.0, p["mu"]]),
-        frame=lambda ctx, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
-        ric=lambda ctx, p: -(2.0 / p["mu"]) * np.eye(3),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
-    ),
-    FormSpec(
-        "GI.2", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.diag([1.0, 1.0, -p["mu"]]),
-        frame=lambda ctx, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
-        ric=lambda ctx, p: (2.0 / p["mu"]) * np.eye(3),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
-    ),
-    FormSpec(
-        "GI.3", (),
-        domain=lambda ctx, p: True,
-        matrix=lambda ctx, p: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        frame=lambda ctx, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
-                                   (_E[1] - _E[2]) / _S2),
-        ric=lambda ctx, p: np.zeros((3, 3)),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
-    ),
-]
-
-
-# --------------------------------------------------------------------------
-# family Gc, c > 1
-
-def _gc_gt1_2_ric(ctx, p):
-    c, t, mu = ctx.c, p["tau"], p["mu"]
+def _gc_gt1_2_ric(tag, p):
+    c, t, mu = tag.c, p["tau"], p["mu"]
     den = 2.0 * (1.0 - t) * mu
     r = (c - t) / (mu * math.sqrt(1.0 - t))
     return np.array([
@@ -114,8 +78,8 @@ def _gc_gt1_2_ric(ctx, p):
     ])
 
 
-def _gc_gt1_3_ric(ctx, p):
-    c, nu, mu = ctx.c, p["nu"], p["mu"]
+def _gc_gt1_3_ric(tag, p):
+    c, nu, mu = tag.c, p["nu"], p["mu"]
     den = 2.0 * (nu - 1.0) * mu
     r = (c - nu) / (mu * math.sqrt(nu - 1.0))
     return np.array([
@@ -125,151 +89,12 @@ def _gc_gt1_3_ric(ctx, p):
     ])
 
 
-_GC_GT1_FORMS = [
-    FormSpec(
-        "Gc_gt1.1", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        frame=lambda ctx, p: _cols(_E[0] / math.sqrt(p["mu"]),
-                                   (_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2),
-        ric=lambda ctx, p: np.array(
-            [[-ctx.c ** 2 * p["mu"] / 2, 0, 0],
-             [0, ctx.c * (ctx.c * p["mu"] + 1) / 2, -ctx.c / 2],
-             [0, ctx.c / 2, ctx.c * (ctx.c * p["mu"] - 1) / 2]]),
-        oneill=lambda ctx, p, band: ONeillType.DOUBLE,
-    ),
-    FormSpec(
-        "Gc_gt1.2", ("mu", "tau"),
-        domain=lambda ctx, p: p["mu"] > 0 and p["tau"] < 1,
-        matrix=lambda ctx, p: np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0],
-                                        [0, 0, p["mu"]]]),
-        frame=lambda ctx, p: _cols(
-            _E[2] / math.sqrt(p["mu"]), _E[0],
-            (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
-        ric=_gc_gt1_2_ric,
-        oneill=lambda ctx, p, band: _tri((ctx.c + p["tau"]) ** 2 - 4 * ctx.c, band),
-        notes={"kappa31": "printed without the factor 4 in the denominator"},
-    ),
-    FormSpec(
-        "Gc_gt1.3", ("mu", "nu"),
-        domain=lambda ctx, p: p["mu"] > 0 and 1 < p["nu"] <= ctx.c,
-        matrix=lambda ctx, p: np.array([[1.0, 1.0, 0], [1.0, p["nu"], 0],
-                                        [0, 0, -p["mu"]]]),
-        frame=lambda ctx, p: _cols(
-            _E[0], (_E[0] - _E[1]) / math.sqrt(p["nu"] - 1.0),
-            _E[2] / math.sqrt(p["mu"])),
-        ric=_gc_gt1_3_ric,
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
-        notes={"ric11": "printed with an overall minus sign"},
-    ),
-]
-
-
-# --------------------------------------------------------------------------
-# family Gc, c = 1 (Q-adapted basis)
-
-_G1_FORMS = [
-    FormSpec(
-        "G1.1", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[0, 0, 1.0], [0, p["mu"], 0], [1.0, 0, 0]]),
-        frame=lambda ctx, p: _cols(_E[1] / math.sqrt(p["mu"]),
-                                   (_E[0] + _E[2]) / _S2, (_E[0] - _E[2]) / _S2),
-        ric=lambda ctx, p: np.zeros((3, 3)),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
-    ),
-    FormSpec(
-        "G1.2", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        frame=lambda ctx, p: _cols(_E[0] / math.sqrt(p["mu"]),
-                                   (_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2),
-        ric=lambda ctx, p: np.array(
-            [[-p["mu"] / 2, math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)],
-             [math.sqrt(p["mu"] / 2), p["mu"] / 2, 0.0],
-             [math.sqrt(p["mu"] / 2), 0.0, p["mu"] / 2]]),
-        oneill=lambda ctx, p, band: ONeillType.DOUBLE,
-    ),
-    FormSpec(
-        "G1.3", ("mu", "nu"),
-        domain=lambda ctx, p: p["mu"] > 0 and p["nu"] > 0,
-        matrix=lambda ctx, p: np.diag([1.0, -p["nu"], p["mu"]]),
-        frame=lambda ctx, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]),
-                                   _E[1] / math.sqrt(p["nu"])),
-        ric=lambda ctx, p: np.array(
-            [[-(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0,
-              -1.0 / (p["mu"] * math.sqrt(p["nu"]))],
-             [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
-             [1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
-              (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"])]]),
-        oneill=lambda ctx, p, band: _tri(1 - 4 * p["nu"], band),
-    ),
-    FormSpec(
-        "G1.4", ("mu", "nu"),
-        domain=lambda ctx, p: p["mu"] > 0 and p["nu"] > 0,
-        matrix=lambda ctx, p: np.diag([1.0, p["nu"], -p["mu"]]),
-        frame=lambda ctx, p: _cols(_E[0], _E[1] / math.sqrt(p["nu"]),
-                                   _E[2] / math.sqrt(p["mu"])),
-        ric=lambda ctx, p: np.array(
-            [[(4 * p["nu"] - 1) / (2 * p["mu"] * p["nu"]),
-              1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0],
-             [1.0 / (p["mu"] * math.sqrt(p["nu"])),
-              (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0],
-             [0.0, 0.0, (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
-        notes={"ric22": "printed as (4 mu + 1)/(2 mu nu)",
-               "ric33": "printed as (4 mu + 1)/(2 mu nu)"},
-    ),
-    FormSpec(
-        "G1.5", ("mu", "nu"),
-        domain=lambda ctx, p: p["mu"] > 0 and p["nu"] > 0,
-        matrix=lambda ctx, p: np.diag([-1.0, p["nu"], p["mu"]]),
-        frame=lambda ctx, p: _cols(_E[1] / math.sqrt(p["nu"]),
-                                   _E[2] / math.sqrt(p["mu"]), _E[0]),
-        ric=lambda ctx, p: np.array(
-            [[(1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0,
-              1.0 / (p["mu"] * math.sqrt(p["nu"]))],
-             [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
-             [-1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
-              -(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
-        oneill=lambda ctx, p, band: _tri(1 - 4 * p["nu"], band),
-        notes={"ric22": "printed as (1 - 4 mu)/(2 mu nu)",
-               "ric33": "printed as -(4 mu + 1)/(2 mu nu)"},
-    ),
-    FormSpec(
-        "G1.6", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
-        frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]),
-                                   (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
-        ric=lambda ctx, p: np.array([[-2 / p["mu"], 0, 0],
-                                     [0, -3 / p["mu"], 1 / p["mu"]],
-                                     [0, -1 / p["mu"], -1 / p["mu"]]]),
-        oneill=lambda ctx, p, band: ONeillType.DOUBLE,
-    ),
-    FormSpec(
-        "G1.7", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[0, -1.0, 0], [-1.0, 0, 0], [0, 0, p["mu"]]]),
-        frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]),
-                                   (_E[0] - _E[1]) / _S2, (_E[0] + _E[1]) / _S2),
-        ric=lambda ctx, p: np.array([[-2 / p["mu"], 0, 0],
-                                     [0, -1 / p["mu"], -1 / p["mu"]],
-                                     [0, 1 / p["mu"], -3 / p["mu"]]]),
-        oneill=lambda ctx, p, band: ONeillType.DOUBLE,
-    ),
-]
-
-
-# --------------------------------------------------------------------------
-# family Gc, c < 1 (P-adapted basis)
-
-def _lt1_10_matrix(ctx, p):
+def _lt1_10_matrix(tag, p):
     return np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0], [0, 0, p["nu"]]])
 
 
-def _lt1_10_1_ric(ctx, p):
-    w, t, nu = ctx.w, p["tau"], p["nu"]
+def _lt1_10_1_ric(tag, p):
+    w, t, nu = tag.w, p["tau"], p["nu"]
     den = nu * (1.0 - t)
     r = 2 * w * (1 + w) / (nu * math.sqrt(1.0 - t))
     return np.array([
@@ -279,8 +104,8 @@ def _lt1_10_1_ric(ctx, p):
     ])
 
 
-def _lt1_10_2_ric(ctx, p):
-    w, t, nu = ctx.w, p["tau"], p["nu"]
+def _lt1_10_2_ric(tag, p):
+    w, t, nu = tag.w, p["tau"], p["nu"]
     den = nu * (t - 1.0)
     r = 2 * w * (1 + w) / (nu * math.sqrt(t - 1.0))
     return np.array([
@@ -290,8 +115,8 @@ def _lt1_10_2_ric(ctx, p):
     ])
 
 
-def _lt1_11_ric(ctx, p):
-    w, e, mu = ctx.w, p["eta"], p["mu"]
+def _lt1_11_ric(tag, p):
+    w, e, mu = tag.w, p["eta"], p["mu"]
     den = mu * (1.0 - e)
     r = 2 * w * (1 + w) / (mu * math.sqrt(1.0 - e))
     return np.array([
@@ -301,180 +126,335 @@ def _lt1_11_ric(ctx, p):
     ])
 
 
-_GC_LT1_FORMS = [
+#: every canonical form by id, in table order; the prefix of an id before
+#: its first "." is the FamilyTag.family_key() of its family
+_FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
+    # family GI
+    FormSpec(
+        "GI.1", ("mu",),
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.diag([1.0, -1.0, p["mu"]]),
+        frame=lambda tag, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
+        ric=lambda tag, p: -(2.0 / p["mu"]) * np.eye(3),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+    ),
+    FormSpec(
+        "GI.2", ("mu",),
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.diag([1.0, 1.0, -p["mu"]]),
+        frame=lambda tag, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
+        ric=lambda tag, p: (2.0 / p["mu"]) * np.eye(3),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+    ),
+    FormSpec(
+        "GI.3", (),
+        domain=lambda tag, p: True,
+        matrix=lambda tag, p: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
+        frame=lambda tag, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
+                                   (_E[1] - _E[2]) / _S2),
+        ric=lambda tag, p: np.zeros((3, 3)),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+    ),
+    # family Gc, c > 1
+    FormSpec(
+        "Gc_gt1.1", ("mu",),
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
+        frame=lambda tag, p: _cols(_E[0] / math.sqrt(p["mu"]),
+                                   (_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2),
+        ric=lambda tag, p: np.array(
+            [[-tag.c ** 2 * p["mu"] / 2, 0, 0],
+             [0, tag.c * (tag.c * p["mu"] + 1) / 2, -tag.c / 2],
+             [0, tag.c / 2, tag.c * (tag.c * p["mu"] - 1) / 2]]),
+        oneill=lambda tag, p, band: ONeillType.DOUBLE,
+    ),
+    FormSpec(
+        "Gc_gt1.2", ("mu", "tau"),
+        domain=lambda tag, p: p["mu"] > 0 and p["tau"] < 1,
+        matrix=lambda tag, p: np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0],
+                                        [0, 0, p["mu"]]]),
+        frame=lambda tag, p: _cols(
+            _E[2] / math.sqrt(p["mu"]), _E[0],
+            (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
+        ric=_gc_gt1_2_ric,
+        oneill=lambda tag, p, band: _tri((tag.c + p["tau"]) ** 2 - 4 * tag.c, band),
+        notes={"kappa31": "printed without the factor 4 in the denominator"},
+    ),
+    FormSpec(
+        "Gc_gt1.3", ("mu", "nu"),
+        domain=lambda tag, p: p["mu"] > 0 and 1 < p["nu"] <= tag.c,
+        matrix=lambda tag, p: np.array([[1.0, 1.0, 0], [1.0, p["nu"], 0],
+                                        [0, 0, -p["mu"]]]),
+        frame=lambda tag, p: _cols(
+            _E[0], (_E[0] - _E[1]) / math.sqrt(p["nu"] - 1.0),
+            _E[2] / math.sqrt(p["mu"])),
+        ric=_gc_gt1_3_ric,
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+        notes={"ric11": "printed with an overall minus sign"},
+    ),
+    # family Gc, c = 1 (Q-adapted basis)
+    FormSpec(
+        "G1.1", ("mu",),
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[0, 0, 1.0], [0, p["mu"], 0], [1.0, 0, 0]]),
+        frame=lambda tag, p: _cols(_E[1] / math.sqrt(p["mu"]),
+                                   (_E[0] + _E[2]) / _S2, (_E[0] - _E[2]) / _S2),
+        ric=lambda tag, p: np.zeros((3, 3)),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+    ),
+    FormSpec(
+        "G1.2", ("mu",),
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
+        frame=lambda tag, p: _cols(_E[0] / math.sqrt(p["mu"]),
+                                   (_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2),
+        ric=lambda tag, p: np.array(
+            [[-p["mu"] / 2, math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)],
+             [math.sqrt(p["mu"] / 2), p["mu"] / 2, 0.0],
+             [math.sqrt(p["mu"] / 2), 0.0, p["mu"] / 2]]),
+        oneill=lambda tag, p, band: ONeillType.DOUBLE,
+    ),
+    FormSpec(
+        "G1.3", ("mu", "nu"),
+        domain=lambda tag, p: p["mu"] > 0 and p["nu"] > 0,
+        matrix=lambda tag, p: np.diag([1.0, -p["nu"], p["mu"]]),
+        frame=lambda tag, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]),
+                                   _E[1] / math.sqrt(p["nu"])),
+        ric=lambda tag, p: np.array(
+            [[-(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0,
+              -1.0 / (p["mu"] * math.sqrt(p["nu"]))],
+             [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
+             [1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
+              (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"])]]),
+        oneill=lambda tag, p, band: _tri(1 - 4 * p["nu"], band),
+    ),
+    FormSpec(
+        "G1.4", ("mu", "nu"),
+        domain=lambda tag, p: p["mu"] > 0 and p["nu"] > 0,
+        matrix=lambda tag, p: np.diag([1.0, p["nu"], -p["mu"]]),
+        frame=lambda tag, p: _cols(_E[0], _E[1] / math.sqrt(p["nu"]),
+                                   _E[2] / math.sqrt(p["mu"])),
+        ric=lambda tag, p: np.array(
+            [[(4 * p["nu"] - 1) / (2 * p["mu"] * p["nu"]),
+              1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0],
+             [1.0 / (p["mu"] * math.sqrt(p["nu"])),
+              (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0],
+             [0.0, 0.0, (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+        notes={"ric22": "printed as (4 mu + 1)/(2 mu nu)",
+               "ric33": "printed as (4 mu + 1)/(2 mu nu)"},
+    ),
+    FormSpec(
+        "G1.5", ("mu", "nu"),
+        domain=lambda tag, p: p["mu"] > 0 and p["nu"] > 0,
+        matrix=lambda tag, p: np.diag([-1.0, p["nu"], p["mu"]]),
+        frame=lambda tag, p: _cols(_E[1] / math.sqrt(p["nu"]),
+                                   _E[2] / math.sqrt(p["mu"]), _E[0]),
+        ric=lambda tag, p: np.array(
+            [[(1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0,
+              1.0 / (p["mu"] * math.sqrt(p["nu"]))],
+             [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
+             [-1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
+              -(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
+        oneill=lambda tag, p, band: _tri(1 - 4 * p["nu"], band),
+        notes={"ric22": "printed as (1 - 4 mu)/(2 mu nu)",
+               "ric33": "printed as -(4 mu + 1)/(2 mu nu)"},
+    ),
+    FormSpec(
+        "G1.6", ("mu",),
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
+        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]),
+                                   (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
+        ric=lambda tag, p: np.array([[-2 / p["mu"], 0, 0],
+                                     [0, -3 / p["mu"], 1 / p["mu"]],
+                                     [0, -1 / p["mu"], -1 / p["mu"]]]),
+        oneill=lambda tag, p, band: ONeillType.DOUBLE,
+    ),
+    FormSpec(
+        "G1.7", ("mu",),
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[0, -1.0, 0], [-1.0, 0, 0], [0, 0, p["mu"]]]),
+        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]),
+                                   (_E[0] - _E[1]) / _S2, (_E[0] + _E[1]) / _S2),
+        ric=lambda tag, p: np.array([[-2 / p["mu"], 0, 0],
+                                     [0, -1 / p["mu"], -1 / p["mu"]],
+                                     [0, 1 / p["mu"], -3 / p["mu"]]]),
+        oneill=lambda tag, p, band: ONeillType.DOUBLE,
+    ),
+    # family Gc, c < 1 (P-adapted basis)
     FormSpec(
         "Gc_lt1.1", (),
-        domain=lambda ctx, p: True,
-        matrix=lambda ctx, p: np.array([[0, 0, 1.0], [0, 1.0, 0], [1.0, 0, 0]]),
-        frame=lambda ctx, p: _cols(_E[1], (_E[0] + _E[2]) / _S2,
+        domain=lambda tag, p: True,
+        matrix=lambda tag, p: np.array([[0, 0, 1.0], [0, 1.0, 0], [1.0, 0, 0]]),
+        frame=lambda tag, p: _cols(_E[1], (_E[0] + _E[2]) / _S2,
                                    (_E[0] - _E[2]) / _S2),
-        ric=lambda ctx, p: np.array(
+        ric=lambda tag, p: np.array(
             [[0, 0, 0],
-             [0, -ctx.w * (ctx.w - 1), ctx.w * (ctx.w - 1)],
-             [0, -ctx.w * (ctx.w - 1), ctx.w * (ctx.w - 1)]], dtype=float),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL
-        if abs(ctx.w - 1) <= band else ONeillType.DOUBLE,
+             [0, -tag.w * (tag.w - 1), tag.w * (tag.w - 1)],
+             [0, -tag.w * (tag.w - 1), tag.w * (tag.w - 1)]], dtype=float),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL
+        if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_lt1.2", (),
-        domain=lambda ctx, p: True,
-        matrix=lambda ctx, p: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        frame=lambda ctx, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
+        domain=lambda tag, p: True,
+        matrix=lambda tag, p: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
+        frame=lambda tag, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
                                    (_E[1] - _E[2]) / _S2),
-        ric=lambda ctx, p: np.array(
+        ric=lambda tag, p: np.array(
             [[0, 0, 0],
-             [0, -ctx.w * (ctx.w + 1), ctx.w * (ctx.w + 1)],
-             [0, -ctx.w * (ctx.w + 1), ctx.w * (ctx.w + 1)]], dtype=float),
-        oneill=lambda ctx, p, band: ONeillType.DOUBLE,
+             [0, -tag.w * (tag.w + 1), tag.w * (tag.w + 1)],
+             [0, -tag.w * (tag.w + 1), tag.w * (tag.w + 1)]], dtype=float),
+        oneill=lambda tag, p, band: ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_lt1.3", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[1.0, 1.0, 0], [1.0, 1.0, p["mu"]],
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[1.0, 1.0, 0], [1.0, 1.0, p["mu"]],
                                         [0, p["mu"], 0]]),
-        frame=lambda ctx, p: _cols(
+        frame=lambda tag, p: _cols(
             _E[0],
             _E[0] - _E[1] - _E[2] / (2 * p["mu"]),
             _E[0] - _E[1] + _E[2] / (2 * p["mu"])),
-        ric=lambda ctx, p: np.array(
-            [[-2 * ctx.w ** 2 / p["mu"] ** 2,
-              ctx.w * (1 + ctx.w) / p["mu"] ** 2,
-              -ctx.w * (1 + ctx.w) / p["mu"] ** 2],
-             [ctx.w * (1 + ctx.w) / p["mu"] ** 2,
-              ctx.w * (3 * ctx.w - 1) / (2 * p["mu"] ** 2),
-              ctx.w * (1 + ctx.w) / (2 * p["mu"] ** 2)],
-             [ctx.w * (1 + ctx.w) / p["mu"] ** 2,
-              -ctx.w * (1 + ctx.w) / (2 * p["mu"] ** 2),
-              ctx.w * (1 + 5 * ctx.w) / (2 * p["mu"] ** 2)]]),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL
-        if abs(ctx.w - 1) <= band else ONeillType.DOUBLE,
+        ric=lambda tag, p: np.array(
+            [[-2 * tag.w ** 2 / p["mu"] ** 2,
+              tag.w * (1 + tag.w) / p["mu"] ** 2,
+              -tag.w * (1 + tag.w) / p["mu"] ** 2],
+             [tag.w * (1 + tag.w) / p["mu"] ** 2,
+              tag.w * (3 * tag.w - 1) / (2 * p["mu"] ** 2),
+              tag.w * (1 + tag.w) / (2 * p["mu"] ** 2)],
+             [tag.w * (1 + tag.w) / p["mu"] ** 2,
+              -tag.w * (1 + tag.w) / (2 * p["mu"] ** 2),
+              tag.w * (1 + 5 * tag.w) / (2 * p["mu"] ** 2)]]),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL
+        if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
         notes={"ric33": "printed as z(1+5w)/(2 mu^2)"},
     ),
     FormSpec(
         "Gc_lt1.4", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.diag([1.0, 1.0, -p["mu"]]),
-        frame=lambda ctx, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
-        ric=lambda ctx, p: np.diag([2 * (1 + ctx.w) / p["mu"],
-                                    2 * (1 - ctx.w) / p["mu"],
-                                    2 * (1 + ctx.w ** 2) / p["mu"]]),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.diag([1.0, 1.0, -p["mu"]]),
+        frame=lambda tag, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
+        ric=lambda tag, p: np.diag([2 * (1 + tag.w) / p["mu"],
+                                    2 * (1 - tag.w) / p["mu"],
+                                    2 * (1 + tag.w ** 2) / p["mu"]]),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "Gc_lt1.5", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.diag([1.0, -1.0, p["mu"]]),
-        frame=lambda ctx, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
-        ric=lambda ctx, p: np.diag([-2 * (1 + ctx.w) / p["mu"],
-                                    -2 * (1 + ctx.w ** 2) / p["mu"],
-                                    2 * (ctx.w - 1) / p["mu"]]),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.diag([1.0, -1.0, p["mu"]]),
+        frame=lambda tag, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
+        ric=lambda tag, p: np.diag([-2 * (1 + tag.w) / p["mu"],
+                                    -2 * (1 + tag.w ** 2) / p["mu"],
+                                    2 * (tag.w - 1) / p["mu"]]),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
         notes={"ric33": "printed as 2(1-w)/mu"},
     ),
     FormSpec(
         "Gc_lt1.6", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.diag([-1.0, 1.0, p["mu"]]),
-        frame=lambda ctx, p: _cols(_E[1], _E[2] / math.sqrt(p["mu"]), _E[0]),
-        ric=lambda ctx, p: np.diag([2 * (ctx.w - 1) / p["mu"],
-                                    -2 * (1 + ctx.w ** 2) / p["mu"],
-                                    -2 * (1 + ctx.w) / p["mu"]]),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.diag([-1.0, 1.0, p["mu"]]),
+        frame=lambda tag, p: _cols(_E[1], _E[2] / math.sqrt(p["mu"]), _E[0]),
+        ric=lambda tag, p: np.diag([2 * (tag.w - 1) / p["mu"],
+                                    -2 * (1 + tag.w ** 2) / p["mu"],
+                                    -2 * (1 + tag.w) / p["mu"]]),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "Gc_lt1.7", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
-        frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]),
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
+        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]),
                                    (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
-        ric=lambda ctx, p: -(2.0 / p["mu"]) * np.eye(3),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
+        ric=lambda tag, p: -(2.0 / p["mu"]) * np.eye(3),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "Gc_lt1.8", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[0, 1.0, 0], [1.0, 1.0, 0], [0, 0, p["mu"]]]),
-        frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]), _E[1],
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[0, 1.0, 0], [1.0, 1.0, 0], [0, 0, p["mu"]]]),
+        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]), _E[1],
                                    _E[0] - _E[1]),
-        ric=lambda ctx, p: np.array(
+        ric=lambda tag, p: np.array(
             [[-2 / p["mu"], 0, 0],
-             [0, -2 * (ctx.w ** 2 - ctx.w + 1) / p["mu"],
-              2 * ctx.w * (ctx.w - 1) / p["mu"]],
-             [0, -2 * ctx.w * (ctx.w - 1) / p["mu"],
-              2 * (ctx.w ** 2 - ctx.w - 1) / p["mu"]]]),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL
-        if abs(ctx.w - 1) <= band else ONeillType.DOUBLE,
+             [0, -2 * (tag.w ** 2 - tag.w + 1) / p["mu"],
+              2 * tag.w * (tag.w - 1) / p["mu"]],
+             [0, -2 * tag.w * (tag.w - 1) / p["mu"],
+              2 * (tag.w ** 2 - tag.w - 1) / p["mu"]]]),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL
+        if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_lt1.9", ("mu",),
-        domain=lambda ctx, p: p["mu"] > 0,
-        matrix=lambda ctx, p: np.array([[0, 1.0, 0], [1.0, -1.0, 0], [0, 0, p["mu"]]]),
-        frame=lambda ctx, p: _cols(_E[2] / math.sqrt(p["mu"]), _E[0] + _E[1],
+        domain=lambda tag, p: p["mu"] > 0,
+        matrix=lambda tag, p: np.array([[0, 1.0, 0], [1.0, -1.0, 0], [0, 0, p["mu"]]]),
+        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]), _E[0] + _E[1],
                                    _E[1]),
-        ric=lambda ctx, p: np.array(
+        ric=lambda tag, p: np.array(
             [[-2 / p["mu"], 0, 0],
-             [0, 2 * (ctx.w ** 2 - ctx.w - 1) / p["mu"],
-              2 * ctx.w * (ctx.w - 1) / p["mu"]],
-             [0, -2 * ctx.w * (ctx.w - 1) / p["mu"],
-              -2 * (ctx.w ** 2 - ctx.w + 1) / p["mu"]]]),
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL
-        if abs(ctx.w - 1) <= band else ONeillType.DOUBLE,
+             [0, 2 * (tag.w ** 2 - tag.w - 1) / p["mu"],
+              2 * tag.w * (tag.w - 1) / p["mu"]],
+             [0, -2 * tag.w * (tag.w - 1) / p["mu"],
+              -2 * (tag.w ** 2 - tag.w + 1) / p["mu"]]]),
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL
+        if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_lt1.10-1", ("nu", "tau"),
-        domain=lambda ctx, p: p["nu"] > 0 and p["tau"] < 1,
+        domain=lambda tag, p: p["nu"] > 0 and p["tau"] < 1,
         matrix=_lt1_10_matrix,
-        frame=lambda ctx, p: _cols(
+        frame=lambda tag, p: _cols(
             _E[0], _E[2] / math.sqrt(p["nu"]),
             (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
         ric=_lt1_10_1_ric,
-        oneill=lambda ctx, p, band: _tri(
-            p["tau"] * (p["tau"] - 1 + ctx.w ** 2), band),
+        oneill=lambda tag, p, band: _tri(
+            p["tau"] * (p["tau"] - 1 + tag.w ** 2), band),
         notes={"ric33": "printed with denominator nu sqrt(1-tau)"},
     ),
     FormSpec(
         "Gc_lt1.10-2", ("nu", "tau"),
-        domain=lambda ctx, p: p["nu"] < 0 and p["tau"] > 1,
+        domain=lambda tag, p: p["nu"] < 0 and p["tau"] > 1,
         matrix=_lt1_10_matrix,
-        frame=lambda ctx, p: _cols(
+        frame=lambda tag, p: _cols(
             _E[0], (_E[0] - _E[1]) / math.sqrt(p["tau"] - 1.0),
             _E[2] / math.sqrt(-p["nu"])),
         ric=_lt1_10_2_ric,
-        oneill=lambda ctx, p, band: ONeillType.DIAGONAL,
+        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
         notes={"domain": "constraint column printed nu > 0; the matching "
                          "Lorentzian branch requires nu < 0"},
     ),
     FormSpec(
         "Gc_lt1.11", ("mu", "eta"),
-        domain=lambda ctx, p: p["mu"] > 0 and p["eta"] < 1,
-        matrix=lambda ctx, p: np.array([[-1.0, 1.0, 0], [1.0, -p["eta"], 0],
+        domain=lambda tag, p: p["mu"] > 0 and p["eta"] < 1,
+        matrix=lambda tag, p: np.array([[-1.0, 1.0, 0], [1.0, -p["eta"], 0],
                                         [0, 0, p["mu"]]]),
-        frame=lambda ctx, p: _cols(
+        frame=lambda tag, p: _cols(
             _E[2] / math.sqrt(p["mu"]),
             (_E[0] + _E[1]) / math.sqrt(1.0 - p["eta"]), _E[0]),
         ric=_lt1_11_ric,
-        oneill=lambda ctx, p, band: _tri(
-            p["eta"] * (p["eta"] - 1 + ctx.w ** 2), band),
+        oneill=lambda tag, p, band: _tri(
+            p["eta"] * (p["eta"] - 1 + tag.w ** 2), band),
     ),
-]
+)}
 
-_FORMS: dict[str, list[FormSpec]] = {
-    "GI": _GI_FORMS,
-    "Gc_gt1": _GC_GT1_FORMS,
-    "G1": _G1_FORMS,
-    "Gc_lt1": _GC_LT1_FORMS,
-}
+#: the parameter names that some canonical form takes
+PARAM_NAMES = frozenset(n for spec in _FORMS.values() for n in spec.param_names)
 
 
 def form_specs(tag: FamilyTag) -> list[FormSpec]:
-    return list(_FORMS[tag.family_key()])
+    family = tag.family_key()
+    return [spec for form_id, spec in _FORMS.items()
+            if form_id.partition(".")[0] == family]
 
 
 def get_form_spec(tag: FamilyTag, form_id: str) -> FormSpec:
-    for spec in _FORMS[tag.family_key()]:
-        if spec.form_id == form_id:
-            return spec
-    raise KeyError(form_id)
+    """The spec of a form of the tag's family; KeyError for an unknown
+    id or one of another family."""
+    if form_id.partition(".")[0] != tag.family_key():
+        raise KeyError(form_id)
+    return _FORMS[form_id]
 
 
 def canonical_matrix(tag: FamilyTag, form_id: str,
@@ -483,18 +463,22 @@ def canonical_matrix(tag: FamilyTag, form_id: str,
     family = tag.family_key()
     if form_id.partition(".")[0] != family:
         raise ValueError(f"form {form_id} does not belong to family {family}")
-    return get_form_spec(tag, form_id).matrix(_ctx(tag), params)
+    return _FORMS[form_id].matrix(tag, params)
+
+
+def _spec_in_domain(tag: FamilyTag, form_id: str,
+                    params: dict[str, float]) -> FormSpec:
+    spec = get_form_spec(tag, form_id)
+    if not spec.domain(tag, params):
+        raise ValueError(f"parameters {params} outside the domain of {form_id}")
+    return spec
 
 
 def paper_frame(tag: FamilyTag, form_id: str,
                 params: dict[str, float]) -> OrthonormalFrame:
     """The distinguished orthonormal frame of a canonical form (columns in
     the classification basis of the family)."""
-    spec = get_form_spec(tag, form_id)
-    ctx = _ctx(tag)
-    if not spec.domain(ctx, params):
-        raise ValueError(f"parameters {params} outside the domain of {form_id}")
-    return OrthonormalFrame(spec.frame(ctx, params))
+    return OrthonormalFrame(_spec_in_domain(tag, form_id, params).frame(tag, params))
 
 
 @dataclass(frozen=True)
@@ -509,16 +493,13 @@ class ClosedFormCurvature:
 
 def closed_form_report(tag: FamilyTag, form_id: str, params: dict[str, float],
                        tol: ToleranceConfig = DEFAULT_TOL) -> ClosedFormCurvature:
-    spec = get_form_spec(tag, form_id)
-    ctx = _ctx(tag)
-    if not spec.domain(ctx, params):
-        raise ValueError(f"parameters {params} outside the domain of {form_id}")
-    ric = spec.ric(ctx, params)
+    spec = _spec_in_domain(tag, form_id, params)
+    ric = spec.ric(tag, params)
     rho = float(np.trace(ric))
     kappas = tuple(milnor_sectional(J21 @ ric, rho, _E[i], _E[j], tol)
                    for i, j in ((0, 1), (1, 2), (2, 0)))
     return ClosedFormCurvature(form_id, dict(params), ric, rho, kappas,
-                               spec.oneill(ctx, params, tol.classification_tol))
+                               spec.oneill(tag, params, tol.classification_tol))
 
 
 @dataclass(frozen=True)
@@ -572,29 +553,27 @@ def cross_check(tag: FamilyTag, form_id: str, params: dict[str, float],
         flags.append(f"oneill: closed {closed.oneill_type.value} vs engine "
                      f"{report.oneill.type_tag.value}")
 
-    spec = get_form_spec(tag, form_id)
     return AtlasEntry(form_id, dict(params), closed, report.ricci_op,
                       report.scalar, report.sectional,
                       report.oneill.type_tag, worst, tuple(flags),
-                      dict(spec.notes))
+                      dict(_FORMS[form_id].notes))
 
 
-def _param_grid(spec: FormSpec, ctx, grid: dict[str, list[float]]):
+def _param_grid(spec: FormSpec, tag: FamilyTag, grid: dict[str, list[float]]):
     """Cross product of grid values over the form's parameters, filtered
     by the form's domain, in deterministic order."""
     names = spec.param_names
     for values in itertools.product(*(sorted(grid.get(n, [])) for n in names)):
         params = {n: float(v) for n, v in zip(names, values)}
-        if spec.domain(ctx, params):
+        if spec.domain(tag, params):
             yield params
 
 
 def atlas_entries(tag: FamilyTag, grid: dict[str, list[float]],
                   tol: ToleranceConfig = DEFAULT_TOL) -> list[AtlasEntry]:
-    ctx = _ctx(tag)
     entries = []
-    for spec in _FORMS[tag.family_key()]:
-        for params in _param_grid(spec, ctx, grid):
+    for spec in form_specs(tag):
+        for params in _param_grid(spec, tag, grid):
             entries.append(cross_check(tag, spec.form_id, params, tol))
     return entries
 

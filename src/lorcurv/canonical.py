@@ -245,7 +245,7 @@ def _reduce_gi(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
 # family Gc with c > 1 (natural basis, (alpha, beta) automorphisms)
 
 def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
-    cpar = float(tag.c)  # type: ignore[arg-type]
+    cpar = tag.c
     if red.plane_degenerate():
         if not red.is_zero(0, 1):
             c = red.cur

@@ -22,20 +22,26 @@ fault, an ``ArithmeticError`` or ``LinAlgError`` of the engine (one
 prints its diagnostics and exits 1 when the metric is not Lorentzian.
 The environment variable LORCURV_TOL, when set, overrides the default
 abs_tol; an explicit "tolerance" field in the document wins over both.
-Each tolerance must be at least 1e-16.
+
+This module checks only the shape of its input: FamilyTag and
+ToleranceConfig decide which c and tolerances are valid, and their
+message follows ``error: <field>: ``.  Unknown fields, at any level, and
+``--grid`` names that no canonical form takes are parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
 import numpy as np
 
-from .algebra import BasisLabel, FamilyTag
-from .atlas import emit_tables, paper_frame
+from .algebra import (BasisLabel, FamilyTag, classification_basis,
+                      make_family_algebra)
+from .atlas import PARAM_NAMES, emit_tables, paper_frame
 from .canonical import (
     canonical_form,
     constant_curvature_class,
@@ -44,7 +50,7 @@ from .canonical import (
 )
 from .curvature import curvature_report
 from .metric import MetricTensor, validate_metric
-from .tolerance import DEFAULT_TOL, TOL_FLOOR, ToleranceConfig
+from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -68,7 +74,14 @@ def _finite_real(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
-_TOL_MESSAGE = f"must be a finite number of at least {TOL_FLOOR:g}"
+def _field(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a library constructor that owns the
+    rule for the field at ``path``; its ValueError or TypeError is a parse
+    error there."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise InputError(path, str(exc)) from exc
 
 
 def _default_tolerance() -> ToleranceConfig:
@@ -79,20 +92,15 @@ def _default_tolerance() -> ToleranceConfig:
         abs_tol = float(env)
     except ValueError as exc:
         raise InputError("$LORCURV_TOL", f"not a number: {env!r}") from exc
-    if not _finite_real(abs_tol) or abs_tol < TOL_FLOOR:
-        raise InputError("$LORCURV_TOL", _TOL_MESSAGE)
-    return ToleranceConfig(abs_tol=abs_tol,
-                           classification_tol=DEFAULT_TOL.classification_tol)
+    return _field("$LORCURV_TOL", dataclasses.replace, DEFAULT_TOL,
+                  abs_tol=abs_tol)
 
 
 def _parse_family(node) -> FamilyTag:
     if node == "GI":
         return FamilyTag("GI")
     if isinstance(node, dict) and set(node) == {"Gc"}:
-        c = node["Gc"]
-        if not _finite_real(c):
-            raise InputError("family.Gc", "c must be a finite real number")
-        return FamilyTag("Gc", float(c))
+        return _field("family.Gc", FamilyTag, "Gc", node["Gc"])
     raise InputError("family", 'expected "GI" or {"Gc": c}')
 
 
@@ -101,30 +109,22 @@ def _parse_basis(node, tag: FamilyTag) -> BasisLabel:
         raise InputError(
             "basis", 'expected "natural", "Q_adapted" or "P_adapted"')
     basis = BasisLabel(node)
-    if basis == BasisLabel.Q_ADAPTED and not (tag.kind == "Gc" and tag.c == 1):
-        raise ValueError("Q_adapted basis is only defined for the c = 1 family")
-    if basis == BasisLabel.P_ADAPTED and not (tag.kind == "Gc" and tag.c < 1):
-        raise ValueError("P_adapted basis is only defined for c < 1 families")
+    if basis not in (BasisLabel.NATURAL, classification_basis(tag)):
+        raise ValueError(f"{node} basis is not defined for family "
+                         f"{tag.family_key()}")
     return basis
 
 
 def _parse_tolerance(node) -> ToleranceConfig:
-    base = _default_tolerance()
+    tol = _default_tolerance()
     if node is None:
-        return base
+        return tol
     if not isinstance(node, dict):
         raise InputError("tolerance", "expected an object")
-    known = ("abs_tol", "classification_tol")
-    extra = set(node) - set(known)
-    if extra:
-        raise InputError(f"tolerance.{sorted(extra)[0]}", "unknown field")
-    values = {}
-    for key in known:
-        value = node.get(key, getattr(base, key))
-        if not _finite_real(value) or value < TOL_FLOOR:
-            raise InputError(f"tolerance.{key}", _TOL_MESSAGE)
-        values[key] = float(value)
-    return ToleranceConfig(**values)
+    for key, value in node.items():     # an unknown key is a TypeError
+        tol = _field(f"tolerance.{key}", dataclasses.replace, tol,
+                     **{key: value})
+    return tol
 
 
 def _parse_metric(node, basis: BasisLabel, tol: ToleranceConfig) -> MetricTensor:
@@ -153,6 +153,9 @@ def _load_document(path: str, family_required: bool = True):
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise InputError("$", "expected a JSON object")
+    extra = set(doc) - {"family", "basis", "metric", "tolerance"}
+    if extra:
+        raise InputError(sorted(extra)[0], "unknown field")
     tag = None
     if "family" in doc:
         tag = _parse_family(doc["family"])
@@ -215,7 +218,6 @@ def cmd_classify(args) -> int:
 
 def cmd_curvature(args) -> int:
     tag, h, tol = _load_document(args.file)
-    from .algebra import make_family_algebra
     if args.frame == "paper":
         # the frame's Gram band in curvature_report scales with max|h| while
         # its residual does not, so it alone would pass a large non-canonical
@@ -249,6 +251,9 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
         name = name.strip()
         if not name:
             raise InputError("--grid", f"bad grid entry {chunk!r}")
+        if name not in PARAM_NAMES:
+            raise InputError("--grid", f"no canonical form takes {name!r}; "
+                             f"expected one of {', '.join(sorted(PARAM_NAMES))}")
         try:
             grid[name] = [float(v) for v in values.split(",") if v.strip()]
         except ValueError as exc:
@@ -263,14 +268,8 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
 
 
 def cmd_atlas(args) -> int:
-    if args.family == "GI":
-        tag = FamilyTag("GI")
-    else:
-        if args.c is None:
-            raise InputError("--c", "required for --family Gc")
-        if not _finite_real(args.c):
-            raise InputError("--c", "must be a finite real number")
-        tag = FamilyTag("Gc", args.c)
+    tag = (FamilyTag("GI") if args.family == "GI"
+           else _field("--c", FamilyTag, "Gc", args.c))
     grid = _parse_grid(args.grid)
     tol = _default_tolerance()
     text = emit_tables(tag, grid, fmt=args.format, tol=tol)
@@ -285,7 +284,7 @@ def cmd_atlas(args) -> int:
 def cmd_equiv(args) -> int:
     tag1, h1, tol = _load_document(args.file1)
     tag2, h2, _ = _load_document(args.file2)
-    if tag1.kind != tag2.kind or tag1.c != tag2.c:
+    if tag1 != tag2:
         raise InputError("family", "the two documents describe different families")
     if h1.basis_label != h2.basis_label:
         raise InputError("basis", "the two metrics use different bases")

@@ -44,7 +44,6 @@ class ONeillClassification:
     normal_form: np.ndarray
     transition: np.ndarray              # in O(2,1); normal = inv(T) A T
     discriminant: float | None = None   # (b-d)^2 - 4 r^2; None for {3}
-    epsilon: int | None = None          # {21}: +1 if (2,2) entry is the larger one
     boundary_warning: bool = False
     eigenvalues: np.ndarray | None = None   # of A, as np.linalg.eig returns them
 
@@ -221,11 +220,8 @@ def classify_self_adjoint(T: np.ndarray,
     C = C0 @ _block_transition(b, r, d, kind)
 
     normal = _conjugate(C, T)
-    # {21} arrangement: +1 when the (2,2) entry is the larger one
-    eps = (1 if normal[1, 1] >= normal[2, 2] else -1) \
-        if ttype == ONeillType.DOUBLE else None
     _check_transition(C, normal, ttype, band, lenient=boundary)
-    return ONeillClassification(ttype, normal, C, float(D), eps, boundary,
+    return ONeillClassification(ttype, normal, C, float(D), boundary,
                                 eigenvalues=lam)
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 #: smallest accepted tolerance: a band below double-precision rounding of
@@ -26,9 +27,12 @@ class ToleranceConfig:
     def __post_init__(self) -> None:
         for name in ("abs_tol", "classification_tol"):
             value = getattr(self, name)
-            if not TOL_FLOOR <= value < math.inf:      # NaN fails both
+            # bools are ints, so they are excluded explicitly; NaN fails both
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not TOL_FLOOR <= value <= sys.float_info.max):
                 raise ValueError(f"{name} must be finite and at least "
-                                 f"{TOL_FLOOR:g}, got {value}")
+                                 f"{TOL_FLOOR:g}, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
 
 DEFAULT_TOL = ToleranceConfig()

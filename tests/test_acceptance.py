@@ -27,7 +27,7 @@ from lorcurv import (
     paper_frame,
     sectional,
 )
-from lorcurv.atlas import _ctx, _param_grid
+from lorcurv.atlas import _param_grid
 from tests.conftest import ALL_TAGS, SWEEP_GRID, rand_automorphism, rand_o21
 from tests.test_oneill import REPS
 
@@ -260,9 +260,8 @@ def test_criterion_9_constant_curvature_list():
         seen = set()
         for tag in ALL_TAGS:
             basis = classification_basis(tag)
-            ctx = _ctx(tag)
             for spec in form_specs(tag):
-                for params in _param_grid(spec, ctx, SWEEP_GRID):
+                for params in _param_grid(spec, tag, SWEEP_GRID):
                     if spec.form_id == "Gc_gt1.3" and params["nu"] == tag.c:
                         # Einstein edge case, positive constant curvature;
                         # covered by its own test, outside the stated list

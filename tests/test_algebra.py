@@ -67,7 +67,16 @@ def test_w_and_z_param():
     assert FamilyTag("Gc", 0.0).w == pytest.approx(1.0)
     assert FamilyTag("Gc", -3.0).w == pytest.approx(2.0)
     assert FamilyTag("Gc", 0.75).w == pytest.approx(0.5)
-    assert FamilyTag("Gc", 5.0).z_param == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("c", [2, np.float64(2.0), np.int64(2)],
+                         ids=["int", "float64", "int64"])
+def test_gc_parameter_is_stored_as_float(c):
+    """Callers may pass any real c; the tag, which messages and tables
+    print, holds the same float whichever type came in."""
+    tag = FamilyTag("Gc", c)
+    assert type(tag.c) is float and tag.c == 2.0
+    assert repr(tag) == repr(FamilyTag("Gc", 2.0))
 
 
 def test_gi_brackets():

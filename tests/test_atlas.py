@@ -20,7 +20,7 @@ from lorcurv import (
     paper_frame,
     validate_metric,
 )
-from lorcurv.atlas import _ctx, _param_grid
+from lorcurv.atlas import _param_grid
 from tests.conftest import ALL_TAGS, SWEEP_GRID
 
 
@@ -39,10 +39,11 @@ def test_closed_forms_match_engine(tag):
 # the printed scalar and sectional curvatures, as the oracle for the rho
 # and kappa columns that closed_form_report derives from the Ricci operator
 
-def _printed_rho_kappas(ctx, form_id, p):
+def _printed_rho_kappas(tag, form_id, p):
     """The paper's scalar and frame sectional curvatures of a canonical
     form, as (rho, (k12, k23, k31)), with the catalogued corrections."""
-    c, w = ctx.c, ctx.w
+    c = tag.c
+    w = tag.w if form_id.startswith("Gc_lt1") else None
     mu, nu, t, e = (p.get(k) for k in ("mu", "nu", "tau", "eta"))
     table = {
         "GI.1": lambda: (-6 / mu, (-1 / mu,) * 3),
@@ -116,12 +117,11 @@ def _printed_rho_kappas(ctx, form_id, p):
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
 def test_derived_rho_kappas_match_printed_tables(tag):
-    ctx = _ctx(tag)
     cells = 0
     for spec in form_specs(tag):
-        for params in _param_grid(spec, ctx, SWEEP_GRID):
+        for params in _param_grid(spec, tag, SWEEP_GRID):
             closed = closed_form_report(tag, spec.form_id, params)
-            rho, kappas = _printed_rho_kappas(ctx, spec.form_id, params)
+            rho, kappas = _printed_rho_kappas(tag, spec.form_id, params)
             for label, derived, printed in zip(
                     ("rho", "kappa12", "kappa23", "kappa31"),
                     (closed.rho, *closed.kappas), (rho, *kappas)):

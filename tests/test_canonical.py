@@ -24,16 +24,15 @@ from lorcurv import (
     make_family_algebra,
     to_adapted_basis,
 )
-from lorcurv.atlas import form_specs, _ctx, _param_grid
+from lorcurv.atlas import form_specs, _param_grid
 from tests.conftest import ALL_TAGS, SWEEP_GRID, lapack_calls, rand_automorphism
 from tests.test_curvature import _fuzz_metrics
 
 
 def _canonical_metrics(tag):
     basis = classification_basis(tag)
-    ctx = _ctx(tag)
     for spec in form_specs(tag):
-        for params in _param_grid(spec, ctx, SWEEP_GRID):
+        for params in _param_grid(spec, tag, SWEEP_GRID):
             h = MetricTensor(canonical_matrix(tag, spec.form_id, params),
                              basis_label=basis)
             yield spec.form_id, params, h

@@ -5,6 +5,7 @@ import pytest
 
 from lorcurv import cli
 from lorcurv.cli import main
+from tests.conftest import SWEEP_GRID
 
 
 def _doc(tmp_path, name, family, metric, basis="natural", tolerance=None):
@@ -265,9 +266,19 @@ _LORENTZIAN = "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]"
      "metric"),
     (["atlas", "--family", "Gc", "--c", "nan", "--grid", "mu=1"], None, "--c"),
     (["atlas", "--family", "GI", "--grid", "mu=inf"], None, "--grid"),
+    (["classify"], '{"family": "GI", "metric": %s, "tolerance": {"abs_tol": true}}'
+     % _LORENTZIAN, "tolerance.abs_tol"),
+    (["classify"], '{"family": {"Gc": "2"}, "metric": %s}' % _LORENTZIAN,
+     "family.Gc"),
+    (["atlas", "--family", "Gc", "--grid", "mu=1"], None, "--c"),
+    (["classify"], '{"family": "GI", "metric": %s, "tolerence": {"abs_tol": 1e-6}}'
+     % _LORENTZIAN, "tolerence"),
+    (["atlas", "--family", "GI", "--grid", "muu=1"], None, "--grid"),
 ], ids=["bool-c", "infinite-c", "nan-abs-tol", "tiny-classification-tol",
         "unknown-rel-tol", "non-numeric-metric",
-        "ragged-metric", "atlas-nan-c", "atlas-infinite-grid"])
+        "ragged-metric", "atlas-nan-c", "atlas-infinite-grid", "bool-abs-tol",
+        "string-c", "atlas-missing-c", "unknown-document-field",
+        "atlas-unknown-grid-name"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc, path):
     if doc is not None:
         f = tmp_path / "m.json"
@@ -275,6 +286,32 @@ def test_malformed_input_exit2(tmp_path, capsys, argv, doc, path):
         argv = argv + [str(f)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("metric", [[[-1, -1, 0], [-1, 0, 0], [0, 0, 4]],
+                                    [[1, 0, 0], [0, 1, 0], [0, 0, 1]]],
+                         ids=["lorentzian", "riemannian"])
+def test_integer_and_float_c_print_the_same(tmp_path, capsys, metric):
+    """FamilyTag holds c as a float, so {"Gc": 2} and {"Gc": 2.0} give the
+    same bytes on both streams, whether the metric is accepted or not."""
+    outputs = []
+    for c in (2, 2.0):
+        code = main(["classify", _doc(tmp_path, f"{c!r}.json", {"Gc": c}, metric)])
+        outputs.append((code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+def test_atlas_full_sweep_grid_keeps_family_rows(capsys):
+    """Grid names are checked against every family's forms, so GI takes
+    the whole sweep grid and uses only its mu values."""
+    grids = [";".join(f"{name}={','.join(map(repr, values))}"
+                      for name, values in grid.items())
+             for grid in (SWEEP_GRID, {"mu": SWEEP_GRID["mu"]})]
+    assert main(["atlas", "--family", "GI", "--grid", grids[0]]) == 0
+    full = capsys.readouterr().out
+    assert main(["atlas", "--family", "GI", "--grid", grids[1]]) == 0
+    assert full == capsys.readouterr().out
+    assert len(full.splitlines()) == 1 + 2 * len(SWEEP_GRID["mu"]) + 1
 
 
 _G1_ZERO_PIVOT = [[0, 3.6e-5, 0], [3.6e-5, 0, 0], [0, 0, 0.5]]

@@ -20,7 +20,7 @@ from lorcurv import (
     riemann,
     sectional,
 )
-from lorcurv.atlas import _ctx, _param_grid
+from lorcurv.atlas import _param_grid
 from lorcurv.curvature import frame_inner
 from tests.conftest import ALL_TAGS, SWEEP_GRID, lapack_calls, rand_automorphism
 
@@ -174,7 +174,7 @@ def test_report_scale_covariance(rng):
         basis = classification_basis(tag)
         alg = make_family_algebra(tag, basis)
         for spec in form_specs(tag):
-            for params in _param_grid(spec, _ctx(tag), SWEEP_GRID):
+            for params in _param_grid(spec, tag, SWEEP_GRID):
                 A = rand_automorphism(tag, rng)
                 h = A.T @ canonical_matrix(tag, spec.form_id, params) @ A
                 base = curvature_report(alg, MetricTensor(h, basis_label=basis))
@@ -257,7 +257,7 @@ def _sweep_images(rng):
         basis = classification_basis(tag)
         alg = make_family_algebra(tag, basis)
         for spec in form_specs(tag):
-            for params in _param_grid(spec, _ctx(tag), SWEEP_GRID):
+            for params in _param_grid(spec, tag, SWEEP_GRID):
                 h = MetricTensor(canonical_matrix(tag, spec.form_id, params),
                                  basis_label=basis)
                 yield alg, pull_back_metric(h, rand_automorphism(tag, rng))

@@ -81,7 +81,7 @@ def test_scan_finds_unused_private_definition():
 
 
 #: functions whose signature a caller fixes: FormSpec calls every
-#: ``matrix`` with ``(ctx, p)``, and the Gc_lt1.10 matrix needs no ctx
+#: ``matrix`` with ``(tag, p)``, and the Gc_lt1.10 matrix needs no tag
 _FIXED_SIGNATURES = {"_lt1_10_matrix"}
 
 

@@ -129,7 +129,8 @@ def test_frame_is_deterministic():
 
 
 @pytest.mark.parametrize("field", ["abs_tol", "classification_tol"])
-@pytest.mark.parametrize("value", [1e-20, 0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [1e-20, 0.0, -1.0, float("nan"), float("inf"),
+                                   True, "1e-9"])
 def test_tolerance_floor(field, value):
     with pytest.raises(ValueError, match=field):
         ToleranceConfig(**{field: value})

@@ -61,7 +61,6 @@ def test_double_block_pattern():
     assert abs(abs(n[1, 2]) - 1) < 1e-8
     assert abs(n[1, 2] + n[2, 1]) < 1e-8
     assert abs(abs(n[1, 1] - n[2, 2]) - 2) < 1e-7
-    assert cls.epsilon in (-1, 1)
 
 
 def test_triple_normal_form_pattern():
