@@ -450,20 +450,19 @@ def form_specs(tag: FamilyTag) -> list[FormSpec]:
 
 
 def get_form_spec(tag: FamilyTag, form_id: str) -> FormSpec:
-    """The spec of a form of the tag's family; KeyError for an unknown
-    id or one of another family."""
-    if form_id.partition(".")[0] != tag.family_key():
-        raise KeyError(form_id)
-    return _FORMS[form_id]
+    """The spec of a form of the tag's family; ValueError for an id that
+    names no form of that family, whether unknown or of another family."""
+    family = tag.family_key()
+    spec = _FORMS.get(form_id)
+    if spec is None or form_id.partition(".")[0] != family:
+        raise ValueError(f"{form_id!r} is not a canonical form of family {family}")
+    return spec
 
 
 def canonical_matrix(tag: FamilyTag, form_id: str,
                      params: dict[str, float]) -> np.ndarray:
     """Exact canonical matrix of a form, in its classification basis."""
-    family = tag.family_key()
-    if form_id.partition(".")[0] != family:
-        raise ValueError(f"form {form_id} does not belong to family {family}")
-    return _FORMS[form_id].matrix(tag, params)
+    return get_form_spec(tag, form_id).matrix(tag, params)
 
 
 def _spec_in_domain(tag: FamilyTag, form_id: str,

@@ -16,6 +16,7 @@ Classification bases:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +29,7 @@ from .algebra import (BasisLabel, FamilyTag, adapted_automorphism,
                       is_automorphism, make_family_algebra)
 from .atlas import canonical_matrix
 from .curvature import levi_civita, ricci_tensor, riemann
-from .metric import (J21, MetricTensor, _signature, orthonormal_frame,
+from .metric import (_I3, J21, MetricTensor, _signature, orthonormal_frame,
                      pull_back_metric)
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -49,8 +50,11 @@ class CanonicalForm:
 
 
 #: the Riemann tensor of the unit-curvature model, J_im d_jl - J_jm d_il
-_UNIT_MODEL = (np.einsum("im,jl->ijml", J21, np.eye(3))
-               - np.einsum("jm,il->ijml", J21, np.eye(3)))
+_UNIT_MODEL = (np.einsum("im,jl->ijml", J21, _I3)
+               - np.einsum("jm,il->ijml", J21, _I3))
+_UNIT_MODEL.setflags(write=False)
+#: the frame triples (i, j, m) of the model check
+_TRIPLES = tuple(itertools.product(range(3), repeat=3))
 
 
 class ConstantCurvatureClass(str, Enum):
@@ -454,15 +458,15 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     conn = levi_civita(make_family_algebra(tag, h.basis_label),
                        orthonormal_frame(h, tol))
     ric = ricci_tensor(conn)
-    k = float(np.trace(J21 @ ric)) / 6.0
+    k = float(ric[0, 0] + ric[1, 1] - ric[2, 2]) / 6.0
     band = tol.classification_tol * (1.0 + float(np.abs(ric).max()))
     if float(np.abs(ric - 2.0 * k * J21).max()) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
-    # R[i, j, m] = R_{y_i, y_j} y_m against k (J_im y_j - J_jm y_i), compared
-    # in one step; building the model per triple cost more than riemann
-    e = np.eye(3)
-    R = np.array([[[riemann(conn, e[i], e[j], e[m]) for m in range(3)]
-                   for j in range(3)] for i in range(3)])
+    # R[i, j, m] = R_{y_i, y_j} y_m against k (J_im y_j - J_jm y_i), filled
+    # in place and compared in one step
+    R = np.empty((3, 3, 3, 3))
+    for i, j, m in _TRIPLES:
+        R[i, j, m] = riemann(conn, _I3[i], _I3[j], _I3[m])
     if float(np.abs(R - k * _UNIT_MODEL).max()) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
     if abs(k) <= band:

@@ -254,6 +254,8 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
         if name not in PARAM_NAMES:
             raise InputError("--grid", f"no canonical form takes {name!r}; "
                              f"expected one of {', '.join(sorted(PARAM_NAMES))}")
+        if name in grid:
+            raise InputError("--grid", f"{name!r} is given more than once")
         try:
             grid[name] = [float(v) for v in values.split(",") if v.strip()]
         except ValueError as exc:
@@ -268,8 +270,7 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
 
 
 def cmd_atlas(args) -> int:
-    tag = (FamilyTag("GI") if args.family == "GI"
-           else _field("--c", FamilyTag, "Gc", args.c))
+    tag = _field("--c", FamilyTag, args.family, args.c)
     grid = _parse_grid(args.grid)
     tol = _default_tolerance()
     text = emit_tables(tag, grid, fmt=args.format, tol=tol)

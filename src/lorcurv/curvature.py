@@ -15,17 +15,22 @@ R_{u,v} w = k (h(u,w) v - h(v,w) u) and ric = 2k h.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LieAlgebra3, bracket_constants
-from .metric import J21, MetricTensor, OrthonormalFrame, frame_gram_residual, \
-    frame_inner, orthonormal_frame
+from .metric import _I3, _SIGNS, J21, MetricTensor, OrthonormalFrame, \
+    frame_gram_residual, frame_inner, orthonormal_frame
 from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
-_SIGNS = np.array([1.0, 1.0, -1.0])
+#: the frame signs of the Koszul formula, broadcast along the k, j and i
+#: index of a (3, 3, 3) array; its factor 1/2 rides on the k signs
+_HALF_SIGNS = 0.5 * _SIGNS
+_SIGNS_J = _SIGNS[:, None]
+_SIGNS_I = _SIGNS[:, None, None]
+_HALF_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -64,11 +69,9 @@ def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
     two matrix products.
     """
     c = bracket_constants(alg.structure_constants, frame.columns)
-    s = _SIGNS
     # c.transpose(1, 2, 0)[i, j, k] = c[k, i, j]; (2, 1, 0) gives c[k, j, i]
-    gamma = 0.5 * s * (s * c
-                       + s[:, None] * c.transpose(1, 2, 0)
-                       + s[:, None, None] * c.transpose(2, 1, 0))
+    gamma = _HALF_SIGNS * (_SIGNS * c + _SIGNS_J * c.transpose(1, 2, 0)
+                           + _SIGNS_I * c.transpose(2, 1, 0))
     P = (gamma.reshape(9, 3)
          @ gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(3, 3, 3, 3)
     curv = ((c.reshape(9, 3) @ gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
@@ -79,9 +82,8 @@ def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
 def riemann(conn: Connection, u: np.ndarray, v: np.ndarray,
             w: np.ndarray) -> np.ndarray:
     """R_{u,v} w = nabla_{[u,v]} w - nabla_u nabla_v w + nabla_v nabla_u w."""
-    x = np.dot(u, conn.curvature.reshape(3, 27))
-    x = np.dot(v, x.reshape(3, 9))
-    return np.dot(w, x.reshape(3, 3))
+    return np.dot(w, np.dot(v, np.dot(u, conn.curvature.reshape(3, 27))
+                            .reshape(3, 9)).reshape(3, 3))
 
 
 def ricci_tensor(conn: Connection) -> np.ndarray:
@@ -90,7 +92,7 @@ def ricci_tensor(conn: Connection) -> np.ndarray:
     With frame coordinates the trace collapses to summing the a-th
     component of R_{y_i, y_a} y_j.
     """
-    ric = np.einsum("iaja->ij", conn.curvature)
+    ric = conn.curvature.trace(axis1=1, axis2=3)
     return 0.5 * (ric + ric.T)
 
 
@@ -202,19 +204,19 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     ric = ricci_tensor(conn)
     op = ricci_operator(ric)
     rho = scalar_curvature(op)
-    e = np.eye(3)
-    kappas = (sectional(conn, e[0], e[1], tol),
-              sectional(conn, e[1], e[2], tol),
-              sectional(conn, e[2], e[0], tol))
+    y1, y2, y3 = _I3
+    kappas = (sectional(conn, y1, y2, tol), sectional(conn, y2, y3, tol),
+              sectional(conn, y3, y1, tol))
     # the classifier's bands are absolute: it sees Ric in units of the
     # squared frame brackets, and its normal form, eigenvalues and D are
     # scaled back
     s = float(np.abs(conn.brackets).max()) ** 2 or 1.0
-    cls = classify_self_adjoint(op / s, tol)
-    D = cls.discriminant
-    cls = replace(cls, normal_form=s * cls.normal_form,
-                  eigenvalues=s * cls.eigenvalues,
-                  discriminant=None if D is None else s * s * D)
+    unit = classify_self_adjoint(op / s, tol)
+    D = unit.discriminant
+    cls = ONeillClassification(unit.type_tag, s * unit.normal_form,
+                               unit.transition,
+                               None if D is None else s * s * D,
+                               unit.boundary_warning, s * unit.eigenvalues)
     values = cls.eigenvalues
     if cls.type_tag == ONeillType.DOUBLE:
         # eig splits a defective double root by about sqrt(eps), often into

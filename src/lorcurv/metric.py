@@ -18,6 +18,16 @@ from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 #: Gram matrix of an orthonormal frame (y1, y2, y3) with y3 timelike.
 J21 = np.diag([1.0, 1.0, -1.0])
+#: the diagonal of J21, and the identity
+_SIGNS = np.array([1.0, 1.0, -1.0])
+_I3 = np.eye(3)
+#: eigh returns ascending eigenvalues, so a Lorentzian metric's timelike
+#: eigenvector comes first; this order moves it last
+_TIMELIKE_LAST = np.array([1, 2, 0])
+_COLUMNS = np.arange(3)
+for _constant in (J21, _SIGNS, _I3, _TIMELIKE_LAST, _COLUMNS):
+    _constant.setflags(write=False)
+del _constant
 
 
 def frame_inner(u: np.ndarray, v: np.ndarray) -> float:
@@ -134,17 +144,18 @@ def orthonormal_frame(h: MetricTensor,
     O(2,1) right-multiple works); when [h] is exactly J the identity is
     returned so the canonical frames of diagonal examples stay literal.
     """
-    if np.array_equal(h.entries, J21):
-        return OrthonormalFrame(np.eye(3))
+    if (h.entries == J21).all():
+        return OrthonormalFrame(_I3)
     eigvals, eigvecs = np.linalg.eigh(h.entries)
     _, reason = _signature(eigvals.tolist(), tol)
     if reason is not None:
         raise ValueError(f"cannot build a frame: {reason}")
-    order = np.argsort(eigvals < 0, kind="stable")     # timelike column last
-    cols = eigvecs[:, order] / np.sqrt(np.abs(eigvals[order]))
-    # deterministic sign: make the largest-magnitude entry of each column positive
-    pivots = cols[np.abs(cols).argmax(axis=0), [0, 1, 2]]
-    cols = np.where(pivots < 0, -cols, cols)
+    # signature (2, 0, 1): the one negative eigenvalue is the first
+    vecs = eigvecs[:, _TIMELIKE_LAST]
+    # deterministic sign: make the largest-magnitude entry of each column
+    # positive, by dividing it by a signed 1/sqrt(|lambda|)
+    pivots = vecs[np.abs(vecs).argmax(axis=0), _COLUMNS]
+    cols = vecs / np.copysign(np.sqrt(np.abs(eigvals[_TIMELIKE_LAST])), pivots)
     frame = OrthonormalFrame(cols)
     res = frame_gram_residual(frame, h)
     scale = 1.0 + float(np.abs(h.entries).max())

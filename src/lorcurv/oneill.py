@@ -22,12 +22,14 @@ matrix in O(2,1) conjugating the input to its normal form, plus D.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .metric import J21, frame_inner
+from .metric import _I3, _SIGNS, J21, frame_inner
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -48,9 +50,17 @@ class ONeillClassification:
     eigenvalues: np.ndarray | None = None   # of A, as np.linalg.eig returns them
 
 
+#: the frame axis y1, the most spacelike unit vector there is
+_Y1 = _I3[:, 0]
+_EPS = sys.float_info.epsilon
+#: the nilpotent part of the {3} normal form [[a,1,-1],[1,a,0],[1,0,a]]
+_TRIPLE_NILPOTENT = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+_TRIPLE_NILPOTENT.setflags(write=False)
+
+
 def boost(theta: float) -> np.ndarray:
     """Hyperbolic rotation in the (y2, y3) plane; lies in O(2,1)."""
-    c, s = np.cosh(theta), np.sinh(theta)
+    c, s = math.cosh(theta), math.sinh(theta)
     return np.array([[1.0, 0.0, 0.0],
                      [0.0, c, s],
                      [0.0, s, c]])
@@ -79,12 +89,11 @@ def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
     """
     vals = lam.tolist()
     scale = max(1.0, max(map(abs, vals)))
-    eps = float(np.finfo(float).eps)
-    width = max(band, 20.0 * (eps * scale) ** (1.0 / 3.0))
+    width = max(band, 20.0 * (_EPS * scale) ** (1.0 / 3.0))
     if max(abs(x - y) for x in vals for y in vals) <= width:
         clusters = [[0, 1, 2]]
     else:
-        width = max(band, 20.0 * (eps * scale) ** 0.5)
+        width = max(band, 20.0 * (_EPS * scale) ** 0.5)
         clusters = []
         for i in sorted((i for i in range(3) if abs(vals[i].imag) <= width),
                         key=lambda i: vals[i].real):
@@ -99,7 +108,7 @@ def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
             candidates.append(vecs[:, idx[0]].real)
             continue
         mean = sum(vals[i].real for i in idx) / len(idx)
-        _, sv, vt = np.linalg.svd(T - mean * np.eye(3))
+        _, sv, vt = np.linalg.svd(T - mean * _I3)
         dim = max(1, int((sv <= width * 10 * max(1.0, float(sv[0]))).sum()))
         B = vt[3 - dim:].T
         if dim == 1:            # one null direction: the only candidate
@@ -108,15 +117,16 @@ def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
         candidates.append(B @ np.linalg.eigh(B.T @ J21 @ B)[1][:, -1])
         candidates.extend((B @ np.linalg.eig(B.T @ T @ B)[1]).real.T)
 
-    best, best_h = None, floor
-    for u in candidates:
-        u = u / np.linalg.norm(u)
-        h = frame_inner(u, u)
-        if h > best_h:
-            Tu = T @ u
-            if np.linalg.norm(Tu - (u @ Tu) * u) <= band:
-                best, best_h = u, h
-    return None if best is None else best / np.sqrt(best_h)
+    # all candidates scored at once, as the columns of U: the first
+    # eigenvector (within the band) of largest h(u, u) / |u|^2 wins
+    U = np.array(candidates).T
+    U = U / np.sqrt((U * U).sum(axis=0))
+    h = _SIGNS @ (U * U)
+    TU = T @ U
+    res = TU - (U * TU).sum(axis=0) * U
+    h[(h <= floor) | (np.sqrt((res * res).sum(axis=0)) > band)] = -math.inf
+    k = int(h.argmax())
+    return None if h[k] == -math.inf else U[:, k] / math.sqrt(h[k])
 
 
 def _split_complement(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,10 +139,10 @@ def _split_complement(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     written out: h(p, p) = (v1^2 + v2^2) / n^2 = 1 as h(v, v) = 1, and p is
     J-orthogonal to v and to y3, hence to q.
     """
-    n = np.sqrt(1.0 + v[2] * v[2])
-    q = v[2] * v
-    q[2] += 1.0
-    return np.array([v[1], -v[0], 0.0]) / n, q / n
+    v0, v1, v2 = v.tolist()
+    n = math.sqrt(1.0 + v2 * v2)
+    return (np.array([v1 / n, -v0 / n, 0.0]),
+            np.array([v2 * v0 / n, v2 * v1 / n, (v2 * v2 + 1.0) / n]))
 
 
 def _block_transition(b: float, r: float, d: float,
@@ -146,21 +156,21 @@ def _block_transition(b: float, r: float, d: float,
     the diagonal (needs D < 0), "unit" rescales a D = 0 block so r' = 1,
     and None boosts not at all.
     """
-    F = np.diag([1.0, 1.0, -1.0]) if r < 0 else np.eye(3)
+    F = J21 if r < 0 else _I3
     r = abs(r)
     if kind is None:
         return F
     if kind == "diag":
-        theta = 0.5 * float(np.arctanh(2 * r / (d - b)))
+        theta = 0.5 * math.atanh(2 * r / (d - b))
     elif kind == "equal":
-        theta = 0.5 * float(np.arctanh((d - b) / (2 * r)))
+        theta = 0.5 * math.atanh((d - b) / (2 * r))
     else:
         # "unit": b - d = 2 eps r up to the band, and the null component
         # a = (r + |b - d| / 2) / 2 goes to a * exp(2 eps theta); setting it
         # to 1 leaves a residual |D| / 16 where setting r to 1 would leave
         # |r - a|
         eps = 1 if (b - d) >= 0 else -1
-        theta = -eps * 0.5 * float(np.log(0.5 * (r + 0.5 * abs(b - d))))
+        theta = -eps * 0.5 * math.log(0.5 * (r + 0.5 * abs(b - d)))
     return F @ boost(theta)
 
 
@@ -188,7 +198,13 @@ def classify_self_adjoint(T: np.ndarray,
 
     band = tol.classification_tol * (1.0 + norm)
     lam, vecs = np.linalg.eig(T)
-    v = _spacelike_eigenvector(T, lam, vecs, band, tol.classification_tol)
+    # h(u, u) <= |u|^2 with equality only on span(y1, y2), so when y1 is an
+    # eigenvector within the band (every scalar operator) it is already as
+    # spacelike as an eigenvector can be and the search is skipped
+    if math.hypot(T[1, 0], T[2, 0]) <= band:
+        v = _Y1
+    else:
+        v = _spacelike_eigenvector(T, lam, vecs, band, tol.classification_tol)
     if v is None:
         C = _jordan_chain(T, band)
         normal = _conjugate(C, T)
@@ -196,10 +212,9 @@ def classify_self_adjoint(T: np.ndarray,
         return ONeillClassification(ONeillType.TRIPLE, normal, C, eigenvalues=lam)
 
     p, q = _split_complement(v)
-    C0 = np.column_stack([v, p, q])
-    T1 = _conjugate(C0, T)
-    b, d = T1[1, 1], T1[2, 2]
-    r = 0.5 * (T1[1, 2] - T1[2, 1])
+    C0 = np.array((v, p, q)).T
+    _, (_, b, t12), (_, t21, d) = _conjugate(C0, T).tolist()
+    r = 0.5 * (t12 - t21)
     # with e = (b - d)/2, D = 4 (|e| - |r|)(|e| + |r|): the block is {21}
     # when (e, r) lies within classification_tol of the null cone |e| = |r|
     # relative to its own size, so the band neither depends on the scale
@@ -221,7 +236,7 @@ def classify_self_adjoint(T: np.ndarray,
 
     normal = _conjugate(C, T)
     _check_transition(C, normal, ttype, band, lenient=boundary)
-    return ONeillClassification(ttype, normal, C, float(D), boundary,
+    return ONeillClassification(ttype, normal, C, D, boundary,
                                 eigenvalues=lam)
 
 
@@ -235,9 +250,8 @@ def _jordan_chain(T: np.ndarray, band: float) -> np.ndarray:
     """Jordan chain basis of a {3} operator realising the exact normal form
     [[a,1,-1],[1,a,0],[1,0,a]] with Gram matrix J."""
     lam = float(np.trace(T)) / 3.0
-    N = T - lam * np.eye(3)
-    candidates = [np.eye(3)[:, k] for k in range(3)]
-    u0 = max(candidates, key=lambda u: float(np.linalg.norm(N @ N @ u)))
+    N = T - lam * _I3
+    u0 = max(_I3, key=lambda u: float(np.linalg.norm(N @ N @ u)))
     if float(np.linalg.norm(N @ N @ u0)) <= band:
         raise ArithmeticError("{3} operator has no length-3 chain")
     m0 = frame_inner(u0, u0)
@@ -270,10 +284,9 @@ def _check_transition(C, normal, ttype: ONeillType, band: float,
 def _pattern_residual(a: np.ndarray, ttype: ONeillType) -> float:
     """Largest deviation of a normal form from the pattern of its type."""
     if ttype == ONeillType.TRIPLE:
-        model = np.trace(a) / 3.0 * np.eye(3) \
-            + np.array([[0.0, 1, -1], [1, 0, 0], [1, 0, 0]])
+        model = np.trace(a) / 3.0 * _I3 + _TRIPLE_NILPOTENT
         return float(np.abs(a - model).max())
-    model = np.diag(np.diag(a))
+    model = a * _I3
     m = 0.5 * (a[1, 1] + a[2, 2])
     if ttype == ONeillType.COMPLEX:
         r = 0.5 * (a[1, 2] - a[2, 1])

@@ -155,14 +155,19 @@ def test_paper_frame_is_orthonormal():
 
 
 def test_domain_rejection():
+    """Parameters outside a form's domain, and a form id that names no form
+    of the tag's family (unknown, or of another family), are ValueErrors
+    from every lookup."""
     with pytest.raises(ValueError):
         closed_form_report(FamilyTag("GI"), "GI.1", {"mu": -1.0})
-    with pytest.raises(KeyError):
-        get_form_spec(FamilyTag("GI"), "GI.9")
-    with pytest.raises(KeyError):
-        canonical_matrix(FamilyTag("GI"), "GI.9", {})
-    with pytest.raises(ValueError):
-        canonical_matrix(FamilyTag("GI"), "Gc_gt1.2", {"mu": 1.0, "tau": 0.0})
+    params = {"mu": 1.0, "tau": 0.0}
+    for form_id in ("GI.9", "Gc_gt1.2"):
+        for lookup in (lambda f: get_form_spec(FamilyTag("GI"), f),
+                       lambda f: canonical_matrix(FamilyTag("GI"), f, params),
+                       lambda f: paper_frame(FamilyTag("GI"), f, params),
+                       lambda f: closed_form_report(FamilyTag("GI"), f, params)):
+            with pytest.raises(ValueError, match="not a canonical form of family GI"):
+                lookup(form_id)
 
 
 def test_flat_entries_zero_engine_ricci():

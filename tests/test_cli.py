@@ -203,6 +203,13 @@ def test_atlas_unwritable_out_exit2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_atlas_family_rule_comes_from_the_tag(capsys):
+    """atlas builds every family's tag through FamilyTag, so --c on GI is
+    refused with the tag's own message, as --c missing on Gc is."""
+    assert main(["atlas", "--family", "GI", "--c", "2", "--grid", "mu=1"]) == 2
+    assert capsys.readouterr().err == "error: --c: family GI takes no parameter\n"
+
+
 def test_atlas_bad_grid_exit2():
     assert main(["atlas", "--family", "GI", "--grid", "mu=banana"]) == 2
     assert main(["atlas", "--family", "GI", "--grid", ""]) == 2
@@ -274,11 +281,14 @@ _LORENTZIAN = "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]"
     (["classify"], '{"family": "GI", "metric": %s, "tolerence": {"abs_tol": 1e-6}}'
      % _LORENTZIAN, "tolerence"),
     (["atlas", "--family", "GI", "--grid", "muu=1"], None, "--grid"),
+    (["atlas", "--family", "GI", "--grid", "mu=1;mu=2"], None, "--grid"),
+    (["atlas", "--family", "GI", "--c", "2", "--grid", "mu=1"], None, "--c"),
 ], ids=["bool-c", "infinite-c", "nan-abs-tol", "tiny-classification-tol",
         "unknown-rel-tol", "non-numeric-metric",
         "ragged-metric", "atlas-nan-c", "atlas-infinite-grid", "bool-abs-tol",
         "string-c", "atlas-missing-c", "unknown-document-field",
-        "atlas-unknown-grid-name"])
+        "atlas-unknown-grid-name", "atlas-repeated-grid-name",
+        "atlas-gi-with-c"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc, path):
     if doc is not None:
         f = tmp_path / "m.json"

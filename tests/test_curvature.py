@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from lorcurv import (
+    ConstantCurvatureClass,
     FamilyTag,
     MetricTensor,
     ONeillType,
     classification_basis,
+    canonical_form,
     canonical_matrix,
     closed_form_report,
+    constant_curvature_class,
     cross,
     curvature_report,
     form_specs,
@@ -251,8 +254,9 @@ def _loop_ricci_tensor(gamma, c):
     return 0.5 * (ric + ric.T)
 
 
-def _sweep_images(rng):
-    """One automorphism image of every ALL_TAGS x SWEEP_GRID cell."""
+def _sweep_cells(rng):
+    """(tag, form id, params, algebra, image): one automorphism image of
+    every ALL_TAGS x SWEEP_GRID cell."""
     for tag in ALL_TAGS:
         basis = classification_basis(tag)
         alg = make_family_algebra(tag, basis)
@@ -260,7 +264,14 @@ def _sweep_images(rng):
             for params in _param_grid(spec, tag, SWEEP_GRID):
                 h = MetricTensor(canonical_matrix(tag, spec.form_id, params),
                                  basis_label=basis)
-                yield alg, pull_back_metric(h, rand_automorphism(tag, rng))
+                yield (tag, spec.form_id, params, alg,
+                       pull_back_metric(h, rand_automorphism(tag, rng), basis))
+
+
+def _sweep_images(rng):
+    """One automorphism image of every ALL_TAGS x SWEEP_GRID cell."""
+    for *_, alg, h in _sweep_cells(rng):
+        yield alg, h
 
 
 def _fuzz_metrics(c, count=300):
@@ -329,8 +340,9 @@ def test_curvature_report_lapack_budget(monkeypatch):
     """One report makes the frame's eigh, the inverse of the frame in the
     bracket rewrite and the classifier's eig, and nothing else; the
     principal Ricci values reuse the classifier's eigenvalues.  A scalar
-    Ricci operator (Einstein GI.1) merges all three eigenvalues, and the
-    classifier's cluster search adds an SVD, an eigh and an eig."""
+    Ricci operator (Einstein GI.1) has the frame axis y1 as an eigenvector,
+    the most spacelike one possible, so the classifier's cluster search
+    does not run and the budget is the same."""
     tag = FamilyTag("Gc", 2.0)
     alg = make_family_algebra(tag)
     h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
@@ -343,7 +355,7 @@ def test_curvature_report_lapack_budget(monkeypatch):
     h = MetricTensor(canonical_matrix(tag, "GI.1", {"mu": 1.0}))
     rep, calls = lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
     assert np.abs(rep.ricci_op - rep.scalar / 3 * np.eye(3)).max() < 1e-12
-    assert sum(calls.values()) <= 6, calls
+    assert calls == {"eig": 1, "eigh": 1, "inv": 1}
 
 
 def test_principal_ricci_matches_eigvals_on_sweep_images(rng):
@@ -399,3 +411,37 @@ def test_principal_ricci_double_root_is_real_and_repeated(rng):
         assert abs(0.5 * (roots[0] + roots[1]) - m) <= 1e-7 * s, (got, roots)
         count += 1
     assert count == 76
+
+
+def _closed_class(tag, form_id, params):
+    """The constant-curvature class from the closed-form Ricci operator:
+    in dimension three Einstein, Ric = (rho / 3) I, is constant curvature
+    k = rho / 6."""
+    closed = closed_form_report(tag, form_id, params)
+    ric, rho = closed.ricci_op, closed.rho
+    s = 1.0 + float(np.abs(ric).max())
+    if float(np.abs(ric - rho / 3.0 * np.eye(3)).max()) > 1e-9 * s:
+        return ConstantCurvatureClass.NON_CONSTANT, closed
+    if abs(rho) <= 1e-9 * s:
+        return ConstantCurvatureClass.FLAT, closed
+    return (ConstantCurvatureClass.POSITIVE if rho > 0
+            else ConstantCurvatureClass.NEGATIVE), closed
+
+
+def test_answers_unchanged_on_sweep_images(rng):
+    """On an automorphism image of every sweep cell the form id, the
+    O'Neill type, the constant-curvature class and rho are those of the
+    cell itself: the Einstein cells, whose classification takes y1 as the
+    spacelike eigenvector without a search, included."""
+    count = einstein = 0
+    for tag, form_id, params, alg, h in _sweep_cells(rng):
+        where = (tag.c, form_id, params)
+        cls, closed = _closed_class(tag, form_id, params)
+        rep = curvature_report(alg, h)
+        assert canonical_form(tag, h).form_id == form_id, where
+        assert rep.oneill.type_tag == closed.oneill_type, where
+        assert constant_curvature_class(tag, h)[0] == cls, where
+        assert abs(rep.scalar - closed.rho) <= 1e-9 * (1.0 + abs(closed.rho)), where
+        count += 1
+        einstein += cls != ConstantCurvatureClass.NON_CONSTANT
+    assert (count, einstein) == (335, 42)

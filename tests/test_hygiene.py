@@ -199,3 +199,58 @@ def test_scan_finds_function_style_reduction():
     assert function_style_reductions(source) == [
         "line 3: np.max", "line 4: np.sum", "line 5: np.all", "line 5: np.any",
         "line 6: np.min"]
+
+
+#: modules on the per-op curvature path, where an array rebuilt on every
+#: call costs a numpy dispatch that a module constant does not
+_CURVATURE_PATH = [_ROOT / "src/lorcurv" / name
+                   for name in ("oneill.py", "curvature.py", "metric.py")]
+_ARRAY_BUILDERS = {"array", "asarray", "eye", "identity", "diag", "zeros",
+                   "ones", "full", "arange"}
+
+
+def _literal(node: ast.AST) -> bool:
+    """A number or other constant, a signed one, or a list or tuple of them."""
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        return _literal(node.operand)
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return all(map(_literal, node.elts))
+    return False
+
+
+def constant_arrays_in_functions(source: str) -> list[str]:
+    """Calls such as ``np.eye(3)`` or ``np.diag([1.0, 1.0, -1.0])`` inside
+    a function body: a numpy array builder whose positional arguments are
+    all literals, so that every call builds the same array."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _ARRAY_BUILDERS
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np"
+                    and all(map(_literal, node.args))):
+                found[(node.lineno, node.col_offset)] = node.func.attr
+    return [f"line {line}: np.{name}" for (line, _), name in sorted(found.items())]
+
+
+@pytest.mark.parametrize("path", _CURVATURE_PATH, ids=lambda p: p.name)
+def test_no_constant_arrays_in_functions(path):
+    assert constant_arrays_in_functions(path.read_text()) == []
+
+
+def test_scan_finds_constant_array_in_function():
+    source = ("import numpy as np\nJ = np.diag([1.0, 1.0, -1.0])\n\n"
+              "def f(v, a, n):\n"
+              "    e = np.eye(3)\n"
+              "    s = np.diag([1.0, 1.0, -1.0]) @ np.array([v[1], -v[0], 0.0])\n"
+              "    m = np.array([[0.0, 1, -1], [1, 0, 0]]) + np.diag(np.diag(a))\n"
+              "    def g():\n        return np.zeros((3, 3), dtype=float)\n"
+              "    return np.eye(n) + J, lambda: np.asarray(-2.0)\n")
+    assert constant_arrays_in_functions(source) == [
+        "line 5: np.eye", "line 6: np.diag", "line 7: np.array",
+        "line 9: np.zeros", "line 10: np.asarray"]

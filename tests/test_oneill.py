@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lorcurv import J21, ONeillType, classify_self_adjoint
+from lorcurv import DEFAULT_TOL, J21, ONeillType, classify_self_adjoint
 from lorcurv.oneill import _split_complement, boost
-from tests.conftest import rand_o21
+from tests.conftest import lapack_calls, rand_o21
 
 # J-self-adjoint representatives of the four types
 REP_DIAGONAL = np.diag([1.0, 2.0, 3.0])
@@ -120,3 +120,29 @@ def test_split_complement_is_j_orthonormal(theta, phi):
     p, q = _split_complement(v)
     C = np.column_stack([v, p, q])
     assert np.abs(C.T @ J21 @ C - J21).max() <= 1e-12 * (1.0 + v @ v)
+
+
+@pytest.mark.parametrize("k", [-3.0, 0.0, 0.5, 2.0])
+def test_near_scalar_operator_needs_one_eig(k, rng, monkeypatch):
+    """kI + E, with E J-self-adjoint and below a tenth of the band, alone
+    and under O(2,1) conjugation (E rescaled after conjugating, so that
+    the operator classified stays that close to kI): y1 is an eigenvector
+    within the band, so it is taken without the cluster search, and the
+    classification is {11,1} with a normal form within the band of kI and
+    a transition in O(2,1), from one eig."""
+    band = DEFAULT_TOL.classification_tol * (1.0 + abs(k))
+    for conjugate in (False, True):
+        for _ in range(25):
+            S = rng.normal(size=(3, 3))
+            E = J21 @ (S + S.T)
+            if conjugate:
+                A = rand_o21(rng)
+                E = A @ E @ np.linalg.inv(A)
+            E *= rng.uniform(0.0, 0.1) * band / np.abs(E).max()
+            T = k * np.eye(3) + E
+            cls, calls = lapack_calls(monkeypatch, lambda: classify_self_adjoint(T))
+            assert calls == {"eig": 1}
+            assert cls.type_tag == ONeillType.DIAGONAL
+            assert np.abs(cls.normal_form - k * np.eye(3)).max() <= band
+            C = cls.transition
+            assert np.abs(C.T @ J21 @ C - J21).max() <= 1e-14
