@@ -90,33 +90,35 @@ def _strictly_lorentzian(C: np.ndarray) -> bool:
 class _Reducer:
     """Accumulates automorphism steps and the congruence they induce."""
 
-    def __init__(self, tag: FamilyTag, h0: np.ndarray, tol: ToleranceConfig):
-        self.tag = tag
+    def __init__(self, h0: np.ndarray, tol: ToleranceConfig):
         self.h0 = np.asarray(h0, dtype=float)
         self.tol = tol
         self.A = np.eye(3)
         self.cur = self.h0           # A^T h0 A, kept current by apply
-        self.scale = 1.0 + float(np.abs(self.cur).max())
+        self.d = [max(map(abs, r)) for r in self.cur.tolist()]   # row maxima
 
-    def band(self) -> float:
-        return self.tol.classification_tol * self.scale
+    def band(self, *entries: float) -> float:
+        """The zero band of a quantity combined from these entries."""
+        return self.tol.classification_tol * max(map(abs, entries))
 
     def apply(self, B: np.ndarray) -> None:
         self.A = self.A @ B
         self.cur = self.A.T @ self.h0 @ self.A
-        self.scale = 1.0 + float(np.abs(self.cur).max())
+        self.d = [max(map(abs, r)) for r in self.cur.tolist()]
 
     def entry(self, i: int, j: int) -> float:
         return float(self.cur[i, j])
 
     def is_zero(self, i: int, j: int) -> bool:
-        return abs(self.entry(i, j)) <= self.band()
+        """|cur_ij| <= tol sqrt(d_i d_j): the same verdict for every multiple of h."""
+        tol, d = self.tol.classification_tol, self.d
+        return abs(self.entry(i, j)) <= tol * math.sqrt(d[i] * d[j])
 
     def plane_degenerate(self) -> bool:
         """Whether the 2x2 block on span(x1, x2) is singular to tolerance."""
         c = self.cur
         p = c[0, 0] * c[1, 1] - c[0, 1] ** 2
-        return abs(p) <= self.tol.classification_tol * self.scale ** 2
+        return abs(p) <= self.tol.classification_tol * self.d[0] * self.d[1]
 
     @staticmethod
     def scale_translate(g: float, t: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
@@ -180,14 +182,9 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     _, reason = _signature(ev, tol)
     if reason is not None:
         raise DegenerateMetricError(reason)
-    # the reducer's zero band is absolute, so it refuses an eigenvalue within
-    # classification_tol of zero that the relative signature band accepts
-    if min(map(abs, ev)) <= tol.classification_tol:
-        raise DegenerateMetricError(
-            "degenerate form (eigenvalue within tolerance of zero)")
 
     key = tag.family_key()
-    red = _Reducer(tag, h_cls.entries, tol)
+    red = _Reducer(h_cls.entries, tol)
     if key == "GI":
         form_id, params = _reduce_gi(tag, red)
     elif key == "Gc_gt1":
@@ -203,8 +200,7 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     if not _strictly_lorentzian(canon):
         raise DegenerateMetricError("inconsistent signature in reduction")
     res = float(np.abs(red.cur - canon).max())
-    band = tol.classification_tol * (1.0 + float(np.abs(canon).max())) * 100
-    if res > band:
+    if res > tol.classification_tol * float(np.abs(canon).max()) * 100:
         raise DegenerateMetricError(
             f"reduction residual {res:g} too large for form {form_id}")
     return CanonicalForm(tag, form_id, params, canon, red.A, target)
@@ -253,7 +249,9 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     if red.plane_degenerate():
         if not red.is_zero(0, 1):
             c = red.cur
-            red.apply(automorphism_matrix(tag, alpha=c[0, 0], beta=c[0, 0] - c[0, 1]))
+            m = max(abs(c[0, 0]), abs(c[0, 1]))
+            red.apply(automorphism_matrix(tag, alpha=c[0, 0] / m,
+                                          beta=(c[0, 0] - c[0, 1]) / m))
         if red.null_index() == 0:
             red.apply(automorphism_matrix(tag, alpha=1.0, beta=-1.0))
         return "Gc_gt1.1", {"mu": red.null_tail(1)}
@@ -262,7 +260,8 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     red.clear_translation()
 
     c = red.cur
-    if abs(c[0, 0] - c[0, 1]) > red.band():
+    band = red.band(c[0, 0], c[0, 1])
+    if abs(c[0, 0] - c[0, 1]) > band:
         # fold so the two leading entries agree: root of a real quadratic
         aq = c[0, 0] - c[0, 1]
         bq = (cpar - 2.0) * c[0, 0] + 2.0 * c[0, 1] - c[1, 1]
@@ -273,12 +272,13 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
                        key=lambda z: (abs(z), -z))
         red.apply(automorphism_matrix(tag, alpha=1.0, beta=roots[0]))
         c = red.cur
-        if abs(c[0, 0] - c[0, 1]) > red.band() * 10:
+        # rounding in the fold scales with the entries it combined
+        if abs(c[0, 0] - c[0, 1]) > band * 10:
             raise DegenerateMetricError("fold step failed to equalise entries")
 
     c = red.cur
     h11 = 0.5 * (c[0, 0] + c[0, 1])
-    if abs(h11) <= red.band():
+    if abs(h11) <= red.band(c[0, 0], c[0, 1]):
         raise DegenerateMetricError("pivot vanishes after fold")
     red.apply(red.scale_translate(1.0 / math.sqrt(abs(h11))))
     c = red.cur
@@ -290,7 +290,7 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
         return "Gc_gt1.2", {"mu": float(mu), "tau": float(tau)}
     if eps > 0:  # tau > 1 forces mu < 0
         nu = tau
-        if nu > cpar + red.band():
+        if nu > cpar + red.band(cpar):
             red.apply(automorphism_matrix(
                 tag, alpha=1.0 / math.sqrt(nu - 1.0), beta=0.0))
             nu = red.entry(1, 1)
@@ -313,7 +313,8 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
             c = red.cur
             if red.is_zero(0, 0):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            red.apply(adapted_automorphism(tag, c[0, 0], -c[0, 1]))
+            m = max(abs(c[0, 0]), abs(c[0, 1]))
+            red.apply(adapted_automorphism(tag, c[0, 0] / m, -c[0, 1] / m))
         i = red.null_index()
         return ("G1.1", "G1.2")[i], {"mu": red.null_tail(i)}
 
@@ -322,7 +323,8 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
     c = red.cur
     if not red.is_zero(0, 0):
         if not red.is_zero(0, 1):
-            red.apply(adapted_automorphism(tag, c[0, 0], -c[0, 1]))
+            m = max(abs(c[0, 0]), abs(c[0, 1]))
+            red.apply(adapted_automorphism(tag, c[0, 0] / m, -c[0, 1] / m))
         c = red.cur
         red.apply(red.scale_translate(1.0 / math.sqrt(abs(c[0, 0]))))
         c = red.cur
@@ -359,7 +361,7 @@ def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
             red.apply(red.scale_translate(1.0 / math.sqrt(a)))
             c = red.cur
             nu_, lam = c[0, 2], c[1, 2]
-            if abs(lam - nu_) <= red.band():
+            if abs(lam - nu_) <= red.band(lam, nu_):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
             red.apply(red.scale_translate(
                 1.0, ((nu_ ** 2 - 2 * nu_ * lam + c[2, 2]) / (2 * (lam - nu_)),
@@ -423,16 +425,17 @@ def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
     cf2 = canonical_form(tag, h2, tol)
     if cf1.form_id != cf2.form_id:
         return False, None
-    for name, v1 in cf1.params.items():
-        v2 = cf2.params[name]
-        if abs(v1 - v2) > tol.classification_tol * (1.0 + abs(v1)):
+    # entrywise by the reducer's rule, with d the row maxima of both matrices
+    C1, C2 = cf1.canonical_matrix.tolist(), cf2.canonical_matrix.tolist()
+    d = [max(map(abs, r1 + r2)) for r1, r2 in zip(C1, C2)]
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        if (C1[i][j] - C2[i][j]) ** 2 > tol.classification_tol ** 2 * d[i] * d[j]:
             return False, None
     W = cf1.witness @ np.linalg.inv(cf2.witness)
     if h1.basis_label == BasisLabel.NATURAL and cf1.basis_label != BasisLabel.NATURAL:
         W = adapted_basis_vectors(tag) @ W @ adapted_transition(tag)
     res = float(np.abs(W.T @ h1.entries @ W - h2.entries).max())
-    scale = 1.0 + float(np.abs(h2.entries).max())
-    if res > tol.classification_tol * scale * 100:
+    if res > tol.classification_tol * float(np.abs(h2.entries).max()) * 100:
         raise ArithmeticError(f"equivalence witness residual {res:g} too large")
     if not is_automorphism(make_family_algebra(tag, h1.basis_label), W, tol):
         raise ArithmeticError("equivalence witness is not an automorphism")
@@ -459,7 +462,8 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
                        orthonormal_frame(h, tol))
     ric = ricci_tensor(conn)
     k = float(ric[0, 0] + ric[1, 1] - ric[2, 2]) / 6.0
-    band = tol.classification_tol * (1.0 + float(np.abs(ric).max()))
+    # in units of the squared frame brackets, as curvature_report classifies
+    band = tol.classification_tol * float(np.abs(conn.brackets).max()) ** 2
     if float(np.abs(ric - 2.0 * k * J21).max()) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
     # R[i, j, m] = R_{y_i, y_j} y_m against k (J_im y_j - J_jm y_i), filled

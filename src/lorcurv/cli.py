@@ -11,17 +11,17 @@ Input is a JSON document (file path or ``-`` for stdin):
     }
 
 Exit codes, all decided in ``main``: 0 success; 1 rejection, any
-``ValueError`` of the library (invalid metric, wrong signature, a
-basis that does not fit the family, a pivot inside the tolerance band,
-a metric that ``--frame paper`` finds not canonical or not
-h-orthonormal), with one
-``rejected: <message>`` line on stderr; 2 parse or I/O error (``error:
-<field>: <message>``); 3 "not equivalent" (equiv only); 4 internal
-fault, an ``ArithmeticError`` or ``LinAlgError`` of the engine (one
-``fault: <subcommand>: <message>`` line on stderr).  ``validate``
-prints its diagnostics and exits 1 when the metric is not Lorentzian.
-The environment variable LORCURV_TOL, when set, overrides the default
-abs_tol; an explicit "tolerance" field in the document wins over both.
+``ValueError`` of the library (invalid metric, wrong signature, a basis
+that does not fit the family, a pivot inside the tolerance band, a
+metric whose frame is not h-orthonormal, which under ``--frame paper``
+means not canonical), with one ``rejected: <message>`` line on stderr;
+2 parse or I/O error (``error: <field>: <message>``); 3 "not
+equivalent" (equiv only); 4 internal fault, an ``ArithmeticError`` or
+``LinAlgError`` of the engine (one ``fault: <subcommand>: <message>``
+line on stderr).  ``validate`` prints its diagnostics and exits 1 when
+the metric is not Lorentzian.  The environment variable LORCURV_TOL,
+when set, overrides the default abs_tol; an explicit "tolerance" field
+in the document wins over both.
 
 This module checks only the shape of its input: FamilyTag and
 ToleranceConfig decide which c and tolerances are valid, and their
@@ -49,7 +49,7 @@ from .canonical import (
     to_adapted_basis,
 )
 from .curvature import curvature_report
-from .metric import MetricTensor, validate_metric
+from .metric import MetricTensor, frame_gram_residual, validate_metric
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 EXIT_OK = 0
@@ -219,17 +219,13 @@ def cmd_classify(args) -> int:
 def cmd_curvature(args) -> int:
     tag, h, tol = _load_document(args.file)
     if args.frame == "paper":
-        # the frame's Gram band in curvature_report scales with max|h| while
-        # its residual does not, so it alone would pass a large non-canonical
-        # metric; the entrywise check keeps the frame tied to the input
         cf = canonical_form(tag, h, tol)
         target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
-        res = float(np.abs(target.entries - cf.canonical_matrix).max())
-        band = tol.classification_tol * (1.0 + float(np.abs(cf.canonical_matrix).max()))
-        if res > band:
+        frame = paper_frame(tag, cf.form_id, cf.params)
+        res = frame_gram_residual(frame, target)
+        if res > tol.classification_tol:
             raise ValueError("metric is not in canonical form; canonicalize first "
                              f"(form {cf.form_id}, residual {res:g})")
-        frame = paper_frame(tag, cf.form_id, cf.params)
         alg = make_family_algebra(tag, cf.basis_label)
         report = curvature_report(alg, target, frame=frame, tol=tol)
     else:

@@ -197,8 +197,7 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     if frame is None:
         frame = orthonormal_frame(h, tol)
     res = frame_gram_residual(frame, h)
-    scale = 1.0 + float(np.abs(h.entries).max())
-    if res > tol.classification_tol * scale:
+    if res > tol.classification_tol:      # Gram residual is dimensionless
         raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
     conn = levi_civita(alg, frame)
     ric = ricci_tensor(conn)

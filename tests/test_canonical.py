@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,14 +228,22 @@ def test_no_unexpected_constant_forms(tag):
 
 
 def test_g1_degenerate_branch_rejects_vanishing_pivot():
-    """G1.6 (mu = 0.5) moved by the adapted automorphism with gamma = 0.006:
-    the plane block is degenerate and its (x1, x1) entry is exactly zero,
-    so the shear that would clear (x1, x2) has no pivot."""
+    """G1.6 (mu = 0.5) moved by the adapted automorphism with gamma = 0.006
+    has a degenerate plane block with (x1, x1) exactly zero, and reduces
+    back to G1.6.  A pivot that vanishes next to a live (x1, x2) entry of
+    the same row is a rejection."""
+    tag, basis = FamilyTag("Gc", 1.0), BasisLabel.Q_ADAPTED
     h = MetricTensor(np.array([[0.0, 3.6e-5, 0.0], [3.6e-5, 0.0, 0.0],
-                               [0.0, 0.0, 0.5]]), basis_label=BasisLabel.Q_ADAPTED)
+                               [0.0, 0.0, 0.5]]), basis_label=basis)
+    cf = canonical_form(tag, h)
+    assert (cf.form_id, cf.params) == ("G1.6", {"mu": pytest.approx(0.5)})
+    g16 = MetricTensor(canonical_matrix(tag, "G1.6", {"mu": 0.5}), basis_label=basis)
+    assert equivalent(tag, h, g16)[0]
+    h = MetricTensor(np.array([[0.0, 1e-5, 1.0], [1e-5, 1.0, 0.0],
+                               [1.0, 0.0, 0.5]]), basis_label=basis)
     with pytest.raises(DegenerateMetricError,
                        match="pivot vanishes in degenerate branch"):
-        canonical_form(FamilyTag("Gc", 1.0), h)
+        canonical_form(tag, h)
 
 
 def test_gt1_form3_nu_within_band_of_c_is_clamped():
@@ -455,21 +465,25 @@ def _step(tag, kind, x):
                                 st.lists(_entry, min_size=5, max_size=5)),
                       max_size=6))
 def test_reducer_band_follows_every_step(family, h, steps):
-    """band, is_zero and plane_degenerate read a scale the reducer stores
-    once per step; after every apply they must equal the formulas
-    recomputed from A^T h0 A."""
+    """is_zero and plane_degenerate read row maxima d_i = max_k |cur_ik|
+    that the reducer stores once per step; after every apply they must
+    follow the rule recomputed from A^T h0 A: |cur_ij| <= tol sqrt(d_i d_j)
+    and |det of the plane block| <= tol d_0 d_1."""
     h0 = np.array([[h[0], h[1], h[2]], [h[1], h[3], h[4]], [h[2], h[4], h[5]]])
-    red = lorcurv.canonical._Reducer(family, h0, DEFAULT_TOL)
+    red = lorcurv.canonical._Reducer(h0, DEFAULT_TOL)
     tol = DEFAULT_TOL.classification_tol
 
     def check():
         cur = red.A.T @ h0 @ red.A
-        scale = 1.0 + np.abs(cur).max()
+        d = np.abs(cur).max(axis=1)
         assert np.array_equal(red.cur, cur)
-        assert red.band() == tol * scale
-        assert red.is_zero(0, 1) == (abs(cur[0, 1]) <= tol * scale)
+        assert red.d == d.tolist()
+        for i, j in itertools.combinations_with_replacement(range(3), 2):
+            assert red.is_zero(i, j) == (abs(cur[i, j]) <= tol * np.sqrt(d[i] * d[j]))
+        assert red.band(cur[0, 0], cur[0, 1]) == tol * max(abs(cur[0, 0]),
+                                                           abs(cur[0, 1]))
         p = cur[0, 0] * cur[1, 1] - cur[0, 1] ** 2
-        assert red.plane_degenerate() == (abs(p) <= tol * scale ** 2)
+        assert red.plane_degenerate() == (abs(p) <= tol * d[0] * d[1])
 
     check()
     for kind, x in steps:

@@ -110,8 +110,8 @@ def test_curvature_paper_frame_rejects_non_canonical(tmp_path, capsys):
 def test_curvature_paper_frame_rejects_large_translated_metric(
         tmp_path, capsys, mu, t):
     """GI.1 pulled back by e3 -> e3 - t e1.  The paper frame is off from
-    h-orthonormal by t/sqrt(mu), which lies inside the Gram band
-    classification_tol (1 + max|h|); the entrywise check still rejects it."""
+    h-orthonormal by t/sqrt(mu), far outside the Gram band
+    classification_tol, however large max|h| is."""
     metric = [[1, 0, t], [0, -1, 0], [t, 0, mu + t * t]]
     f = _doc(tmp_path, "m.json", "GI", metric)
     assert main(["curvature", f, "--frame", "paper"]) == 1
@@ -120,13 +120,15 @@ def test_curvature_paper_frame_rejects_large_translated_metric(
 
 
 def test_curvature_paper_frame_gram_residual_is_a_rejection(tmp_path, capsys):
-    """Within the canonical-residual band of GI.3 but 1.5e-5 off in the
-    Gram residual of the paper frame: a rejection, not a traceback."""
+    """GI.1 with mu = 1e-4 and a (x2, x3) entry of 1.5e-7: the paper frame
+    is 1.5e-5 off in its Gram residual, so the metric is not canonical, a
+    rejection and not a traceback."""
     f = _doc(tmp_path, "m.json", "GI",
              [[1, 0, 0], [0, -1, 1.5e-7], [0, 1.5e-7, 1e-4]])
     assert main(["curvature", f, "--frame", "paper"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("rejected: frame is not h-orthonormal")
+    assert err.startswith("rejected: metric is not in canonical form; "
+                          "canonicalize first (form GI.1, residual ")
 
 
 def test_constcurv_near_c1(tmp_path, capsys):
@@ -324,7 +326,9 @@ def test_atlas_full_sweep_grid_keeps_family_rows(capsys):
     assert len(full.splitlines()) == 1 + 2 * len(SWEEP_GRID["mu"]) + 1
 
 
-_G1_ZERO_PIVOT = [[0, 3.6e-5, 0], [3.6e-5, 0, 0], [0, 0, 0.5]]
+#: a degenerate plane block whose (x1, x1) pivot vanishes beside a live
+#: (x1, x2) entry of the same row
+_G1_ZERO_PIVOT = [[0, 1e-5, 1], [1e-5, 1, 0], [1, 0, 0.5]]
 
 
 @pytest.mark.parametrize("command", ["classify", "constcurv", "equiv"])

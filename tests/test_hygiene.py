@@ -254,3 +254,42 @@ def test_scan_finds_constant_array_in_function():
     assert constant_arrays_in_functions(source) == [
         "line 5: np.eye", "line 6: np.diag", "line 7: np.array",
         "line 9: np.zeros", "line 10: np.asarray"]
+
+
+#: modules whose zero bands take the unit of the quantity they test
+_BANDED = [_ROOT / "src/lorcurv" / name
+           for name in ("canonical.py", "curvature.py", "cli.py")]
+
+
+def _is_one(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+def mixed_unit_bands(source: str) -> list[str]:
+    """Products ``classification_tol * (1.0 + x)``, in either order and
+    with the 1 on either side: a band that is absolute while x is small
+    and relative once it is large, so a verdict changes with the units."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+            continue
+        for tol, other in ((node.left, node.right), (node.right, node.left)):
+            if (getattr(tol, "attr", getattr(tol, "id", None)) == "classification_tol"
+                    and isinstance(other, ast.BinOp) and isinstance(other.op, ast.Add)
+                    and (_is_one(other.left) or _is_one(other.right))):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", _BANDED, ids=lambda p: p.name)
+def test_no_mixed_unit_bands(path):
+    assert mixed_unit_bands(path.read_text()) == []
+
+
+def test_scan_finds_mixed_unit_band():
+    source = ("a = tol.classification_tol * (1.0 + abs(x))\n"
+              "b = (s + 1) * classification_tol * 100\n"
+              "c = tol.classification_tol * max(abs(x), 1.0)\n"
+              "d = tol.abs_tol * (1.0 + abs(x))\n"
+              "e = tol.classification_tol * x + 1.0\n")
+    assert mixed_unit_bands(source) == ["line 1", "line 2"]
