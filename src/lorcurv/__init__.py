@@ -47,7 +47,6 @@ from .curvature import (
     ricci_operator,
     ricci_tensor,
     riemann,
-    scalar_curvature,
     sectional,
 )
 from .metric import (
@@ -80,6 +79,5 @@ __all__ = [
     "from_adapted_basis", "get_form_spec", "is_automorphism", "levi_civita",
     "make_family_algebra", "milnor_sectional", "orthonormal_frame",
     "paper_frame", "pull_back_metric", "ricci_operator", "ricci_tensor",
-    "riemann", "scalar_curvature", "sectional", "to_adapted_basis",
-    "validate_metric",
+    "riemann", "sectional", "to_adapted_basis", "validate_metric",
 ]

@@ -276,14 +276,20 @@ def is_automorphism(alg: LieAlgebra3, A: np.ndarray,
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3):
         return False
-    if abs(np.linalg.det(A)) <= tol.abs_tol:
+    # each band in the unit of what it tests.  det A is linear in each
+    # column, and an automorphism's columns differ in size by up to c
+    # (the -c alpha of a Gc block), so its unit is the product of the
+    # column maxima, not max|A|^3.  The residual is quadratic in A and
+    # linear in the constants.
+    cols = np.abs(A).max(axis=0).tolist()
+    if abs(np.linalg.det(A)) <= tol.classification_tol * cols[0] * cols[1] * cols[2]:
         return False
+    a = max(cols)
     c = alg.structure_constants.reshape(9, 3)
-    scale = 1.0 + float(np.abs(A).max()) ** 2 * (float(np.abs(c).max()) + 1.0)
     # rows (i, j) = (0, 1), (0, 2), (1, 2) of A [e_i, e_j] against
     # [A e_i, A e_j]; the constants may be antisymmetric only to 1e-5, so
     # the other rows are not implied by these.  AA[(k, l), p] = A[k, i] A[l, j]
     # for the p-th pair (i, j)
     AA = (A[:, None, _PAIR_I] * A[None, :, _PAIR_J]).reshape(9, 3)
     res = float(np.abs(c[_PAIR_ROWS] @ A.T - AA.T @ c).max())
-    return res <= tol.abs_tol * scale + tol.abs_tol
+    return res <= tol.classification_tol * a * a * float(np.abs(c).max())

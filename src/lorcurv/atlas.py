@@ -519,22 +519,23 @@ def cross_check(tag: FamilyTag, form_id: str, params: dict[str, float],
                 tol: ToleranceConfig = DEFAULT_TOL) -> AtlasEntry:
     """Evaluate the closed forms and compare them against the engine.
 
-    Residuals are relative, |closed - engine| / (1 + |closed|); any cell
-    exceeding classification_tol is flagged (not raised)."""
+    Residuals are |closed - engine| / s, in the unit s = max|frame
+    brackets|^2 in which the engine classifies Ric; any cell exceeding
+    classification_tol is flagged (not raised)."""
     closed = closed_form_report(tag, form_id, params, tol)
     basis = classification_basis(tag)
     alg = make_family_algebra(tag, basis)
-    h = MetricTensor(canonical_matrix(tag, form_id, params),
-                     basis_label=basis, tolerance=tol)
+    h = MetricTensor(canonical_matrix(tag, form_id, params), basis_label=basis)
     frame = paper_frame(tag, form_id, params)
     report = curvature_report(alg, h, frame=frame, tol=tol)
 
+    s = float(np.abs(report.connection.brackets).max()) ** 2
     flags: list[str] = []
     worst = 0.0
 
     def check(label: str, closed_value: float, engine_value: float) -> None:
         nonlocal worst
-        res = abs(closed_value - engine_value) / (1.0 + abs(closed_value))
+        res = abs(closed_value - engine_value) / s
         worst = max(worst, res)
         if res > tol.classification_tol:
             flags.append(f"{label}: closed {closed_value!r} vs engine "

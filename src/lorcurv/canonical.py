@@ -262,14 +262,14 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     c = red.cur
     band = red.band(c[0, 0], c[0, 1])
     if abs(c[0, 0] - c[0, 1]) > band:
-        # fold so the two leading entries agree: root of a real quadratic
+        # fold so the two leading entries agree: root of a real quadratic,
+        # taken without cancellation; disc = bq^2 + 4 (c - 1) aq^2 > 0, so
+        # q != 0
         aq = c[0, 0] - c[0, 1]
         bq = (cpar - 2.0) * c[0, 0] + 2.0 * c[0, 1] - c[1, 1]
         cq = -(cpar - 1.0) * aq
-        disc = bq * bq - 4.0 * aq * cq
-        roots = sorted([(-bq + math.sqrt(disc)) / (2 * aq),
-                        (-bq - math.sqrt(disc)) / (2 * aq)],
-                       key=lambda z: (abs(z), -z))
+        q = -0.5 * (bq + math.copysign(math.sqrt(bq * bq - 4.0 * aq * cq), bq))
+        roots = sorted([q / aq, cq / q], key=lambda z: (abs(z), -z))
         red.apply(automorphism_matrix(tag, alpha=1.0, beta=roots[0]))
         c = red.cur
         # rounding in the fold scales with the entries it combined

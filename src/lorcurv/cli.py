@@ -7,7 +7,7 @@ Input is a JSON document (file path or ``-`` for stdin):
       "family": "GI" | {"Gc": <real c>},
       "basis": "natural" | "Q_adapted" | "P_adapted",
       "metric": [[..], [..], [..]],
-      "tolerance": {"abs_tol": .., "classification_tol": ..}
+      "tolerance": {"classification_tol": ..}
     }
 
 Exit codes, all decided in ``main``: 0 success; 1 rejection, any
@@ -19,9 +19,9 @@ means not canonical), with one ``rejected: <message>`` line on stderr;
 equivalent" (equiv only); 4 internal fault, an ``ArithmeticError`` or
 ``LinAlgError`` of the engine (one ``fault: <subcommand>: <message>``
 line on stderr).  ``validate`` prints its diagnostics and exits 1 when
-the metric is not Lorentzian.  The environment variable LORCURV_TOL,
-when set, overrides the default abs_tol; an explicit "tolerance" field
-in the document wins over both.
+the metric is not Lorentzian.  classification_tol, the package's one
+tolerance, is set per document by the "tolerance" field; ``atlas`` uses
+the default.
 
 This module checks only the shape of its input: FamilyTag and
 ToleranceConfig decide which c and tolerances are valid, and their
@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -84,18 +83,6 @@ def _field(path: str, build, *args, **kwargs):
         raise InputError(path, str(exc)) from exc
 
 
-def _default_tolerance() -> ToleranceConfig:
-    env = os.environ.get("LORCURV_TOL")
-    if env is None:
-        return DEFAULT_TOL
-    try:
-        abs_tol = float(env)
-    except ValueError as exc:
-        raise InputError("$LORCURV_TOL", f"not a number: {env!r}") from exc
-    return _field("$LORCURV_TOL", dataclasses.replace, DEFAULT_TOL,
-                  abs_tol=abs_tol)
-
-
 def _parse_family(node) -> FamilyTag:
     if node == "GI":
         return FamilyTag("GI")
@@ -116,7 +103,7 @@ def _parse_basis(node, tag: FamilyTag) -> BasisLabel:
 
 
 def _parse_tolerance(node) -> ToleranceConfig:
-    tol = _default_tolerance()
+    tol = DEFAULT_TOL
     if node is None:
         return tol
     if not isinstance(node, dict):
@@ -127,7 +114,7 @@ def _parse_tolerance(node) -> ToleranceConfig:
     return tol
 
 
-def _parse_metric(node, basis: BasisLabel, tol: ToleranceConfig) -> MetricTensor:
+def _parse_metric(node, basis: BasisLabel) -> MetricTensor:
     if not (isinstance(node, list) and len(node) == 3
             and all(isinstance(row, list) and len(row) == 3 for row in node)):
         raise InputError("metric", "expected a 3x3 array of reals")
@@ -135,8 +122,7 @@ def _parse_metric(node, basis: BasisLabel, tol: ToleranceConfig) -> MetricTensor
         for j, value in enumerate(row):
             if not _finite_real(value):
                 raise InputError(f"metric[{i}][{j}]", "must be a finite real number")
-    return MetricTensor(np.array(node, dtype=float), basis_label=basis,
-                        tolerance=tol)
+    return MetricTensor(np.array(node, dtype=float), basis_label=basis)
 
 
 def _read_json(path: str):
@@ -166,7 +152,7 @@ def _load_document(path: str, family_required: bool = True):
                          tag if tag is not None else FamilyTag("GI"))
     if "metric" not in doc:
         raise InputError("metric", "missing required field")
-    h = _parse_metric(doc["metric"], basis, tol)
+    h = _parse_metric(doc["metric"], basis)
     return tag, h, tol
 
 
@@ -268,8 +254,7 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
 def cmd_atlas(args) -> int:
     tag = _field("--c", FamilyTag, args.family, args.c)
     grid = _parse_grid(args.grid)
-    tol = _default_tolerance()
-    text = emit_tables(tag, grid, fmt=args.format, tol=tol)
+    text = emit_tables(tag, grid, fmt=args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -101,10 +101,6 @@ def ricci_operator(ric: np.ndarray) -> np.ndarray:
     return J21 @ np.asarray(ric, dtype=float)
 
 
-def scalar_curvature(ricci_op: np.ndarray) -> float:
-    return float(np.trace(ricci_op))
-
-
 def sectional(conn: Connection, u: np.ndarray, v: np.ndarray,
               tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """kappa(u, v) = h(R_{u,v} u, v) / (h(u,u) h(v,v) - h(u,v)^2).
@@ -115,8 +111,7 @@ def sectional(conn: Connection, u: np.ndarray, v: np.ndarray,
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     den = frame_inner(u, u) * frame_inner(v, v) - frame_inner(u, v) ** 2
-    scale = float((u @ u) * (v @ v))
-    if abs(den) <= tol.abs_tol * (1.0 + scale):
+    if abs(den) <= tol.classification_tol * float((u @ u) * (v @ v)):
         raise ValueError("sectional curvature undefined on a degenerate plane")
     return frame_inner(riemann(conn, u, v, u), v) / den
 
@@ -143,12 +138,12 @@ def milnor_sectional(ric: np.ndarray, rho: float, u: np.ndarray,
     u = np.asarray(u, float)
     v = np.asarray(v, float)
     nu = frame_inner(u, u)
-    if abs(nu) <= tol.abs_tol * (1.0 + float(u @ u)):
+    if abs(nu) <= tol.classification_tol * float(u @ u):
         raise ValueError("u must be non-null")
     u1 = u / np.sqrt(abs(nu))
     v1 = v - np.sign(nu) * frame_inner(u1, v) * u1
     nv = frame_inner(v1, v1)
-    if abs(nv) <= tol.abs_tol * (1.0 + float(v1 @ v1)):
+    if abs(nv) <= tol.classification_tol * float(v1 @ v1):
         raise ValueError("plane is degenerate")
     v1 = v1 / np.sqrt(abs(nv))
     w = cross(u1, v1)
@@ -195,14 +190,15 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
                      tol: ToleranceConfig = DEFAULT_TOL) -> CurvatureReport:
     """Compute the full curvature report of a left-invariant metric."""
     if frame is None:
-        frame = orthonormal_frame(h, tol)
-    res = frame_gram_residual(frame, h)
-    if res > tol.classification_tol:      # Gram residual is dimensionless
-        raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
+        frame = orthonormal_frame(h, tol)     # checked where it is built
+    else:
+        res = frame_gram_residual(frame, h)
+        if res > tol.classification_tol:      # Gram residual is dimensionless
+            raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
     conn = levi_civita(alg, frame)
     ric = ricci_tensor(conn)
     op = ricci_operator(ric)
-    rho = scalar_curvature(op)
+    rho = float(op.trace())
     y1, y2, y3 = _I3
     kappas = (sectional(conn, y1, y2, tol), sectional(conn, y2, y3, tol),
               sectional(conn, y3, y1, tol))

@@ -35,33 +35,30 @@ def frame_inner(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MetricTensor:
     """A symmetric bilinear form given by its matrix in some basis.
 
-    Construction only enforces symmetry and finiteness; signature is
+    Construction only enforces finiteness and symmetry, the latter to
+    classification_tol * max|h| at the default tolerance; signature is
     checked separately by validate_metric so that rejected inputs can be
-    reported with diagnostics instead of an exception.  ``tolerance``
-    sets only the symmetry band and is not stored (nor an InitVar, whose
-    default would stay readable on the class): later calls take a tol.
+    reported with diagnostics instead of an exception.
     """
 
     entries: np.ndarray
     basis_label: BasisLabel = BasisLabel.NATURAL
 
-    def __init__(self, entries, basis_label: BasisLabel = BasisLabel.NATURAL,
-                 tolerance: ToleranceConfig = DEFAULT_TOL) -> None:
-        h = np.asarray(entries, dtype=float)
+    def __post_init__(self) -> None:
+        h = np.asarray(self.entries, dtype=float)
         if h.shape != (3, 3):
             raise ValueError("metric matrix must be 3x3")
         big = float(np.abs(h).max())
         if not big < math.inf:          # an inf or a NaN entry
             raise ValueError("metric matrix must be finite")
         asym = float(np.abs(h - h.T).max())
-        if asym > tolerance.abs_tol * (1.0 + big):
+        if asym > DEFAULT_TOL.classification_tol * big:
             raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
         object.__setattr__(self, "entries", 0.5 * (h + h.T))
-        object.__setattr__(self, "basis_label", basis_label)
 
 
 @dataclass(frozen=True)
@@ -143,6 +140,8 @@ def orthonormal_frame(h: MetricTensor,
     the timelike direction comes last.  The frame is not unique (any
     O(2,1) right-multiple works); when [h] is exactly J the identity is
     returned so the canonical frames of diagonal examples stay literal.
+    Raises ValueError when h is not Lorentzian or the frame's Gram
+    residual exceeds classification_tol.
     """
     if (h.entries == J21).all():
         return OrthonormalFrame(_I3)
@@ -158,7 +157,6 @@ def orthonormal_frame(h: MetricTensor,
     cols = vecs / np.copysign(np.sqrt(np.abs(eigvals[_TIMELIKE_LAST])), pivots)
     frame = OrthonormalFrame(cols)
     res = frame_gram_residual(frame, h)
-    scale = 1.0 + float(np.abs(h.entries).max())
-    if res > tol.abs_tol * scale * 100:
-        raise ArithmeticError(f"frame Gram residual {res:g} too large")
+    if res > tol.classification_tol:      # the Gram residual is dimensionless
+        raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
     return frame

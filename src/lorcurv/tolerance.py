@@ -1,4 +1,4 @@
-"""Tolerance settings shared across the package."""
+"""The package's one tolerance."""
 
 from __future__ import annotations
 
@@ -13,26 +13,23 @@ TOL_FLOOR = 1e-16
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds for residual checks and sign/zero decisions.
+    """The relative band of every zero, sign and residual decision.
 
-    abs_tol controls residual comparisons (e.g. Gram conditions, witness
-    congruences).  classification_tol is the wider band used for
-    signature, rank and discriminant decisions, where a misread sign would
-    change a discrete answer.
+    Each band is classification_tol times the unit of what it tests: the
+    largest entry of the matrix, the squared frame brackets, or 1 for a
+    dimensionless residual such as a frame's Gram residual.
     """
 
-    abs_tol: float = 1e-9
     classification_tol: float = 1e-7
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "classification_tol"):
-            value = getattr(self, name)
-            # bools are ints, so they are excluded explicitly; NaN fails both
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not TOL_FLOOR <= value <= sys.float_info.max):
-                raise ValueError(f"{name} must be finite and at least "
-                                 f"{TOL_FLOOR:g}, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        value = self.classification_tol
+        # bools are ints, so they are excluded explicitly; NaN fails both
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not TOL_FLOOR <= value <= sys.float_info.max):
+            raise ValueError(f"classification_tol must be finite and at least "
+                             f"{TOL_FLOOR:g}, got {value!r}")
+        object.__setattr__(self, "classification_tol", float(value))
 
 
 DEFAULT_TOL = ToleranceConfig()

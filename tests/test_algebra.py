@@ -195,16 +195,18 @@ def test_change_basis_round_trip(rng):
 
 def _loop_is_automorphism(alg, A, tol):
     """The pairwise loop that is_automorphism replaced, kept as its oracle."""
-    if abs(np.linalg.det(A)) <= tol.abs_tol:
+    cols = np.max(np.abs(A), axis=0)
+    if abs(np.linalg.det(A)) <= tol.classification_tol * float(np.prod(cols)):
         return False
-    scale = 1.0 + float(np.max(np.abs(A))) ** 2 * float(
-        np.max(np.abs(alg.structure_constants)) + 1.0)
+    a = float(np.max(cols))
+    band = tol.classification_tol * a * a * float(
+        np.max(np.abs(alg.structure_constants)))
     e = np.eye(3)
     for i in range(3):
         for j in range(i + 1, 3):
             lhs = A @ alg.bracket(e[i], e[j])
             rhs = alg.bracket(A[:, i], A[:, j])
-            if np.max(np.abs(lhs - rhs)) > tol.abs_tol * scale + tol.abs_tol:
+            if np.max(np.abs(lhs - rhs)) > band:
                 return False
     return True
 

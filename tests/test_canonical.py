@@ -13,6 +13,7 @@ from lorcurv import (
     DegenerateMetricError,
     FamilyTag,
     MetricTensor,
+    ToleranceConfig,
     adapted_automorphism,
     adapted_basis_vectors,
     automorphism_matrix,
@@ -20,6 +21,7 @@ from lorcurv import (
     canonical_matrix,
     classification_basis,
     constant_curvature_class,
+    curvature_report,
     equivalent,
     from_adapted_basis,
     is_automorphism,
@@ -255,6 +257,37 @@ def test_gt1_form3_nu_within_band_of_c_is_clamped():
     cf = canonical_form(tag, h)
     assert cf.form_id == "Gc_gt1.3"
     assert cf.params == {"mu": 1.0, "nu": 2.0}
+
+
+@pytest.mark.parametrize("c", [1e5, 1e6])
+def test_gt1_fold_at_large_c(c):
+    """At large c the small fold root cancels in (-b +- sqrt(disc)) / 2a,
+    and the folded entries h11, h12 then differ by more than their band:
+    the textbook formula rejects 7 of these 100 fuzz metrics at c = 1e5
+    and 89 at c = 1e6 with "fold step failed to equalise entries".  Taken
+    without cancellation, every one reduces, by an automorphism."""
+    tag = FamilyTag("Gc", c)
+    for alg, h in _fuzz_metrics(c, count=100, seed=1):
+        cf = canonical_form(tag, h)
+        assert cf.form_id.startswith("Gc_gt1."), cf.form_id
+        assert is_automorphism(alg, cf.witness)
+
+
+def test_constant_curvature_checks_its_frame():
+    """At classification_tol = 1e-16 the README metric's frame misses its
+    Gram band by rounding (residual 1.7e-16).  constant_curvature_class
+    builds its frame where curvature_report does, so both reject it,
+    where the class used to be decided on the unchecked frame."""
+    tag = FamilyTag("Gc", 2.0)
+    h = MetricTensor(np.array([[-1.0, -1.0, 0.0], [-1.0, 0.0, 0.0],
+                               [0.0, 0.0, 4.0]]))
+    tight = ToleranceConfig(classification_tol=1e-16)
+    for decide in (lambda: constant_curvature_class(tag, h, tight),
+                   lambda: curvature_report(make_family_algebra(tag), h,
+                                            tol=tight)):
+        with pytest.raises(ValueError, match="frame is not h-orthonormal"):
+            decide()
+    assert constant_curvature_class(tag, h)[0] == ConstantCurvatureClass.NON_CONSTANT
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")

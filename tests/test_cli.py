@@ -226,31 +226,18 @@ def test_deterministic_output(tmp_path, capsys):
     assert out1 == out2
 
 
-def test_tolerance_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("LORCURV_TOL", "1e-6")
-    f = _doc(tmp_path, "m.json", "GI", [[1, 0, 0], [0, 1, 0], [0, 0, -1]])
-    assert main(["validate", f]) == 0
-    monkeypatch.setenv("LORCURV_TOL", "not-a-number")
-    assert main(["validate", f]) == 2
-    monkeypatch.setenv("LORCURV_TOL", "nan")
-    assert main(["validate", f]) == 2
-    capsys.readouterr()
-    monkeypatch.setenv("LORCURV_TOL", "1e-20")
-    assert main(["validate", f]) == 2
-    assert capsys.readouterr().err.startswith("error: $LORCURV_TOL: ")
-
-
 def test_explicit_tolerance_field(tmp_path, capsys):
-    # slightly asymmetric input: rejected at the default abs_tol, accepted
-    # with a looser explicit tolerance
-    metric = [[1, 1e-8, 0], [0, 1, 0], [0, 0, -1]]
+    # nearly degenerate input: rejected at the default classification_tol,
+    # accepted with a tighter explicit one
+    metric = [[1, 0, 0], [0, 1e-8, 0], [0, 0, -1]]
     strict = _doc(tmp_path, "strict.json", "GI", metric)
     assert main(["validate", strict]) == 1
-    f = _doc(tmp_path, "m.json", "GI", metric, tolerance={"abs_tol": 1e-6})
+    f = _doc(tmp_path, "m.json", "GI", metric,
+             tolerance={"classification_tol": 1e-9})
     assert main(["validate", f]) == 0
     bad = _doc(tmp_path, "bad.json", "GI",
                [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
-               tolerance={"abs_tol": -1})
+               tolerance={"classification_tol": -1})
     assert main(["validate", bad]) == 2
 
 
@@ -262,6 +249,7 @@ _LORENTZIAN = "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]"
      "family.Gc"),
     (["classify"], '{"family": {"Gc": 1e400}, "metric": %s}' % _LORENTZIAN,
      "family.Gc"),
+    # abs_tol is no longer a field: a parse error whatever its value
     (["classify"], '{"family": "GI", "metric": %s, "tolerance": {"abs_tol": NaN}}'
      % _LORENTZIAN, "tolerance.abs_tol"),
     (["curvature"], '{"family": {"Gc": 2}, "metric": [[-1, -1, 0], [-1, 0, 0], '
@@ -285,12 +273,19 @@ _LORENTZIAN = "[[1, 0, 0], [0, 1, 0], [0, 0, -1]]"
     (["atlas", "--family", "GI", "--grid", "muu=1"], None, "--grid"),
     (["atlas", "--family", "GI", "--grid", "mu=1;mu=2"], None, "--grid"),
     (["atlas", "--family", "GI", "--c", "2", "--grid", "mu=1"], None, "--c"),
+    (["classify"], '{"family": "GI", "metric": %s, "tolerance": '
+     '{"classification_tol": NaN}}' % _LORENTZIAN, "tolerance.classification_tol"),
+    (["classify"], '{"family": "GI", "metric": %s, "tolerance": '
+     '{"classification_tol": true}}' % _LORENTZIAN, "tolerance.classification_tol"),
+    (["classify"], '{"family": "GI", "metric": %s, "tolerance": {"abs_tol": 1e-9}}'
+     % _LORENTZIAN, "tolerance.abs_tol"),
 ], ids=["bool-c", "infinite-c", "nan-abs-tol", "tiny-classification-tol",
         "unknown-rel-tol", "non-numeric-metric",
         "ragged-metric", "atlas-nan-c", "atlas-infinite-grid", "bool-abs-tol",
         "string-c", "atlas-missing-c", "unknown-document-field",
         "atlas-unknown-grid-name", "atlas-repeated-grid-name",
-        "atlas-gi-with-c"])
+        "atlas-gi-with-c", "nan-classification-tol", "bool-classification-tol",
+        "retired-abs-tol"])
 def test_malformed_input_exit2(tmp_path, capsys, argv, doc, path):
     if doc is not None:
         f = tmp_path / "m.json"

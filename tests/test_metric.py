@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,19 @@ from lorcurv.metric import _signature
 def test_rejects_non_symmetric():
     with pytest.raises(ValueError):
         MetricTensor(np.array([[1.0, 1, 0], [0, 1, 0], [0, 0, -1]]))
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1.0, 1e6])
+def test_symmetry_band_is_relative(lam):
+    """The symmetry band is classification_tol * max|h|: the same verdict
+    for every multiple of h."""
+    h = lam * np.diag([1.0, 1.0, -1.0])
+    near, far = h.copy(), h.copy()
+    near[0, 1] += 1e-8 * lam
+    far[0, 1] += 1e-6 * lam
+    assert MetricTensor(near).entries[0, 1] == pytest.approx(0.5e-8 * lam)
+    with pytest.raises(ValueError, match="not symmetric"):
+        MetricTensor(far)
 
 
 def test_rejects_wrong_shape():
@@ -128,7 +143,7 @@ def test_frame_is_deterministic():
     assert np.array_equal(f1.columns, f2.columns)
 
 
-@pytest.mark.parametrize("field", ["abs_tol", "classification_tol"])
+@pytest.mark.parametrize("field", ["classification_tol"])
 @pytest.mark.parametrize("value", [1e-20, 0.0, -1.0, float("nan"), float("inf"),
                                    True, "1e-9"])
 def test_tolerance_floor(field, value):
@@ -138,12 +153,12 @@ def test_tolerance_floor(field, value):
 
 
 def test_tolerance_is_decided_per_call():
-    """MetricTensor(tolerance=...) sets only the symmetry check: it is not
-    kept, so the frame builder and the curvature report that calls it give
-    one verdict on a nearly degenerate metric, the verdict of their tol."""
+    """A metric carries no tolerance, so the frame builder, the reducer and
+    the curvature report give one verdict on a nearly degenerate metric,
+    the verdict of the tol each is called with."""
     loose = ToleranceConfig(classification_tol=1e-9)
-    h = MetricTensor(np.diag([1.0, 1e-8, -1.0]), tolerance=loose)
-    assert not hasattr(h, "tolerance")
+    h = MetricTensor(np.diag([1.0, 1e-8, -1.0]))
+    assert [f.name for f in dataclasses.fields(h)] == ["entries", "basis_label"]
     tag = FamilyTag("GI")
     alg = make_family_algebra(tag, h.basis_label)
     assert not validate_metric(h).accepted
