@@ -76,13 +76,14 @@ class FamilyTag:
         return "Gc_lt1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebra3:
     """A 3-dimensional Lie algebra given by structure constants.
 
     structure_constants has shape (3, 3, 3) with
     [e_i, e_j] = sum_k structure_constants[i, j, k] e_k.
-    Antisymmetry in (i, j) is enforced at construction.
+    Antisymmetry in (i, j) is enforced at construction.  Equality is
+    identity, so an algebra can key what is derived from it.
     """
 
     structure_constants: np.ndarray
@@ -122,7 +123,6 @@ def _constants_from_pairs(pairs: dict[tuple[int, int], list[float]]) -> np.ndarr
     return c
 
 
-@functools.lru_cache(maxsize=64)
 def make_family_algebra(tag: FamilyTag,
                         basis_label: BasisLabel = BasisLabel.NATURAL) -> LieAlgebra3:
     """Structure constants of GI or Gc in the requested basis.
@@ -135,6 +135,11 @@ def make_family_algebra(tag: FamilyTag,
     The algebra is a fixed object of (tag, basis_label), so it is built
     once and shared: its constants are read-only.
     """
+    return _family_algebra(tag, basis_label)
+
+
+@functools.lru_cache(maxsize=64)
+def _family_algebra(tag: FamilyTag, basis_label: BasisLabel) -> LieAlgebra3:
     if basis_label == BasisLabel.NATURAL:
         if tag.kind == "GI":
             pairs = {(2, 0): [1.0, 0.0, 0.0], (2, 1): [0.0, 1.0, 0.0]}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -28,9 +28,8 @@ from .algebra import (BasisLabel, FamilyTag, adapted_automorphism,
                       automorphism_matrix, classification_basis,
                       is_automorphism, make_family_algebra)
 from .atlas import canonical_matrix
-from .curvature import levi_civita, ricci_tensor, riemann
-from .metric import (_I3, J21, MetricTensor, _signature, orthonormal_frame,
-                     pull_back_metric)
+from .curvature import _connection, ricci_tensor, riemann
+from .metric import _I3, J21, MetricTensor, _derived, _signature, pull_back_metric
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -165,11 +164,18 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
                    tol: ToleranceConfig = DEFAULT_TOL) -> CanonicalForm:
     """Reduce a Lorentzian metric to its canonical form.
 
-    Accepts the metric in the classification basis of the family, or in
-    the natural basis (converted automatically for c <= 1).  Raises
-    DegenerateMetricError for non-Lorentzian input or pivots too close to
-    a tolerance boundary to classify.
+    Accepts the metric in the classification basis of the family, or in the
+    natural basis (converted automatically for c <= 1).  Raises
+    DegenerateMetricError for non-Lorentzian input or pivots too close to a
+    tolerance boundary to classify.  Reduced once per (h, tag, tol); each
+    call gets its own params, and a read-only matrix and witness.
     """
+    cf = _derived(h, ("canonical", tag, tol), lambda: _reduce(tag, h, tol))
+    return replace(cf, params=dict(cf.params))
+
+
+def _reduce(tag: FamilyTag, h: MetricTensor,
+            tol: ToleranceConfig) -> CanonicalForm:
     target = classification_basis(tag)
     if h.basis_label == target:
         h_cls = h
@@ -203,6 +209,8 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     if res > tol.classification_tol * float(np.abs(canon).max()) * 100:
         raise DegenerateMetricError(
             f"reduction residual {res:g} too large for form {form_id}")
+    canon.setflags(write=False)
+    red.A.setflags(write=False)
     return CanonicalForm(tag, form_id, params, canon, red.A, target)
 
 
@@ -446,20 +454,18 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
                              tol: ToleranceConfig = DEFAULT_TOL
                              ) -> tuple[ConstantCurvatureClass, CanonicalForm]:
     """Classify a metric as flat / positive / negative constant curvature
-    or non-constant.
+    or non-constant; returns the class and h's canonical form.
 
-    The curvature engine decides on the input metric itself: the verdict
-    is an isometry invariant, and near c = 1 the canonical representative
-    is correctly signed but nearly singular, so a frame built on it is
-    not.  In dimension three the Ricci tensor determines the whole
-    curvature tensor (Milnor 1976), so the metric has constant curvature
-    k = rho/6 exactly when it is Einstein, ric = 2k h; the Riemann tensor
-    is then checked against the model k(<u, w> v - <v, w> u) as well.  The
-    sign of k names the class.  No operator type is needed, so the
+    The class is an isometry invariant, decided on h itself with the
+    connection curvature_report(alg, h) reads: near c = 1 the canonical
+    representative is nearly singular and a frame built on it fails.  In
+    dimension three Ric determines the curvature tensor (Milnor 1976), so
+    h has constant curvature k = rho/6 exactly when ric = 2k h; the Riemann
+    tensor is then checked against the model k(h(u, w) v - h(v, w) u) too.
+    The sign of k names the class.  No operator type is needed, so the
     O'Neill classifier is not run."""
     cf = canonical_form(tag, h, tol)
-    conn = levi_civita(make_family_algebra(tag, h.basis_label),
-                       orthonormal_frame(h, tol))
+    conn = _connection(make_family_algebra(tag, h.basis_label), h, tol)
     ric = ricci_tensor(conn)
     k = float(ric[0, 0] + ric[1, 1] - ric[2, 2]) / 6.0
     # in units of the squared frame brackets, as curvature_report classifies

@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import LieAlgebra3, bracket_constants
 from .metric import _I3, _SIGNS, J21, MetricTensor, OrthonormalFrame, \
-    frame_gram_residual, frame_inner, orthonormal_frame
+    _derived, frame_gram_residual, frame_inner, orthonormal_frame
 from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -66,7 +66,7 @@ def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
     R[i,j,k,l] = sum_m c[i,j,m] G[m,k,l] - P[j,k,i,l] + P[i,k,j,l]
 
     with G = gamma and P[a,b,c,d] = sum_m G[a,b,m] G[c,m,d], so R takes
-    two matrix products.
+    two matrix products.  The arrays of the connection are read-only.
     """
     c = bracket_constants(alg.structure_constants, frame.columns)
     # c.transpose(1, 2, 0)[i, j, k] = c[k, i, j]; (2, 1, 0) gives c[k, j, i]
@@ -76,7 +76,16 @@ def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
          @ gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(3, 3, 3, 3)
     curv = ((c.reshape(9, 3) @ gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
             - P.transpose(2, 0, 1, 3) + P.transpose(0, 2, 1, 3))
+    for array in (gamma, c, curv):
+        array.setflags(write=False)
     return Connection(gamma, c, curv)
+
+
+def _connection(alg: LieAlgebra3, h: MetricTensor,
+                tol: ToleranceConfig) -> Connection:
+    """h's connection on alg in h's own frame, built once per (h, alg, tol)."""
+    return _derived(h, ("connection", alg, tol),
+                    lambda: levi_civita(alg, orthonormal_frame(h, tol)))
 
 
 def riemann(conn: Connection, u: np.ndarray, v: np.ndarray,
@@ -188,14 +197,16 @@ class CurvatureReport:
 def curvature_report(alg: LieAlgebra3, h: MetricTensor,
                      frame: OrthonormalFrame | None = None,
                      tol: ToleranceConfig = DEFAULT_TOL) -> CurvatureReport:
-    """Compute the full curvature report of a left-invariant metric."""
+    """Compute the full curvature report of a left-invariant metric.  A
+    passed frame is checked and gets its own connection."""
     if frame is None:
         frame = orthonormal_frame(h, tol)     # checked where it is built
+        conn = _connection(alg, h, tol)
     else:
         res = frame_gram_residual(frame, h)
         if res > tol.classification_tol:      # Gram residual is dimensionless
             raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
-    conn = levi_civita(alg, frame)
+        conn = levi_civita(alg, frame)
     ric = ricci_tensor(conn)
     op = ricci_operator(ric)
     rho = float(op.trace())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -28,6 +29,7 @@ _COLUMNS = np.arange(3)
 for _constant in (J21, _SIGNS, _I3, _TIMELIKE_LAST, _COLUMNS):
     _constant.setflags(write=False)
 del _constant
+_T = TypeVar("_T")
 
 
 def frame_inner(u: np.ndarray, v: np.ndarray) -> float:
@@ -42,7 +44,7 @@ class MetricTensor:
     Construction only enforces finiteness and symmetry, the latter to
     classification_tol * max|h| at the default tolerance; signature is
     checked separately by validate_metric so that rejected inputs can be
-    reported with diagnostics instead of an exception.
+    reported with diagnostics instead of an exception; entries is read-only.
     """
 
     entries: np.ndarray
@@ -59,6 +61,16 @@ class MetricTensor:
         if asym > DEFAULT_TOL.classification_tol * big:
             raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
         object.__setattr__(self, "entries", 0.5 * (h + h.T))
+        self.entries.setflags(write=False)
+
+
+def _derived(h: MetricTensor, key: Hashable, build: Callable[[], _T]) -> _T:
+    """build(), once per h and key: stored in h.__dict__, as cached_property
+    stores on a frozen dataclass.  An exception is not stored."""
+    memo = h.__dict__.setdefault("_derived", {})
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 @dataclass(frozen=True)
@@ -136,13 +148,17 @@ def orthonormal_frame(h: MetricTensor,
                       tol: ToleranceConfig = DEFAULT_TOL) -> OrthonormalFrame:
     """Build an orthonormal frame for a valid Lorentzian metric.
 
-    Eigenvectors of [h] are rescaled by 1/sqrt(|lambda|) and ordered so
-    the timelike direction comes last.  The frame is not unique (any
-    O(2,1) right-multiple works); when [h] is exactly J the identity is
-    returned so the canonical frames of diagonal examples stay literal.
-    Raises ValueError when h is not Lorentzian or the frame's Gram
-    residual exceeds classification_tol.
+    Eigenvectors of [h] are rescaled by 1/sqrt(|lambda|) and ordered so the
+    timelike direction comes last.  The frame is not unique (any O(2,1)
+    right-multiple works); when [h] is exactly J the identity is returned so
+    the canonical frames of diagonal examples stay literal.  Raises
+    ValueError when h is not Lorentzian or the frame's Gram residual exceeds
+    classification_tol.  Built once per (h, tol), with read-only columns.
     """
+    return _derived(h, ("frame", tol), lambda: _build_frame(h, tol))
+
+
+def _build_frame(h: MetricTensor, tol: ToleranceConfig) -> OrthonormalFrame:
     if (h.entries == J21).all():
         return OrthonormalFrame(_I3)
     eigvals, eigvecs = np.linalg.eigh(h.entries)
@@ -155,6 +171,7 @@ def orthonormal_frame(h: MetricTensor,
     # positive, by dividing it by a signed 1/sqrt(|lambda|)
     pivots = vecs[np.abs(vecs).argmax(axis=0), _COLUMNS]
     cols = vecs / np.copysign(np.sqrt(np.abs(eigvals[_TIMELIKE_LAST])), pivots)
+    cols.setflags(write=False)
     frame = OrthonormalFrame(cols)
     res = frame_gram_residual(frame, h)
     if res > tol.classification_tol:      # the Gram residual is dimensionless

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorcurv.canonical
+import lorcurv.curvature
 from lorcurv import (
     DEFAULT_TOL,
     BasisLabel,
     ConstantCurvatureClass,
     DegenerateMetricError,
     FamilyTag,
+    LieAlgebra3,
     MetricTensor,
     ToleranceConfig,
     adapted_automorphism,
@@ -30,7 +32,7 @@ from lorcurv import (
 )
 from lorcurv.atlas import form_specs, _param_grid
 from tests.conftest import ALL_TAGS, SWEEP_GRID, lapack_calls, rand_automorphism
-from tests.test_curvature import _fuzz_metrics
+from tests.test_curvature import _fuzz_metrics, _sweep_cells
 
 
 def _canonical_metrics(tag):
@@ -382,7 +384,8 @@ def test_canonical_form_lapack_budget(monkeypatch):
     steps: the strict test of the canonical matrix is closed form, the
     signature check reads nothing else, and the GI block builder tests
     invertibility without a determinant call.  A verdict of equivalence
-    adds the witness's inverse and the automorphism check's det."""
+    adds the witness's inverse and the automorphism check's det, and
+    reduces only the metric not reduced before: h1's form is stored on h1."""
     budget = {"eigvalsh": 1}
     tag = FamilyTag("Gc", 2.0)
     h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
@@ -402,6 +405,11 @@ def test_canonical_form_lapack_budget(monkeypatch):
     assert calls == budget
     (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
     assert flag
+    assert calls == {"eigvalsh": 1, "det": 1, "inv": 1}
+    # on fresh metrics, both are reduced
+    h1, h2 = MetricTensor(h1.entries), MetricTensor(h2.entries)
+    (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
+    assert flag
     assert calls == {"eigvalsh": 2, "det": 1, "inv": 1}
 
 
@@ -409,7 +417,8 @@ def test_canonical_form_lapack_budget(monkeypatch):
 def test_natural_basis_equivalent_lapack_budget(c, monkeypatch):
     """Natural-basis input for c <= 1 moves to the adapted basis and the
     witness moves back with the closed-form adapted_basis_vectors and
-    adapted_transition: no inverse beyond the witness's."""
+    adapted_transition: no inverse beyond the witness's.  h is reduced
+    once, by the first call."""
     tag = FamilyTag("Gc", c)
     form_id, params = ("G1.3", {"nu": 2.0, "mu": 1.0}) if c == 1 \
         else ("Gc_lt1.5", {"mu": 2.0})
@@ -423,8 +432,12 @@ def test_natural_basis_equivalent_lapack_budget(c, monkeypatch):
     assert calls == {"eigvalsh": 1}
     (flag, W), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h, h2))
     assert flag
-    assert calls == {"eigvalsh": 2, "det": 1, "inv": 1}
+    assert calls == {"eigvalsh": 1, "det": 1, "inv": 1}
     assert is_automorphism(make_family_algebra(tag), W)
+    h, h2 = MetricTensor(h.entries), MetricTensor(h2.entries)
+    (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h, h2))
+    assert flag
+    assert calls == {"eigvalsh": 2, "det": 1, "inv": 1}
 
 
 def test_custom_basis_is_refused():
@@ -524,3 +537,110 @@ def test_reducer_band_follows_every_step(family, h, steps):
         if B is not None:
             red.apply(B)
             check()
+
+
+# --------------------------------------------------------------------------
+# what is derived from a metric is stored on it
+
+_README = np.array([[-1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+
+
+def test_survey_builds_one_frame_and_one_connection(monkeypatch):
+    """curvature_report and then constant_curvature_class on one metric
+    make one eigh and one levi_civita: the class reads the connection the
+    report built.  The report adds its inverse and eig, the class its
+    reduction's eigvalsh."""
+    tag = FamilyTag("Gc", 2.0)
+    h = MetricTensor(_README)
+    built = []
+    levi_civita = lorcurv.curvature.levi_civita
+    monkeypatch.setattr(lorcurv.curvature, "levi_civita",
+                        lambda *args: built.append(args) or levi_civita(*args))
+
+    def survey():
+        report = curvature_report(make_family_algebra(tag), h)
+        return report, constant_curvature_class(tag, h)
+
+    (report, (cls, cf)), calls = lapack_calls(monkeypatch, survey)
+    assert calls == {"eig": 1, "eigh": 1, "inv": 1, "eigvalsh": 1}
+    assert len(built) == 1
+    assert cls == ConstantCurvatureClass.NON_CONSTANT
+    assert cf.form_id == "Gc_gt1.2"
+
+
+def test_algebras_compare_by_identity():
+    """LieAlgebra3 compares and hashes by identity, so an algebra keys the
+    connection stored on a metric: a second algebra with equal constants
+    gets its own connection.  make_family_algebra returns one object per
+    (tag, basis), however the basis is passed."""
+    tag = FamilyTag("Gc", 2.0)
+    alg = make_family_algebra(tag)
+    assert make_family_algebra(tag, BasisLabel.NATURAL) is alg
+    twin = LieAlgebra3(alg.structure_constants.copy())
+    assert (alg == twin) is False
+    assert (alg == alg) is True
+    assert hash(alg) != hash(twin)
+    h = MetricTensor(_README)
+    conn = curvature_report(alg, h).connection
+    assert curvature_report(alg, h).connection is conn
+    other = curvature_report(twin, h).connection
+    assert other is not conn
+    assert np.array_equal(other.curvature, conn.curvature)
+
+
+def test_canonical_form_returns_its_own_params():
+    """Each call returns a new CanonicalForm and params dict; the stored
+    matrix and witness are read-only, so no caller can change the next
+    answer on the same metric."""
+    tag = FamilyTag("Gc", 2.0)
+    h = MetricTensor(_README)
+    cf = canonical_form(tag, h)
+    cf.params["mu"] = -1.0
+    cf.params["extra"] = 0.0
+    again = canonical_form(tag, h)
+    assert again is not cf
+    assert again.params == {"mu": 4.0, "tau": 0.0}
+    for array in (again.canonical_matrix, again.witness):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.0
+
+
+def test_rejections_are_not_stored():
+    """A DegenerateMetricError is raised again by a repeat call on the same
+    metric, before and after a call at another tol."""
+    tag = FamilyTag("GI")
+    h = MetricTensor(np.diag([1.0, 1e-8, -1.0]))
+    loose = ToleranceConfig(classification_tol=1e-9)
+    want = canonical_form(tag, MetricTensor(h.entries), loose)
+    for _ in range(2):
+        with pytest.raises(DegenerateMetricError, match="degenerate form"):
+            canonical_form(tag, h)
+        assert canonical_form(tag, h, loose).params == want.params
+
+
+def test_stored_answers_match_fresh_metrics(rng):
+    """On one automorphism image of every sweep cell, the answers read
+    through the metric's stored frame, connection and canonical form, in
+    the order a survey and an orbits op ask for them, equal bit for bit
+    those of a fresh metric per call."""
+    count = 0
+    for tag, form_id, params, alg, h in _sweep_cells(rng):
+        def fresh():
+            return MetricTensor(h.entries, basis_label=h.basis_label)
+
+        report = curvature_report(alg, h)
+        cls, cf = constant_curvature_class(tag, h)
+        cf2 = canonical_form(tag, h)
+        flag, _ = equivalent(tag, h, h)
+        assert flag
+        assert cf.form_id == cf2.form_id == form_id
+        assert cf.params == cf2.params
+        want_report = curvature_report(alg, fresh())
+        want_cls, want_cf = constant_curvature_class(tag, fresh())
+        assert report.oneill.type_tag == want_report.oneill.type_tag
+        assert np.array_equal(report.ricci_op, want_report.ricci_op)
+        assert cls == want_cls
+        assert (cf2.form_id, cf2.params) == (want_cf.form_id, want_cf.params)
+        assert np.array_equal(cf2.witness, want_cf.witness)
+        count += 1
+    assert count == 335

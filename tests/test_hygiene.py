@@ -2,8 +2,9 @@
 is used in that module, every module-private top-level function or
 class of the package is used outside its own definition, every
 parameter of a function of the package is read by its body, every
-default of a module-private function is overridden by some call, and
-the package calls no function-style numpy reduction.
+default of a module-private function is overridden by some call, the
+package calls no function-style numpy reduction, and it keeps no cache
+that outlives one metric.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -295,3 +296,64 @@ def test_scan_finds_mixed_unit_band():
               "d = tol.abs_tol * (1.0 + abs(x))\n"
               "e = tol.classification_tol * x + 1.0\n")
     assert mixed_unit_bands(source) == ["line 1", "line 2"]
+
+
+#: the one store across calls: a family algebra is a fixed object of
+#: (tag, basis), built once and shared read-only
+_SHARED_CACHES = {"algebra.py": ["_family_algebra"]}
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+_DICT_BUILDERS = {"dict", "defaultdict", "OrderedDict", "fromkeys"}
+_DICT_WRITERS = {"setdefault", "update", "__setitem__"}
+
+
+def _name(node: ast.AST) -> str | None:
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def cross_call_caches(source: str) -> list[str]:
+    """Functions decorated with ``functools.cache`` or ``lru_cache``, and
+    module-level dicts that a function writes into: stores that outlive
+    the metric a call was made on."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = [fn.name for fn in functions for dec in fn.decorator_list
+             if _name(dec.func if isinstance(dec, ast.Call) else dec)
+             in _CACHE_DECORATORS]
+    dicts = set()
+    for node in tree.body:
+        value = getattr(node, "value", None)
+        if (isinstance(value, (ast.Dict, ast.DictComp))
+                or isinstance(value, ast.Call) and _name(value.func) in _DICT_BUILDERS):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            dicts.update(_name(t) for t in targets if isinstance(t, ast.Name))
+    for fn in functions:
+        for node in ast.walk(fn):
+            written = []
+            if isinstance(node, (ast.Assign, ast.AugAssign)):
+                targets = getattr(node, "targets", [getattr(node, "target", None)])
+                written = [t.value for t in targets if isinstance(t, ast.Subscript)]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _DICT_WRITERS):
+                written = [node.func.value]
+            found += [n.id for n in written
+                      if isinstance(n, ast.Name) and n.id in dicts]
+    return sorted(set(found))
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_no_cross_metric_caches(path):
+    assert cross_call_caches(path.read_text()) == _SHARED_CACHES.get(path.name, [])
+
+
+def test_scan_finds_cross_call_cache():
+    source = ("import functools\nfrom functools import cache, lru_cache\n"
+              "_TABLE = {'a': 1}\n_SEEN: dict = {}\n_MORE = dict()\n"
+              "_LIST = []\n\n"
+              "@functools.lru_cache(maxsize=8)\ndef a(x):\n    return x\n\n"
+              "@cache\ndef b(x):\n    return x\n\n"
+              "@lru_cache\ndef c(x):\n    return _TABLE[x]\n\n"
+              "def d(x):\n    _SEEN[x] = 1\n    _MORE.setdefault(x, 2)\n"
+              "    _LIST[0] = x\n    local = {}\n    local[x] = 1\n"
+              "    return local\n")
+    assert cross_call_caches(source) == ["_MORE", "_SEEN", "a", "b", "c"]

@@ -9,6 +9,7 @@ from lorcurv import (
     MetricTensor,
     ToleranceConfig,
     canonical_form,
+    constant_curvature_class,
     curvature_report,
     frame_gram_residual,
     make_family_algebra,
@@ -169,3 +170,47 @@ def test_tolerance_is_decided_per_call():
     assert validate_metric(h, loose).accepted
     frame = orthonormal_frame(h, loose)
     assert curvature_report(alg, h, frame=frame, tol=loose).frame is frame
+
+
+def test_entries_are_read_only():
+    """What is derived from a metric is stored on it, so its entries may
+    not change under it: they are a read-only copy of the input."""
+    m = np.diag([1.0, 2.0, -1.0])
+    h = MetricTensor(m)
+    with pytest.raises(ValueError, match="read-only"):
+        h.entries[0, 0] = 3.0
+    m[0, 0] = 3.0
+    assert h.entries[0, 0] == 1.0
+
+
+#: the README metric on Gc, c = 2; at classification_tol = 1e-16 its
+#: frame misses the Gram band by rounding (residual 1.7e-16)
+_README = np.array([[-1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+
+
+@pytest.mark.parametrize("tight_first", [True, False])
+def test_frame_is_stored_per_tolerance(tight_first):
+    """The frame is stored on the metric under its tol: a frame accepted
+    at the default tol does not answer for classification_tol = 1e-16,
+    and a rejection at 1e-16 is not stored, in either order."""
+    tag = FamilyTag("Gc", 2.0)
+    alg = make_family_algebra(tag)
+    tight = ToleranceConfig(classification_tol=1e-16)
+    h = MetricTensor(_README)
+
+    def accepted():
+        frame = orthonormal_frame(h)
+        assert orthonormal_frame(h) is frame
+        assert curvature_report(alg, h).frame is frame
+        assert constant_curvature_class(tag, h)[1].form_id == "Gc_gt1.2"
+
+    def rejected():
+        for decide in (lambda: orthonormal_frame(h, tight),
+                       lambda: curvature_report(alg, h, tol=tight),
+                       lambda: constant_curvature_class(tag, h, tight)):
+            with pytest.raises(ValueError, match="frame is not h-orthonormal"):
+                decide()
+
+    steps = [rejected, accepted] if tight_first else [accepted, rejected]
+    for step in steps + steps:
+        step()
