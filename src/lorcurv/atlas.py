@@ -3,12 +3,12 @@
 Each canonical form is keyed once, by its FormSpec.  The spec records, as
 explicit formulas in the form parameters: the canonical matrix in the
 classification basis of the family, a distinguished orthonormal frame,
-the Ricci operator in that frame and the operator type.  Each formula is
-a callable of the FamilyTag (its c and, for c < 1, w) and the parameters,
-so the family constants are read from the tag itself.  In dimension
-three the Ricci operator fixes the rest of the curvature, so the scalar
-curvature rho = tr Ric and the three frame sectional curvatures are
-derived from it (Milnor's identity, see curvature.milnor_sectional).
+the Ricci operator in that frame and a non-null eigenvector of it.  Each
+formula is a callable of the FamilyTag (its c and, for c < 1, w) and the
+parameters.  In dimension three the Ricci operator fixes the rest of the
+curvature: rho = tr Ric and the three frame sectional curvatures follow
+by Milnor's identity (curvature.milnor_sectional), and the operator type
+by the engine's discriminant rule, applied here without calling the engine.
 cross_check() evaluates the formulas on a parameter point and compares
 them against the numerical curvature engine, reporting per-cell residuals
 instead of raising, so systematic discrepancies (e.g. transcription slips
@@ -29,20 +29,16 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import FamilyTag, classification_basis, make_family_algebra
+from .algebra import (FamilyTag, bracket_constants, classification_basis,
+                      make_family_algebra)
 from .curvature import curvature_report, milnor_sectional
 from .metric import J21, MetricTensor, OrthonormalFrame
 from .oneill import ONeillType
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 _S2 = math.sqrt(2.0)
-
-
-def _tri(x: float, band: float) -> ONeillType:
-    """Operator-type trichotomy driven by a discriminant expression."""
-    if abs(x) <= band:
-        return ONeillType.DOUBLE
-    return ONeillType.DIAGONAL if x > 0 else ONeillType.COMPLEX
+_E = np.eye(3)
+_E.setflags(write=False)       # its rows are handed out as eigenvectors
 
 
 @dataclass(frozen=True)
@@ -53,15 +49,13 @@ class FormSpec:
     matrix: Callable          # (tag, p) -> 3x3 canonical matrix
     frame: Callable           # (tag, p) -> 3x3 column matrix
     ric: Callable             # (tag, p) -> 3x3 Ricci operator
-    oneill: Callable          # (tag, p, band) -> ONeillType
+    #: (tag, p) -> a non-null eigenvector of ric, in the frame
+    eigenvector: Callable = lambda tag, p: _E[0]
     notes: dict[str, str] = field(default_factory=dict)
 
 
 def _cols(*vectors) -> np.ndarray:
     return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-
-
-_E = np.eye(3)
 
 
 # --------------------------------------------------------------------------
@@ -136,7 +130,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         matrix=lambda tag, p: np.diag([1.0, -1.0, p["mu"]]),
         frame=lambda tag, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
         ric=lambda tag, p: -(2.0 / p["mu"]) * np.eye(3),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "GI.2", ("mu",),
@@ -144,7 +137,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         matrix=lambda tag, p: np.diag([1.0, 1.0, -p["mu"]]),
         frame=lambda tag, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
         ric=lambda tag, p: (2.0 / p["mu"]) * np.eye(3),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "GI.3", (),
@@ -153,7 +145,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         frame=lambda tag, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
                                    (_E[1] - _E[2]) / _S2),
         ric=lambda tag, p: np.zeros((3, 3)),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     # family Gc, c > 1
     FormSpec(
@@ -166,7 +157,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             [[-tag.c ** 2 * p["mu"] / 2, 0, 0],
              [0, tag.c * (tag.c * p["mu"] + 1) / 2, -tag.c / 2],
              [0, tag.c / 2, tag.c * (tag.c * p["mu"] - 1) / 2]]),
-        oneill=lambda tag, p, band: ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_gt1.2", ("mu", "tau"),
@@ -177,7 +167,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             _E[2] / math.sqrt(p["mu"]), _E[0],
             (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
         ric=_gc_gt1_2_ric,
-        oneill=lambda tag, p, band: _tri((tag.c + p["tau"]) ** 2 - 4 * tag.c, band),
         notes={"kappa31": "printed without the factor 4 in the denominator"},
     ),
     FormSpec(
@@ -189,7 +178,7 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             _E[0], (_E[0] - _E[1]) / math.sqrt(p["nu"] - 1.0),
             _E[2] / math.sqrt(p["mu"])),
         ric=_gc_gt1_3_ric,
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+        eigenvector=lambda tag, p: _E[2],
         notes={"ric11": "printed with an overall minus sign"},
     ),
     # family Gc, c = 1 (Q-adapted basis)
@@ -200,7 +189,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         frame=lambda tag, p: _cols(_E[1] / math.sqrt(p["mu"]),
                                    (_E[0] + _E[2]) / _S2, (_E[0] - _E[2]) / _S2),
         ric=lambda tag, p: np.zeros((3, 3)),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "G1.2", ("mu",),
@@ -212,7 +200,8 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             [[-p["mu"] / 2, math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)],
              [math.sqrt(p["mu"] / 2), p["mu"] / 2, 0.0],
              [math.sqrt(p["mu"] / 2), 0.0, p["mu"] / 2]]),
-        oneill=lambda tag, p, band: ONeillType.DOUBLE,
+        eigenvector=lambda tag, p: np.array(
+            [p["mu"], -math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)]),
     ),
     FormSpec(
         "G1.3", ("mu", "nu"),
@@ -226,7 +215,7 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
              [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
              [1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
               (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"])]]),
-        oneill=lambda tag, p, band: _tri(1 - 4 * p["nu"], band),
+        eigenvector=lambda tag, p: _E[1],
     ),
     FormSpec(
         "G1.4", ("mu", "nu"),
@@ -240,7 +229,7 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
              [1.0 / (p["mu"] * math.sqrt(p["nu"])),
               (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0],
              [0.0, 0.0, (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+        eigenvector=lambda tag, p: _E[2],
         notes={"ric22": "printed as (4 mu + 1)/(2 mu nu)",
                "ric33": "printed as (4 mu + 1)/(2 mu nu)"},
     ),
@@ -256,7 +245,7 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
              [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
              [-1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
               -(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
-        oneill=lambda tag, p, band: _tri(1 - 4 * p["nu"], band),
+        eigenvector=lambda tag, p: _E[1],
         notes={"ric22": "printed as (1 - 4 mu)/(2 mu nu)",
                "ric33": "printed as -(4 mu + 1)/(2 mu nu)"},
     ),
@@ -269,7 +258,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         ric=lambda tag, p: np.array([[-2 / p["mu"], 0, 0],
                                      [0, -3 / p["mu"], 1 / p["mu"]],
                                      [0, -1 / p["mu"], -1 / p["mu"]]]),
-        oneill=lambda tag, p, band: ONeillType.DOUBLE,
     ),
     FormSpec(
         "G1.7", ("mu",),
@@ -280,7 +268,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         ric=lambda tag, p: np.array([[-2 / p["mu"], 0, 0],
                                      [0, -1 / p["mu"], -1 / p["mu"]],
                                      [0, 1 / p["mu"], -3 / p["mu"]]]),
-        oneill=lambda tag, p, band: ONeillType.DOUBLE,
     ),
     # family Gc, c < 1 (P-adapted basis)
     FormSpec(
@@ -293,8 +280,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             [[0, 0, 0],
              [0, -tag.w * (tag.w - 1), tag.w * (tag.w - 1)],
              [0, -tag.w * (tag.w - 1), tag.w * (tag.w - 1)]], dtype=float),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL
-        if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_lt1.2", (),
@@ -306,7 +291,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             [[0, 0, 0],
              [0, -tag.w * (tag.w + 1), tag.w * (tag.w + 1)],
              [0, -tag.w * (tag.w + 1), tag.w * (tag.w + 1)]], dtype=float),
-        oneill=lambda tag, p, band: ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_lt1.3", ("mu",),
@@ -327,8 +311,7 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
              [tag.w * (1 + tag.w) / p["mu"] ** 2,
               -tag.w * (1 + tag.w) / (2 * p["mu"] ** 2),
               tag.w * (1 + 5 * tag.w) / (2 * p["mu"] ** 2)]]),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL
-        if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
+        eigenvector=lambda tag, p: np.array([4 * tag.w, -(1 + tag.w), -(1 + tag.w)]),
         notes={"ric33": "printed as z(1+5w)/(2 mu^2)"},
     ),
     FormSpec(
@@ -339,7 +322,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         ric=lambda tag, p: np.diag([2 * (1 + tag.w) / p["mu"],
                                     2 * (1 - tag.w) / p["mu"],
                                     2 * (1 + tag.w ** 2) / p["mu"]]),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "Gc_lt1.5", ("mu",),
@@ -349,7 +331,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         ric=lambda tag, p: np.diag([-2 * (1 + tag.w) / p["mu"],
                                     -2 * (1 + tag.w ** 2) / p["mu"],
                                     2 * (tag.w - 1) / p["mu"]]),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
         notes={"ric33": "printed as 2(1-w)/mu"},
     ),
     FormSpec(
@@ -360,7 +341,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         ric=lambda tag, p: np.diag([2 * (tag.w - 1) / p["mu"],
                                     -2 * (1 + tag.w ** 2) / p["mu"],
                                     -2 * (1 + tag.w) / p["mu"]]),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "Gc_lt1.7", ("mu",),
@@ -369,7 +349,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]),
                                    (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
         ric=lambda tag, p: -(2.0 / p["mu"]) * np.eye(3),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
     ),
     FormSpec(
         "Gc_lt1.8", ("mu",),
@@ -383,8 +362,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
               2 * tag.w * (tag.w - 1) / p["mu"]],
              [0, -2 * tag.w * (tag.w - 1) / p["mu"],
               2 * (tag.w ** 2 - tag.w - 1) / p["mu"]]]),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL
-        if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_lt1.9", ("mu",),
@@ -398,8 +375,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
               2 * tag.w * (tag.w - 1) / p["mu"]],
              [0, -2 * tag.w * (tag.w - 1) / p["mu"],
               -2 * (tag.w ** 2 - tag.w + 1) / p["mu"]]]),
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL
-        if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
     ),
     FormSpec(
         "Gc_lt1.10-1", ("nu", "tau"),
@@ -409,8 +384,7 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             _E[0], _E[2] / math.sqrt(p["nu"]),
             (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
         ric=_lt1_10_1_ric,
-        oneill=lambda tag, p, band: _tri(
-            p["tau"] * (p["tau"] - 1 + tag.w ** 2), band),
+        eigenvector=lambda tag, p: _E[1],
         notes={"ric33": "printed with denominator nu sqrt(1-tau)"},
     ),
     FormSpec(
@@ -421,7 +395,7 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             _E[0], (_E[0] - _E[1]) / math.sqrt(p["tau"] - 1.0),
             _E[2] / math.sqrt(-p["nu"])),
         ric=_lt1_10_2_ric,
-        oneill=lambda tag, p, band: ONeillType.DIAGONAL,
+        eigenvector=lambda tag, p: _E[2],
         notes={"domain": "constraint column printed nu > 0; the matching "
                          "Lorentzian branch requires nu < 0"},
     ),
@@ -434,8 +408,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             _E[2] / math.sqrt(p["mu"]),
             (_E[0] + _E[1]) / math.sqrt(1.0 - p["eta"]), _E[0]),
         ric=_lt1_11_ric,
-        oneill=lambda tag, p, band: _tri(
-            p["eta"] * (p["eta"] - 1 + tag.w ** 2), band),
     ),
 )}
 
@@ -480,6 +452,29 @@ def paper_frame(tag: FamilyTag, form_id: str,
     return OrthonormalFrame(_spec_in_domain(tag, form_id, params).frame(tag, params))
 
 
+def _operator_type(T: np.ndarray, v: np.ndarray, s: float,
+                   tol: ToleranceConfig) -> ONeillType:
+    """The O'Neill type of a J-self-adjoint T with non-null eigenvector v, by
+    the bands of oneill.classify_self_adjoint in curvature_report's unit s.
+    A timelike v leaves a spacelike complement, where T is symmetric.  Else
+    N = (T - m I) P, P the J-projector onto v's complement and m the mean of
+    T's eigenvalues there, is [[e, r], [-r, -e]] on that plane, e = (b - d)/2,
+    so D = 2 tr N^2 = (b - d)^2 - 4 r^2 comes without cancellation."""
+    Jv = J21 @ v
+    hvv = float(v @ Jv)
+    if hvv < 0.0:
+        return ONeillType.DIAGONAL
+    lam = float(Jv @ T @ v) / hvv
+    N = (T - 0.5 * (float(T.trace()) - lam) * _E) @ (_E - np.outer(v, Jv) / hvv)
+    D = 2.0 * float((N * N.T).sum())
+    n = float(np.abs(N).max())
+    if n <= tol.classification_tol * (s + float(np.abs(T).max())):
+        return ONeillType.DIAGONAL
+    if abs(D) <= tol.classification_tol * (2.0 * n) ** 2:
+        return ONeillType.DOUBLE
+    return ONeillType.DIAGONAL if D > 0 else ONeillType.COMPLEX
+
+
 @dataclass(frozen=True)
 class ClosedFormCurvature:
     form_id: str
@@ -497,8 +492,11 @@ def closed_form_report(tag: FamilyTag, form_id: str, params: dict[str, float],
     rho = float(np.trace(ric))
     kappas = tuple(milnor_sectional(J21 @ ric, rho, _E[i], _E[j], tol)
                    for i, j in ((0, 1), (1, 2), (2, 0)))
-    return ClosedFormCurvature(form_id, dict(params), ric, rho, kappas,
-                               spec.oneill(tag, params, tol.classification_tol))
+    alg = make_family_algebra(tag, classification_basis(tag))
+    brackets = bracket_constants(alg.structure_constants, spec.frame(tag, params))
+    oneill_type = _operator_type(ric, np.asarray(spec.eigenvector(tag, params), float),
+                                 float(np.abs(brackets).max()) ** 2, tol)
+    return ClosedFormCurvature(form_id, dict(params), ric, rho, kappas, oneill_type)
 
 
 @dataclass(frozen=True)

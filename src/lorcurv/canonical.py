@@ -76,6 +76,15 @@ def from_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
                             basis_label=BasisLabel.NATURAL)
 
 
+def _entrywise_gap(A: np.ndarray, B: np.ndarray) -> float:
+    """max |A_ij - B_ij| / sqrt(d_i d_j), d the row maxima of both symmetric
+    matrices: _Reducer.is_zero entry by entry, a margin free of scale."""
+    A, B = A.tolist(), B.tolist()
+    d = [max(map(abs, a + b)) for a, b in zip(A, B)]
+    return max(abs(A[i][j] - B[i][j]) / math.sqrt(d[i] * d[j])
+               for i, j in itertools.combinations_with_replacement(range(3), 2))
+
+
 def _strictly_lorentzian(C: np.ndarray) -> bool:
     """Whether the symmetric matrix C has signature (2, 0, 1), with no
     tolerance band.  det C < 0 leaves one or three negative eigenvalues,
@@ -205,10 +214,10 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
     # in for a sign test per reducer branch; a banded test refuses good forms
     if not _strictly_lorentzian(canon):
         raise DegenerateMetricError("inconsistent signature in reduction")
-    res = float(np.abs(red.cur - canon).max())
-    if res > tol.classification_tol * float(np.abs(canon).max()) * 100:
+    gap = _entrywise_gap(red.cur, canon)
+    if gap > 100 * tol.classification_tol:
         raise DegenerateMetricError(
-            f"reduction residual {res:g} too large for form {form_id}")
+            f"reduction residual {gap:g} too large for form {form_id}")
     canon.setflags(write=False)
     red.A.setflags(write=False)
     return CanonicalForm(tag, form_id, params, canon, red.A, target)
@@ -433,12 +442,9 @@ def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
     cf2 = canonical_form(tag, h2, tol)
     if cf1.form_id != cf2.form_id:
         return False, None
-    # entrywise by the reducer's rule, with d the row maxima of both matrices
-    C1, C2 = cf1.canonical_matrix.tolist(), cf2.canonical_matrix.tolist()
-    d = [max(map(abs, r1 + r2)) for r1, r2 in zip(C1, C2)]
-    for i, j in itertools.combinations_with_replacement(range(3), 2):
-        if (C1[i][j] - C2[i][j]) ** 2 > tol.classification_tol ** 2 * d[i] * d[j]:
-            return False, None
+    gap = _entrywise_gap(cf1.canonical_matrix, cf2.canonical_matrix)
+    if gap > tol.classification_tol:
+        return False, None
     W = cf1.witness @ np.linalg.inv(cf2.witness)
     if h1.basis_label == BasisLabel.NATURAL and cf1.basis_label != BasisLabel.NATURAL:
         W = adapted_basis_vectors(tag) @ W @ adapted_transition(tag)

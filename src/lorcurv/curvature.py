@@ -47,14 +47,6 @@ class Connection:
     brackets: np.ndarray   # (3, 3, 3), frame structure constants
     curvature: np.ndarray  # (3, 3, 3, 3), Riemann tensor
 
-    def nabla(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(u, float),
-                         np.asarray(v, float), self.gamma)
-
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(u, float),
-                         np.asarray(v, float), self.brackets)
-
 
 def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
     """Koszul formula specialised to an orthonormal frame.

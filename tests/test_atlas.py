@@ -6,22 +6,39 @@ import math
 import numpy as np
 import pytest
 
+import lorcurv.atlas
+import lorcurv.curvature
+import lorcurv.metric
+import lorcurv.oneill
 from lorcurv import (
+    DEFAULT_TOL,
     FamilyTag,
     MetricTensor,
+    ONeillType,
     atlas_entries,
     canonical_matrix,
     classification_basis,
+    classify_self_adjoint,
     closed_form_report,
     cross_check,
     emit_tables,
     form_specs,
     get_form_spec,
+    make_family_algebra,
     paper_frame,
     validate_metric,
 )
+from lorcurv.algebra import bracket_constants
 from lorcurv.atlas import _param_grid
+from lorcurv.metric import J21
 from tests.conftest import ALL_TAGS, SWEEP_GRID
+
+
+def _cells(tag):
+    """(spec, params) of every sweep-grid cell of the tag's family."""
+    for spec in form_specs(tag):
+        for params in _param_grid(spec, tag, SWEEP_GRID):
+            yield spec, params
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
@@ -118,17 +135,128 @@ def _printed_rho_kappas(tag, form_id, p):
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
 def test_derived_rho_kappas_match_printed_tables(tag):
     cells = 0
-    for spec in form_specs(tag):
-        for params in _param_grid(spec, tag, SWEEP_GRID):
-            closed = closed_form_report(tag, spec.form_id, params)
-            rho, kappas = _printed_rho_kappas(tag, spec.form_id, params)
-            for label, derived, printed in zip(
-                    ("rho", "kappa12", "kappa23", "kappa31"),
-                    (closed.rho, *closed.kappas), (rho, *kappas)):
-                assert abs(derived - printed) <= 1e-12 * (1.0 + abs(printed)), \
-                    (spec.form_id, params, label, derived, printed)
-            cells += 1
+    for spec, params in _cells(tag):
+        closed = closed_form_report(tag, spec.form_id, params)
+        rho, kappas = _printed_rho_kappas(tag, spec.form_id, params)
+        for label, derived, printed in zip(
+                ("rho", "kappa12", "kappa23", "kappa31"),
+                (closed.rho, *closed.kappas), (rho, *kappas)):
+            assert abs(derived - printed) <= 1e-12 * (1.0 + abs(printed)), \
+                (spec.form_id, params, label, derived, printed)
+        cells += 1
     assert cells > 0
+
+
+# --------------------------------------------------------------------------
+# the printed operator types, as the oracle for the type that
+# closed_form_report derives from the Ricci operator
+
+def _tri(x: float, band: float) -> ONeillType:
+    """Operator-type trichotomy driven by a discriminant expression."""
+    if abs(x) <= band:
+        return ONeillType.DOUBLE
+    return ONeillType.DIAGONAL if x > 0 else ONeillType.COMPLEX
+
+
+#: the paper's operator type of each canonical form, (tag, p, band) -> type
+_PRINTED_TYPES = {
+    "GI.1": lambda tag, p, band: ONeillType.DIAGONAL,
+    "GI.2": lambda tag, p, band: ONeillType.DIAGONAL,
+    "GI.3": lambda tag, p, band: ONeillType.DIAGONAL,
+    "Gc_gt1.1": lambda tag, p, band: ONeillType.DOUBLE,
+    "Gc_gt1.2": lambda tag, p, band: _tri((tag.c + p["tau"]) ** 2 - 4 * tag.c, band),
+    "Gc_gt1.3": lambda tag, p, band: ONeillType.DIAGONAL,
+    "G1.1": lambda tag, p, band: ONeillType.DIAGONAL,
+    "G1.2": lambda tag, p, band: ONeillType.DOUBLE,
+    "G1.3": lambda tag, p, band: _tri(1 - 4 * p["nu"], band),
+    "G1.4": lambda tag, p, band: ONeillType.DIAGONAL,
+    "G1.5": lambda tag, p, band: _tri(1 - 4 * p["nu"], band),
+    "G1.6": lambda tag, p, band: ONeillType.DOUBLE,
+    "G1.7": lambda tag, p, band: ONeillType.DOUBLE,
+    "Gc_lt1.1": lambda tag, p, band: ONeillType.DIAGONAL
+    if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
+    "Gc_lt1.2": lambda tag, p, band: ONeillType.DOUBLE,
+    "Gc_lt1.3": lambda tag, p, band: ONeillType.DIAGONAL
+    if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
+    "Gc_lt1.4": lambda tag, p, band: ONeillType.DIAGONAL,
+    "Gc_lt1.5": lambda tag, p, band: ONeillType.DIAGONAL,
+    "Gc_lt1.6": lambda tag, p, band: ONeillType.DIAGONAL,
+    "Gc_lt1.7": lambda tag, p, band: ONeillType.DIAGONAL,
+    "Gc_lt1.8": lambda tag, p, band: ONeillType.DIAGONAL
+    if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
+    "Gc_lt1.9": lambda tag, p, band: ONeillType.DIAGONAL
+    if abs(tag.w - 1) <= band else ONeillType.DOUBLE,
+    "Gc_lt1.10-1": lambda tag, p, band: _tri(
+        p["tau"] * (p["tau"] - 1 + tag.w ** 2), band),
+    "Gc_lt1.10-2": lambda tag, p, band: ONeillType.DIAGONAL,
+    "Gc_lt1.11": lambda tag, p, band: _tri(
+        p["eta"] * (p["eta"] - 1 + tag.w ** 2), band),
+}
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
+def test_derived_types_match_printed_rules(tag):
+    band = DEFAULT_TOL.classification_tol
+    cells = 0
+    for spec, params in _cells(tag):
+        derived = closed_form_report(tag, spec.form_id, params).oneill_type
+        printed = _PRINTED_TYPES[spec.form_id](tag, params, band)
+        assert derived == printed, (spec.form_id, params, derived, printed)
+        cells += 1
+    assert cells > 0
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
+def test_spec_eigenvectors_are_non_null_eigenvectors(tag):
+    """Each spec's eigenvector v is non-null and T v = lam v, with lam its
+    Rayleigh quotient h(T v, v) / h(v, v), for T the spec's Ricci operator."""
+    for spec, params in _cells(tag):
+        T = spec.ric(tag, params)
+        v = np.asarray(spec.eigenvector(tag, params), dtype=float)
+        hvv = float(v @ J21 @ v)
+        assert abs(hvv) > 1e-12 * float(v @ v), (spec.form_id, params)
+        lam = float(v @ J21 @ T @ v) / hvv
+        res = float(np.linalg.norm(T @ v - lam * v))
+        assert res <= 1e-12 * float(np.abs(T).max()) * float(np.linalg.norm(v)), \
+            (spec.form_id, params, res)
+
+
+@pytest.mark.parametrize("c", [1.0001, 1.0 + 1e-6])
+def test_near_c1_type_is_the_engines(c):
+    """Gc_gt1.2 at tau within 1e-8 of 1: the printed expression
+    (c + tau)^2 - 4c is about -3e-8 at c = 1.0001, inside the absolute band
+    of the printed rule, which types the cell {21}.  The Ricci block is far
+    outside the engine's relative band: {1zz}, as the classifier gives on
+    Ric / s and as the derived type reads."""
+    tag, params = FamilyTag("Gc", c), {"mu": 1.0, "tau": 1.0 - 1e-8}
+    closed = closed_form_report(tag, "Gc_gt1.2", params)
+    alg = make_family_algebra(tag, classification_basis(tag))
+    frame = paper_frame(tag, "Gc_gt1.2", params).columns
+    s = float(np.abs(bracket_constants(alg.structure_constants, frame)).max()) ** 2
+    engine = classify_self_adjoint(closed.ricci_op / s).type_tag
+    assert closed.oneill_type == engine == ONeillType.COMPLEX
+    flags = cross_check(tag, "Gc_gt1.2", params).flags
+    assert not [f for f in flags if f.startswith("oneill:")], flags
+
+
+def test_closed_forms_call_no_engine(monkeypatch):
+    """The atlas is the oracle of the engine: closed_form_report types
+    every cell with the classifier, the curvature report, the connection
+    and the frame builder all switched off."""
+    def engine(*args, **kwargs):
+        raise AssertionError("closed_form_report called the engine")
+
+    for module, name in ((lorcurv.oneill, "classify_self_adjoint"),
+                         (lorcurv.atlas, "curvature_report"),
+                         (lorcurv.curvature, "levi_civita"),
+                         (lorcurv.metric, "orthonormal_frame")):
+        monkeypatch.setattr(module, name, engine)
+    cells = 0
+    for tag in ALL_TAGS:
+        for spec, params in _cells(tag):
+            closed_form_report(tag, spec.form_id, params)
+            cells += 1
+    assert cells == 335
 
 
 def test_form_counts():

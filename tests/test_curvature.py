@@ -47,8 +47,8 @@ def test_connection_is_metric_compatible():
     for a in range(3):
         for b in range(3):
             for c in range(3):
-                lhs = frame_inner(conn.nabla(e[a], e[b]), e[c]) \
-                    + frame_inner(e[b], conn.nabla(e[a], e[c]))
+                lhs = frame_inner(conn.gamma[a, b], e[c]) \
+                    + frame_inner(e[b], conn.gamma[a, c])
                 assert abs(lhs) < 1e-10
 
 
@@ -60,11 +60,9 @@ def test_connection_is_torsion_free():
                      basis_label=basis)
     frame = orthonormal_frame(h)
     conn = levi_civita(alg, frame)
-    e = np.eye(3)
     for a in range(3):
         for b in range(3):
-            lhs = conn.nabla(e[a], e[b]) - conn.nabla(e[b], e[a]) \
-                - conn.bracket(e[a], e[b])
+            lhs = conn.gamma[a, b] - conn.gamma[b, a] - conn.brackets[a, b]
             assert np.max(np.abs(lhs)) < 1e-10
 
 

@@ -25,6 +25,7 @@ from lorcurv import (
 )
 from lorcurv.atlas import _param_grid
 from tests.conftest import SWEEP_GRID, rand_automorphism
+from tests.test_curvature import _fuzz_metrics
 
 #: GI and the c-line from far below c = 1 to far above it
 _SCALE_TAGS = [FamilyTag("GI"), FamilyTag("Gc", 50.0), FamilyTag("Gc", 1e4),
@@ -106,3 +107,28 @@ def test_small_metrics_with_distinct_mu_are_not_equivalent():
     h1 = MetricTensor(1e-4 * np.diag([1.0, -1.0, 1.0]))
     h2 = MetricTensor(1e-4 * np.diag([1.0, -1.0, 1.0005]))
     assert not equivalent(tag, h1, h2)[0]
+
+
+@pytest.mark.parametrize("c", [
+    1.0 - 1e-6,
+    pytest.param(1.0 + 1e-6, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3")),
+])
+def test_near_c1_reduction_outcome_is_scale_free(c):
+    """On the 300 fuzz metrics, canonical_form of lambda h gives the same
+    form id, or the same rejection, at lambda = 1e-4, 1 and 1e4.  Above
+    c = 1 the fold step amplifies rounding about 1 / (c - 1)-fold, and 10
+    of the 300 outcomes still move with lambda: a known defect."""
+    tag = FamilyTag("Gc", c)
+    moved = []
+    for i, (_, h) in enumerate(_fuzz_metrics(c)):
+        outcomes = []
+        for lam in (1e-4, 1.0, 1e4):
+            try:
+                cf = canonical_form(tag, MetricTensor(lam * h.entries))
+                outcomes.append(cf.form_id)
+            except DegenerateMetricError:
+                outcomes.append("rejected")
+        if len(set(outcomes)) > 1:
+            moved.append((i, outcomes))
+    assert moved == []
