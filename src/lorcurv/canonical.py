@@ -273,52 +273,41 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
             red.apply(automorphism_matrix(tag, alpha=1.0, beta=-1.0))
         return "Gc_gt1.1", {"mu": red.null_tail(1)}
 
-    # non-degenerate: kill the translation column
+    # non-degenerate: kill the translation column, then fold the plane block
+    # H to [[m, m], [m, t m]] by P = beta I + alpha K, (P^T H P)_11 =
+    # (P^T H P)_12, and scale m to 1.  The fold condition is the quadratic
+    # aq beta^2 + bq alpha beta + cq alpha^2 = 0, whose projective roots,
+    # taken without cancellation, are (aq, q) and (q, cq); q = 0 only when
+    # every (alpha, beta) folds.  The roots' t satisfy (t - 1)(t' - 1) =
+    # (c - 1)^2: for det H < 0 one root has m > 0, and it gives t < 1
+    # (Gc_gt1.2); for det H > 0 both do, on either side of c, and the one
+    # at or below c is nu (Gc_gt1.3).  So the root taken is the one that
+    # lands in the canonical domain, and no second step is needed.
     red.clear_translation()
-
     c = red.cur
-    band = red.band(c[0, 0], c[0, 1])
-    if abs(c[0, 0] - c[0, 1]) > band:
-        # fold so the two leading entries agree: root of a real quadratic,
-        # taken without cancellation; disc = bq^2 + 4 (c - 1) aq^2 > 0, so
-        # q != 0
-        aq = c[0, 0] - c[0, 1]
-        bq = (cpar - 2.0) * c[0, 0] + 2.0 * c[0, 1] - c[1, 1]
-        cq = -(cpar - 1.0) * aq
-        q = -0.5 * (bq + math.copysign(math.sqrt(bq * bq - 4.0 * aq * cq), bq))
-        roots = sorted([q / aq, cq / q], key=lambda z: (abs(z), -z))
-        red.apply(automorphism_matrix(tag, alpha=1.0, beta=roots[0]))
-        c = red.cur
-        # rounding in the fold scales with the entries it combined
-        if abs(c[0, 0] - c[0, 1]) > band * 10:
-            raise DegenerateMetricError("fold step failed to equalise entries")
-
-    c = red.cur
-    h11 = 0.5 * (c[0, 0] + c[0, 1])
-    if abs(h11) <= red.band(c[0, 0], c[0, 1]):
-        raise DegenerateMetricError("pivot vanishes after fold")
-    red.apply(red.scale_translate(1.0 / math.sqrt(abs(h11))))
-    c = red.cur
-    eps = 1.0 if c[0, 0] > 0 else -1.0
-    tau = c[1, 1] * eps
-    mu = c[2, 2]
-
-    if eps > 0 and tau < 1.0:
-        return "Gc_gt1.2", {"mu": float(mu), "tau": float(tau)}
-    if eps > 0:  # tau > 1 forces mu < 0
-        nu = tau
-        if nu > cpar + red.band(cpar):
-            red.apply(automorphism_matrix(
-                tag, alpha=1.0 / math.sqrt(nu - 1.0), beta=0.0))
-            nu = red.entry(1, 1)
-        # nu within the band above c is c, where the form's domain ends
-        return "Gc_gt1.3", {"mu": float(-red.entry(2, 2)), "nu": float(min(nu, cpar))}
-    # eps < 0: only tau < 1 is consistent with Lorentzian signature
-    if tau >= 1.0:
+    h11, h12, h22 = c[0, 0], c[0, 1], c[1, 1]
+    aq = h11 - h12
+    bq = (cpar - 2.0) * h11 + 2.0 * h12 - h22
+    cq = -(cpar - 1.0) * aq
+    q = -0.5 * (bq + math.copysign(math.sqrt(bq * bq - 4.0 * aq * cq), bq))
+    best = None
+    for alpha, beta in ((aq, q), (q, cq)) if q else ((0.0, 1.0),):
+        s = max(abs(alpha), abs(beta))      # so m has the degree of h
+        alpha, beta = alpha / s, beta / s
+        u, x, y = beta - alpha, -cpar * alpha, beta + alpha   # P = [[u, x], [alpha, y]]
+        m = h11 * u * u + 2.0 * h12 * u * alpha + h22 * alpha * alpha
+        if m > 0.0:
+            t = (h11 * x * x + 2.0 * h12 * x * y + h22 * y * y) / m
+            # t within the band above c is nu = c, where the domain ends
+            if t <= cpar + red.band(cpar) and (best is None or t > best[0]):
+                best = (t, alpha / math.sqrt(m), beta / math.sqrt(m))
+    if best is None:
         raise DegenerateMetricError("inconsistent signature in reduction")
-    red.apply(automorphism_matrix(tag, alpha=1.0 / math.sqrt(1.0 - tau), beta=0.0))
+    red.apply(automorphism_matrix(tag, alpha=best[1], beta=best[2]))
     c = red.cur
-    return "Gc_gt1.2", {"mu": float(c[2, 2]), "tau": float(c[1, 1])}
+    if c[1, 1] < 1.0:
+        return "Gc_gt1.2", {"mu": float(c[2, 2]), "tau": float(c[1, 1])}
+    return "Gc_gt1.3", {"mu": float(-c[2, 2]), "nu": float(min(c[1, 1], cpar))}
 
 
 # --------------------------------------------------------------------------

@@ -91,12 +91,15 @@ def _parse_family(node) -> FamilyTag:
     raise InputError("family", 'expected "GI" or {"Gc": c}')
 
 
-def _parse_basis(node, tag: FamilyTag) -> BasisLabel:
+def _parse_basis(node, tag: FamilyTag | None) -> BasisLabel:
+    """The document's basis; checked against the family only when the
+    document names one."""
     if node not in ("natural", "Q_adapted", "P_adapted"):
         raise InputError(
             "basis", 'expected "natural", "Q_adapted" or "P_adapted"')
     basis = BasisLabel(node)
-    if basis not in (BasisLabel.NATURAL, classification_basis(tag)):
+    if tag is not None and basis not in (BasisLabel.NATURAL,
+                                         classification_basis(tag)):
         raise ValueError(f"{node} basis is not defined for family "
                          f"{tag.family_key()}")
     return basis
@@ -148,8 +151,7 @@ def _load_document(path: str, family_required: bool = True):
     elif family_required:
         raise InputError("family", "missing required field")
     tol = _parse_tolerance(doc.get("tolerance"))
-    basis = _parse_basis(doc.get("basis", "natural"),
-                         tag if tag is not None else FamilyTag("GI"))
+    basis = _parse_basis(doc.get("basis", "natural"), tag)
     if "metric" not in doc:
         raise InputError("metric", "missing required field")
     h = _parse_metric(doc["metric"], basis)

@@ -251,8 +251,9 @@ def test_g1_degenerate_branch_rejects_vanishing_pivot():
 
 
 def test_gt1_form3_nu_within_band_of_c_is_clamped():
-    """nu a rounding step above c takes no fold; it comes back as c, the
-    edge of the form's domain 1 < nu <= c."""
+    """nu a rounding step above c is within the band of c, so its fold
+    root is the one kept, and nu comes back as c, the edge of the form's
+    domain 1 < nu <= c."""
     tag = FamilyTag("Gc", 2.0)
     h = MetricTensor(np.array([[1.0, 1.0, 0.0], [1.0, 2.00000001, 0.0],
                                [0.0, 0.0, -1.0]]))
@@ -261,13 +262,59 @@ def test_gt1_form3_nu_within_band_of_c_is_clamped():
     assert cf.params == {"mu": 1.0, "nu": 2.0}
 
 
+@pytest.mark.parametrize("c", [2.0, 5.0])
+def test_gt1_form3_nu_band_below_c(c):
+    """nu within tol c of c is c from below as from above; nu 1e-6 c below
+    c is kept exactly; and automorphism images of each canonical input
+    reduce to its nu within 1e-12 c, where the fold and a second rescaling
+    step used to leave up to 4e-8 c."""
+    tag = FamilyTag("Gc", c)
+    rng = np.random.default_rng(7)
+    for nu, expected in ((c * (1.0 - 1e-8), c), (c * (1.0 - 1e-6), c * (1.0 - 1e-6))):
+        C = canonical_matrix(tag, "Gc_gt1.3", {"mu": 1.0, "nu": nu})
+        cf = canonical_form(tag, MetricTensor(C))
+        assert cf.form_id == "Gc_gt1.3"
+        assert cf.params == {"mu": 1.0, "nu": expected}
+        for _ in range(20):
+            A = rand_automorphism(tag, rng)
+            image = canonical_form(tag, MetricTensor(A.T @ C @ A))
+            assert image.form_id == "Gc_gt1.3"
+            assert abs(image.params["nu"] - expected) <= 1e-12 * c
+
+
+@pytest.mark.parametrize("c", [1.0 + 1e-5, 1.0 + 1e-6])
+def test_gt1_near_c1_reduces_within_residual(c):
+    """Just above c = 1 every fuzz metric reduces: one fold automorphism,
+    chosen in the canonical domain, leaves A^T h A within the residual band
+    of its form, where a fold followed by a rescaling, each of plane-block
+    determinant about c - 1, missed it on 88 of 300 at c = 1 + 1e-6."""
+    tag = FamilyTag("Gc", c)
+    for _, h in _fuzz_metrics(c):
+        try:
+            canonical_form(tag, h)
+        except DegenerateMetricError as exc:
+            assert "reduction residual" not in str(exc), exc
+
+
+@pytest.mark.parametrize("c", [1.0 + 1e-5, 1.0 + 1e-6])
+def test_gt1_near_c1_images_are_equivalent(c):
+    """Each fuzz metric is equivalent to an automorphism image of itself
+    just above c = 1 (at c = 1 + 1e-5 the reducer used to call 64 of
+    these 300 pairs inequivalent and reject 21)."""
+    tag = FamilyTag("Gc", c)
+    rng = np.random.default_rng(3)
+    for _, h in _fuzz_metrics(c):
+        A = rand_automorphism(tag, rng)
+        assert equivalent(tag, h, MetricTensor(A.T @ h.entries @ A))[0]
+
+
 @pytest.mark.parametrize("c", [1e5, 1e6])
 def test_gt1_fold_at_large_c(c):
     """At large c the small fold root cancels in (-b +- sqrt(disc)) / 2a,
     and the folded entries h11, h12 then differ by more than their band:
-    the textbook formula rejects 7 of these 100 fuzz metrics at c = 1e5
-    and 89 at c = 1e6 with "fold step failed to equalise entries".  Taken
-    without cancellation, every one reduces, by an automorphism."""
+    the textbook formula failed to fold 7 of these 100 fuzz metrics at
+    c = 1e5 and 89 at c = 1e6.  Taken without cancellation, every one
+    reduces, by an automorphism."""
     tag = FamilyTag("Gc", c)
     for alg, h in _fuzz_metrics(c, count=100, seed=1):
         cf = canonical_form(tag, h)

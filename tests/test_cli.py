@@ -61,6 +61,18 @@ def test_basis_family_mismatch_exit1(tmp_path):
     assert main(["classify", f]) == 1
 
 
+def test_validate_adapted_basis_without_family(tmp_path, capsys):
+    """validate takes no family, so it checks no basis against one: an
+    adapted-basis metric is validated as it stands."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"basis": "Q_adapted",
+                                "metric": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}))
+    code, out = _run(capsys, "validate", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["basis"] == "Q_adapted" and payload["family"] is None
+
+
 def test_classify_gi(tmp_path, capsys):
     f = _doc(tmp_path, "m.json", "GI", [[1, 0, 0], [0, -1, 0], [0, 0, 5]])
     code, out = _run(capsys, "classify", f)

@@ -18,6 +18,7 @@ from lorcurv import (
     make_family_algebra,
     milnor_sectional,
     orthonormal_frame,
+    paper_frame,
     pull_back_metric,
     ricci_tensor,
     riemann,
@@ -443,3 +444,24 @@ def test_answers_unchanged_on_sweep_images(rng):
         count += 1
         einstein += cls != ConstantCurvatureClass.NON_CONSTANT
     assert (count, einstein) == (335, 42)
+
+
+@pytest.mark.xfail(strict=True, raises=ArithmeticError, reason=(
+    "known defect: the eigenvalues of Ric / s (-7.98e-6 and 7.98e-6 twice) "
+    "lie inside the classifier's cube-root cluster width (about 1.2e-4, "
+    "absolute in units of s), so no spacelike eigenvector is found and the "
+    "{3} Jordan chain fails its O(2,1) check (residual 0.089)"))
+def test_lt1_form3_near_c1_paper_frame_type():
+    """Canonical Gc_lt1.3 (mu = 1) at c = 1 - 1e-6, read in its paper
+    frame: the Ricci operator is {21}, as the closed form says, or the
+    input is refused by name; it must not be a fault."""
+    tag = FamilyTag("Gc", 1.0 - 1e-6)
+    params = {"mu": 1.0}
+    basis = classification_basis(tag)
+    h = MetricTensor(canonical_matrix(tag, "Gc_lt1.3", params), basis_label=basis)
+    try:
+        rep = curvature_report(make_family_algebra(tag, basis), h,
+                               frame=paper_frame(tag, "Gc_lt1.3", params))
+    except ValueError:
+        return
+    assert rep.oneill.type_tag == ONeillType.DOUBLE
