@@ -218,35 +218,74 @@ def adapted_basis_vectors(tag: FamilyTag) -> np.ndarray:
                      [0.0, 0.0, 1.0]])
 
 
-def automorphism_matrix(tag: FamilyTag, *, block=None, alpha: float | None = None,
-                        beta: float | None = None,
-                        translation: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-    """Assemble the 3x3 automorphism matrix in the natural basis.
+#: an automorphism [[P, t], [0, 1]] of a family in its natural or adapted
+#: basis, as floats: the rows of its 2x2 block P and its translation t
+Step = tuple[tuple[tuple[float, float], tuple[float, float]], tuple[float, float]]
 
-    GI uses an arbitrary invertible 2x2 block acting on span(x, y);
-    Gc uses the two-parameter (alpha, beta) block
-    [[beta - alpha, -c alpha], [alpha, beta + alpha]] subject to
-    beta^2 + (c - 1) alpha^2 != 0.  Both act trivially on z up to the
-    translation part (t1, t2) in the last column.
+
+def automorphism_step(tag: FamilyTag, *, block=None, alpha: float | None = None,
+                      beta: float | None = None, gamma: float | None = None,
+                      delta: float | None = None,
+                      translation: tuple[float, float] = (0.0, 0.0)) -> Step:
+    """The block P and translation t of an automorphism [[P, t], [0, 1]].
+
+    In the natural basis, GI takes an arbitrary invertible 2x2 ``block``
+    and Gc the (alpha, beta) block [[beta - alpha, -c alpha], [alpha,
+    beta + alpha]], beta^2 + (c - 1) alpha^2 != 0.  Given gamma and delta,
+    the block is written in the adapted basis (c <= 1):
+
+    c = 1:  [[gamma, delta], [0, gamma]],  gamma != 0
+    c < 1:  [[gamma, 0], [0, delta]],      gamma delta != 0
     """
     t1, t2 = translation
+    t = (float(t1), float(t2))
+    if gamma is not None:
+        if classification_basis(tag) == BasisLabel.NATURAL:
+            raise ValueError("adapted automorphisms exist only for Gc with c <= 1")
+        g, d = float(gamma), float(delta)
+        if tag.c == 1:
+            if g == 0.0:
+                raise ValueError("gamma must be nonzero")
+            return ((g, d), (0.0, g)), t
+        if g * d == 0.0:
+            raise ValueError("gamma and delta must be nonzero")
+        return ((g, 0.0), (0.0, d)), t
     if tag.kind == "GI":
         if block is None:
             raise ValueError("GI automorphisms require a 2x2 block")
-        block = np.asarray(block, dtype=float)
-        if block.shape != (2, 2):
-            raise ValueError("block must be 2x2")
-        (p, q), (r, s) = block.tolist()
+        try:
+            (p, q), (r, s) = block
+            p, q, r, s = float(p), float(q), float(r), float(s)
+        except (TypeError, ValueError):
+            raise ValueError("block must be 2x2") from None
         if p * s - q * r == 0.0:
             raise ValueError("block must be invertible")
-        return np.array([[p, q, t1], [r, s, t2], [0.0, 0.0, 1.0]])
+        return ((p, q), (r, s)), t
     if alpha is None or beta is None:
         raise ValueError("Gc automorphisms require alpha and beta")
     c = tag.c
     a, b = float(alpha), float(beta)
     if b * b + (c - 1.0) * a * a == 0.0:
         raise ValueError("degenerate (alpha, beta) pair")
-    return np.array([[b - a, -c * a, t1], [a, b + a, t2], [0.0, 0.0, 1.0]])
+    return ((b - a, -c * a), (a, b + a)), t
+
+
+def step_matrix(step: Step) -> np.ndarray:
+    """The 3x3 matrix [[P, t], [0, 1]] of an automorphism step."""
+    ((p, q), (r, s)), (t1, t2) = step
+    return np.array([[p, q, t1], [r, s, t2], [0.0, 0.0, 1.0]])
+
+
+def automorphism_matrix(tag: FamilyTag, *, block=None, alpha: float | None = None,
+                        beta: float | None = None,
+                        translation: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+    """Assemble the 3x3 automorphism matrix in the natural basis: GI takes
+    a 2x2 block, Gc an (alpha, beta) pair (see automorphism_step).  Both
+    act trivially on z up to the translation part (t1, t2) in the last
+    column.
+    """
+    return step_matrix(automorphism_step(tag, block=block, alpha=alpha, beta=beta,
+                                         translation=translation))
 
 
 def adapted_automorphism(tag: FamilyTag, gamma: float, delta: float,
@@ -256,16 +295,8 @@ def adapted_automorphism(tag: FamilyTag, gamma: float, delta: float,
     c = 1:  [[gamma, delta, t1], [0, gamma, t2], [0, 0, 1]],  gamma != 0
     c < 1:  [[gamma, 0, t1], [0, delta, t2], [0, 0, 1]],      gamma delta != 0
     """
-    if classification_basis(tag) == BasisLabel.NATURAL:
-        raise ValueError("adapted automorphisms exist only for Gc with c <= 1")
-    t1, t2 = translation
-    if tag.c == 1:
-        if gamma == 0.0:
-            raise ValueError("gamma must be nonzero")
-        return np.array([[gamma, delta, t1], [0.0, gamma, t2], [0.0, 0.0, 1.0]])
-    if gamma * delta == 0.0:
-        raise ValueError("gamma and delta must be nonzero")
-    return np.array([[gamma, 0.0, t1], [0.0, delta, t2], [0.0, 0.0, 1.0]])
+    return step_matrix(automorphism_step(tag, gamma=gamma, delta=delta,
+                                         translation=translation))
 
 
 #: the basis pairs (i, j) = (0, 1), (0, 2), (1, 2) and their rows 3 i + j

@@ -12,21 +12,30 @@ Classification bases:
 * GI and Gc with c > 1 are reduced in the natural basis,
 * c = 1 in the Q-adapted basis, c < 1 in the P-adapted basis
   (natural-basis input is converted first).
+
+In its classification basis every automorphism of these families is
+A = [[P, t], [0, 1]], with P a 2x2 block and t a translation of z.  The
+reducer works on the block form h = [[H, b], [b^T, gamma]]: each step is
+a (P, t) pair of Python floats from ``automorphism_step``, and after each
+step H, b and gamma of A^T h A are recomputed from the input's blocks and
+the accumulated (P, t).  Every decision reads those entries.  The
+witness array is built once at the end, and A^T h A is formed once from
+it with numpy to check the residual against the canonical matrix.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .algebra import (BasisLabel, FamilyTag, adapted_automorphism,
-                      adapted_basis_vectors, adapted_transition,
-                      automorphism_matrix, classification_basis,
-                      is_automorphism, make_family_algebra)
+from .algebra import (BasisLabel, FamilyTag, Step, adapted_basis_vectors,
+                      adapted_transition, automorphism_step,
+                      classification_basis, is_automorphism,
+                      make_family_algebra, step_matrix)
 from .atlas import canonical_matrix
 from .curvature import _connection, ricci_tensor, riemann
 from .metric import _I3, J21, MetricTensor, _derived, _signature, pull_back_metric
@@ -54,6 +63,8 @@ _UNIT_MODEL = (np.einsum("im,jl->ijml", J21, _I3)
 _UNIT_MODEL.setflags(write=False)
 #: the frame triples (i, j, m) of the model check
 _TRIPLES = tuple(itertools.product(range(3), repeat=3))
+#: the entries (i, j), i <= j, of a symmetric 3x3 matrix
+_UPPER = tuple(itertools.combinations_with_replacement(range(3), 2))
 
 
 class ConstantCurvatureClass(str, Enum):
@@ -81,8 +92,7 @@ def _entrywise_gap(A: np.ndarray, B: np.ndarray) -> float:
     matrices: _Reducer.is_zero entry by entry, a margin free of scale."""
     A, B = A.tolist(), B.tolist()
     d = [max(map(abs, a + b)) for a, b in zip(A, B)]
-    return max(abs(A[i][j] - B[i][j]) / math.sqrt(d[i] * d[j])
-               for i, j in itertools.combinations_with_replacement(range(3), 2))
+    return max([abs(A[i][j] - B[i][j]) / math.sqrt(d[i] * d[j]) for i, j in _UPPER])
 
 
 def _strictly_lorentzian(C: np.ndarray) -> bool:
@@ -96,53 +106,92 @@ def _strictly_lorentzian(C: np.ndarray) -> bool:
 
 
 class _Reducer:
-    """Accumulates automorphism steps and the congruence they induce."""
+    """Accumulates automorphism steps A = [[P, t], [0, 1]] of the
+    classification basis, and holds A^T h0 A in its block form
+    [[H, b], [b^T, gamma]] as Python floats:
+
+        H = P^T H0 P,  b = P^T (H0 t + b0),  gamma = t^T (H0 t + b0) + b0^T t + gamma0,
+
+    recomputed from h0's blocks and (P, t) after every step, so rounding
+    is not carried from one step to the next."""
 
     def __init__(self, h0: np.ndarray, tol: ToleranceConfig):
-        self.h0 = np.asarray(h0, dtype=float)
         self.tol = tol
-        self.A = np.eye(3)
-        self.cur = self.h0           # A^T h0 A, kept current by apply
-        self.d = [max(map(abs, r)) for r in self.cur.tolist()]   # row maxima
+        (h11, h12, b1), (_, h22, b2), (_, _, g) = h0.tolist()
+        self._h0 = (h11, h12, h22, b1, b2, g)
+        self.P = ((1.0, 0.0), (0.0, 1.0))
+        self.t = (0.0, 0.0)
+        self.H = ((h11, h12), (h12, h22))
+        self.b = (b1, b2)
+        self.gamma = g
+
+    def apply(self, step: Step) -> None:
+        """Compose with the step (Q, s): P <- P Q, t <- P s + t."""
+        ((a, b), (c, d)), (s1, s2) = step
+        (p, q), (r, s) = self.P
+        t1, t2 = self.t
+        t1, t2 = p * s1 + q * s2 + t1, r * s1 + s * s2 + t2
+        p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        self.P, self.t = ((p, q), (r, s)), (t1, t2)
+        # summed in the order of the product (A^T h0) A: the rows m of
+        # P^T H0, and u = H0 t + b0, first
+        h11, h12, h22, b1, b2, g = self._h0
+        m11, m12 = p * h11 + r * h12, p * h12 + r * h22
+        m21, m22 = q * h11 + s * h12, q * h12 + s * h22
+        u1, u2 = t1 * h11 + t2 * h12 + b1, t1 * h12 + t2 * h22 + b2
+        k12 = m11 * q + m12 * s
+        self.H = ((m11 * p + m12 * r, k12), (k12, m21 * q + m22 * s))
+        self.b = (m11 * t1 + m12 * t2 + (p * b1 + r * b2),
+                  m21 * t1 + m22 * t2 + (q * b1 + s * b2))
+        self.gamma = u1 * t1 + u2 * t2 + (t1 * b1 + t2 * b2 + g)
+
+    def scale_translate(self, g: float, t: tuple[float, float] = (0.0, 0.0)) -> None:
+        """Apply P = g I with translation t: a scaling of the plane with a
+        translation of z, an automorphism of every family in its
+        classification basis."""
+        self.apply((((g, 0.0), (0.0, g)), t))
+
+    def witness(self) -> np.ndarray:
+        """The accumulated automorphism A as an array."""
+        return step_matrix((self.P, self.t))
+
+    def entry(self, i: int, j: int) -> float:
+        """(A^T h0 A)_ij, read from the block it lies in."""
+        if i < 2 and j < 2:
+            return self.H[i][j]
+        if i == j:
+            return self.gamma
+        return self.b[min(i, j)]
+
+    def row_max(self, i: int) -> float:
+        """d_i = max_k |(A^T h0 A)_ik|."""
+        if i == 2:
+            return max(abs(self.b[0]), abs(self.b[1]), abs(self.gamma))
+        return max(abs(self.H[i][0]), abs(self.H[i][1]), abs(self.b[i]))
 
     def band(self, *entries: float) -> float:
         """The zero band of a quantity combined from these entries."""
         return self.tol.classification_tol * max(map(abs, entries))
 
-    def apply(self, B: np.ndarray) -> None:
-        self.A = self.A @ B
-        self.cur = self.A.T @ self.h0 @ self.A
-        self.d = [max(map(abs, r)) for r in self.cur.tolist()]
-
-    def entry(self, i: int, j: int) -> float:
-        return float(self.cur[i, j])
-
     def is_zero(self, i: int, j: int) -> bool:
-        """|cur_ij| <= tol sqrt(d_i d_j): the same verdict for every multiple of h."""
-        tol, d = self.tol.classification_tol, self.d
-        return abs(self.entry(i, j)) <= tol * math.sqrt(d[i] * d[j])
+        """|h_ij| <= tol sqrt(d_i d_j): the same verdict for every multiple of h."""
+        return (abs(self.entry(i, j)) <= self.tol.classification_tol
+                * math.sqrt(self.row_max(i) * self.row_max(j)))
 
     def plane_degenerate(self) -> bool:
-        """Whether the 2x2 block on span(x1, x2) is singular to tolerance."""
-        c = self.cur
-        p = c[0, 0] * c[1, 1] - c[0, 1] ** 2
-        return abs(p) <= self.tol.classification_tol * self.d[0] * self.d[1]
-
-    @staticmethod
-    def scale_translate(g: float, t: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
-        """[[g, 0, t1], [0, g, t2], [0, 0, 1]]: a scaling of the plane with a
-        translation of z, an automorphism of every family in its
-        classification basis."""
-        return np.array([[g, 0.0, t[0]], [0.0, g, t[1]], [0.0, 0.0, 1.0]])
+        """Whether the plane block H is singular to tolerance."""
+        (h11, h12), (_, h22) = self.H
+        return (abs(h11 * h22 - h12 * h12)
+                <= self.tol.classification_tol * self.row_max(0) * self.row_max(1))
 
     def clear_translation(self) -> None:
-        """Translate z so that the (x1, z) and (x2, z) entries vanish; the
-        plane block must be non-degenerate."""
-        c = self.cur
-        pprime = c[0, 1] ** 2 - c[0, 0] * c[1, 1]
-        self.apply(self.scale_translate(
-            1.0, ((c[0, 2] * c[1, 1] - c[0, 1] * c[1, 2]) / pprime,
-                  (c[0, 0] * c[1, 2] - c[0, 1] * c[0, 2]) / pprime)))
+        """Translate z by -H^-1 b, so that b vanishes; H must be
+        non-degenerate."""
+        (h11, h12), (_, h22) = self.H
+        b1, b2 = self.b
+        pprime = h12 * h12 - h11 * h22
+        self.scale_translate(1.0, ((b1 * h22 - h12 * b2) / pprime,
+                                   (h11 * b2 - h12 * b1) / pprime))
 
     def null_index(self) -> int:
         """For a rank-one plane block with the (x1, x2) entry cleared: 0 if
@@ -157,16 +206,16 @@ class _Reducer:
         h(x_i, z) = 1 and (x_j, z) = (z, z) = 0, j = 1 - i; returns
         h(x_j, x_j), which must be positive."""
         j = 1 - i
-        c = self.cur
-        if self.is_zero(i, 2) or self.is_zero(j, j) or c[j, j] < 0:
+        hjj = self.H[j][j]
+        if self.is_zero(i, 2) or self.is_zero(j, j) or hjj < 0:
             raise DegenerateMetricError("pivot vanishes in degenerate branch")
         t = [0.0, 0.0]
-        t[j] = -c[j, 2] / c[j, j]
-        self.apply(self.scale_translate(1.0 / c[i, 2], t))
+        t[j] = -self.b[j] / hjj
+        self.scale_translate(1.0 / self.b[i], t)
         t = [0.0, 0.0]
-        t[i] = -self.cur[2, 2] / 2.0
-        self.apply(self.scale_translate(1.0, t))
-        return self.entry(j, j)
+        t[i] = -self.gamma / 2.0
+        self.scale_translate(1.0, t)
+        return self.H[j][j]
 
 
 def canonical_form(tag: FamilyTag, h: MetricTensor,
@@ -180,7 +229,8 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     call gets its own params, and a read-only matrix and witness.
     """
     cf = _derived(h, ("canonical", tag, tol), lambda: _reduce(tag, h, tol))
-    return replace(cf, params=dict(cf.params))
+    return CanonicalForm(cf.family, cf.form_id, dict(cf.params),
+                         cf.canonical_matrix, cf.witness, cf.basis_label)
 
 
 def _reduce(tag: FamilyTag, h: MetricTensor,
@@ -214,48 +264,48 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
     # in for a sign test per reducer branch; a banded test refuses good forms
     if not _strictly_lorentzian(canon):
         raise DegenerateMetricError("inconsistent signature in reduction")
-    gap = _entrywise_gap(red.cur, canon)
+    # the one product of the reduction: the residual reads the witness
+    # returned, not the entries the steps held
+    W = red.witness()
+    gap = _entrywise_gap(W.T @ h_cls.entries @ W, canon)
     if gap > 100 * tol.classification_tol:
         raise DegenerateMetricError(
             f"reduction residual {gap:g} too large for form {form_id}")
     canon.setflags(write=False)
-    red.A.setflags(write=False)
-    return CanonicalForm(tag, form_id, params, canon, red.A, target)
+    W.setflags(write=False)
+    return CanonicalForm(tag, form_id, params, canon, W, target)
 
 
 # --------------------------------------------------------------------------
 # family GI (natural basis, GL(2) block automorphisms)
 
 def _reduce_gi(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
-    swap = automorphism_matrix(tag, block=[[0.0, 1.0], [1.0, 0.0]])
+    swap = automorphism_step(tag, block=((0.0, 1.0), (1.0, 0.0)))
     if not red.is_zero(0, 1):
-        c = red.cur
-        theta = 0.5 * math.atan2(2 * c[0, 1], c[0, 0] - c[1, 1])
-        rot = [[math.cos(theta), -math.sin(theta)],
-               [math.sin(theta), math.cos(theta)]]
-        red.apply(automorphism_matrix(tag, block=rot))
+        (h11, h12), (_, h22) = red.H
+        theta = 0.5 * math.atan2(2 * h12, h11 - h22)
+        cos, sin = math.cos(theta), math.sin(theta)
+        red.apply(automorphism_step(tag, block=((cos, -sin), (sin, cos))))
     if red.is_zero(0, 0):
         red.apply(swap)
 
     if red.is_zero(1, 1):
         # degenerate plane block, x2 null: drive to the off-diagonal model
         d1 = red.null_tail(1)
-        red.apply(automorphism_matrix(
-            tag, block=[[1.0 / math.sqrt(d1), 0.0], [0.0, 1.0]]))
+        red.apply(automorphism_step(
+            tag, block=((1.0 / math.sqrt(d1), 0.0), (0.0, 1.0))))
         return "GI.3", {}
 
     # both pivots alive: translate, order signs, scale
     red.clear_translation()
-    c = red.cur
-    if c[0, 0] < 0 < c[1, 1]:
+    if red.H[0][0] < 0 < red.H[1][1]:
         red.apply(swap)
-        c = red.cur
-    red.apply(automorphism_matrix(tag, block=[[1.0 / math.sqrt(abs(c[0, 0])), 0.0],
-                                              [0.0, 1.0 / math.sqrt(abs(c[1, 1]))]]))
-    c = red.cur
-    if c[1, 1] < 0:
-        return "GI.1", {"mu": float(c[2, 2])}
-    return "GI.2", {"mu": float(-c[2, 2])}
+    (h11, _), (_, h22) = red.H
+    red.apply(automorphism_step(tag, block=((1.0 / math.sqrt(abs(h11)), 0.0),
+                                            (0.0, 1.0 / math.sqrt(abs(h22))))))
+    if red.H[1][1] < 0:
+        return "GI.1", {"mu": red.gamma}
+    return "GI.2", {"mu": -red.gamma}
 
 
 # --------------------------------------------------------------------------
@@ -265,12 +315,11 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     cpar = tag.c
     if red.plane_degenerate():
         if not red.is_zero(0, 1):
-            c = red.cur
-            m = max(abs(c[0, 0]), abs(c[0, 1]))
-            red.apply(automorphism_matrix(tag, alpha=c[0, 0] / m,
-                                          beta=(c[0, 0] - c[0, 1]) / m))
+            (h11, h12), _ = red.H
+            m = max(abs(h11), abs(h12))
+            red.apply(automorphism_step(tag, alpha=h11 / m, beta=(h11 - h12) / m))
         if red.null_index() == 0:
-            red.apply(automorphism_matrix(tag, alpha=1.0, beta=-1.0))
+            red.apply(automorphism_step(tag, alpha=1.0, beta=-1.0))
         return "Gc_gt1.1", {"mu": red.null_tail(1)}
 
     # non-degenerate: kill the translation column, then fold the plane block
@@ -284,8 +333,7 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     # at or below c is nu (Gc_gt1.3).  So the root taken is the one that
     # lands in the canonical domain, and no second step is needed.
     red.clear_translation()
-    c = red.cur
-    h11, h12, h22 = c[0, 0], c[0, 1], c[1, 1]
+    (h11, h12), (_, h22) = red.H
     aq = h11 - h12
     bq = (cpar - 2.0) * h11 + 2.0 * h12 - h22
     cq = -(cpar - 1.0) * aq
@@ -303,11 +351,11 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
                 best = (t, alpha / math.sqrt(m), beta / math.sqrt(m))
     if best is None:
         raise DegenerateMetricError("inconsistent signature in reduction")
-    red.apply(automorphism_matrix(tag, alpha=best[1], beta=best[2]))
-    c = red.cur
-    if c[1, 1] < 1.0:
-        return "Gc_gt1.2", {"mu": float(c[2, 2]), "tau": float(c[1, 1])}
-    return "Gc_gt1.3", {"mu": float(-c[2, 2]), "nu": float(min(c[1, 1], cpar))}
+    red.apply(automorphism_step(tag, alpha=best[1], beta=best[2]))
+    t = red.H[1][1]
+    if t < 1.0:
+        return "Gc_gt1.2", {"mu": red.gamma, "tau": t}
+    return "Gc_gt1.3", {"mu": -red.gamma, "nu": min(t, cpar)}
 
 
 # --------------------------------------------------------------------------
@@ -316,38 +364,36 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
 def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
     if red.plane_degenerate():
         if not red.is_zero(0, 1):
-            c = red.cur
             if red.is_zero(0, 0):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            m = max(abs(c[0, 0]), abs(c[0, 1]))
-            red.apply(adapted_automorphism(tag, c[0, 0] / m, -c[0, 1] / m))
+            (h11, h12), _ = red.H
+            m = max(abs(h11), abs(h12))
+            red.apply(automorphism_step(tag, gamma=h11 / m, delta=-h12 / m))
         i = red.null_index()
         return ("G1.1", "G1.2")[i], {"mu": red.null_tail(i)}
 
     red.clear_translation()
 
-    c = red.cur
     if not red.is_zero(0, 0):
         if not red.is_zero(0, 1):
-            m = max(abs(c[0, 0]), abs(c[0, 1]))
-            red.apply(adapted_automorphism(tag, c[0, 0] / m, -c[0, 1] / m))
-        c = red.cur
-        red.apply(red.scale_translate(1.0 / math.sqrt(abs(c[0, 0]))))
-        c = red.cur
-        d1, d2, d3 = c[0, 0], c[1, 1], c[2, 2]
+            (h11, h12), _ = red.H
+            m = max(abs(h11), abs(h12))
+            red.apply(automorphism_step(tag, gamma=h11 / m, delta=-h12 / m))
+        red.scale_translate(1.0 / math.sqrt(abs(red.H[0][0])))
+        (d1, _), (_, d2) = red.H
+        d3 = red.gamma
         if d1 > 0 and d2 < 0:
-            return "G1.3", {"nu": float(-d2), "mu": float(d3)}
+            return "G1.3", {"nu": -d2, "mu": d3}
         if d1 > 0:
-            return "G1.4", {"nu": float(d2), "mu": float(-d3)}
-        return "G1.5", {"nu": float(d2), "mu": float(d3)}
+            return "G1.4", {"nu": d2, "mu": -d3}
+        return "G1.5", {"nu": d2, "mu": d3}
 
     # h11 = 0 with non-degenerate block: h12 != 0
-    m12 = c[0, 1]
-    red.apply(red.scale_translate(1.0 / math.sqrt(abs(m12))))
-    c = red.cur
-    sgn = 1.0 if c[0, 1] > 0 else -1.0
-    red.apply(adapted_automorphism(tag, 1.0, -sgn * c[1, 1] / 2.0))
-    return ("G1.6" if sgn > 0 else "G1.7"), {"mu": red.entry(2, 2)}
+    red.scale_translate(1.0 / math.sqrt(abs(red.H[0][1])))
+    (_, h12), (_, h22) = red.H
+    sgn = 1.0 if h12 > 0 else -1.0
+    red.apply(automorphism_step(tag, gamma=1.0, delta=-sgn * h22 / 2.0))
+    return ("G1.6" if sgn > 0 else "G1.7"), {"mu": red.gamma}
 
 
 # --------------------------------------------------------------------------
@@ -356,62 +402,59 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
 def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
     if red.plane_degenerate():
         if not red.is_zero(0, 1):
-            c = red.cur
             if red.is_zero(0, 0) or red.is_zero(1, 1):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            red.apply(adapted_automorphism(tag, c[0, 1] / c[0, 0], 1.0))
-            c = red.cur
-            a = 0.5 * (c[0, 0] + c[0, 1])  # the block is a multiple of ones
+            (h11, h12), _ = red.H
+            red.apply(automorphism_step(tag, gamma=h12 / h11, delta=1.0))
+            (h11, h12), _ = red.H
+            a = 0.5 * (h11 + h12)  # the block is a multiple of ones
             if a <= 0:
                 raise DegenerateMetricError("inconsistent signature in reduction")
-            red.apply(red.scale_translate(1.0 / math.sqrt(a)))
-            c = red.cur
-            nu_, lam = c[0, 2], c[1, 2]
+            red.scale_translate(1.0 / math.sqrt(a))
+            (nu_, lam), g = red.b, red.gamma
             if abs(lam - nu_) <= red.band(lam, nu_):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            red.apply(red.scale_translate(
-                1.0, ((nu_ ** 2 - 2 * nu_ * lam + c[2, 2]) / (2 * (lam - nu_)),
-                      (nu_ ** 2 - c[2, 2]) / (2 * (lam - nu_)))))
-            mu = red.entry(1, 2)
+            red.scale_translate(1.0, ((nu_ ** 2 - 2 * nu_ * lam + g) / (2 * (lam - nu_)),
+                                      (nu_ ** 2 - g) / (2 * (lam - nu_))))
+            mu = red.b[1]
             if mu < 0:
-                red.apply(red.scale_translate(-1.0))
+                red.scale_translate(-1.0)
                 mu = -mu
-            return "Gc_lt1.3", {"mu": float(mu)}
+            return "Gc_lt1.3", {"mu": mu}
         i = red.null_index()
         scale = [1.0, 1.0]
         scale[1 - i] = 1.0 / math.sqrt(red.null_tail(i))
-        red.apply(adapted_automorphism(tag, *scale))
+        red.apply(automorphism_step(tag, gamma=scale[0], delta=scale[1]))
         return ("Gc_lt1.1", "Gc_lt1.2")[i], {}
 
     red.clear_translation()
 
-    c = red.cur
+    (h11, h12), (_, h22) = red.H
     if red.is_zero(0, 1):
-        red.apply(adapted_automorphism(tag, 1.0 / math.sqrt(abs(c[0, 0])),
-                                       1.0 / math.sqrt(abs(c[1, 1]))))
-        c = red.cur
-        e1, e2, d3 = c[0, 0], c[1, 1], c[2, 2]
+        red.apply(automorphism_step(tag, gamma=1.0 / math.sqrt(abs(h11)),
+                                    delta=1.0 / math.sqrt(abs(h22))))
+        (e1, _), (_, e2) = red.H
+        d3 = red.gamma
         if e1 > 0 and e2 > 0:
-            return "Gc_lt1.4", {"mu": float(-d3)}
-        return ("Gc_lt1.5" if e1 > 0 else "Gc_lt1.6"), {"mu": float(d3)}
+            return "Gc_lt1.4", {"mu": -d3}
+        return ("Gc_lt1.5" if e1 > 0 else "Gc_lt1.6"), {"mu": d3}
 
     if red.is_zero(0, 0):
         if red.is_zero(1, 1):
-            red.apply(adapted_automorphism(tag, 1.0 / c[0, 1], 1.0))
-            return "Gc_lt1.7", {"mu": red.entry(2, 2)}
-        r = math.sqrt(abs(c[1, 1]))
-        red.apply(adapted_automorphism(tag, r / c[0, 1], 1.0 / r))
-        c = red.cur
-        return ("Gc_lt1.8" if c[1, 1] > 0 else "Gc_lt1.9"), {"mu": float(c[2, 2])}
+            red.apply(automorphism_step(tag, gamma=1.0 / h12, delta=1.0))
+            return "Gc_lt1.7", {"mu": red.gamma}
+        r = math.sqrt(abs(h22))
+        red.apply(automorphism_step(tag, gamma=r / h12, delta=1.0 / r))
+        return ("Gc_lt1.8" if red.H[1][1] > 0 else "Gc_lt1.9"), {"mu": red.gamma}
 
-    r = math.sqrt(abs(c[0, 0]))
-    red.apply(adapted_automorphism(tag, 1.0 / r, r / c[0, 1]))
-    c = red.cur
-    eps, t, nu = c[0, 0], c[1, 1], c[2, 2]
+    r = math.sqrt(abs(h11))
+    red.apply(automorphism_step(tag, gamma=1.0 / r, delta=r / h12))
+    (eps, _), (_, t) = red.H
+    nu = red.gamma
     if eps > 0:
         return (("Gc_lt1.10-1" if nu > 0 else "Gc_lt1.10-2"),
-                {"nu": float(nu), "tau": float(t)})
-    return "Gc_lt1.11", {"mu": float(nu), "eta": float(-t)}
+                {"nu": nu, "tau": t})
+    return "Gc_lt1.11", {"mu": nu, "eta": -t}
 
 
 # --------------------------------------------------------------------------

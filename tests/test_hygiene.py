@@ -3,8 +3,9 @@ is used in that module, every module-private top-level function or
 class of the package is used outside its own definition, every
 parameter of a function of the package is read by its body, every
 default of a module-private function is overridden by some call, the
-package calls no function-style numpy reduction, and it keeps no cache
-that outlives one metric.
+package calls no function-style numpy reduction, the canonical reducer's
+steps call no numpy, and the package keeps no cache that outlives one
+metric.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -200,6 +201,57 @@ def test_scan_finds_function_style_reduction():
     assert function_style_reductions(source) == [
         "line 3: np.max", "line 4: np.sum", "line 5: np.all", "line 5: np.any",
         "line 6: np.min"]
+
+
+#: the reducer's steps work on Python floats: only its witness builder
+#: makes an array, once per reduction
+_REDUCER_ARRAY_METHODS = {"witness"}
+
+
+def _rooted_at_np(node: ast.AST) -> bool:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "np"
+
+
+def reducer_numpy_calls(source: str) -> list[str]:
+    """Calls ``np.…(...)`` in methods of class ``_Reducer`` other than
+    its witness builder."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "_Reducer"):
+            continue
+        for fn in cls.body:
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or fn.name in _REDUCER_ARRAY_METHODS):
+                continue
+            found += [f"line {node.lineno}: {fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and _rooted_at_np(node.func)]
+    return found
+
+
+def test_reducer_steps_call_no_numpy():
+    source = (_ROOT / "src/lorcurv/canonical.py").read_text()
+    assert reducer_numpy_calls(source) == []
+
+
+def test_scan_finds_reducer_numpy_call():
+    source = ("import numpy as np\n\n"
+              "class _Reducer:\n"
+              "    def apply(self, B):\n"
+              "        self.A = np.asarray(B) @ self.A\n"
+              "    def witness(self):\n"
+              "        return np.array(self.A)\n"
+              "    def gap(self):\n"
+              "        return float(np.linalg.det(self.A)) + np.pi\n"
+              "    def rows(self):\n"
+              "        return self.A.tolist()\n\n"
+              "class Other:\n"
+              "    def apply(self):\n"
+              "        return np.eye(3)\n\n"
+              "def helper():\n"
+              "    return np.eye(3)\n")
+    assert reducer_numpy_calls(source) == ["line 5: apply", "line 9: gap"]
 
 
 #: modules on the per-op curvature path, where an array rebuilt on every
