@@ -38,7 +38,7 @@ from .algebra import (BasisLabel, FamilyTag, Step, adapted_basis_vectors,
                       make_family_algebra, step_matrix)
 from .atlas import canonical_matrix
 from .curvature import _connection, ricci_tensor, riemann
-from .metric import _I3, J21, MetricTensor, _derived, _signature, pull_back_metric
+from .metric import _I3, J21, MetricTensor, _derived, _eigh, _signature, pull_back_metric
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -236,17 +236,13 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
 def _reduce(tag: FamilyTag, h: MetricTensor,
             tol: ToleranceConfig) -> CanonicalForm:
     target = classification_basis(tag)
-    if h.basis_label == target:
-        h_cls = h
-    elif h.basis_label == BasisLabel.NATURAL:
-        h_cls = to_adapted_basis(tag, h)
-    else:
+    if h.basis_label not in (target, BasisLabel.NATURAL):
         raise ValueError(f"metric basis {h.basis_label} not usable for {tag}")
-
-    ev = np.linalg.eigvalsh(h_cls.entries).tolist()
-    _, reason = _signature(ev, tol)
+    # a basis change keeps the signature but can blur it: read it on h as given
+    _, reason = _signature(_eigh(h)[0].tolist(), tol)
     if reason is not None:
         raise DegenerateMetricError(reason)
+    h_cls = h if h.basis_label == target else to_adapted_basis(tag, h)
 
     key = tag.family_key()
     red = _Reducer(h_cls.entries, tol)
@@ -477,7 +473,10 @@ def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
     gap = _entrywise_gap(cf1.canonical_matrix, cf2.canonical_matrix)
     if gap > tol.classification_tol:
         return False, None
-    W = cf1.witness @ np.linalg.inv(cf2.witness)
+    (p, q, t1), (r, s, t2), _ = cf2.witness.tolist()      # [[P, t], [0, 1]]
+    d = p * s - q * r
+    W = cf1.witness @ step_matrix((((s / d, -q / d), (-r / d, p / d)),
+                                   ((q * t2 - s * t1) / d, (r * t1 - p * t2) / d)))
     if h1.basis_label == BasisLabel.NATURAL and cf1.basis_label != BasisLabel.NATURAL:
         W = adapted_basis_vectors(tag) @ W @ adapted_transition(tag)
     res = float(np.abs(W.T @ h1.entries @ W - h2.entries).max())

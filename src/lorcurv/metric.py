@@ -73,6 +73,17 @@ def _derived(h: MetricTensor, key: Hashable, build: Callable[[], _T]) -> _T:
     return memo[key]
 
 
+def _eigh(h: MetricTensor) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of [h] (ascending eigenvalues, eigenvectors), once
+    per h and read-only: the package's one decomposition of a metric."""
+    def build():
+        ev, vecs = np.linalg.eigh(h.entries)
+        ev.setflags(write=False)
+        vecs.setflags(write=False)
+        return ev, vecs
+    return _derived(h, "eigh", build)
+
+
 @dataclass(frozen=True)
 class SignatureDiagnostics:
     """Outcome of a signature check on a symmetric matrix."""
@@ -110,7 +121,7 @@ def _signature(ev: list[float], tol: ToleranceConfig
 def validate_metric(h: MetricTensor,
                     tol: ToleranceConfig = DEFAULT_TOL) -> SignatureDiagnostics:
     """Check that h has Lorentzian signature (+, +, -)."""
-    ev = np.linalg.eigvalsh(h.entries).tolist()
+    ev = _eigh(h)[0].tolist()
     sig, reason = _signature(ev, tol)
     return SignatureDiagnostics(reason is None, sig, tuple(ev), math.prod(ev),
                                 reason)
@@ -161,7 +172,7 @@ def orthonormal_frame(h: MetricTensor,
 def _build_frame(h: MetricTensor, tol: ToleranceConfig) -> OrthonormalFrame:
     if (h.entries == J21).all():
         return OrthonormalFrame(_I3)
-    eigvals, eigvecs = np.linalg.eigh(h.entries)
+    eigvals, eigvecs = _eigh(h)
     _, reason = _signature(eigvals.tolist(), tol)
     if reason is not None:
         raise ValueError(f"cannot build a frame: {reason}")

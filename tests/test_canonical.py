@@ -21,13 +21,16 @@ from lorcurv import (
     canonical_form,
     canonical_matrix,
     classification_basis,
+    closed_form_report,
     constant_curvature_class,
     curvature_report,
     equivalent,
     from_adapted_basis,
     is_automorphism,
     make_family_algebra,
+    orthonormal_frame,
     to_adapted_basis,
+    validate_metric,
 )
 from lorcurv.algebra import automorphism_step, step_matrix
 from lorcurv.atlas import form_specs, _param_grid
@@ -337,6 +340,29 @@ def test_gt1_fold_at_large_c(c):
         assert is_automorphism(alg, cf.witness)
 
 
+@pytest.mark.parametrize("c", [1.0 - 1e-6, 1.0 - 1e-7])
+def test_lt1_near_c1_signature_is_read_in_the_given_basis(c):
+    """Just below c = 1 the P-adapted basis has condition about 1 / w,
+    w = sqrt(1 - c).  The signature is decided on the metric as given, so
+    a metric validate_metric accepts is never refused as a degenerate
+    form: deciding it on the adapted copy refused 23 of these 300 at
+    c = 1 - 1e-6 and 228 at c = 1 - 1e-7.  Every other refusal is a
+    DegenerateMetricError, and every form returned agrees with
+    curvature_report on the closed-form type and rho."""
+    tag = FamilyTag("Gc", c)
+    for alg, h in _fuzz_metrics(c):
+        assert validate_metric(h).accepted
+        try:
+            cf = canonical_form(tag, h)
+        except DegenerateMetricError as exc:
+            assert not str(exc).startswith("degenerate form"), exc
+            continue
+        rep = curvature_report(alg, h)
+        closed = closed_form_report(tag, cf.form_id, cf.params)
+        assert rep.oneill.type_tag == closed.oneill_type, cf.form_id
+        assert abs(rep.scalar - closed.rho) <= 1e-6 * abs(closed.rho), cf.form_id
+
+
 def test_constant_curvature_checks_its_frame():
     """At classification_tol = 1e-16 the README metric's frame misses its
     Gram band by rounding (residual 1.7e-16).  constant_curvature_class
@@ -442,13 +468,14 @@ def test_constant_curvature_near_c1_raises_only_rejections(c):
 # the work of one reduction
 
 def test_canonical_form_lapack_budget(monkeypatch):
-    """A reduction makes one eigvalsh, the signature check's, whatever its
-    steps: the strict test of the canonical matrix is closed form, the
+    """A reduction makes one eigh, the input's stored decomposition, whatever
+    its steps: the strict test of the canonical matrix is closed form, the
     signature check reads nothing else, and the GI block builder tests
     invertibility without a determinant call.  A verdict of equivalence
-    adds the witness's inverse and the automorphism check's det, and
-    reduces only the metric not reduced before: h1's form is stored on h1."""
-    budget = {"eigvalsh": 1}
+    adds the automorphism check's det (the witness is inverted in closed
+    form), and reduces only the metric not reduced before: h1's form is
+    stored on h1."""
+    budget = {"eigh": 1}
     tag = FamilyTag("Gc", 2.0)
     h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
     cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h))
@@ -467,20 +494,21 @@ def test_canonical_form_lapack_budget(monkeypatch):
     assert calls == budget
     (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
     assert flag
-    assert calls == {"eigvalsh": 1, "det": 1, "inv": 1}
+    assert calls == {"eigh": 1, "det": 1}
     # on fresh metrics, both are reduced
     h1, h2 = MetricTensor(h1.entries), MetricTensor(h2.entries)
     (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
     assert flag
-    assert calls == {"eigvalsh": 2, "det": 1, "inv": 1}
+    assert calls == {"eigh": 2, "det": 1}
 
 
 @pytest.mark.parametrize("c", [0.75, 1.0])
 def test_natural_basis_equivalent_lapack_budget(c, monkeypatch):
-    """Natural-basis input for c <= 1 moves to the adapted basis and the
-    witness moves back with the closed-form adapted_basis_vectors and
-    adapted_transition: no inverse beyond the witness's.  h is reduced
-    once, by the first call."""
+    """Natural-basis input for c <= 1 has its signature read from its own
+    eigh, then moves to the adapted basis, whose copy is not decomposed;
+    the witness moves back with the closed-form adapted_basis_vectors and
+    adapted_transition, and is inverted in closed form: no inverse.  h is
+    reduced once, by the first call."""
     tag = FamilyTag("Gc", c)
     form_id, params = ("G1.3", {"nu": 2.0, "mu": 1.0}) if c == 1 \
         else ("Gc_lt1.5", {"mu": 2.0})
@@ -491,15 +519,15 @@ def test_natural_basis_equivalent_lapack_budget(c, monkeypatch):
     h2 = MetricTensor(A.T @ h.entries @ A)
     cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h))
     assert cf.form_id == form_id
-    assert calls == {"eigvalsh": 1}
+    assert calls == {"eigh": 1}
     (flag, W), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h, h2))
     assert flag
-    assert calls == {"eigvalsh": 1, "det": 1, "inv": 1}
+    assert calls == {"eigh": 1, "det": 1}
     assert is_automorphism(make_family_algebra(tag), W)
     h, h2 = MetricTensor(h.entries), MetricTensor(h2.entries)
     (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h, h2))
     assert flag
-    assert calls == {"eigvalsh": 2, "det": 1, "inv": 1}
+    assert calls == {"eigh": 2, "det": 1}
 
 
 def test_custom_basis_is_refused():
@@ -663,8 +691,8 @@ _README = np.array([[-1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
 def test_survey_builds_one_frame_and_one_connection(monkeypatch):
     """curvature_report and then constant_curvature_class on one metric
     make one eigh and one levi_civita: the class reads the connection the
-    report built.  The report adds its inverse and eig, the class its
-    reduction's eigvalsh."""
+    report built, and its reduction the eigh the frame was built from.
+    The report adds its inverse and eig."""
     tag = FamilyTag("Gc", 2.0)
     h = MetricTensor(_README)
     built = []
@@ -677,10 +705,42 @@ def test_survey_builds_one_frame_and_one_connection(monkeypatch):
         return report, constant_curvature_class(tag, h)
 
     (report, (cls, cf)), calls = lapack_calls(monkeypatch, survey)
-    assert calls == {"eig": 1, "eigh": 1, "inv": 1, "eigvalsh": 1}
+    assert calls == {"eig": 1, "eigh": 1, "inv": 1}
     assert len(built) == 1
     assert cls == ConstantCurvatureClass.NON_CONSTANT
     assert cf.form_id == "Gc_gt1.2"
+
+
+@pytest.mark.parametrize("c,basis,form_id,params", [
+    (2.0, BasisLabel.NATURAL, "Gc_gt1.2", {"mu": 1.0, "tau": 0.5}),
+    (0.75, BasisLabel.P_ADAPTED, "Gc_lt1.5", {"mu": 2.0}),
+    (0.75, BasisLabel.NATURAL, "Gc_lt1.5", {"mu": 2.0}),
+], ids=["c2-natural", "c0.75-adapted", "c0.75-natural"])
+def test_each_metric_is_decomposed_once(c, basis, form_id, params, monkeypatch):
+    """validate_metric, orthonormal_frame, canonical_form,
+    constant_curvature_class and curvature_report on one fresh metric make
+    one eigh between them and no eigvalsh: the signature check, the frame
+    and the reduction read the decomposition stored on the metric, and the
+    adapted-basis copy of natural-basis input is never decomposed."""
+    tag = FamilyTag("Gc", c)
+    target = classification_basis(tag)
+    A = rand_automorphism(tag, np.random.default_rng(0))
+    h = MetricTensor(A.T @ canonical_matrix(tag, form_id, params) @ A,
+                     basis_label=target)
+    if basis != target:
+        h = from_adapted_basis(tag, h)
+
+    def analyse():
+        assert validate_metric(h).accepted
+        orthonormal_frame(h)
+        cf = canonical_form(tag, h)
+        constant_curvature_class(tag, h)
+        curvature_report(make_family_algebra(tag, basis), h)
+        return cf
+
+    cf, calls = lapack_calls(monkeypatch, analyse)
+    assert cf.form_id == form_id
+    assert calls.get("eigh") == 1 and "eigvalsh" not in calls, calls
 
 
 def test_algebras_compare_by_identity():

@@ -4,8 +4,9 @@ class of the package is used outside its own definition, every
 parameter of a function of the package is read by its body, every
 default of a module-private function is overridden by some call, the
 package calls no function-style numpy reduction, the canonical reducer's
-steps call no numpy, and the package keeps no cache that outlives one
-metric.
+steps call no numpy, the package keeps no cache that outlives one
+metric, and a metric's matrix is decomposed only by metric.py's stored
+eigh.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -409,3 +410,41 @@ def test_scan_finds_cross_call_cache():
               "    _LIST[0] = x\n    local = {}\n    local[x] = 1\n"
               "    return local\n")
     assert cross_call_caches(source) == ["_MORE", "_SEEN", "a", "b", "c"]
+
+
+#: the one decomposition of a metric: the eigh metric.py stores on it
+_METRIC_DECOMPOSERS = {"metric.py": ["eigh"]}
+
+
+def metric_decompositions(source: str) -> list[str]:
+    """Calls of ``eigvalsh`` (``np.linalg.eigvalsh`` or a bare import),
+    and calls of ``eigh`` on an expression that reads an ``.entries``
+    attribute, a metric's matrix."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _name(node.func)
+        reads_entries = any(isinstance(n, ast.Attribute) and n.attr == "entries"
+                            for arg in node.args for n in ast.walk(arg))
+        if name == "eigvalsh" or name == "eigh" and reads_entries:
+            found.append((node.lineno, node.col_offset, name))
+    return [f"line {line}: {name}" for line, _, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_metrics_are_decomposed_once(path):
+    found = [f.partition(": ")[2] for f in metric_decompositions(path.read_text())]
+    assert found == _METRIC_DECOMPOSERS.get(path.name, [])
+
+
+def test_scan_finds_metric_decomposition():
+    source = ("import numpy as np\nfrom numpy.linalg import eigvalsh\n\n"
+              "def f(h, B, J):\n"
+              "    a = np.linalg.eigvalsh(B) + eigvalsh(h.entries)\n"
+              "    b = np.linalg.eigh(h.entries)\n"
+              "    c = np.linalg.eigh(B.T @ J @ B)\n"
+              "    d = np.linalg.eig(h.entries)\n"
+              "    return np.linalg.eigh(2.0 * h.entries[:2, :2]), a, b, c, d\n")
+    assert metric_decompositions(source) == [
+        "line 5: eigvalsh", "line 5: eigvalsh", "line 6: eigh", "line 9: eigh"]
