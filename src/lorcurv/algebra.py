@@ -168,7 +168,7 @@ def bracket_constants(c: np.ndarray, S: np.ndarray) -> np.ndarray:
     The pair (a, b) -> (i, j) is one 9x9 matrix, so the rewrite is two
     matrix products."""
     SS = (S[:, None, :, None] * S[None, :, None, :]).reshape(9, 9)
-    consts = (SS.T @ c.reshape(9, 3) @ np.linalg.inv(S).T).reshape(3, 3, 3)
+    consts = SS.T.dot(c.reshape(9, 3)).dot(np.linalg.inv(S).T).reshape(3, 3, 3)
     return 0.5 * (consts - consts.transpose(1, 0, 2))
 
 

@@ -488,15 +488,24 @@ class ClosedFormCurvature:
 def closed_form_report(tag: FamilyTag, form_id: str, params: dict[str, float],
                        tol: ToleranceConfig = DEFAULT_TOL) -> ClosedFormCurvature:
     spec = _spec_in_domain(tag, form_id, params)
+    alg = make_family_algebra(tag, classification_basis(tag))
+    brackets = bracket_constants(alg.structure_constants, spec.frame(tag, params))
+    return _closed_form(spec, tag, params, float(np.abs(brackets).max()) ** 2, tol)
+
+
+def _closed_form(spec: FormSpec, tag: FamilyTag, params: dict[str, float],
+                 s: float, tol: ToleranceConfig) -> ClosedFormCurvature:
+    """The closed-form curvature of a form in the domain; s, the squared
+    largest bracket constant of its paper frame, is the unit in which the
+    operator type is decided."""
     ric = spec.ric(tag, params)
     rho = float(np.trace(ric))
     kappas = tuple(milnor_sectional(J21 @ ric, rho, _E[i], _E[j], tol)
                    for i, j in ((0, 1), (1, 2), (2, 0)))
-    alg = make_family_algebra(tag, classification_basis(tag))
-    brackets = bracket_constants(alg.structure_constants, spec.frame(tag, params))
     oneill_type = _operator_type(ric, np.asarray(spec.eigenvector(tag, params), float),
-                                 float(np.abs(brackets).max()) ** 2, tol)
-    return ClosedFormCurvature(form_id, dict(params), ric, rho, kappas, oneill_type)
+                                 s, tol)
+    return ClosedFormCurvature(spec.form_id, dict(params), ric, rho, kappas,
+                               oneill_type)
 
 
 @dataclass(frozen=True)
@@ -519,15 +528,17 @@ def cross_check(tag: FamilyTag, form_id: str, params: dict[str, float],
 
     Residuals are |closed - engine| / s, in the unit s = max|frame
     brackets|^2 in which the engine classifies Ric; any cell exceeding
-    classification_tol is flagged (not raised)."""
-    closed = closed_form_report(tag, form_id, params, tol)
+    classification_tol is flagged (not raised).  The paper frame and its
+    brackets are built once, for the engine, and the closed forms take
+    their unit s from the same brackets."""
+    spec = _spec_in_domain(tag, form_id, params)
     basis = classification_basis(tag)
     alg = make_family_algebra(tag, basis)
-    h = MetricTensor(canonical_matrix(tag, form_id, params), basis_label=basis)
-    frame = paper_frame(tag, form_id, params)
+    h = MetricTensor(spec.matrix(tag, params), basis_label=basis)
+    frame = OrthonormalFrame(spec.frame(tag, params))
     report = curvature_report(alg, h, frame=frame, tol=tol)
-
     s = float(np.abs(report.connection.brackets).max()) ** 2
+    closed = _closed_form(spec, tag, params, s, tol)
     flags: list[str] = []
     worst = 0.0
 

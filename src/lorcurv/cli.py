@@ -48,7 +48,7 @@ from .canonical import (
     to_adapted_basis,
 )
 from .curvature import curvature_report
-from .metric import MetricTensor, frame_gram_residual, validate_metric
+from .metric import FrameResidualError, MetricTensor, validate_metric
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 EXIT_OK = 0
@@ -210,12 +210,13 @@ def cmd_curvature(args) -> int:
         cf = canonical_form(tag, h, tol)
         target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
         frame = paper_frame(tag, cf.form_id, cf.params)
-        res = frame_gram_residual(frame, target)
-        if res > tol.classification_tol:
-            raise ValueError("metric is not in canonical form; canonicalize first "
-                             f"(form {cf.form_id}, residual {res:g})")
         alg = make_family_algebra(tag, cf.basis_label)
-        report = curvature_report(alg, target, frame=frame, tol=tol)
+        try:
+            report = curvature_report(alg, target, frame=frame, tol=tol)
+        except FrameResidualError as exc:
+            raise ValueError("metric is not in canonical form; canonicalize first "
+                             f"(form {cf.form_id}, residual {exc.residual:g})"
+                             ) from None
     else:
         alg = make_family_algebra(tag, h.basis_label)
         report = curvature_report(alg, h, tol=tol)

@@ -21,16 +21,15 @@ import numpy as np
 
 from .algebra import LieAlgebra3, bracket_constants
 from .metric import _I3, _SIGNS, J21, MetricTensor, OrthonormalFrame, \
-    _derived, frame_gram_residual, frame_inner, orthonormal_frame
+    _check_frame, _derived, frame_inner, orthonormal_frame
 from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
-#: the frame signs of the Koszul formula, broadcast along the k, j and i
-#: index of a (3, 3, 3) array; its factor 1/2 rides on the k signs
+#: the frame signs of the Koszul formula, with its factor 1/2
 _HALF_SIGNS = 0.5 * _SIGNS
-_SIGNS_J = _SIGNS[:, None]
-_SIGNS_I = _SIGNS[:, None, None]
 _HALF_SIGNS.setflags(write=False)
+#: the frame axes y1, y2, y3 as rows
+_AXES = tuple(_I3)
 
 
 @dataclass(frozen=True)
@@ -61,12 +60,13 @@ def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
     two matrix products.  The arrays of the connection are read-only.
     """
     c = bracket_constants(alg.structure_constants, frame.columns)
-    # c.transpose(1, 2, 0)[i, j, k] = c[k, i, j]; (2, 1, 0) gives c[k, j, i]
-    gamma = _HALF_SIGNS * (_SIGNS * c + _SIGNS_J * c.transpose(1, 2, 0)
-                           + _SIGNS_I * c.transpose(2, 1, 0))
-    P = (gamma.reshape(9, 3)
-         @ gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(3, 3, 3, 3)
-    curv = ((c.reshape(9, 3) @ gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
+    # with d[i, j, k] = sign_k c[i, j, k], d.transpose(1, 2, 0)[i, j, k] =
+    # sign_j c[k, i, j] and d.transpose(2, 1, 0)[i, j, k] = sign_i c[k, j, i]
+    d = _SIGNS * c
+    gamma = _HALF_SIGNS * (d + d.transpose(1, 2, 0) + d.transpose(2, 1, 0))
+    P = gamma.reshape(9, 3).dot(
+        gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(3, 3, 3, 3)
+    curv = (c.reshape(9, 3).dot(gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
             - P.transpose(2, 0, 1, 3) + P.transpose(0, 2, 1, 3))
     for array in (gamma, c, curv):
         array.setflags(write=False)
@@ -82,9 +82,12 @@ def _connection(alg: LieAlgebra3, h: MetricTensor,
 
 def riemann(conn: Connection, u: np.ndarray, v: np.ndarray,
             w: np.ndarray) -> np.ndarray:
-    """R_{u,v} w = nabla_{[u,v]} w - nabla_u nabla_v w + nabla_v nabla_u w."""
-    return np.dot(w, np.dot(v, np.dot(u, conn.curvature.reshape(3, 27))
-                            .reshape(3, 9)).reshape(3, 3))
+    """R_{u,v} w = nabla_{[u,v]} w - nabla_u nabla_v w + nabla_v nabla_u w,
+    for u, v, w float arrays of frame coordinates.  The curvature tensor is
+    contracted with u, v and w in turn, each an exact pick when its vector
+    is a frame axis."""
+    return w.dot(v.dot(u.dot(conn.curvature.reshape(3, 27)).reshape(3, 9))
+                 .reshape(3, 3))
 
 
 def ricci_tensor(conn: Connection) -> np.ndarray:
@@ -111,10 +114,16 @@ def sectional(conn: Connection, u: np.ndarray, v: np.ndarray,
     """
     u = np.asarray(u, float)
     v = np.asarray(v, float)
-    den = frame_inner(u, u) * frame_inner(v, v) - frame_inner(u, v) ** 2
-    if abs(den) <= tol.classification_tol * float((u @ u) * (v @ v)):
+    u0, u1, u2 = u.tolist()
+    v0, v1, v2 = v.tolist()
+    den = ((u0 * u0 + u1 * u1 - u2 * u2) * (v0 * v0 + v1 * v1 - v2 * v2)
+           - (u0 * v0 + u1 * v1 - u2 * v2) ** 2)
+    # |u|^2 |v|^2 carries the units of den, so the band is free of scale
+    if abs(den) <= tol.classification_tol * (
+            (u0 * u0 + u1 * u1 + u2 * u2) * (v0 * v0 + v1 * v1 + v2 * v2)):
         raise ValueError("sectional curvature undefined on a degenerate plane")
-    return frame_inner(riemann(conn, u, v, u), v) / den
+    r0, r1, r2 = riemann(conn, u, v, u).tolist()
+    return (r0 * v0 + r1 * v1 - r2 * v2) / den
 
 
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -195,14 +204,12 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
         frame = orthonormal_frame(h, tol)     # checked where it is built
         conn = _connection(alg, h, tol)
     else:
-        res = frame_gram_residual(frame, h)
-        if res > tol.classification_tol:      # Gram residual is dimensionless
-            raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
+        _check_frame(frame, h, tol)
         conn = levi_civita(alg, frame)
     ric = ricci_tensor(conn)
     op = ricci_operator(ric)
     rho = float(op.trace())
-    y1, y2, y3 = _I3
+    y1, y2, y3 = _AXES
     kappas = (sectional(conn, y1, y2, tol), sectional(conn, y2, y3, tol),
               sectional(conn, y3, y1, tol))
     # the classifier's bands are absolute: it sees Ric in units of the
@@ -215,14 +222,14 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
                                unit.transition,
                                None if D is None else s * s * D,
                                unit.boundary_warning, s * unit.eigenvalues)
-    values = cls.eigenvalues
+    values = cls.eigenvalues.tolist()
     if cls.type_tag == ONeillType.DOUBLE:
         # eig splits a defective double root by about sqrt(eps), often into
         # a complex pair; the normal form gives it exactly, as the mean of
         # the diagonal of its Jordan block
-        n = cls.normal_form
-        m = 0.5 * (n[1, 1] + n[2, 2])
-        values = (n[0, 0], m, m)
+        n = cls.normal_form.tolist()
+        m = 0.5 * (n[1][1] + n[2][2])
+        values = (n[0][0], m, m)
     principal = tuple(sorted((complex(z) for z in values),
                              key=lambda z: (round(z.real, 12), z.imag)))
     return CurvatureReport(frame, conn, ric, op, rho, kappas, principal, cls)

@@ -22,11 +22,9 @@ J21 = np.diag([1.0, 1.0, -1.0])
 #: the diagonal of J21, and the identity
 _SIGNS = np.array([1.0, 1.0, -1.0])
 _I3 = np.eye(3)
-#: eigh returns ascending eigenvalues, so a Lorentzian metric's timelike
-#: eigenvector comes first; this order moves it last
-_TIMELIKE_LAST = np.array([1, 2, 0])
-_COLUMNS = np.arange(3)
-for _constant in (J21, _SIGNS, _I3, _TIMELIKE_LAST, _COLUMNS):
+#: J21 as nested lists, for an exact comparison without numpy calls
+_J21_ROWS = J21.tolist()
+for _constant in (J21, _SIGNS, _I3):
     _constant.setflags(write=False)
 del _constant
 _T = TypeVar("_T")
@@ -150,9 +148,27 @@ class OrthonormalFrame:
         object.__setattr__(self, "columns", cols)
 
 
+class FrameResidualError(ValueError):
+    """A frame whose Gram matrix under h is off J by more than
+    classification_tol; residual is the largest entrywise deviation."""
+
+    def __init__(self, residual: float) -> None:
+        super().__init__(f"frame is not h-orthonormal (residual {residual:g})")
+        self.residual = residual
+
+
 def frame_gram_residual(frame: OrthonormalFrame, h: MetricTensor) -> float:
-    gram = frame.columns.T @ h.entries @ frame.columns
+    gram = frame.columns.T.dot(h.entries).dot(frame.columns)
     return float(np.abs(gram - J21).max())
+
+
+def _check_frame(frame: OrthonormalFrame, h: MetricTensor,
+                 tol: ToleranceConfig) -> None:
+    """Raise FrameResidualError unless frame is h-orthonormal to within
+    classification_tol (the Gram residual is dimensionless)."""
+    res = frame_gram_residual(frame, h)
+    if res > tol.classification_tol:
+        raise FrameResidualError(res)
 
 
 def orthonormal_frame(h: MetricTensor,
@@ -170,21 +186,26 @@ def orthonormal_frame(h: MetricTensor,
 
 
 def _build_frame(h: MetricTensor, tol: ToleranceConfig) -> OrthonormalFrame:
-    if (h.entries == J21).all():
+    if h.entries.tolist() == _J21_ROWS:
         return OrthonormalFrame(_I3)
     eigvals, eigvecs = _eigh(h)
-    _, reason = _signature(eigvals.tolist(), tol)
+    ev = eigvals.tolist()
+    _, reason = _signature(ev, tol)
     if reason is not None:
         raise ValueError(f"cannot build a frame: {reason}")
-    # signature (2, 0, 1): the one negative eigenvalue is the first
-    vecs = eigvecs[:, _TIMELIKE_LAST]
-    # deterministic sign: make the largest-magnitude entry of each column
-    # positive, by dividing it by a signed 1/sqrt(|lambda|)
-    pivots = vecs[np.abs(vecs).argmax(axis=0), _COLUMNS]
-    cols = vecs / np.copysign(np.sqrt(np.abs(eigvals[_TIMELIKE_LAST])), pivots)
-    cols.setflags(write=False)
-    frame = OrthonormalFrame(cols)
-    res = frame_gram_residual(frame, h)
-    if res > tol.classification_tol:      # the Gram residual is dimensionless
-        raise ValueError(f"frame is not h-orthonormal (residual {res:g})")
+    # signature (2, 0, 1): the one negative eigenvalue e0 is the first, and
+    # its eigenvector (x0, y0, z0) goes last.  Deterministic sign: the
+    # largest-magnitude entry of each column (the first, on a tie) is made
+    # positive, by dividing the column by a signed sqrt(|lambda|)
+    e0, e1, e2 = ev
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = eigvecs.tolist()
+    s0 = math.copysign(math.sqrt(abs(e0)), max((x0, y0, z0), key=abs))
+    s1 = math.copysign(math.sqrt(abs(e1)), max((x1, y1, z1), key=abs))
+    s2 = math.copysign(math.sqrt(abs(e2)), max((x2, y2, z2), key=abs))
+    columns = np.array([[x1 / s1, x2 / s2, x0 / s0],
+                        [y1 / s1, y2 / s2, y0 / s0],
+                        [z1 / s1, z2 / s2, z0 / s0]])
+    columns.setflags(write=False)
+    frame = OrthonormalFrame(columns)
+    _check_frame(frame, h, tol)
     return frame

@@ -29,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metric import _I3, _SIGNS, J21, frame_inner
+from .metric import _I3, J21, frame_inner
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -51,11 +51,8 @@ class ONeillClassification:
 
 
 #: the frame axis y1, the most spacelike unit vector there is
-_Y1 = _I3[:, 0]
+_Y1 = (1.0, 0.0, 0.0)
 _EPS = sys.float_info.epsilon
-#: the nilpotent part of the {3} normal form [[a,1,-1],[1,a,0],[1,0,a]]
-_TRIPLE_NILPOTENT = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-_TRIPLE_NILPOTENT.setflags(write=False)
 
 
 def boost(theta: float) -> np.ndarray:
@@ -67,7 +64,8 @@ def boost(theta: float) -> np.ndarray:
 
 
 def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
-                           band: float, floor: float) -> np.ndarray | None:
+                           band: float, floor: float
+                           ) -> tuple[float, float, float] | None:
     """The most spacelike eigenvector of T, h-normalised, or None when no
     eigenvector u has h(u, u) > floor |u|^2 (then T is of type {3}).
     (lam, vecs) is np.linalg.eig(T).
@@ -88,9 +86,10 @@ def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
     eigenvectors to within the band count.
     """
     vals = lam.tolist()
-    scale = max(1.0, max(map(abs, vals)))
+    l0, l1, l2 = vals
+    scale = max(1.0, abs(l0), abs(l1), abs(l2))
     width = max(band, 20.0 * (_EPS * scale) ** (1.0 / 3.0))
-    if max(abs(x - y) for x in vals for y in vals) <= width:
+    if max(abs(l0 - l1), abs(l0 - l2), abs(l1 - l2)) <= width:
         clusters = [[0, 1, 2]]
     else:
         width = max(band, 20.0 * (_EPS * scale) ** 0.5)
@@ -102,34 +101,49 @@ def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
             else:
                 clusters.append([i])
 
+    columns = vecs.real.T.tolist()
     candidates = []
     for idx in clusters:
         if len(idx) == 1:
-            candidates.append(vecs[:, idx[0]].real)
+            candidates.append(columns[idx[0]])
             continue
         mean = sum(vals[i].real for i in idx) / len(idx)
         _, sv, vt = np.linalg.svd(T - mean * _I3)
-        dim = max(1, int((sv <= width * 10 * max(1.0, float(sv[0]))).sum()))
+        sv = sv.tolist()
+        cut = width * 10 * max(1.0, sv[0])
+        dim = max(1, sum(x <= cut for x in sv))
         B = vt[3 - dim:].T
         if dim == 1:            # one null direction: the only candidate
-            candidates.append(B[:, 0])
+            candidates.append(B[:, 0].tolist())
             continue
-        candidates.append(B @ np.linalg.eigh(B.T @ J21 @ B)[1][:, -1])
-        candidates.extend((B @ np.linalg.eig(B.T @ T @ B)[1]).real.T)
+        candidates.append(B.dot(np.linalg.eigh(B.T.dot(J21).dot(B))[1][:, -1]).tolist())
+        candidates.extend(B.dot(np.linalg.eig(B.T.dot(T).dot(B))[1]).real.T.tolist())
 
-    # all candidates scored at once, as the columns of U: the first
-    # eigenvector (within the band) of largest h(u, u) / |u|^2 wins
-    U = np.array(candidates).T
-    U = U / np.sqrt((U * U).sum(axis=0))
-    h = _SIGNS @ (U * U)
-    TU = T @ U
-    res = TU - (U * TU).sum(axis=0) * U
-    h[(h <= floor) | (np.sqrt((res * res).sum(axis=0)) > band)] = -math.inf
-    k = int(h.argmax())
-    return None if h[k] == -math.inf else U[:, k] / math.sqrt(h[k])
+    # each candidate scored on floats: the first eigenvector (within the
+    # band) of largest h(u, u) / |u|^2 wins; T u for all of them is one
+    # product
+    units = []
+    for u0, u1, u2 in candidates:
+        n = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
+        units.append((u0 / n, u1 / n, u2 / n))
+    best, best_h = None, floor
+    for (u0, u1, u2), (t0, t1, t2) in zip(units,
+                                         T.dot(np.array(units).T).T.tolist()):
+        h = u0 * u0 + u1 * u1 - u2 * u2
+        if h <= best_h:
+            continue
+        p = u0 * t0 + u1 * t1 + u2 * t2
+        r0, r1, r2 = t0 - p * u0, t1 - p * u1, t2 - p * u2
+        if math.sqrt(r0 * r0 + r1 * r1 + r2 * r2) <= band:
+            best, best_h = (u0, u1, u2), h
+    if best is None:
+        return None
+    n = math.sqrt(best_h)
+    return best[0] / n, best[1] / n, best[2] / n
 
 
-def _split_complement(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split_complement(v: tuple[float, float, float]
+                      ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """For a spacelike unit v, return (p, q): a J-orthonormal basis of the
     J-orthogonal complement with p spacelike, q timelike.
 
@@ -139,10 +153,10 @@ def _split_complement(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     written out: h(p, p) = (v1^2 + v2^2) / n^2 = 1 as h(v, v) = 1, and p is
     J-orthogonal to v and to y3, hence to q.
     """
-    v0, v1, v2 = v.tolist()
+    v0, v1, v2 = v
     n = math.sqrt(1.0 + v2 * v2)
-    return (np.array([v1 / n, -v0 / n, 0.0]),
-            np.array([v2 * v0 / n, v2 * v1 / n, (v2 * v2 + 1.0) / n]))
+    return ((v1 / n, -v0 / n, 0.0),
+            (v2 * v0 / n, v2 * v1 / n, (v2 * v2 + 1.0) / n))
 
 
 def _block_transition(b: float, r: float, d: float,
@@ -171,7 +185,7 @@ def _block_transition(b: float, r: float, d: float,
         # |r - a|
         eps = 1 if (b - d) >= 0 else -1
         theta = -eps * 0.5 * math.log(0.5 * (r + 0.5 * abs(b - d)))
-    return F @ boost(theta)
+    return F.dot(boost(theta))
 
 
 def classify_self_adjoint(T: np.ndarray,
@@ -191,8 +205,11 @@ def classify_self_adjoint(T: np.ndarray,
     if T.shape != (3, 3):
         raise ValueError("operator must be 3x3")
     norm = float(np.abs(T).max())
-    JT = J21 @ T
-    sym_res = float(np.abs(JT - JT.T).max())
+    t = T.tolist()
+    # J T - (J T)^T is zero on the diagonal; off it, its entries are
+    # t01 - t10, t02 + t20 and t12 + t21 up to sign
+    sym_res = max(abs(t[0][1] - t[1][0]), abs(t[0][2] + t[2][0]),
+                  abs(t[1][2] + t[2][1]))
     if sym_res > tol.classification_tol * (1.0 + norm):
         raise ValueError(f"operator is not J-self-adjoint (residual {sym_res:g})")
 
@@ -201,7 +218,7 @@ def classify_self_adjoint(T: np.ndarray,
     # h(u, u) <= |u|^2 with equality only on span(y1, y2), so when y1 is an
     # eigenvector within the band (every scalar operator) it is already as
     # spacelike as an eigenvector can be and the search is skipped
-    if math.hypot(T[1, 0], T[2, 0]) <= band:
+    if math.hypot(t[1][0], t[2][0]) <= band:
         v = _Y1
     else:
         v = _spacelike_eigenvector(T, lam, vecs, band, tol.classification_tol)
@@ -232,7 +249,7 @@ def classify_self_adjoint(T: np.ndarray,
         ttype, kind = ONeillType.DIAGONAL, "diag"
     else:
         ttype, kind = ONeillType.COMPLEX, "equal"
-    C = C0 @ _block_transition(b, r, d, kind)
+    C = C0.dot(_block_transition(b, r, d, kind))
 
     normal = _conjugate(C, T)
     _check_transition(C, normal, ttype, band, lenient=boundary)
@@ -243,7 +260,7 @@ def classify_self_adjoint(T: np.ndarray,
 def _conjugate(C: np.ndarray, T: np.ndarray) -> np.ndarray:
     """inv(C) T C for C in O(2,1), where inv(C) = J C^T J; _check_transition
     tests that C is in O(2,1)."""
-    return J21 @ C.T @ J21 @ T @ C
+    return J21.dot(C.T).dot(J21).dot(T).dot(C)
 
 
 def _jordan_chain(T: np.ndarray, band: float) -> np.ndarray:
@@ -272,7 +289,14 @@ def _jordan_chain(T: np.ndarray, band: float) -> np.ndarray:
 
 def _check_transition(C, normal, ttype: ONeillType, band: float,
                       lenient: bool = False) -> None:
-    gram_res = float(np.abs(C.T @ J21 @ C - J21).max())
+    # the columns x, y, z of C, and the entries of C^T J C - J from them
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = C.tolist()
+    gram_res = max(abs(x0 * x0 + x1 * x1 - x2 * x2 - 1.0),
+                   abs(y0 * y0 + y1 * y1 - y2 * y2 - 1.0),
+                   abs(z0 * z0 + z1 * z1 - z2 * z2 + 1.0),
+                   abs(x0 * y0 + x1 * y1 - x2 * y2),
+                   abs(x0 * z0 + x1 * z1 - x2 * z2),
+                   abs(y0 * z0 + y1 * z1 - y2 * z2))
     if gram_res > band * 100:
         raise ArithmeticError(f"transition is not in O(2,1) (residual {gram_res:g})")
     res = _pattern_residual(normal, ttype)
@@ -283,16 +307,24 @@ def _check_transition(C, normal, ttype: ONeillType, band: float,
 
 def _pattern_residual(a: np.ndarray, ttype: ONeillType) -> float:
     """Largest deviation of a normal form from the pattern of its type."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
     if ttype == ONeillType.TRIPLE:
-        model = np.trace(a) / 3.0 * _I3 + _TRIPLE_NILPOTENT
-        return float(np.abs(a - model).max())
-    model = a * _I3
-    m = 0.5 * (a[1, 1] + a[2, 2])
-    if ttype == ONeillType.COMPLEX:
-        r = 0.5 * (a[1, 2] - a[2, 1])
-        model[1:, 1:] = [[m, r], [-r, m]]
-    elif ttype == ONeillType.DOUBLE:
-        e = 1.0 if a[1, 1] >= a[2, 2] else -1.0
-        sgn = 1.0 if a[1, 2] >= 0 else -1.0
-        model[1:, 1:] = [[m + e, sgn], [-sgn, m - e]]
-    return float(np.abs(a - model).max())
+        # [[m, 1, -1], [1, m, 0], [1, 0, m]], m the mean of the diagonal
+        m = (a00 + a11 + a22) / 3.0
+        return max(abs(a00 - m), abs(a01 - 1.0), abs(a02 + 1.0),
+                   abs(a10 - 1.0), abs(a11 - m), abs(a12),
+                   abs(a20 - 1.0), abs(a21), abs(a22 - m))
+    # every other pattern is a00 plus a 2x2 block on (y2, y3)
+    off = max(abs(a01), abs(a02), abs(a10), abs(a20))
+    m = 0.5 * (a11 + a22)
+    if ttype == ONeillType.COMPLEX:           # [[m, r], [-r, m]]
+        r = 0.5 * (a12 - a21)
+        block = max(abs(a11 - m), abs(a12 - r), abs(a21 + r), abs(a22 - m))
+    elif ttype == ONeillType.DOUBLE:          # [[m + e, s], [-s, m - e]]
+        e = 1.0 if a11 >= a22 else -1.0
+        sgn = 1.0 if a12 >= 0 else -1.0
+        block = max(abs(a11 - (m + e)), abs(a12 - sgn), abs(a21 + sgn),
+                    abs(a22 - (m - e)))
+    else:                                     # diagonal
+        block = max(abs(a12), abs(a21))
+    return max(off, block)

@@ -105,11 +105,20 @@ def test_constant_curvature_model():
 
 
 def test_sectional_rejects_degenerate_plane():
+    """The band on h(u,u) h(v,v) - h(u,v)^2 is relative to |u|^2 |v|^2, so
+    a null plane is rejected at every scale of u and v, and so is a plane
+    null to within 1e-12; a spacelike and a Lorentzian plane are accepted
+    at every scale."""
     rep = _report(FamilyTag("GI"), "GI.1", {"mu": 1.0})
     u = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 1.0, 1.0])   # null, orthogonal to u
-    with pytest.raises(ValueError):
-        sectional(rep.connection, u, v)
+    near = np.array([0.0, 1.0, 1.0 + 1e-12])
+    for lam in (1.0, 1e-4, 1e4):
+        for w in (v, near):
+            with pytest.raises(ValueError, match="degenerate plane"):
+                sectional(rep.connection, lam * u, lam * w)
+        for w in (np.array([0.0, 1.0, 0.0]), np.array([0.0, 1.0, 2.0])):
+            assert np.isfinite(sectional(rep.connection, lam * u, lam * w))
 
 
 def test_cross_products():
