@@ -17,12 +17,19 @@ import functools
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .tolerance import DEFAULT_TOL, ToleranceConfig
+
+
+#: a 2x2 block as the rows of Python floats
+Block = tuple[tuple[float, float], tuple[float, float]]
+#: an automorphism [[P, t], [0, 1]] of a family in its natural or adapted
+#: basis, as floats: the rows of its 2x2 block P and its translation t
+Step = tuple[Block, tuple[float, float]]
 
 
 class BasisLabel(str, Enum):
@@ -87,6 +94,9 @@ class LieAlgebra3:
     """
 
     structure_constants: np.ndarray
+    #: the nonzero constants (i, j, k, c[i, j, k]) as Python floats, read
+    #: once, at construction
+    _nonzero: tuple[tuple[int, int, int, float], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.structure_constants, dtype=float)
@@ -96,6 +106,9 @@ class LieAlgebra3:
         if not (np.abs(c + ct) <= 1e-5 * np.abs(ct)).all():
             raise ValueError("structure constants must be antisymmetric in (i, j)")
         object.__setattr__(self, "structure_constants", c)
+        object.__setattr__(self, "_nonzero", tuple(
+            (i, j, k, v) for i, plane in enumerate(c.tolist())
+            for j, row in enumerate(plane) for k, v in enumerate(row) if v))
 
     def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """[u, v] for coordinate vectors u, v in this basis."""
@@ -188,39 +201,30 @@ def classification_basis(tag: FamilyTag) -> BasisLabel:
     return BasisLabel.Q_ADAPTED if key == "G1" else BasisLabel.P_ADAPTED
 
 
-def adapted_transition(tag: FamilyTag) -> np.ndarray:
-    """Matrix T with columns = natural basis vectors in adapted coordinates,
-    i.e. [v]_adapted = T [v]_natural.  Defined for c <= 1."""
+def _adapted_blocks(tag: FamilyTag) -> tuple[Block, Block]:
+    """The 2x2 blocks (U, T) of adapted_basis_vectors and
+    adapted_transition, as Python floats: both matrices are [[B, 0],
+    [0, 1]], and U T = I."""
     if classification_basis(tag) == BasisLabel.NATURAL:
         raise ValueError("adapted bases exist only for Gc with c <= 1")
     if tag.c == 1:
-        return np.array([[-2.0, -1.0, 0.0],
-                         [1.0, 1.0, 0.0],
-                         [0.0, 0.0, 1.0]])
+        return ((-1.0, -1.0), (1.0, 2.0)), ((-2.0, -1.0), (1.0, 1.0))
     w = tag.w
-    return np.array([[1.0 / (2 * w), (1.0 + w) / (2 * w), 0.0],
-                     [-1.0 / (2 * w), (w - 1.0) / (2 * w), 0.0],
-                     [0.0, 0.0, 1.0]])
+    return (((w - 1.0, -(1.0 + w)), (1.0, 1.0)),
+            ((1.0 / (2 * w), (1.0 + w) / (2 * w)),
+             (-1.0 / (2 * w), (w - 1.0) / (2 * w))))
+
+
+def adapted_transition(tag: FamilyTag) -> np.ndarray:
+    """Matrix T with columns = natural basis vectors in adapted coordinates,
+    i.e. [v]_adapted = T [v]_natural.  Defined for c <= 1."""
+    return step_matrix((_adapted_blocks(tag)[1], (0.0, 0.0)))
 
 
 def adapted_basis_vectors(tag: FamilyTag) -> np.ndarray:
     """Columns = adapted basis vectors in natural coordinates: the exact
     inverse of adapted_transition.  Defined for c <= 1."""
-    if classification_basis(tag) == BasisLabel.NATURAL:
-        raise ValueError("adapted bases exist only for Gc with c <= 1")
-    if tag.c == 1:
-        return np.array([[-1.0, -1.0, 0.0],
-                         [1.0, 2.0, 0.0],
-                         [0.0, 0.0, 1.0]])
-    w = tag.w
-    return np.array([[w - 1.0, -(1.0 + w), 0.0],
-                     [1.0, 1.0, 0.0],
-                     [0.0, 0.0, 1.0]])
-
-
-#: an automorphism [[P, t], [0, 1]] of a family in its natural or adapted
-#: basis, as floats: the rows of its 2x2 block P and its translation t
-Step = tuple[tuple[tuple[float, float], tuple[float, float]], tuple[float, float]]
+    return step_matrix((_adapted_blocks(tag)[0], (0.0, 0.0)))
 
 
 def automorphism_step(tag: FamilyTag, *, block=None, alpha: float | None = None,
@@ -299,33 +303,48 @@ def adapted_automorphism(tag: FamilyTag, gamma: float, delta: float,
                                          translation=translation))
 
 
-#: the basis pairs (i, j) = (0, 1), (0, 2), (1, 2) and their rows 3 i + j
-#: of the constants reshaped to (9, 3)
-_PAIR_I = np.array([0, 0, 1])
-_PAIR_J = np.array([1, 2, 2])
-_PAIR_ROWS = 3 * _PAIR_I + _PAIR_J
-
-
 def is_automorphism(alg: LieAlgebra3, A: np.ndarray,
                     tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Check A [u, v] = [A u, A v] on all basis pairs, to tolerance."""
+    """Check A [u, v] = [A u, A v] on all basis pairs, to tolerance.
+
+    The work is on Python floats.  det A is the closed-form cofactor
+    expansion along the first row.  Each band is in the unit of what it
+    tests.  det A is linear in each column, and an automorphism's columns
+    differ in size by up to c (the -c alpha of a Gc block), so its band is
+    classification_tol times the product of the column maxima, not
+    max|A|^3; a NaN det, which any NaN or infinite entry gives, fails it
+    too.  The residual is quadratic in A and linear in the constants, so
+    its band is classification_tol max|A|^2 max|c|.  It is taken over the
+    algebra's nonzero constants, for the pairs (i, j) = (0, 1), (0, 2),
+    (1, 2): the constants may be antisymmetric only to 1e-5, so the other
+    pairs are not implied by these."""
     A = np.asarray(A, dtype=float)
     if A.shape != (3, 3):
         return False
-    # each band in the unit of what it tests.  det A is linear in each
-    # column, and an automorphism's columns differ in size by up to c
-    # (the -c alpha of a Gc block), so its unit is the product of the
-    # column maxima, not max|A|^3.  The residual is quadratic in A and
-    # linear in the constants.
-    cols = np.abs(A).max(axis=0).tolist()
-    if abs(np.linalg.det(A)) <= tol.classification_tol * cols[0] * cols[1] * cols[2]:
+    rows = A.tolist()
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    cols = (max(abs(a), abs(d), abs(g)), max(abs(b), abs(e), abs(h)),
+            max(abs(c), abs(f), abs(i)))
+    if not abs(det) > tol.classification_tol * cols[0] * cols[1] * cols[2]:
         return False
-    a = max(cols)
-    c = alg.structure_constants.reshape(9, 3)
-    # rows (i, j) = (0, 1), (0, 2), (1, 2) of A [e_i, e_j] against
-    # [A e_i, A e_j]; the constants may be antisymmetric only to 1e-5, so
-    # the other rows are not implied by these.  AA[(k, l), p] = A[k, i] A[l, j]
-    # for the p-th pair (i, j)
-    AA = (A[:, None, _PAIR_I] * A[None, :, _PAIR_J]).reshape(9, 3)
-    res = float(np.abs(c[_PAIR_ROWS] @ A.T - AA.T @ c).max())
-    return res <= tol.classification_tol * a * a * float(np.abs(c).max())
+    # res[3 p + k]: component k of A [e_i, e_j] - [A e_i, A e_j] for the
+    # p-th pair (i, j) = (0, 1), (0, 2), (1, 2), p = i + j - 1
+    res = [0.0] * 9
+    cmax = 0.0
+    for r, s, k, v in alg._nonzero:
+        # the term of [A e_i, A e_j] in [e_r, e_s], for every pair
+        (x0, x1, _), (_, y1, y2) = rows[r], rows[s]
+        res[k] -= v * x0 * y1
+        res[3 + k] -= v * x0 * y2
+        res[6 + k] -= v * x1 * y2
+        if r < s:           # (r, s) is a pair: the term of A [e_r, e_s]
+            p = 3 * (r + s - 1)
+            res[p] += v * rows[0][k]
+            res[p + 1] += v * rows[1][k]
+            res[p + 2] += v * rows[2][k]
+        cmax = max(cmax, abs(v))
+    amax = max(cols)
+    band = tol.classification_tol * amax * amax * cmax
+    # entry by entry, so that a NaN from an overflow fails
+    return all(abs(x) <= band for x in res)

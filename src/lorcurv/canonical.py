@@ -18,9 +18,13 @@ A = [[P, t], [0, 1]], with P a 2x2 block and t a translation of z.  The
 reducer works on the block form h = [[H, b], [b^T, gamma]]: each step is
 a (P, t) pair of Python floats from ``automorphism_step``, and after each
 step H, b and gamma of A^T h A are recomputed from the input's blocks and
-the accumulated (P, t).  Every decision reads those entries.  The
-witness array is built once at the end, and A^T h A is formed once from
-it with numpy to check the residual against the canonical matrix.
+the accumulated (P, t) by one congruence helper.  Every decision reads
+those entries.  The residual against the canonical matrix is the same
+congruence, evaluated on the returned witness's (P, t) from h's blocks,
+never read from the held entries.  A verdict of equivalence composes its
+witness W1 W2^-1 as (P, t) floats too, moves it to the natural basis by
+the 2x2 blocks of the adapted basis, checks its residual by the same
+congruence, and builds the witness array once.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (BasisLabel, FamilyTag, Step, adapted_basis_vectors,
-                      adapted_transition, automorphism_step,
-                      classification_basis, is_automorphism,
-                      make_family_algebra, step_matrix)
+from .algebra import (BasisLabel, FamilyTag, Step, _adapted_blocks,
+                      adapted_basis_vectors, adapted_transition,
+                      automorphism_step, classification_basis,
+                      is_automorphism, make_family_algebra, step_matrix)
 from .atlas import canonical_matrix
-from .curvature import _connection, ricci_tensor, riemann
+from .curvature import _connection, riemann
 from .metric import _I3, J21, MetricTensor, _derived, _eigh, _signature, pull_back_metric
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -88,12 +92,63 @@ def from_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
                             basis_label=BasisLabel.NATURAL)
 
 
-def _entrywise_gap(A: np.ndarray, B: np.ndarray) -> float:
+def _entrywise_gap(A: list[list[float]], B: list[list[float]]) -> float:
     """max |A_ij - B_ij| / sqrt(d_i d_j), d the row maxima of both symmetric
-    matrices: _Reducer.is_zero entry by entry, a margin free of scale."""
-    A, B = A.tolist(), B.tolist()
+    matrices, given as rows: _Reducer.is_zero entry by entry, a margin free
+    of scale."""
     d = [max(map(abs, a + b)) for a, b in zip(A, B)]
     return max([abs(A[i][j] - B[i][j]) / math.sqrt(d[i] * d[j]) for i, j in _UPPER])
+
+
+#: the blocks (h11, h12, h22, b1, b2, gamma) of h = [[H, b], [b^T, gamma]]
+_Blocks = tuple[float, float, float, float, float, float]
+
+
+def _blocks(rows: list[list[float]]) -> _Blocks:
+    """The blocks of a symmetric matrix given as rows."""
+    (h11, h12, b1), (_, h22, b2), (_, _, g) = rows
+    return h11, h12, h22, b1, b2, g
+
+
+def _congruence(h0: _Blocks, step: Step) -> _Blocks:
+    """The blocks of A^T h0 A, A = [[P, t], [0, 1]]:
+
+        H = P^T H0 P,  b = P^T (H0 t + b0),  gamma = t^T (H0 t + b0) + b0^T t + gamma0,
+
+    summed in the order of the product (A^T h0) A: the rows m of P^T H0,
+    and u = H0 t + b0, first."""
+    ((p, q), (r, s)), (t1, t2) = step
+    h11, h12, h22, b1, b2, g = h0
+    m11, m12 = p * h11 + r * h12, p * h12 + r * h22
+    m21, m22 = q * h11 + s * h12, q * h12 + s * h22
+    u1, u2 = t1 * h11 + t2 * h12 + b1, t1 * h12 + t2 * h22 + b2
+    return (m11 * p + m12 * r, m11 * q + m12 * s, m21 * q + m22 * s,
+            m11 * t1 + m12 * t2 + (p * b1 + r * b2),
+            m21 * t1 + m22 * t2 + (q * b1 + s * b2),
+            u1 * t1 + u2 * t2 + (t1 * b1 + t2 * b2 + g))
+
+
+def _rows(h: _Blocks) -> list[list[float]]:
+    """The rows of the symmetric matrix with these blocks."""
+    h11, h12, h22, b1, b2, g = h
+    return [[h11, h12, b1], [h12, h22, b2], [b1, b2, g]]
+
+
+def _compose(first: Step, second: Step) -> Step:
+    """The step of the product [[P, t], [0, 1]] [[Q, s], [0, 1]] =
+    [[P Q, P s + t], [0, 1]]."""
+    ((p, q), (r, s)), (t1, t2) = first
+    ((a, b), (c, d)), (s1, s2) = second
+    return (((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d)),
+            (p * s1 + q * s2 + t1, r * s1 + s * s2 + t2))
+
+
+def _inverse(step: Step) -> Step:
+    """The step of [[P, t], [0, 1]]^-1 = [[P^-1, -P^-1 t], [0, 1]]."""
+    ((p, q), (r, s)), (t1, t2) = step
+    d = p * s - q * r
+    return (((s / d, -q / d), (-r / d, p / d)),
+            ((q * t2 - s * t1) / d, (r * t1 - p * t2) / d))
 
 
 def _strictly_lorentzian(C: np.ndarray) -> bool:
@@ -109,42 +164,28 @@ def _strictly_lorentzian(C: np.ndarray) -> bool:
 class _Reducer:
     """Accumulates automorphism steps A = [[P, t], [0, 1]] of the
     classification basis, and holds A^T h0 A in its block form
-    [[H, b], [b^T, gamma]] as Python floats:
-
-        H = P^T H0 P,  b = P^T (H0 t + b0),  gamma = t^T (H0 t + b0) + b0^T t + gamma0,
-
-    recomputed from h0's blocks and (P, t) after every step, so rounding
-    is not carried from one step to the next."""
+    [[H, b], [b^T, gamma]] as Python floats, recomputed by _congruence
+    from h0's blocks and (P, t) after every step, so rounding is not
+    carried from one step to the next."""
 
     def __init__(self, h0: np.ndarray, tol: ToleranceConfig):
         self.tol = tol
-        (h11, h12, b1), (_, h22, b2), (_, _, g) = h0.tolist()
-        self._h0 = (h11, h12, h22, b1, b2, g)
+        self.h0 = _blocks(h0.tolist())
         self.P = ((1.0, 0.0), (0.0, 1.0))
         self.t = (0.0, 0.0)
+        self._hold(self.h0)
+
+    def _hold(self, blocks: _Blocks) -> None:
+        """Hold these blocks of A^T h0 A as H, b and gamma."""
+        h11, h12, h22, b1, b2, g = blocks
         self.H = ((h11, h12), (h12, h22))
         self.b = (b1, b2)
         self.gamma = g
 
     def apply(self, step: Step) -> None:
         """Compose with the step (Q, s): P <- P Q, t <- P s + t."""
-        ((a, b), (c, d)), (s1, s2) = step
-        (p, q), (r, s) = self.P
-        t1, t2 = self.t
-        t1, t2 = p * s1 + q * s2 + t1, r * s1 + s * s2 + t2
-        p, q, r, s = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-        self.P, self.t = ((p, q), (r, s)), (t1, t2)
-        # summed in the order of the product (A^T h0) A: the rows m of
-        # P^T H0, and u = H0 t + b0, first
-        h11, h12, h22, b1, b2, g = self._h0
-        m11, m12 = p * h11 + r * h12, p * h12 + r * h22
-        m21, m22 = q * h11 + s * h12, q * h12 + s * h22
-        u1, u2 = t1 * h11 + t2 * h12 + b1, t1 * h12 + t2 * h22 + b2
-        k12 = m11 * q + m12 * s
-        self.H = ((m11 * p + m12 * r, k12), (k12, m21 * q + m22 * s))
-        self.b = (m11 * t1 + m12 * t2 + (p * b1 + r * b2),
-                  m21 * t1 + m22 * t2 + (q * b1 + s * b2))
-        self.gamma = u1 * t1 + u2 * t2 + (t1 * b1 + t2 * b2 + g)
+        self.P, self.t = _compose((self.P, self.t), step)
+        self._hold(_congruence(self.h0, (self.P, self.t)))
 
     def scale_translate(self, g: float, t: tuple[float, float] = (0.0, 0.0)) -> None:
         """Apply P = g I with translation t: a scaling of the plane with a
@@ -261,10 +302,10 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
     # in for a sign test per reducer branch; a banded test refuses good forms
     if not _strictly_lorentzian(canon):
         raise DegenerateMetricError("inconsistent signature in reduction")
-    # the one product of the reduction: the residual reads the witness
-    # returned, not the entries the steps held
+    # the residual reads the witness returned, its (P, t) on h's blocks,
+    # not the entries the steps held
     W = red.witness()
-    gap = _entrywise_gap(W.T @ h_cls.entries @ W, canon)
+    gap = _entrywise_gap(_rows(_congruence(red.h0, (red.P, red.t))), canon.tolist())
     if gap > 100 * tol.classification_tol:
         raise DegenerateMetricError(
             f"reduction residual {gap:g} too large for form {form_id}")
@@ -471,21 +512,29 @@ def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
     cf2 = canonical_form(tag, h2, tol)
     if cf1.form_id != cf2.form_id:
         return False, None
-    gap = _entrywise_gap(cf1.canonical_matrix, cf2.canonical_matrix)
+    gap = _entrywise_gap(cf1.canonical_matrix.tolist(), cf2.canonical_matrix.tolist())
     if gap > tol.classification_tol:
         return False, None
-    (p, q, t1), (r, s, t2), _ = cf2.witness.tolist()      # [[P, t], [0, 1]]
-    d = p * s - q * r
-    W = cf1.witness @ step_matrix((((s / d, -q / d), (-r / d, p / d)),
-                                   ((q * t2 - s * t1) / d, (r * t1 - p * t2) / d)))
+    # W = W1 W2^-1, composed as (P, t) floats
+    w = _compose(_step(cf1.witness), _inverse(_step(cf2.witness)))
     if h1.basis_label == BasisLabel.NATURAL and cf1.basis_label != BasisLabel.NATURAL:
-        W = adapted_basis_vectors(tag) @ W @ adapted_transition(tag)
-    res = float(np.abs(W.T @ h1.entries @ W - h2.entries).max())
-    if res > tol.classification_tol * float(np.abs(h2.entries).max()) * 100:
+        # to the natural basis, U W T: both are [[B, 0], [0, 1]]
+        U, T = _adapted_blocks(tag)
+        w = _compose(_compose((U, (0.0, 0.0)), w), (T, (0.0, 0.0)))
+    got, want = _congruence(_blocks(h1.entries.tolist()), w), _blocks(h2.entries.tolist())
+    res = max([abs(x - y) for x, y in zip(got, want)])
+    if res > tol.classification_tol * max(map(abs, want)) * 100:
         raise ArithmeticError(f"equivalence witness residual {res:g} too large")
+    W = step_matrix(w)
     if not is_automorphism(make_family_algebra(tag, h1.basis_label), W, tol):
         raise ArithmeticError("equivalence witness is not an automorphism")
     return True, W
+
+
+def _step(W: np.ndarray) -> Step:
+    """The (P, t) of a witness [[P, t], [0, 1]]."""
+    (p, q, t1), (r, s, t2), _ = W.tolist()
+    return ((p, q), (r, s)), (t1, t2)
 
 
 def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
@@ -506,12 +555,11 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     (ROADMAP item 1).  The sign of k names the class.  No operator type is
     needed, so the O'Neill classifier is not run."""
     cf = canonical_form(tag, h, tol)
-    conn = _connection(make_family_algebra(tag, h.basis_label), h, tol)
-    ric = ricci_tensor(conn)
+    conn, ric, s = _connection(make_family_algebra(tag, h.basis_label), h, tol)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = ric.tolist()
     k = (r00 + r11 - r22) / 6.0
     # in units of the squared frame brackets, as curvature_report classifies
-    band = tol.classification_tol * float(np.abs(conn.brackets).max()) ** 2
+    band = tol.classification_tol * s
     # ric - 2k J, entry by entry
     if max(abs(r00 - 2.0 * k), abs(r01), abs(r02), abs(r10),
            abs(r11 - 2.0 * k), abs(r12), abs(r20), abs(r21),

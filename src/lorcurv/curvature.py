@@ -73,11 +73,22 @@ def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
     return Connection(gamma, c, curv)
 
 
+def _ricci(conn: Connection) -> tuple[np.ndarray, float]:
+    """The Ricci matrix of a connection, read-only, and the squared
+    maximum of its frame brackets, the unit of its curvature."""
+    ric = ricci_tensor(conn)
+    ric.setflags(write=False)
+    return ric, float(np.abs(conn.brackets).max()) ** 2
+
+
 def _connection(alg: LieAlgebra3, h: MetricTensor,
-                tol: ToleranceConfig) -> Connection:
-    """h's connection on alg in h's own frame, built once per (h, alg, tol)."""
-    return _derived(h, ("connection", alg, tol),
-                    lambda: levi_civita(alg, orthonormal_frame(h, tol)))
+                tol: ToleranceConfig) -> tuple[Connection, np.ndarray, float]:
+    """h's connection on alg in h's own frame, with its _ricci, built once
+    per (h, alg, tol)."""
+    def build():
+        conn = levi_civita(alg, orthonormal_frame(h, tol))
+        return (conn, *_ricci(conn))
+    return _derived(h, ("connection", alg, tol), build)
 
 
 def riemann(conn: Connection, u: np.ndarray, v: np.ndarray,
@@ -202,11 +213,11 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     passed frame is checked and gets its own connection."""
     if frame is None:
         frame = orthonormal_frame(h, tol)     # checked where it is built
-        conn = _connection(alg, h, tol)
+        conn, ric, s = _connection(alg, h, tol)
     else:
         _check_frame(frame, h, tol)
         conn = levi_civita(alg, frame)
-    ric = ricci_tensor(conn)
+        ric, s = _ricci(conn)
     op = ricci_operator(ric)
     rho = float(op.trace())
     y1, y2, y3 = _AXES
@@ -215,7 +226,7 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     # the classifier's bands are absolute: it sees Ric in units of the
     # squared frame brackets, and its normal form, eigenvalues and D are
     # scaled back
-    s = float(np.abs(conn.brackets).max()) ** 2 or 1.0
+    s = s or 1.0
     unit = classify_self_adjoint(op / s, tol)
     D = unit.discriminant
     cls = ONeillClassification(unit.type_tag, s * unit.normal_form,

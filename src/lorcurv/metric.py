@@ -52,14 +52,19 @@ class MetricTensor:
         h = np.asarray(self.entries, dtype=float)
         if h.shape != (3, 3):
             raise ValueError("metric matrix must be 3x3")
-        big = float(np.abs(h).max())
-        if not big < math.inf:          # an inf or a NaN entry
+        # on Python floats: the entries are 0.5 (h + h^T), as numpy sums it
+        (a, b, c), (d, e, f), (g, k, m) = h.tolist()
+        if not all(map(math.isfinite, (a, b, c, d, e, f, g, k, m))):
             raise ValueError("metric matrix must be finite")
-        asym = float(np.abs(h - h.T).max())
+        big = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f), abs(g), abs(k), abs(m))
+        asym = max(abs(b - d), abs(c - g), abs(f - k))
         if asym > DEFAULT_TOL.classification_tol * big:
             raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
-        object.__setattr__(self, "entries", 0.5 * (h + h.T))
-        self.entries.setflags(write=False)
+        x, y, z = 0.5 * (b + d), 0.5 * (c + g), 0.5 * (f + k)
+        entries = np.array([[0.5 * (a + a), x, y], [x, 0.5 * (e + e), z],
+                            [y, z, 0.5 * (m + m)]])
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
 
 
 def _derived(h: MetricTensor, key: Hashable, build: Callable[[], _T]) -> _T:

@@ -253,6 +253,112 @@ def test_tensor_forms_match_loop_oracles(rng):
     assert verdicts == {True, False}
 
 
+_PAIR_I, _PAIR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
+
+
+def _numpy_is_automorphism(alg, A, tol):
+    """is_automorphism as it was computed with numpy arrays, a LAPACK det
+    and one broadcast residual, kept as its oracle.  numpy's warnings on
+    NaN and infinite entries are silenced: they were not part of the
+    verdict."""
+    A = np.asarray(A, dtype=float)
+    if A.shape != (3, 3):
+        return False
+    with np.errstate(all="ignore"):
+        cols = np.abs(A).max(axis=0).tolist()
+        if abs(np.linalg.det(A)) <= tol.classification_tol * cols[0] * cols[1] * cols[2]:
+            return False
+        a = max(cols)
+        c = alg.structure_constants.reshape(9, 3)
+        AA = (A[:, None, _PAIR_I] * A[None, :, _PAIR_J]).reshape(9, 3)
+        res = float(np.abs(c[3 * _PAIR_I + _PAIR_J] @ A.T - AA.T @ c).max())
+    return res <= tol.classification_tol * a * a * float(np.abs(c).max())
+
+
+def _det_band_automorphisms(k):
+    """Automorphisms whose det sits at k times the det band: GI with block
+    [[1, 1], [1, 1 + delta]], and Gc (c = 3/4) with alpha = 1, beta = w +
+    delta, whose block has det 2 w delta + delta^2."""
+    tol = 1e-7
+    gi = automorphism_matrix(FamilyTag("GI"), block=[[1.0, 1.0], [1.0, 1.0 + k * tol]])
+    delta = k * tol * 1.5 / (2 * 0.5)       # column maxima 1, 1.5 and 1
+    lt1 = automorphism_matrix(FamilyTag("Gc", 0.75), alpha=1.0, beta=0.5 + delta)
+    return [(make_family_algebra(FamilyTag("GI")), gi),
+            (make_family_algebra(FamilyTag("Gc", 0.75)), lt1)]
+
+
+def test_is_automorphism_matches_numpy_oracle(rng):
+    """The float is_automorphism (closed-form det, residual over the
+    nonzero constants) gives its numpy form's verdict on: the reduction
+    witness of every sweep cell image and of an automorphism image of it,
+    the verdict witnesses between them and against the canonical matrix,
+    natural-basis verdict witnesses for c <= 1, a perturbation of each; on
+    random matrices; on singular matrices and automorphisms at 0.5 and 2
+    times the det band; on NaN and infinite entries, on a residual that
+    overflows to NaN, and on shapes other than 3x3; for the family
+    algebras, a random basis of Gc (c = 2), and Gc (c = 2) with constants
+    antisymmetric only to 1e-5."""
+    from lorcurv import (DEFAULT_TOL, MetricTensor, canonical_form,
+                         canonical_matrix, equivalent, from_adapted_basis,
+                         pull_back_metric)
+    from tests.test_curvature import _sweep_cells
+    c2 = FamilyTag("Gc", 2.0)
+    cases, c2_witnesses, cells = [], [], 0
+    for tag, form_id, params, alg, h in _sweep_cells(rng):
+        C = MetricTensor(canonical_matrix(tag, form_id, params), basis_label=h.basis_label)
+        image = pull_back_metric(h, rand_automorphism(tag, rng), h.basis_label)
+        witnesses = [canonical_form(tag, h).witness, canonical_form(tag, image).witness,
+                     equivalent(tag, h, image)[1], equivalent(tag, C, h)[1]]
+        cases += [(alg, W) for W in witnesses]
+        if h.basis_label != BasisLabel.NATURAL:
+            W = equivalent(tag, from_adapted_basis(tag, h), from_adapted_basis(tag, image))[1]
+            cases.append((make_family_algebra(tag), W))
+        if tag == c2:
+            c2_witnesses += witnesses
+        cells += 1
+    assert cells == 335
+    skew = make_family_algebra(c2).structure_constants.copy()
+    skew[2, 0] *= 1.0 + 5e-6
+    others = [LieAlgebra3(skew), change_basis(make_family_algebra(c2), rng.normal(size=(3, 3)))]
+    cases += [(alg, W) for alg in others for W in c2_witnesses]
+    cases += [(alg, rng.normal(size=(3, 3))) for alg, _ in cases[::5]]
+    cases += [(alg, A + 10.0 ** rng.uniform(-12, -4) * rng.normal(size=(3, 3)))
+              for alg, A in cases[:]]
+    verdicts = [is_automorphism(alg, A) for alg, A in cases]
+    assert verdicts == [_numpy_is_automorphism(alg, A, DEFAULT_TOL) for alg, A in cases]
+    assert set(verdicts) == {True, False}
+
+    for k, want in ((0.5, False), (2.0, True)):
+        for alg, A in _det_band_automorphisms(k):
+            assert _numpy_is_automorphism(alg, A, DEFAULT_TOL) is want
+            assert is_automorphism(alg, A) is want
+    alg = make_family_algebra(FamilyTag("GI"))
+    singular = [np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
+                np.zeros((3, 3)), np.diag([1.0, 1.0, 0.0])]
+    for A in singular:
+        assert not _numpy_is_automorphism(alg, A, DEFAULT_TOL)
+        assert not is_automorphism(alg, A)
+
+    A = automorphism_matrix(c2, alpha=0.3, beta=1.1, translation=(0.4, -0.2))
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)):
+            B = A.copy()
+            B[i, j] = value
+            assert not _numpy_is_automorphism(make_family_algebra(c2), B, DEFAULT_TOL)
+            assert not is_automorphism(make_family_algebra(c2), B)
+        assert not is_automorphism(make_family_algebra(c2), np.full((3, 3), value))
+    for B in (np.eye(2), np.ones((3, 4)), np.eye(4), np.zeros(9), np.eye(3)[None]):
+        assert not _numpy_is_automorphism(make_family_algebra(c2), B, DEFAULT_TOL)
+        assert not is_automorphism(make_family_algebra(c2), B)
+    # finite entries and bands, but the (0, 1) residual sums +inf and -inf
+    # to NaN in its second component, after a finite first one
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 1], c[1, 0, 1] = 1.0, -1.0
+    A = np.array([[1e157, 1e157, 0.0], [2e157, 1e157, 0.0], [0.0, 0.0, 1e-200]])
+    assert not _numpy_is_automorphism(LieAlgebra3(c), A, DEFAULT_TOL)
+    assert not is_automorphism(LieAlgebra3(c), A)
+
+
 # --------------------------------------------------------------------------
 # the automorphism builders
 

@@ -72,10 +72,12 @@ def test_tracer_installs_and_uninstalls():
 
 
 #: traced calls of one survey op (curvature_report, then
-#: constant_curvature_class, on one fresh metric) besides riemann
+#: constant_curvature_class, on one fresh metric) besides riemann; the
+#: Ricci matrix is stored on the metric with its connection, so it is
+#: computed once
 _SURVEY_CALLS = {
     "metric.orthonormal_frame": 2, "algebra.make_family_algebra": 2,
-    "curvature.ricci_tensor": 2, "curvature.levi_civita": 1,
+    "curvature.ricci_tensor": 1, "curvature.levi_civita": 1,
     "curvature.sectional": 3, "curvature.curvature_report": 1,
     "oneill.classify_self_adjoint": 1, "canonical.canonical_form": 1,
     "canonical.constant_curvature_class": 1,

@@ -4,7 +4,8 @@ class of the package is used outside its own definition, every
 parameter of a function of the package is read by its body, every
 default of a module-private function is overridden by some call, the
 package calls no function-style numpy reduction, the canonical reducer's
-steps call no numpy, the package keeps no cache that outlives one
+steps call no numpy, the verdict path makes no numpy product or
+np.linalg call, the package keeps no cache that outlives one
 metric, and a metric's matrix is decomposed only by metric.py's stored
 eigh.
 ``__init__.py`` files re-export by importing, and ``from __future__``
@@ -253,6 +254,65 @@ def test_scan_finds_reducer_numpy_call():
               "def helper():\n"
               "    return np.eye(3)\n")
     assert reducer_numpy_calls(source) == ["line 5: apply", "line 9: gap"]
+
+
+#: the verdict path works on Python floats: the reducer, the witness
+#: algebra of a verdict and the automorphism check, by module
+_FLOAT_PATH = {"canonical.py": {"_Reducer", "_congruence", "_compose", "_inverse",
+                                "_step", "_blocks", "_rows", "_entrywise_gap",
+                                "equivalent"},
+               "algebra.py": {"is_automorphism"}}
+_PRODUCT_CALLS = {"dot", "matmul", "einsum", "tensordot"}
+
+
+def _rooted_at_linalg(node: ast.AST) -> bool:
+    while isinstance(node, ast.Attribute):
+        if node.attr == "linalg":
+            return True
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "linalg"
+
+
+def numpy_products(source: str, names: set[str]) -> list[str]:
+    """``np.linalg`` calls, ``@`` products and ``dot``, ``matmul``,
+    ``einsum`` or ``tensordot`` calls inside the top-level functions and
+    classes ``names`` of ``source``; each name must be defined there."""
+    found, defined = [], set()
+    for node in ast.parse(source).body:
+        if getattr(node, "name", None) not in names:
+            continue
+        defined.add(node.name)
+        for n in ast.walk(node):
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult):
+                found.append((n.lineno, n.col_offset, f"{node.name}: @"))
+            elif isinstance(n, ast.Call) and (_rooted_at_linalg(n.func)
+                                              or _name(n.func) in _PRODUCT_CALLS):
+                found.append((n.lineno, n.col_offset, f"{node.name}: {_name(n.func)}"))
+    found += [(0, 0, f"{name}: not defined") for name in sorted(names - defined)]
+    return [f"line {line}: {what}" for line, _, what in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(_FLOAT_PATH))
+def test_verdict_path_makes_no_numpy_products(module):
+    source = (_ROOT / "src/lorcurv" / module).read_text()
+    assert numpy_products(source, _FLOAT_PATH[module]) == []
+
+
+def test_scan_finds_numpy_product():
+    source = ("import numpy as np\nfrom numpy import linalg\n\n"
+              "class _Reducer:\n"
+              "    def witness(self):\n"
+              "        return self.A @ self.B\n\n"
+              "def equivalent(W, h):\n"
+              "    d = np.linalg.det(W) + linalg.norm(W)\n"
+              "    return W.T.dot(h).dot(W), np.einsum('ij->i', h), d\n\n"
+              "def other(W):\n"
+              "    return W @ W, np.linalg.inv(W)\n")
+    assert numpy_products(source, {"_Reducer", "equivalent", "gone"}) == [
+        "line 0: gone: not defined", "line 6: _Reducer: @",
+        "line 9: equivalent: det", "line 9: equivalent: norm",
+        "line 10: equivalent: dot", "line 10: equivalent: dot",
+        "line 10: equivalent: einsum"]
 
 
 #: modules on the per-op curvature path, where an array rebuilt on every

@@ -55,6 +55,78 @@ def test_rejects_inf():
             MetricTensor(np.diag([1.0, 1.0, bad]))
 
 
+def _numpy_metric(h):
+    """MetricTensor's construction as it was computed with numpy arrays,
+    kept as its oracle: the entries, or the exception raised.  numpy's
+    overflow warning in h - h^T is silenced, so that an overflowing
+    asymmetry gives the ValueError a caller saw after that warning."""
+    from lorcurv import DEFAULT_TOL
+    h = np.asarray(h, dtype=float)
+    if h.shape != (3, 3):
+        raise ValueError("metric matrix must be 3x3")
+    big = float(np.abs(h).max())
+    if not big < np.inf:
+        raise ValueError("metric matrix must be finite")
+    with np.errstate(over="ignore"):
+        asym = float(np.abs(h - h.T).max())
+    if asym > DEFAULT_TOL.classification_tol * big:
+        raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
+    return 0.5 * (h + h.T)
+
+
+def _outcome(build, h):
+    try:
+        return build(h)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+
+
+#: entries that stress the float path: signed zeros, subnormals, the
+#: smallest normal, and sizes near 1e-300 and 1e300
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072014e-308,
+            1e-300, -1e-300, 1e300, -1e300, 1.0, -3.0]
+
+
+def test_construction_matches_numpy_oracle(rng):
+    """Entries bit for bit 0.5 (h + h^T), read-only, on random input with
+    asymmetries inside the band, built from random and special entries."""
+    for _ in range(2000):
+        kind = rng.integers(3)
+        if kind == 0:
+            h = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-300, 300)
+        elif kind == 1:
+            h = rng.choice(_SPECIAL, size=(3, 3))
+        else:
+            h = rng.normal(size=(3, 3)) * rng.choice(_SPECIAL, size=(3, 3))
+        h = h + h.T
+        # an asymmetry of up to 1e-8 of the largest entry, in one entry
+        i, j = rng.choice(3, size=2, replace=False)
+        h[i, j] += rng.uniform(-1e-8, 1e-8) * np.abs(h).max()
+        want = _numpy_metric(h)
+        got = MetricTensor(h).entries
+        assert got.tobytes() == want.tobytes(), h
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("h", [
+    np.diag([1.0, 1.0, np.nan]), np.full((3, 3), np.nan),
+    np.diag([np.inf, 1.0, -1.0]), np.diag([1.0, -np.inf, -1.0]),
+    np.array([[1.0, np.inf, 0.0], [-np.inf, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+    np.array([[1.0, 1e308, 0.0], [-1e308, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+    np.array([[1.0, 0.0, -1e308], [0.0, 1e308, 0.0], [1e308, 0.0, -1.0]]),
+    np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+    np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.123456789], [0.0, 0.0, -1.0]]),
+    np.eye(2), np.ones((3, 4)), np.eye(4), np.zeros(9), np.eye(3)[None], [],
+], ids=["nan-diagonal", "all-nan", "inf", "-inf", "inf-pair", "overflowing-asymmetry",
+        "overflowing-asymmetry-2", "asymmetric", "asymmetric-residual-digits", "2x2", "3x4", "4x4", "flat", "1x3x3",
+        "empty"])
+def test_construction_errors_match_numpy_oracle(h):
+    """The same exception, with the same message, as the numpy form."""
+    want = _outcome(_numpy_metric, h)
+    assert isinstance(want, tuple), want
+    assert _outcome(MetricTensor, h) == want
+
+
 def _array_signature(eigs, tol):
     """The signature count on the eigenvalue array, as numpy reductions:
     the reference for _signature."""
