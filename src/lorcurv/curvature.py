@@ -228,10 +228,8 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     # scaled back
     s = s or 1.0
     unit = classify_self_adjoint(op / s, tol)
-    D = unit.discriminant
     cls = ONeillClassification(unit.type_tag, s * unit.normal_form,
-                               unit.transition,
-                               None if D is None else s * s * D,
+                               unit.transition, s * s * unit.discriminant,
                                unit.boundary_warning, s * unit.eigenvalues)
     values = cls.eigenvalues.tolist()
     if cls.type_tag == ONeillType.DOUBLE:

@@ -35,6 +35,12 @@ def frame_inner(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[0] + u[1] * v[1] - u[2] * v[2])
 
 
+def _mean(b: float, d: float) -> float:
+    """0.5 (b + d), or 0.5 b + 0.5 d where b + d overflows."""
+    x = 0.5 * (b + d)
+    return x if math.isfinite(x) else 0.5 * b + 0.5 * d
+
+
 @dataclass(frozen=True)
 class MetricTensor:
     """A symmetric bilinear form given by its matrix in some basis.
@@ -52,7 +58,8 @@ class MetricTensor:
         h = np.asarray(self.entries, dtype=float)
         if h.shape != (3, 3):
             raise ValueError("metric matrix must be 3x3")
-        # on Python floats: the entries are 0.5 (h + h^T), as numpy sums it
+        # on Python floats: the entries are 0.5 (h + h^T), as numpy sums it,
+        # where that is finite; the diagonal h_ii is 0.5 (h_ii + h_ii) then
         (a, b, c), (d, e, f), (g, k, m) = h.tolist()
         if not all(map(math.isfinite, (a, b, c, d, e, f, g, k, m))):
             raise ValueError("metric matrix must be finite")
@@ -60,9 +67,8 @@ class MetricTensor:
         asym = max(abs(b - d), abs(c - g), abs(f - k))
         if asym > DEFAULT_TOL.classification_tol * big:
             raise ValueError(f"metric matrix is not symmetric (residual {asym:g})")
-        x, y, z = 0.5 * (b + d), 0.5 * (c + g), 0.5 * (f + k)
-        entries = np.array([[0.5 * (a + a), x, y], [x, 0.5 * (e + e), z],
-                            [y, z, 0.5 * (m + m)]])
+        x, y, z = _mean(b, d), _mean(c, g), _mean(f, k)
+        entries = np.array([[a, x, y], [x, e, z], [y, z, m]])
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 

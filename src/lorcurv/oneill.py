@@ -18,6 +18,14 @@ v off and reads the type from the block discriminant
 D = (b - d)^2 - 4 r^2, which is invariant under boosts of the plane and
 linear in a perturbation of the operator.  It returns a transition
 matrix in O(2,1) conjugating the input to its normal form, plus D.
+
+``{3}`` never occurs as a Ricci operator on these groups: each canonical
+form's Ricci operator has a non-null eigenvector on the form's whole
+domain (``tests/test_atlas.py::test_eigenvector_is_non_null_on_domain``),
+and a timelike eigenvector leaves a spacelike complement, where the
+operator is symmetric, so a spacelike eigenvector always exists.  An
+operator without one within the band, a ``{3}`` operator or one whose
+spacelike eigenvector rounding hides, is rejected with a ValueError.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metric import _I3, J21, frame_inner
+from .metric import _I3, J21
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -37,7 +45,7 @@ class ONeillType(str, Enum):
     DIAGONAL = "{11,1}"
     COMPLEX = "{1zz}"
     DOUBLE = "{21}"
-    TRIPLE = "{3}"
+    TRIPLE = "{3}"      # named, never returned: a {3} operator is rejected
 
 
 @dataclass(frozen=True)
@@ -45,7 +53,7 @@ class ONeillClassification:
     type_tag: ONeillType
     normal_form: np.ndarray
     transition: np.ndarray              # in O(2,1); normal = inv(T) A T
-    discriminant: float | None = None   # (b-d)^2 - 4 r^2; None for {3}
+    discriminant: float                 # (b-d)^2 - 4 r^2 of the block
     boundary_warning: bool = False
     eigenvalues: np.ndarray | None = None   # of A, as np.linalg.eig returns them
 
@@ -65,10 +73,11 @@ def boost(theta: float) -> np.ndarray:
 
 def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
                            band: float, floor: float
-                           ) -> tuple[float, float, float] | None:
-    """The most spacelike eigenvector of T, h-normalised, or None when no
-    eigenvector u has h(u, u) > floor |u|^2 (then T is of type {3}).
-    (lam, vecs) is np.linalg.eig(T).
+                           ) -> tuple[float, float, float]:
+    """The most spacelike eigenvector of T, h-normalised.  (lam, vecs) is
+    np.linalg.eig(T).  Raises ValueError when no eigenvector u within the
+    band has h(u, u) > floor |u|^2: T is then {3}, which no Ricci operator
+    on these groups is, or its spacelike eigenvector is lost to rounding.
 
     For a J-self-adjoint T the left eigenvector of u is J u, so
     h(u, u) / |u|^2 is the reciprocal condition number of its eigenvalue:
@@ -137,7 +146,9 @@ def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
         if math.sqrt(r0 * r0 + r1 * r1 + r2 * r2) <= band:
             best, best_h = (u0, u1, u2), h
     if best is None:
-        return None
+        raise ValueError("O'Neill classification: no eigenvector is spacelike "
+                         f"within the band {band:g}, so the operator cannot be "
+                         "split into a line and a Lorentzian plane")
     n = math.sqrt(best_h)
     return best[0] / n, best[1] / n, best[2] / n
 
@@ -194,12 +205,12 @@ def classify_self_adjoint(T: np.ndarray,
     """Classify a J-self-adjoint operator and produce its normal form.
 
     The type is decided once, from the discriminant D of the block left
-    after splitting off the most spacelike eigenvector; an operator
-    without a spacelike eigenvector is {3}.  Bands scale with the
-    entries of T, so T should be O(1) (``curvature_report`` rescales).
+    after splitting off the most spacelike eigenvector.  Bands scale with
+    the entries of T, so T should be O(1) (``curvature_report`` rescales).
 
-    Raises ValueError if J T is not symmetric (T not self-adjoint), and
-    ArithmeticError if the transition found fails its residual checks.
+    Raises ValueError if J T is not symmetric (T not self-adjoint) or has
+    no spacelike eigenvector within the band, and ArithmeticError if the
+    transition found fails its residual checks.
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3):
@@ -222,11 +233,6 @@ def classify_self_adjoint(T: np.ndarray,
         v = _Y1
     else:
         v = _spacelike_eigenvector(T, lam, vecs, band, tol.classification_tol)
-    if v is None:
-        C = _jordan_chain(T, band)
-        normal = _conjugate(C, T)
-        _check_transition(C, normal, ONeillType.TRIPLE, band)
-        return ONeillClassification(ONeillType.TRIPLE, normal, C, eigenvalues=lam)
 
     p, q = _split_complement(v)
     C0 = np.array((v, p, q)).T
@@ -263,30 +269,6 @@ def _conjugate(C: np.ndarray, T: np.ndarray) -> np.ndarray:
     return J21.dot(C.T).dot(J21).dot(T).dot(C)
 
 
-def _jordan_chain(T: np.ndarray, band: float) -> np.ndarray:
-    """Jordan chain basis of a {3} operator realising the exact normal form
-    [[a,1,-1],[1,a,0],[1,0,a]] with Gram matrix J."""
-    lam = float(np.trace(T)) / 3.0
-    N = T - lam * _I3
-    u0 = max(_I3, key=lambda u: float(np.linalg.norm(N @ N @ u)))
-    if float(np.linalg.norm(N @ N @ u0)) <= band:
-        raise ArithmeticError("{3} operator has no length-3 chain")
-    m0 = frame_inner(u0, u0)
-    m1 = frame_inner(u0, N @ u0)
-    m2 = frame_inner(N @ u0, N @ u0)
-    if m2 <= 0:
-        raise ArithmeticError("chain Gram coefficient must be positive for {3}")
-    x = 2.0 / np.sqrt(m2)
-    y = -x * m1 / (2.0 * m2)
-    zc = -(x * x * m0 + 2 * x * y * m1 + y * y * m2) / (2.0 * x * m2)
-    u = x * u0 + y * (N @ u0) + zc * (N @ N @ u0)
-    y1 = (N @ u) / 2.0
-    p = (N @ N @ u) / 2.0
-    y2 = (p + u) / 2.0
-    y3 = (p - u) / 2.0
-    return np.column_stack([y1, y2, y3])
-
-
 def _check_transition(C, normal, ttype: ONeillType, band: float,
                       lenient: bool = False) -> None:
     # the columns x, y, z of C, and the entries of C^T J C - J from them
@@ -308,13 +290,7 @@ def _check_transition(C, normal, ttype: ONeillType, band: float,
 def _pattern_residual(a: np.ndarray, ttype: ONeillType) -> float:
     """Largest deviation of a normal form from the pattern of its type."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
-    if ttype == ONeillType.TRIPLE:
-        # [[m, 1, -1], [1, m, 0], [1, 0, m]], m the mean of the diagonal
-        m = (a00 + a11 + a22) / 3.0
-        return max(abs(a00 - m), abs(a01 - 1.0), abs(a02 + 1.0),
-                   abs(a10 - 1.0), abs(a11 - m), abs(a12),
-                   abs(a20 - 1.0), abs(a21), abs(a22 - m))
-    # every other pattern is a00 plus a 2x2 block on (y2, y3)
+    # every pattern is a00 plus a 2x2 block on (y2, y3)
     off = max(abs(a01), abs(a02), abs(a10), abs(a20))
     m = 0.5 * (a11 + a22)
     if ttype == ONeillType.COMPLEX:           # [[m, r], [-r, m]]

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import lorcurv.atlas
 import lorcurv.curvature
@@ -219,6 +221,81 @@ def test_spec_eigenvectors_are_non_null_eigenvectors(tag):
         res = float(np.linalg.norm(T @ v - lam * v))
         assert res <= 1e-12 * float(np.abs(T).max()) * float(np.linalg.norm(v)), \
             (spec.form_id, params, res)
+
+
+# --------------------------------------------------------------------------
+# symbolic proof that each spec's eigenvector is a non-null eigenvector of
+# its Ricci operator on the form's whole domain, not only on the sweep grid:
+# then every Ricci operator on these groups has a spacelike eigenvector
+# (a timelike one leaves a spacelike complement, where the operator is
+# symmetric), and O'Neill's type {3} never occurs
+
+_m, _n, _s, _w, _a = sp.symbols("m n s w a", positive=True)
+_t = sp.Symbol("t", nonnegative=True)
+
+#: each family's c (and w = sqrt(1 - c) for c < 1) on its whole range
+_SYMBOLIC_FAMILIES = {"GI": (None, None), "Gc_gt1": (1 + _a ** 2, None),
+                      "G1": (sp.Integer(1), None), "Gc_lt1": (1 - _w ** 2, _w)}
+#: each form's domain by substitution, defaulting to mu = m > 0, nu = n > 0;
+#: an entry "c" replaces the family's c
+_SYMBOLIC_DOMAINS = {
+    "Gc_gt1.2": {"tau": 1 - _s ** 2},
+    "Gc_gt1.3": {"nu": 1 + _s ** 2, "c": 1 + _s ** 2 + _t ** 2},   # 1 < nu <= c
+    "Gc_lt1.10-1": {"tau": 1 - _s ** 2},
+    "Gc_lt1.10-2": {"nu": -_n, "tau": 1 + _s ** 2},
+    "Gc_lt1.11": {"eta": 1 - _s ** 2},
+}
+_ALL_SPECS = [spec for tag in (FamilyTag("GI"), FamilyTag("Gc", 2.0),
+                               FamilyTag("Gc", 1.0), FamilyTag("Gc", 0.0))
+              for spec in form_specs(tag)]
+
+
+def _symbolic_point(spec):
+    """(tag stand-in with symbolic c and w, symbolic parameters) covering
+    the form's domain."""
+    c, w = _SYMBOLIC_FAMILIES[spec.form_id.partition(".")[0]]
+    sub = {"mu": _m, "nu": _n, **_SYMBOLIC_DOMAINS.get(spec.form_id, {})}
+    c = sub.pop("c", c)
+    return SimpleNamespace(c=c, w=w), {name: sub[name] for name in spec.param_names}
+
+
+def _exact(x) -> sp.Matrix:
+    """A symbolic 3x3 or 3-vector, its float coefficients made rational."""
+    return sp.Matrix(x).applyfunc(lambda e: sp.nsimplify(e, rational=True))
+
+
+def test_symbolic_domains_lie_in_the_domains():
+    """The substitutions land in each form's domain (checked at sample
+    values of the free symbols)."""
+    for spec in _ALL_SPECS:
+        tag, params = _symbolic_point(spec)
+        for value in (0.5, 2.0):
+            at = {x: value for x in (_m, _n, _s, _w, _a, _t)}
+            c = None if tag.c is None else float(tag.c.subs(at))
+            num_tag = FamilyTag("GI") if c is None else FamilyTag("Gc", c)
+            num_params = {k: float(v.subs(at)) for k, v in params.items()}
+            assert spec.domain(num_tag, num_params), (spec.form_id, value)
+
+
+@pytest.mark.parametrize("spec", _ALL_SPECS, ids=lambda spec: spec.form_id)
+def test_eigenvector_is_non_null_on_domain(spec, monkeypatch):
+    """spec.ric and spec.eigenvector evaluated on symbols, with the atlas's
+    math.sqrt and numpy builders swapped for sympy's: Ric v is parallel to
+    v identically, and h(v, v) is 1, -1, mu^2 or 16 w^2, nonzero on the
+    whole domain."""
+    monkeypatch.setattr(lorcurv.atlas, "math", SimpleNamespace(sqrt=sp.sqrt))
+    monkeypatch.setattr(lorcurv.atlas, "np", SimpleNamespace(
+        array=lambda rows, dtype=None: sp.Matrix(rows), eye=sp.eye,
+        zeros=lambda shape: sp.zeros(*shape), diag=lambda d: sp.diag(*d)))
+    tag, params = _symbolic_point(spec)
+    T = _exact(spec.ric(tag, params))
+    v = _exact(list(spec.eigenvector(tag, params)))
+    Tv = T * v
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert sp.simplify(Tv[i] * v[j] - Tv[j] * v[i]) == 0, (spec.form_id, i, j)
+    hvv = sp.factor(v[0] ** 2 + v[1] ** 2 - v[2] ** 2)
+    assert hvv in (1, -1, _m ** 2, 16 * _w ** 2), (spec.form_id, hvv)
+    assert hvv.is_nonzero
 
 
 @pytest.mark.parametrize("c", [1.0001, 1.0 + 1e-6])

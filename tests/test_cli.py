@@ -358,6 +358,21 @@ def test_paper_frame_near_gt1_form3_edge(tmp_path, capsys):
     assert payload["oneill"]["type"] == "{11,1}"
 
 
+@pytest.mark.parametrize("frame", [[], ["--frame", "paper"]], ids=["auto", "paper"])
+def test_lt1_form3_near_c1_is_a_rejection(tmp_path, capsys, frame):
+    """Canonical Gc_lt1.3 (mu = 1) at c = 1 - 1e-6: no spacelike eigenvector
+    of Ric survives rounding, in either frame, and the classifier refuses
+    the input by name (exit 1) rather than faulting (exit 4)."""
+    f = _doc(tmp_path, "m.json", {"Gc": 1 - 1e-6},
+             [[1, 1, 0], [1, 1, 1], [0, 1, 0]], basis="P_adapted")
+    assert main(["curvature", f, *frame]) == cli.EXIT_DOMAIN == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("rejected: O'Neill classification: no eigenvector "
+                          "is spacelike")
+    assert err.count("\n") == 1
+
+
 #: the engine call of each subcommand, as lorcurv.cli binds it
 _ENGINE_CALLS = {"classify": "canonical_form", "curvature": "curvature_report",
                  "constcurv": "constant_curvature_class", "equiv": "equivalent"}

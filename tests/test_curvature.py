@@ -455,11 +455,6 @@ def test_answers_unchanged_on_sweep_images(rng):
     assert (count, einstein) == (335, 42)
 
 
-@pytest.mark.xfail(strict=True, raises=ArithmeticError, reason=(
-    "known defect: the eigenvalues of Ric / s (-7.98e-6 and 7.98e-6 twice) "
-    "lie inside the classifier's cube-root cluster width (about 1.2e-4, "
-    "absolute in units of s), so no spacelike eigenvector is found and the "
-    "{3} Jordan chain fails its O(2,1) check (residual 0.089)"))
 def test_lt1_form3_near_c1_paper_frame_type():
     """Canonical Gc_lt1.3 (mu = 1) at c = 1 - 1e-6, read in its paper
     frame: the Ricci operator is {21}, as the closed form says, or the
@@ -474,3 +469,52 @@ def test_lt1_form3_near_c1_paper_frame_type():
     except ValueError:
         return
     assert rep.oneill.type_tag == ONeillType.DOUBLE
+
+
+def _lt1_form3_near_c1_outcomes(k):
+    """Outcomes of curvature_report near c = 1 on the degenerate-plane form
+    Gc_lt1.3 (mu = 1) at c = 1 - 10^-k: the canonical metric in its paper
+    frame and in its own, then 100 rand_automorphism images (rng seed 0)
+    in their own frames.  Each outcome is an O'Neill type or the
+    ValueError; an ArithmeticError propagates."""
+    tag = FamilyTag("Gc", 1.0 - 10.0 ** -k)
+    params = {"mu": 1.0}
+    basis = classification_basis(tag)
+    alg = make_family_algebra(tag, basis)
+    C = canonical_matrix(tag, "Gc_lt1.3", params)
+    rng = np.random.default_rng(0)
+    runs = [(C, paper_frame(tag, "Gc_lt1.3", params)), (C, None)]
+    runs += [(A.T @ C @ A, None)
+             for A in (rand_automorphism(tag, rng) for _ in range(100))]
+    outcomes = []
+    for H, frame in runs:
+        try:
+            rep = curvature_report(alg, MetricTensor(H, basis_label=basis), frame=frame)
+        except ValueError as exc:
+            outcomes.append(exc)
+        else:
+            outcomes.append(rep.oneill.type_tag)
+    return outcomes
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_lt1_form3_near_c1_is_no_fault(k):
+    """No fault on Gc_lt1.3 near c = 1: where the spacelike eigenvector of
+    Ric is lost to rounding, the classifier rejects the input by name and
+    raises no ArithmeticError."""
+    for out in _lt1_form3_near_c1_outcomes(k):
+        if isinstance(out, ValueError):
+            assert str(out).startswith("O'Neill classification: no eigenvector "
+                                       "is spacelike"), out
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 3: at c = 1 - 1e-7, 12 of the 100 images come back "
+    "{11,1} (5) or {1zz} (7), wrong types rather than refusals"))
+def test_lt1_form3_near_c1_is_double_or_rejected():
+    """Item 3's criterion on the same points: every answer is {21}, as
+    the closed form says, or a named rejection."""
+    for k in range(3, 9):
+        wrong = [out for out in _lt1_form3_near_c1_outcomes(k)
+                 if not isinstance(out, ValueError) and out != ONeillType.DOUBLE]
+        assert not wrong, (k, wrong)

@@ -127,6 +127,36 @@ def test_construction_errors_match_numpy_oracle(h):
     assert _outcome(MetricTensor, h) == want
 
 
+@pytest.mark.parametrize("h", [
+    np.diag([1e308, 1e308, -1e308]),
+    np.array([[0.5e308, 0.95e308, 0.0], [0.95e308, 0.5e308, 0.0], [0.0, 0.0, 1e308]]),
+], ids=["diagonal", "off-diagonal-sum-overflows"])
+def test_construction_near_the_largest_float(h):
+    """Entries within a factor 2 of the largest float are stored as given,
+    not as an overflowed 0.5 (h + h^T): a diagonal entry is itself and an
+    off-diagonal pair whose sum overflows is averaged as 0.5 b + 0.5 d.
+    These metrics are Lorentzian and accepted as (2, 0, 1)."""
+    m = MetricTensor(h)
+    assert m.entries.tobytes() == h.tobytes()
+    diag = validate_metric(m)
+    assert diag.accepted and diag.signature == (2, 0, 1), diag
+
+
+def test_ill_conditioned_metric_near_the_largest_float():
+    """diag(1e308, 1, -1) is stored as given and its eigenvalues are
+    finite; relative to its largest eigenvalue the other two lie within
+    the zero band, so the scale-invariant signature check refuses it as
+    degenerate, as it does every multiple of it."""
+    h = np.diag([1e308, 1.0, -1.0])
+    m = MetricTensor(h)
+    assert m.entries.tobytes() == h.tobytes()
+    diag = validate_metric(m)
+    assert diag.eigenvalues == (-1.0, 1.0, 1e308)
+    assert diag.signature == (1, 2, 0)
+    assert diag.reason == "degenerate form (eigenvalue within tolerance of zero)"
+    assert validate_metric(MetricTensor(1e-300 * h)).signature == (1, 2, 0)
+
+
 def _array_signature(eigs, tol):
     """The signature count on the eigenvalue array, as numpy reductions:
     the reference for _signature."""

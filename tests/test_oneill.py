@@ -7,7 +7,8 @@ from lorcurv import DEFAULT_TOL, J21, ONeillType, classify_self_adjoint
 from lorcurv.oneill import _split_complement, boost
 from tests.conftest import lapack_calls, rand_o21
 
-# J-self-adjoint representatives of the four types
+# J-self-adjoint representatives of the four types; {3} has no spacelike
+# eigenvector, is no Ricci operator on these groups, and is rejected
 REP_DIAGONAL = np.diag([1.0, 2.0, 3.0])
 REP_COMPLEX = np.array([[2.0, 0, 0], [0, 1, 3], [0, -3, 1]])
 REP_DOUBLE = np.array([[0.0, 0, 0], [0, 2, 1], [0, -1, 0]])
@@ -17,7 +18,6 @@ REPS = {
     ONeillType.DIAGONAL: REP_DIAGONAL,
     ONeillType.COMPLEX: REP_COMPLEX,
     ONeillType.DOUBLE: REP_DOUBLE,
-    ONeillType.TRIPLE: REP_TRIPLE,
 }
 
 
@@ -63,12 +63,17 @@ def test_double_block_pattern():
     assert abs(abs(n[1, 1] - n[2, 2]) - 2) < 1e-7
 
 
-def test_triple_normal_form_pattern():
-    cls = classify_self_adjoint(REP_TRIPLE)
-    n = cls.normal_form
-    a = n[0, 0]
-    expect = np.array([[a, 1, -1], [1, a, 0], [1, 0, a]])
-    assert np.max(np.abs(n - expect)) < 1e-7
+def test_triple_is_rejected_by_name(rng):
+    """A {3} operator, alone and under 125 O(2,1) conjugations, has no
+    spacelike eigenvector to split off: a ValueError naming the stage."""
+    ops = [REP_TRIPLE]
+    for _ in range(125):
+        A = rand_o21(rng)
+        ops.append(A @ REP_TRIPLE @ np.linalg.inv(A))
+    for T in ops:
+        with pytest.raises(ValueError, match="^O'Neill classification: no "
+                                             "eigenvector is spacelike"):
+            classify_self_adjoint(T)
 
 
 def test_boost_is_in_o21():
