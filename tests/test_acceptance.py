@@ -245,7 +245,7 @@ def test_criterion_8_oneill_conjugation_invariance():
                 A = rand_o21(rng)
                 T = A @ T0 @ np.linalg.inv(A)
                 assert classify_self_adjoint(T).type_tag == ttype
-    _verdict(8, "500 O(2,1) conjugations preserve the operator type", run)
+    _verdict(8, "375 O(2,1) conjugations preserve the operator type", run)
 
 
 def test_criterion_9_constant_curvature_list():

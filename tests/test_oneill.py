@@ -20,6 +20,12 @@ REPS = {
     ONeillType.DOUBLE: REP_DOUBLE,
 }
 
+#: every representative, the rejected {3} one included
+ALL_REPS = list(REPS.items()) + [(ONeillType.TRIPLE, REP_TRIPLE)]
+
+#: the classifier refuses a {3} operator: it has no spacelike eigenvector
+TRIPLE_REJECTION = "^O'Neill classification: no eigenvector is spacelike"
+
 
 def _assert_conjugation(T, cls):
     """normal = inv(C) T C with C in O(2,1)."""
@@ -28,9 +34,13 @@ def _assert_conjugation(T, cls):
     assert np.max(np.abs(np.linalg.inv(C) @ T @ C - cls.normal_form)) < 1e-7
 
 
-@pytest.mark.parametrize("expected,T", list(REPS.items()),
-                         ids=[t.name for t in REPS])
+@pytest.mark.parametrize("expected,T", ALL_REPS,
+                         ids=[t.name for t, _ in ALL_REPS])
 def test_representatives(expected, T):
+    if expected == ONeillType.TRIPLE:
+        with pytest.raises(ValueError, match=TRIPLE_REJECTION):
+            classify_self_adjoint(T)
+        return
     cls = classify_self_adjoint(T)
     assert cls.type_tag == expected
     _assert_conjugation(T, cls)
@@ -63,17 +73,20 @@ def test_double_block_pattern():
     assert abs(abs(n[1, 1] - n[2, 2]) - 2) < 1e-7
 
 
-def test_triple_is_rejected_by_name(rng):
-    """A {3} operator, alone and under 125 O(2,1) conjugations, has no
-    spacelike eigenvector to split off: a ValueError naming the stage."""
-    ops = [REP_TRIPLE]
-    for _ in range(125):
-        A = rand_o21(rng)
-        ops.append(A @ REP_TRIPLE @ np.linalg.inv(A))
-    for T in ops:
-        with pytest.raises(ValueError, match="^O'Neill classification: no "
-                                             "eigenvector is spacelike"):
-            classify_self_adjoint(T)
+def test_triple_normal_form_pattern():
+    """REP_TRIPLE is a {3} operator: one eigenvalue a with T - aI nilpotent
+    of rank 2, so its only eigenvectors span the null line ker(T - aI).
+    With no spacelike eigenvector to split off it is rejected by name."""
+    a = np.trace(REP_TRIPLE) / 3.0
+    N = REP_TRIPLE - a * np.eye(3)
+    assert np.linalg.matrix_rank(N) == 2
+    assert np.max(np.abs(N @ N)) > 0.5
+    assert np.max(np.abs(N @ N @ N)) == 0.0
+    v = np.linalg.svd(N)[2][-1]
+    assert np.max(np.abs(N @ v)) < 1e-12
+    assert abs(v @ J21 @ v) < 1e-12
+    with pytest.raises(ValueError, match=TRIPLE_REJECTION):
+        classify_self_adjoint(REP_TRIPLE)
 
 
 def test_boost_is_in_o21():
@@ -84,15 +97,19 @@ def test_boost_is_in_o21():
 #: a {21} block perturbed far inside the discriminant band: D = 8e-12
 REP_DOUBLE_NEAR = REP_DOUBLE + np.diag([0.0, 1e-12, -1e-12])
 
-CONJUGATED = list(REPS.items()) + [(ONeillType.DOUBLE, REP_DOUBLE_NEAR)]
+CONJUGATED = ALL_REPS + [(ONeillType.DOUBLE, REP_DOUBLE_NEAR)]
 
 
 @pytest.mark.parametrize("ttype,T0", CONJUGATED,
-                         ids=[t.name for t in REPS] + ["DOUBLE_NEAR"])
+                         ids=[t.name for t, _ in ALL_REPS] + ["DOUBLE_NEAR"])
 def test_conjugation_invariance(ttype, T0, rng):
     for _ in range(125):
         A = rand_o21(rng)
         T = A @ T0 @ np.linalg.inv(A)
+        if ttype == ONeillType.TRIPLE:
+            with pytest.raises(ValueError, match=TRIPLE_REJECTION):
+                classify_self_adjoint(T)
+            continue
         cls = classify_self_adjoint(T)
         assert cls.type_tag == ttype
         _assert_conjugation(T, cls)
