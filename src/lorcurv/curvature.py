@@ -210,7 +210,8 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
                      frame: OrthonormalFrame | None = None,
                      tol: ToleranceConfig = DEFAULT_TOL) -> CurvatureReport:
     """Compute the full curvature report of a left-invariant metric.  A
-    passed frame is checked and gets its own connection."""
+    passed frame is checked and gets its own connection.  The algebra must
+    be non-unimodular: a unimodular one (tr ad = 0) raises ValueError."""
     if frame is None:
         frame = orthonormal_frame(h, tol)     # checked where it is built
         conn, ric, s = _connection(alg, h, tol)
@@ -218,27 +219,30 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
         _check_frame(frame, h, tol)
         conn = levi_civita(alg, frame)
         ric, s = _ricci(conn)
+    # the h-dual n = J tau of the trace form tau_i = tr ad_{y_i} is normal
+    # to the unimodular kernel, which Ric leaves invariant: an eigenvector
+    tau = conn.brackets.trace(axis1=1, axis2=2).tolist()
+    if max(map(abs, tau)) <= tol.classification_tol * s ** 0.5:
+        raise ValueError("curvature_report: the algebra is unimodular (tr ad = 0), "
+                         "outside the non-unimodular domain of the classifier")
     op = ricci_operator(ric)
     rho = float(op.trace())
     y1, y2, y3 = _AXES
     kappas = (sectional(conn, y1, y2, tol), sectional(conn, y2, y3, tol),
               sectional(conn, y3, y1, tol))
     # the classifier's bands are absolute: it sees Ric in units of the
-    # squared frame brackets, and its normal form, eigenvalues and D are
-    # scaled back
+    # squared frame brackets, and its normal form and D are scaled back
     s = s or 1.0
-    unit = classify_self_adjoint(op / s, tol)
+    unit = classify_self_adjoint(op / s, (tau[0], tau[1], -tau[2]), tol)
     cls = ONeillClassification(unit.type_tag, s * unit.normal_form,
                                unit.transition, s * s * unit.discriminant,
-                               unit.boundary_warning, s * unit.eigenvalues)
-    values = cls.eigenvalues.tolist()
-    if cls.type_tag == ONeillType.DOUBLE:
-        # eig splits a defective double root by about sqrt(eps), often into
-        # a complex pair; the normal form gives it exactly, as the mean of
-        # the diagonal of its Jordan block
-        n = cls.normal_form.tolist()
-        m = 0.5 * (n[1][1] + n[2][2])
-        values = (n[0][0], m, m)
-    principal = tuple(sorted((complex(z) for z in values),
+                               unit.boundary_warning)
+    # the principal values from the normal form: a00, then the block's
+    # [[b, r], [-r, d]] as b and d, m +- i r or the Jordan cell's m twice
+    (a, _, _), (_, b, r), (_, r2, d) = cls.normal_form.tolist()
+    m, i = 0.5 * (b + d), 0.5j * (r - r2)
+    values = {ONeillType.COMPLEX: (m + i, m - i),
+              ONeillType.DOUBLE: (m, m)}.get(cls.type_tag, (b, d))
+    principal = tuple(sorted((complex(z) for z in (a, *values)),
                              key=lambda z: (round(z.real, 12), z.imag)))
     return CurvatureReport(frame, conn, ric, op, rho, kappas, principal, cls)

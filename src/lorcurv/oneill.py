@@ -1,5 +1,6 @@
 """Segre-type classification of operators that are self-adjoint with
-respect to the frame inner product J = diag(1, 1, -1).
+respect to the frame inner product J = diag(1, 1, -1), given one of
+their eigenvectors.
 
 Unlike the Riemannian case such an operator need not be diagonalisable;
 the possible types are
@@ -19,13 +20,23 @@ D = (b - d)^2 - 4 r^2, which is invariant under boosts of the plane and
 linear in a perturbation of the operator.  It returns a transition
 matrix in O(2,1) conjugating the input to its normal form, plus D.
 
-``{3}`` never occurs as a Ricci operator on these groups: each canonical
-form's Ricci operator has a non-null eigenvector on the form's whole
-domain (``tests/test_atlas.py::test_eigenvector_is_non_null_on_domain``),
-and a timelike eigenvector leaves a spacelike complement, where the
-operator is symmetric, so a spacelike eigenvector always exists.  An
-operator without one within the band, a ``{3}`` operator or one whose
-spacelike eigenvector rounding hides, is rejected with a ValueError.
+v is not searched for: it follows in closed form from a nonzero
+eigenvector n that the caller passes.  For a Ricci operator on a
+non-unimodular group, n is the h-dual of the trace form u -> tr ad_u,
+normal to the unimodular kernel, which Ric leaves invariant (Milnor,
+Adv. Math. 1976, section 6).  A spacelike n is v.  A timelike n leaves
+the spacelike plane n^perp, where one 2x2 rotation gives v.  A null n
+lies in the invariant plane n^perp, which holds w0 = (n1, -n0, 0) with
+T w0 = a n + b w0: v = w0 + a / (b - lam_n) n, or w0 when a is within
+the band; with b = lam_n and a outside it, T is {3}, whose only
+eigenvectors are null.  A T with no v of h(v, v) > classification_tol
+|v|^2 is rejected with a ValueError.
+
+Rounding can flip two decisions, r = 0 and D = 0.  b, r and d carry a
+forward error err = 16 eps (1 + max|T|) max|C0|^2 for the split basis
+C0 = (v, p, q), and an r or a D outside its band but within that error
+is rejected, "O'Neill classification: ... within its rounding error".
+The classifier makes no LAPACK call.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .metric import _I3, J21
+from .metric import _I3, J21, frame_inner
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -55,12 +66,10 @@ class ONeillClassification:
     transition: np.ndarray              # in O(2,1); normal = inv(T) A T
     discriminant: float                 # (b-d)^2 - 4 r^2 of the block
     boundary_warning: bool = False
-    eigenvalues: np.ndarray | None = None   # of A, as np.linalg.eig returns them
 
 
-#: the frame axis y1, the most spacelike unit vector there is
-_Y1 = (1.0, 0.0, 0.0)
-_EPS = sys.float_info.epsilon
+#: the forward error of the split block, per unit (1 + max|T|) max|C0|^2
+_ERR = 16 * sys.float_info.epsilon
 
 
 def boost(theta: float) -> np.ndarray:
@@ -71,86 +80,63 @@ def boost(theta: float) -> np.ndarray:
                      [0.0, s, c]])
 
 
-def _spacelike_eigenvector(T: np.ndarray, lam: np.ndarray, vecs: np.ndarray,
-                           band: float, floor: float
-                           ) -> tuple[float, float, float]:
-    """The most spacelike eigenvector of T, h-normalised.  (lam, vecs) is
-    np.linalg.eig(T).  Raises ValueError when no eigenvector u within the
-    band has h(u, u) > floor |u|^2: T is then {3}, which no Ricci operator
-    on these groups is, or its spacelike eigenvector is lost to rounding.
+def _apply(t: list, u: tuple[float, float, float]) -> tuple[float, float, float]:
+    """T u for T given as rows of floats."""
+    return tuple(r0 * u[0] + r1 * u[1] + r2 * u[2] for r0, r1, r2 in t)
 
-    For a J-self-adjoint T the left eigenvector of u is J u, so
-    h(u, u) / |u|^2 is the reciprocal condition number of its eigenvalue:
-    the most spacelike eigenvector is the best conditioned one.
 
-    A defective eigenvalue of Jordan size k is only computable to
-    O((machine eps)^(1/k)), and the eigenvectors of a generic (conjugated)
-    {21} or {3} operator come back nearly null but not null.  Near-real
-    eigenvalues are therefore merged with perturbation-aware widths,
-    sqrt(eps) for pairs and cbrt(eps) for all three.  A simple eigenvalue
-    offers its eigenvector; a merged cluster offers vectors of the null
-    space of T - mean I: its most spacelike direction (right for a
-    repeated eigenvalue) and the eigenvectors of T compressed to it (right
-    for close but distinct eigenvalues).  Only candidates that are
-    eigenvectors to within the band count.
-    """
-    vals = lam.tolist()
-    l0, l1, l2 = vals
-    scale = max(1.0, abs(l0), abs(l1), abs(l2))
-    width = max(band, 20.0 * (_EPS * scale) ** (1.0 / 3.0))
-    if max(abs(l0 - l1), abs(l0 - l2), abs(l1 - l2)) <= width:
-        clusters = [[0, 1, 2]]
+def _split_line(t: list, n, band: float,
+                floor: float) -> tuple[float, float, float]:
+    """The h-unit spacelike eigenvector v of T (rows t) that is split off,
+    in closed form from the eigenvector n.  n is Euclidean-normalised and
+    null when |h(n, n)| <= floor; T n must equal lam n within the band.
+    Raises ValueError when n is no eigenvector, or when T has no spacelike
+    eigenvector within the band ({3}, or rounding hides it)."""
+    n0, n1, n2 = (float(x) for x in n)
+    size = math.sqrt(n0 * n0 + n1 * n1 + n2 * n2)
+    if not size > 0.0:
+        raise ValueError("O'Neill classification: the eigenvector must be nonzero")
+    n = (n0 / size, n1 / size, n2 / size)
+    tn = _apply(t, n)
+    lam = n[0] * tn[0] + n[1] * tn[1] + n[2] * tn[2]
+    if max(abs(x - lam * y) for x, y in zip(tn, n)) > band:
+        raise ValueError("O'Neill classification: the given vector is not an "
+                         f"eigenvector of the operator within the band {band:g}")
+    hn = frame_inner(n, n)
+    if hn > floor:
+        v = n
+    elif hn < -floor:
+        # a J-orthonormal basis of the spacelike plane n^perp, for the h-unit
+        # timelike m: p = y1 + m0 m and q = m x y1 = (0, m2, m1), both of
+        # h-norm 1 + m0^2; T is symmetric on it, and a rotation diagonalises it
+        m0, m1, m2 = (x / math.sqrt(-hn) for x in n)
+        k = math.sqrt(1.0 + m0 * m0)
+        p, q = ((1.0 + m0 * m0) / k, m0 * m1 / k, m0 * m2 / k), (0.0, m2 / k, m1 / k)
+        tp, tq = _apply(t, p), _apply(t, q)
+        theta = 0.5 * math.atan2(2.0 * frame_inner(tp, q),
+                                 frame_inner(tp, p) - frame_inner(tq, q))
+        c, s = math.cos(theta), math.sin(theta)
+        v = tuple(c * x + s * y for x, y in zip(p, q))
     else:
-        width = max(band, 20.0 * (_EPS * scale) ** 0.5)
-        clusters = []
-        for i in sorted((i for i in range(3) if abs(vals[i].imag) <= width),
-                        key=lambda i: vals[i].real):
-            if clusters and vals[i].real - vals[clusters[-1][-1]].real <= width:
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
-
-    columns = vecs.real.T.tolist()
-    candidates = []
-    for idx in clusters:
-        if len(idx) == 1:
-            candidates.append(columns[idx[0]])
-            continue
-        mean = sum(vals[i].real for i in idx) / len(idx)
-        _, sv, vt = np.linalg.svd(T - mean * _I3)
-        sv = sv.tolist()
-        cut = width * 10 * max(1.0, sv[0])
-        dim = max(1, sum(x <= cut for x in sv))
-        B = vt[3 - dim:].T
-        if dim == 1:            # one null direction: the only candidate
-            candidates.append(B[:, 0].tolist())
-            continue
-        candidates.append(B.dot(np.linalg.eigh(B.T.dot(J21).dot(B))[1][:, -1]).tolist())
-        candidates.extend(B.dot(np.linalg.eig(B.T.dot(T).dot(B))[1]).real.T.tolist())
-
-    # each candidate scored on floats: the first eigenvector (within the
-    # band) of largest h(u, u) / |u|^2 wins; T u for all of them is one
-    # product
-    units = []
-    for u0, u1, u2 in candidates:
-        n = math.sqrt(u0 * u0 + u1 * u1 + u2 * u2)
-        units.append((u0 / n, u1 / n, u2 / n))
-    best, best_h = None, floor
-    for (u0, u1, u2), (t0, t1, t2) in zip(units,
-                                         T.dot(np.array(units).T).T.tolist()):
-        h = u0 * u0 + u1 * u1 - u2 * u2
-        if h <= best_h:
-            continue
-        p = u0 * t0 + u1 * t1 + u2 * t2
-        r0, r1, r2 = t0 - p * u0, t1 - p * u1, t2 - p * u2
-        if math.sqrt(r0 * r0 + r1 * r1 + r2 * r2) <= band:
-            best, best_h = (u0, u1, u2), h
-    if best is None:
+        # n^perp = span(n, w0) is invariant: T w0 = a n + b w0
+        w0 = (n[1], -n[0], 0.0)
+        tw = _apply(t, w0)
+        a = tw[2] / n[2]
+        b = (tw[0] * n[1] - tw[1] * n[0]) / (n[0] * n[0] + n[1] * n[1])
+        if abs(a) <= band:
+            v = w0
+        elif b != lam:
+            alpha = a / (b - lam)
+            v = tuple(x + alpha * y for x, y in zip(w0, n))
+        else:
+            v = n           # null, so rejected below: T is {3}
+    hv = frame_inner(v, v)
+    if not hv > floor * (v[0] * v[0] + v[1] * v[1] + v[2] * v[2]):
         raise ValueError("O'Neill classification: no eigenvector is spacelike "
                          f"within the band {band:g}, so the operator cannot be "
                          "split into a line and a Lorentzian plane")
-    n = math.sqrt(best_h)
-    return best[0] / n, best[1] / n, best[2] / n
+    hv = math.sqrt(hv)
+    return v[0] / hv, v[1] / hv, v[2] / hv
 
 
 def _split_complement(v: tuple[float, float, float]
@@ -199,41 +185,32 @@ def _block_transition(b: float, r: float, d: float,
     return F.dot(boost(theta))
 
 
-def classify_self_adjoint(T: np.ndarray,
+def classify_self_adjoint(T: np.ndarray, n,
                           tol: ToleranceConfig = DEFAULT_TOL
                           ) -> ONeillClassification:
-    """Classify a J-self-adjoint operator and produce its normal form.
+    """Classify a J-self-adjoint operator, given its nonzero eigenvector
+    n, and produce its normal form.  Bands scale with the entries of T, so
+    T should be O(1) (``curvature_report`` rescales).
 
-    The type is decided once, from the discriminant D of the block left
-    after splitting off the most spacelike eigenvector.  Bands scale with
-    the entries of T, so T should be O(1) (``curvature_report`` rescales).
-
-    Raises ValueError if J T is not symmetric (T not self-adjoint) or has
-    no spacelike eigenvector within the band, and ArithmeticError if the
-    transition found fails its residual checks.
+    Raises ValueError if J T is not symmetric (T not self-adjoint), if n
+    is not an eigenvector, if T has no spacelike eigenvector within the
+    band, or if r or D lies within its rounding error of its band; and
+    ArithmeticError if the transition found fails its residual checks.
     """
     T = np.asarray(T, dtype=float)
     if T.shape != (3, 3):
         raise ValueError("operator must be 3x3")
     norm = float(np.abs(T).max())
+    band = tol.classification_tol * (1.0 + norm)
     t = T.tolist()
     # J T - (J T)^T is zero on the diagonal; off it, its entries are
     # t01 - t10, t02 + t20 and t12 + t21 up to sign
     sym_res = max(abs(t[0][1] - t[1][0]), abs(t[0][2] + t[2][0]),
                   abs(t[1][2] + t[2][1]))
-    if sym_res > tol.classification_tol * (1.0 + norm):
+    if sym_res > band:
         raise ValueError(f"operator is not J-self-adjoint (residual {sym_res:g})")
 
-    band = tol.classification_tol * (1.0 + norm)
-    lam, vecs = np.linalg.eig(T)
-    # h(u, u) <= |u|^2 with equality only on span(y1, y2), so when y1 is an
-    # eigenvector within the band (every scalar operator) it is already as
-    # spacelike as an eigenvector can be and the search is skipped
-    if math.hypot(t[1][0], t[2][0]) <= band:
-        v = _Y1
-    else:
-        v = _spacelike_eigenvector(T, lam, vecs, band, tol.classification_tol)
-
+    v = _split_line(t, n, band, tol.classification_tol)
     p, q = _split_complement(v)
     C0 = np.array((v, p, q)).T
     _, (_, b, t12), (_, t21, d) = _conjugate(C0, T).tolist()
@@ -243,14 +220,25 @@ def classify_self_adjoint(T: np.ndarray,
     # relative to its own size, so the band neither depends on the scale
     # of T nor swallows near-scalar blocks
     D = (b - d) ** 2 - 4 * r * r
-    D_band = tol.classification_tol * (abs(b - d) + 2 * abs(r)) ** 2
+    size = abs(b - d) + 2 * abs(r)
+    D_band = tol.classification_tol * size ** 2
+    # b, r and d are sums of products of T with two entries of C0, and D
+    # moves by at most 4 size err when they move by err
+    err = _ERR * (1.0 + norm) * max(map(abs, v + p + q)) ** 2
 
     boundary = False
     if abs(r) <= band:
         ttype, kind = ONeillType.DIAGONAL, None
+    elif abs(r) <= err:
+        raise ValueError(f"O'Neill classification: r = {r:g} lies outside its "
+                         f"band {band:g} but within its rounding error {err:g}")
     elif abs(D) <= D_band:
         ttype, kind = ONeillType.DOUBLE, "unit"
         boundary = bool(abs(D) > 0.0)
+    elif abs(D) <= 4 * size * err:
+        raise ValueError(f"O'Neill classification: D = {D:g} lies outside its "
+                         f"band {D_band:g} but within its rounding error "
+                         f"{4 * size * err:g}")
     elif D > 0:
         ttype, kind = ONeillType.DIAGONAL, "diag"
     else:
@@ -259,8 +247,7 @@ def classify_self_adjoint(T: np.ndarray,
 
     normal = _conjugate(C, T)
     _check_transition(C, normal, ttype, band, lenient=boundary)
-    return ONeillClassification(ttype, normal, C, D, boundary,
-                                eigenvalues=lam)
+    return ONeillClassification(ttype, normal, C, D, boundary)
 
 
 def _conjugate(C: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -279,10 +266,13 @@ def _check_transition(C, normal, ttype: ONeillType, band: float,
                    abs(x0 * y0 + x1 * y1 - x2 * y2),
                    abs(x0 * z0 + x1 * z1 - x2 * z2),
                    abs(y0 * z0 + y1 * z1 - y2 * z2))
-    if gram_res > band * 100:
+    # the residuals are sums of products of two (gram) or three (normal
+    # form) entries of C, so both bands take max|C|^2
+    band *= 100 * float(np.abs(C).max()) ** 2
+    if gram_res > band:
         raise ArithmeticError(f"transition is not in O(2,1) (residual {gram_res:g})")
     res = _pattern_residual(normal, ttype)
-    if res > band * 100 * (1e3 if lenient else 1.0):
+    if res > band * (1e3 if lenient else 1.0):
         raise ArithmeticError(
             f"normal form residual {res:g} too large for type {ttype.value}")
 

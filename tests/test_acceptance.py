@@ -244,7 +244,8 @@ def test_criterion_8_oneill_conjugation_invariance():
             for _ in range(125):
                 A = rand_o21(rng)
                 T = A @ T0 @ np.linalg.inv(A)
-                assert classify_self_adjoint(T).type_tag == ttype
+                n = A @ np.array([1.0, 0.0, 0.0])
+                assert classify_self_adjoint(T, n).type_tag == ttype
     _verdict(8, "375 O(2,1) conjugations preserve the operator type", run)
 
 

@@ -277,25 +277,65 @@ def test_symbolic_domains_lie_in_the_domains():
             assert spec.domain(num_tag, num_params), (spec.form_id, value)
 
 
+def _symbolic_atlas(monkeypatch):
+    """Swap the atlas's math.sqrt and numpy builders for sympy's."""
+    monkeypatch.setattr(lorcurv.atlas, "math", SimpleNamespace(sqrt=sp.sqrt))
+    monkeypatch.setattr(lorcurv.atlas, "np", SimpleNamespace(
+        array=lambda rows, dtype=None: sp.Matrix(rows), eye=sp.eye,
+        zeros=lambda shape: sp.zeros(*shape), diag=lambda d: sp.diag(*d),
+        asarray=lambda v, dtype=None: list(v),
+        column_stack=lambda cols: sp.Matrix.hstack(*map(sp.Matrix, cols))))
+
+
+def _assert_parallel(u, v, where):
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert sp.simplify(u[i] * v[j] - u[j] * v[i]) == 0, (where, i, j)
+
+
 @pytest.mark.parametrize("spec", _ALL_SPECS, ids=lambda spec: spec.form_id)
 def test_eigenvector_is_non_null_on_domain(spec, monkeypatch):
     """spec.ric and spec.eigenvector evaluated on symbols, with the atlas's
     math.sqrt and numpy builders swapped for sympy's: Ric v is parallel to
     v identically, and h(v, v) is 1, -1, mu^2 or 16 w^2, nonzero on the
     whole domain."""
-    monkeypatch.setattr(lorcurv.atlas, "math", SimpleNamespace(sqrt=sp.sqrt))
-    monkeypatch.setattr(lorcurv.atlas, "np", SimpleNamespace(
-        array=lambda rows, dtype=None: sp.Matrix(rows), eye=sp.eye,
-        zeros=lambda shape: sp.zeros(*shape), diag=lambda d: sp.diag(*d)))
+    _symbolic_atlas(monkeypatch)
     tag, params = _symbolic_point(spec)
     T = _exact(spec.ric(tag, params))
     v = _exact(list(spec.eigenvector(tag, params)))
-    Tv = T * v
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert sp.simplify(Tv[i] * v[j] - Tv[j] * v[i]) == 0, (spec.form_id, i, j)
+    _assert_parallel(T * v, v, spec.form_id)
     hvv = sp.factor(v[0] ** 2 + v[1] ** 2 - v[2] ** 2)
     assert hvv in (1, -1, _m ** 2, 16 * _w ** 2), (spec.form_id, hvv)
     assert hvv.is_nonzero
+
+
+#: the trace form tau(u) = tr ad_u in each family's classification basis:
+#: span(x1, x2) is an abelian ideal, so tr ad vanishes on it, and
+#: tr ad_{x3} is 1 + 1 (GI, c = 1), 0 + 2 (c > 1) or (1 + w) + (1 - w)
+_TRACE_FORM = sp.Matrix([0, 0, 2])
+
+
+def test_trace_form_is_the_engines():
+    """_TRACE_FORM is tr ad of each family's classification basis."""
+    for tag in ALL_TAGS:
+        alg = make_family_algebra(tag, classification_basis(tag))
+        tau = alg.structure_constants.trace(axis1=1, axis2=2)
+        assert tau.tolist() == [float(x) for x in _TRACE_FORM], tag
+
+
+@pytest.mark.parametrize("spec", _ALL_SPECS, ids=lambda spec: spec.form_id)
+def test_trace_form_dual_is_a_ricci_eigenvector(spec, monkeypatch):
+    """The eigenvector curvature_report hands the classifier: for F the
+    paper frame, n = J F^T tau is the h-dual of the trace form in frame
+    coordinates.  On the whole domain of each form n is nonzero and
+    spec.ric n is parallel to n identically.  Every metric is an
+    automorphism image of a canonical one, automorphisms fix tau, and the
+    Ricci operator is read in a frame, so this covers every metric."""
+    _symbolic_atlas(monkeypatch)
+    tag, params = _symbolic_point(spec)
+    F = _exact(spec.frame(tag, params))
+    n = sp.diag(1, 1, -1) * F.T * _TRACE_FORM
+    assert any(sp.simplify(x).is_nonzero for x in n), (spec.form_id, n)
+    _assert_parallel(_exact(spec.ric(tag, params)) * n, n, spec.form_id)
 
 
 @pytest.mark.parametrize("c", [1.0001, 1.0 + 1e-6])
@@ -309,8 +349,10 @@ def test_near_c1_type_is_the_engines(c):
     closed = closed_form_report(tag, "Gc_gt1.2", params)
     alg = make_family_algebra(tag, classification_basis(tag))
     frame = paper_frame(tag, "Gc_gt1.2", params).columns
-    s = float(np.abs(bracket_constants(alg.structure_constants, frame)).max()) ** 2
-    engine = classify_self_adjoint(closed.ricci_op / s).type_tag
+    brackets = bracket_constants(alg.structure_constants, frame)
+    s = float(np.abs(brackets).max()) ** 2
+    n = J21 @ brackets.trace(axis1=1, axis2=2)
+    engine = classify_self_adjoint(closed.ricci_op / s, n).type_tag
     assert closed.oneill_type == engine == ONeillType.COMPLEX
     flags = cross_check(tag, "Gc_gt1.2", params).flags
     assert not [f for f in flags if f.startswith("oneill:")], flags

@@ -1,11 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lorcurv import (
     ConstantCurvatureClass,
     FamilyTag,
+    LieAlgebra3,
     MetricTensor,
     ONeillType,
+    adapted_automorphism,
     classification_basis,
     canonical_form,
     canonical_matrix,
@@ -296,6 +300,36 @@ def _fuzz_metrics(c, count=300, seed=0):
         yield alg, MetricTensor(0.5 * (H + H.T))
 
 
+#: the c of the near-c = 1 fuzz scan, GI as None, and the fuzz sets' c
+_SCAN_C = [None, 2.0, 0.75, -3.0, 50.0, 1e4, 1.0, 1 - 1e-5, 1 - 1e-6, 1 - 1e-7,
+           1 + 1e-6, 1 + 1e-5, 1 + 1e-4]
+
+
+@pytest.mark.parametrize("c", _SCAN_C)
+def test_trace_form_dual_is_an_eigenvector_on_fuzz_metrics(c):
+    """The eigenvector the classifier is given, n = J tau with tau_i the
+    trace of ad_{y_i} in the report's frame, satisfies Ric n = lam n to
+    1e-12 of the bracket unit s on every fuzz metric."""
+    for alg, h in _fuzz_metrics(c):
+        rep = curvature_report(alg, h)
+        n = rep.connection.brackets.trace(axis1=1, axis2=2) * _LOOP_SIGNS
+        n /= np.linalg.norm(n)
+        Tn = rep.ricci_op @ n
+        s = float(np.abs(rep.connection.brackets).max()) ** 2
+        assert np.abs(Tn - (n @ Tn) * n).max() <= 1e-12 * s, (c, Tn, n)
+
+
+def test_unimodular_algebra_is_rejected():
+    """The classifier's eigenvector comes from tr ad, which vanishes on a
+    unimodular algebra: the Heisenberg algebra, [e1, e2] = e3, is refused
+    by name."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = 1.0, -1.0
+    h = MetricTensor(np.diag([1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="unimodular"):
+        curvature_report(LieAlgebra3(c), h)
+
+
 def _assert_rel(new, old, scale, what):
     err = float(np.max(np.abs(np.asarray(new) - old)))
     assert err <= 1e-12 * scale, (what, err, scale)
@@ -345,42 +379,47 @@ def test_tensor_core_matches_loop_oracle_on_fuzz_metrics(c):
 # the reused decompositions of curvature_report
 
 def test_curvature_report_lapack_budget(monkeypatch):
-    """One report makes the frame's eigh, the inverse of the frame in the
-    bracket rewrite and the classifier's eig, and nothing else; the
-    principal Ricci values reuse the classifier's eigenvalues.  A scalar
-    Ricci operator (Einstein GI.1) has the frame axis y1 as an eigenvector,
-    the most spacelike one possible, so the classifier's cluster search
-    does not run and the budget is the same."""
+    """One report makes the frame's eigh and the inverse of the frame in
+    the bracket rewrite, and nothing else: the classifier splits off the
+    eigenvector that the trace form gives, and the principal Ricci values
+    are read from its normal form.  A scalar Ricci operator (Einstein
+    GI.1) has the same budget."""
     tag = FamilyTag("Gc", 2.0)
     alg = make_family_algebra(tag)
     h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
     rep, calls = lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
     assert rep.oneill.type_tag == ONeillType.COMPLEX
-    assert calls == {"eig": 1, "eigh": 1, "inv": 1}
+    assert calls == {"eigh": 1, "inv": 1}
 
     tag = FamilyTag("GI")
     alg = make_family_algebra(tag)
     h = MetricTensor(canonical_matrix(tag, "GI.1", {"mu": 1.0}))
     rep, calls = lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
     assert np.abs(rep.ricci_op - rep.scalar / 3 * np.eye(3)).max() < 1e-12
-    assert calls == {"eig": 1, "eigh": 1, "inv": 1}
+    assert calls == {"eigh": 1, "inv": 1}
 
 
 def test_principal_ricci_matches_eigvals_on_sweep_images(rng):
-    """principal_ricci comes from the classifier's eig of Ric / s, scaled
+    """principal_ricci is read from the classifier's normal form, scaled
     back.  On one automorphism image of every sweep cell it must match
     np.linalg.eigvals(ricci_op), and the transition must conjugate
     ricci_op to the normal form, both relative to max|Ric|.  The
     characteristic polynomial is compared to 1e-12 everywhere, and each
     eigenvalue to 1e-12 where all three are simple.  A {21} double
     eigenvalue is defective: rounding of order eps moves it by about
-    sqrt(eps), so there the eigenvalues are compared at 20 sqrt(eps)."""
+    sqrt(eps), so there the eigenvalues are compared at 20 sqrt(eps).  On
+    the 6 flat cells max|Ric| is at most 1e-12 of the bracket unit s and
+    Ric is pure rounding, so there the unit is s."""
     eps = float(np.finfo(float).eps)
-    count = 0
+    count = flat = 0
     for alg, h in _sweep_images(rng):
         rep = curvature_report(alg, h)
         op = rep.ricci_op
-        s = float(np.abs(op).max()) or 1.0
+        s = float(np.abs(op).max())
+        unit = float(np.abs(rep.connection.brackets).max()) ** 2
+        if s <= 1e-12 * unit:
+            s = unit
+            flat += 1
         got = np.array(rep.principal_ricci)
         want = np.array(sorted(np.linalg.eigvals(op).tolist(),
                                key=lambda z: (round(z.real, 12), z.imag)))
@@ -394,14 +433,14 @@ def test_principal_ricci_matches_eigvals_on_sweep_images(rng):
         assert np.abs(np.linalg.inv(C) @ op @ C
                       - rep.oneill.normal_form).max() <= 1e-12 * s, where
         count += 1
-    assert count == 335
+    assert (count, flat) == (335, 6)
 
 
 def test_principal_ricci_double_root_is_real_and_repeated(rng):
-    """A {21} Ricci operator has a real double eigenvalue m.  eig splits it
-    by about sqrt(eps), often into a complex pair; principal_ricci reads m
-    from the normal form instead (the mean of the diagonal of its Jordan
-    block), so on every {21} sweep image the values are real and m is
+    """A {21} Ricci operator has a real double eigenvalue m.  eigvals
+    splits it by about sqrt(eps), often into a complex pair; principal_ricci
+    reads m from the normal form instead (the mean of the diagonal of its
+    Jordan block), so on every {21} sweep image the values are real and m is
     repeated exactly.  The mean of the two eigvals roots nearest m agrees
     with it to 1e-7 max|Ric| (4.8e-8 measured)."""
     count = 0
@@ -439,8 +478,8 @@ def _closed_class(tag, form_id, params):
 def test_answers_unchanged_on_sweep_images(rng):
     """On an automorphism image of every sweep cell the form id, the
     O'Neill type, the constant-curvature class and rho are those of the
-    cell itself: the Einstein cells, whose classification takes y1 as the
-    spacelike eigenvector without a search, included."""
+    cell itself, the Einstein cells, whose Ricci operator is scalar,
+    included."""
     count = einstein = 0
     for tag, form_id, params, alg, h in _sweep_cells(rng):
         where = (tag.c, form_id, params)
@@ -457,17 +496,13 @@ def test_answers_unchanged_on_sweep_images(rng):
 
 def test_lt1_form3_near_c1_paper_frame_type():
     """Canonical Gc_lt1.3 (mu = 1) at c = 1 - 1e-6, read in its paper
-    frame: the Ricci operator is {21}, as the closed form says, or the
-    input is refused by name; it must not be a fault."""
+    frame: the Ricci operator is {21}, as the closed form says."""
     tag = FamilyTag("Gc", 1.0 - 1e-6)
     params = {"mu": 1.0}
     basis = classification_basis(tag)
     h = MetricTensor(canonical_matrix(tag, "Gc_lt1.3", params), basis_label=basis)
-    try:
-        rep = curvature_report(make_family_algebra(tag, basis), h,
-                               frame=paper_frame(tag, "Gc_lt1.3", params))
-    except ValueError:
-        return
+    rep = curvature_report(make_family_algebra(tag, basis), h,
+                           frame=paper_frame(tag, "Gc_lt1.3", params))
     assert rep.oneill.type_tag == ONeillType.DOUBLE
 
 
@@ -497,24 +532,64 @@ def _lt1_form3_near_c1_outcomes(k):
     return outcomes
 
 
-@pytest.mark.parametrize("k", range(3, 9))
+@pytest.mark.parametrize("k", range(3, 10))
 def test_lt1_form3_near_c1_is_no_fault(k):
-    """No fault on Gc_lt1.3 near c = 1: where the spacelike eigenvector of
-    Ric is lost to rounding, the classifier rejects the input by name and
+    """No fault on Gc_lt1.3 near c = 1: where rounding hides the spacelike
+    eigenvector or the type, the classifier rejects the input by name and
     raises no ArithmeticError."""
     for out in _lt1_form3_near_c1_outcomes(k):
         if isinstance(out, ValueError):
-            assert str(out).startswith("O'Neill classification: no eigenvector "
-                                       "is spacelike"), out
+            assert str(out).startswith("O'Neill classification: "), out
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 3: at c = 1 - 1e-7, 12 of the 100 images come back "
-    "{11,1} (5) or {1zz} (7), wrong types rather than refusals"))
 def test_lt1_form3_near_c1_is_double_or_rejected():
-    """Item 3's criterion on the same points: every answer is {21}, as
-    the closed form says, or a named rejection."""
-    for k in range(3, 9):
+    """ROADMAP item 3's criterion on the same points: every answer is
+    {21}, as the closed form says, or a named rejection."""
+    for k in range(3, 10):
         wrong = [out for out in _lt1_form3_near_c1_outcomes(k)
                  if not isinstance(out, ValueError) and out != ONeillType.DOUBLE]
         assert not wrong, (k, wrong)
+
+
+def _dyadic_lt1_form3_images(k, count=100, seed=0):
+    """Exact images of canonical Gc_lt1.3 (mu = 1) at c = 1 - 4^-k, where
+    w = 2^-k and the P-adapted constants 1 +- w are exact: adapted
+    automorphisms with gamma, delta and t in (1/8)Z, each image checked
+    against its product in fractions.Fraction."""
+    tag = FamilyTag("Gc", 1.0 - 4.0 ** -k)
+    assert tag.w == 2.0 ** -k
+    C = canonical_matrix(tag, "Gc_lt1.3", {"mu": 1.0})
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        gamma, delta = 0, 0
+        while not (gamma and delta):
+            gamma, delta = rng.integers(-16, 17, size=2) / 8
+        A = adapted_automorphism(tag, gamma, delta, tuple(rng.integers(-16, 17, size=2) / 8))
+        H = A.T @ C @ A
+        a, c = (list(map(Fraction, m.ravel().tolist())) for m in (A, C))
+        exact = [sum(a[3 * p + i] * c[3 * p + q] * a[3 * q + j]
+                     for p in range(3) for q in range(3))
+                 for i in range(3) for j in range(3)]
+        assert list(map(Fraction, H.ravel().tolist())) == exact
+        yield tag, H
+
+
+@pytest.mark.parametrize("k", range(4, 15))
+def test_exact_lt1_form3_near_c1_is_double_or_rejected(k):
+    """ROADMAP item 11's scan: every exact image is exactly {21}, so every
+    answer is {21} or a rejection by name, and all are {21} up to k = 8."""
+    outcomes = []
+    for tag, H in _dyadic_lt1_form3_images(k):
+        basis = classification_basis(tag)
+        try:
+            rep = curvature_report(make_family_algebra(tag, basis),
+                                   MetricTensor(H, basis_label=basis))
+        except ValueError as exc:
+            assert str(exc).startswith("O'Neill classification: "), exc
+            outcomes.append(exc)
+        else:
+            outcomes.append(rep.oneill.type_tag)
+    assert all(out == ONeillType.DOUBLE or isinstance(out, ValueError)
+               for out in outcomes), (k, outcomes)
+    if k <= 8:
+        assert outcomes == [ONeillType.DOUBLE] * 100, (k, outcomes)

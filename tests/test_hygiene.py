@@ -5,7 +5,8 @@ parameter of a function of the package is read by its body, every
 default of a module-private function is overridden by some call, the
 package calls no function-style numpy reduction, the canonical reducer's
 steps call no numpy, the verdict path makes no numpy product or
-np.linalg call, the package keeps no cache that outlives one
+np.linalg call, the O'Neill classifier makes no np.linalg call at
+all, the package keeps no cache that outlives one
 metric, and a metric's matrix is decomposed only by metric.py's stored
 eigh.
 ``__init__.py`` files re-export by importing, and ``from __future__``
@@ -313,6 +314,26 @@ def test_scan_finds_numpy_product():
         "line 9: equivalent: det", "line 9: equivalent: norm",
         "line 10: equivalent: dot", "line 10: equivalent: dot",
         "line 10: equivalent: einsum"]
+
+
+def linalg_calls(source: str) -> list[str]:
+    """Every ``np.linalg`` (or bare ``linalg``) call anywhere in ``source``."""
+    return [f"line {n.lineno}: {_name(n.func)}" for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Call) and _rooted_at_linalg(n.func)]
+
+
+def test_classifier_makes_no_linalg_call():
+    """The O'Neill classifier splits off the eigenvector it is given in
+    closed form, with no decomposition."""
+    assert linalg_calls((_ROOT / "src/lorcurv/oneill.py").read_text()) == []
+
+
+def test_scan_finds_linalg_call():
+    source = ("import numpy as np\nfrom numpy import linalg\n\n"
+              "def classify(T):\n"
+              "    lam, vecs = np.linalg.eig(T)\n"
+              "    return lam, linalg.svd(T @ vecs), np.abs(T).max()\n")
+    assert linalg_calls(source) == ["line 5: eig", "line 6: svd"]
 
 
 #: modules on the per-op curvature path, where an array rebuilt on every

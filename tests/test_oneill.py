@@ -8,7 +8,9 @@ from lorcurv.oneill import _split_complement, boost
 from tests.conftest import lapack_calls, rand_o21
 
 # J-self-adjoint representatives of the four types; {3} has no spacelike
-# eigenvector, is no Ricci operator on these groups, and is rejected
+# eigenvector, is no Ricci operator on these groups, and is rejected.  The
+# classifier takes one eigenvector: e1 for the first three, and the null
+# (0, 1, 1) for {3}
 REP_DIAGONAL = np.diag([1.0, 2.0, 3.0])
 REP_COMPLEX = np.array([[2.0, 0, 0], [0, 1, 3], [0, -3, 1]])
 REP_DOUBLE = np.array([[0.0, 0, 0], [0, 2, 1], [0, -1, 0]])
@@ -22,6 +24,10 @@ REPS = {
 
 #: every representative, the rejected {3} one included
 ALL_REPS = list(REPS.items()) + [(ONeillType.TRIPLE, REP_TRIPLE)]
+
+E1 = np.array([1.0, 0.0, 0.0])
+#: the eigenvector passed with each representative
+EIGENVECTOR = {t: E1 for t in REPS} | {ONeillType.TRIPLE: np.array([0.0, 1.0, 1.0])}
 
 #: the classifier refuses a {3} operator: it has no spacelike eigenvector
 TRIPLE_REJECTION = "^O'Neill classification: no eigenvector is spacelike"
@@ -37,35 +43,36 @@ def _assert_conjugation(T, cls):
 @pytest.mark.parametrize("expected,T", ALL_REPS,
                          ids=[t.name for t, _ in ALL_REPS])
 def test_representatives(expected, T):
+    n = EIGENVECTOR[expected]
     if expected == ONeillType.TRIPLE:
         with pytest.raises(ValueError, match=TRIPLE_REJECTION):
-            classify_self_adjoint(T)
+            classify_self_adjoint(T, n)
         return
-    cls = classify_self_adjoint(T)
+    cls = classify_self_adjoint(T, n)
     assert cls.type_tag == expected
     _assert_conjugation(T, cls)
 
 
 def test_rejects_non_self_adjoint():
     with pytest.raises(ValueError):
-        classify_self_adjoint(np.array([[0.0, 1, 0], [0, 0, 0], [0, 0, 0]]))
+        classify_self_adjoint(np.array([[0.0, 1, 0], [0, 0, 0], [0, 0, 0]]), E1)
 
 
 def test_diagonal_normal_form_is_diagonal():
-    cls = classify_self_adjoint(REP_DIAGONAL)
+    cls = classify_self_adjoint(REP_DIAGONAL, E1)
     off = cls.normal_form - np.diag(np.diag(cls.normal_form))
     assert np.max(np.abs(off)) < 1e-9
 
 
 def test_complex_eigenvalues_reported():
-    cls = classify_self_adjoint(REP_COMPLEX)
+    cls = classify_self_adjoint(REP_COMPLEX, E1)
     eigvals = np.linalg.eigvals(REP_COMPLEX)
     assert np.max(np.abs(eigvals.imag)) > 1
     assert cls.type_tag == ONeillType.COMPLEX
 
 
 def test_double_block_pattern():
-    cls = classify_self_adjoint(REP_DOUBLE)
+    cls = classify_self_adjoint(REP_DOUBLE, E1)
     n = cls.normal_form
     # block [[m+1, 1], [-1, m-1]] (or its mirror) in the (2,3)-plane
     assert abs(abs(n[1, 2]) - 1) < 1e-8
@@ -75,8 +82,9 @@ def test_double_block_pattern():
 
 def test_triple_normal_form_pattern():
     """REP_TRIPLE is a {3} operator: one eigenvalue a with T - aI nilpotent
-    of rank 2, so its only eigenvectors span the null line ker(T - aI).
-    With no spacelike eigenvector to split off it is rejected by name."""
+    of rank 2, so its only eigenvectors span the null line ker(T - aI),
+    the line of (0, 1, 1).  With no spacelike eigenvector to split off it
+    is rejected by name."""
     a = np.trace(REP_TRIPLE) / 3.0
     N = REP_TRIPLE - a * np.eye(3)
     assert np.linalg.matrix_rank(N) == 2
@@ -85,8 +93,10 @@ def test_triple_normal_form_pattern():
     v = np.linalg.svd(N)[2][-1]
     assert np.max(np.abs(N @ v)) < 1e-12
     assert abs(v @ J21 @ v) < 1e-12
+    n = EIGENVECTOR[ONeillType.TRIPLE]
+    assert np.max(np.abs(np.cross(v, n))) < 1e-12
     with pytest.raises(ValueError, match=TRIPLE_REJECTION):
-        classify_self_adjoint(REP_TRIPLE)
+        classify_self_adjoint(REP_TRIPLE, n)
 
 
 def test_boost_is_in_o21():
@@ -106,19 +116,49 @@ def test_conjugation_invariance(ttype, T0, rng):
     for _ in range(125):
         A = rand_o21(rng)
         T = A @ T0 @ np.linalg.inv(A)
+        n = A @ EIGENVECTOR[ttype]
         if ttype == ONeillType.TRIPLE:
             with pytest.raises(ValueError, match=TRIPLE_REJECTION):
-                classify_self_adjoint(T)
+                classify_self_adjoint(T, n)
             continue
-        cls = classify_self_adjoint(T)
+        cls = classify_self_adjoint(T, n)
         assert cls.type_tag == ttype
         _assert_conjugation(T, cls)
+
+
+#: (type, operator, eigenvector) with a timelike or null eigenvector: the
+#: plane n^perp is spacelike, or contains n
+OTHER_EIGENVECTORS = [
+    (ONeillType.DIAGONAL, REP_DIAGONAL, np.array([0.0, 0.0, 1.0])),
+    (ONeillType.DIAGONAL, np.diag([1.0, 2.0, 2.0]), np.array([0.0, 1.0, 1.0])),
+    (ONeillType.DOUBLE, REP_DOUBLE, np.array([0.0, 1.0, -1.0])),
+]
+
+
+@pytest.mark.parametrize("ttype,T0,n0", OTHER_EIGENVECTORS,
+                         ids=["timelike", "null-diagonal", "null-double"])
+def test_timelike_and_null_eigenvectors(ttype, T0, n0, rng):
+    """The same types from a timelike or a null eigenvector, alone and
+    under 125 O(2,1) conjugations."""
+    for k in range(126):
+        A = np.eye(3) if k == 0 else rand_o21(rng)
+        T = A @ T0 @ np.linalg.inv(A)
+        cls = classify_self_adjoint(T, A @ n0)
+        assert cls.type_tag == ttype
+        _assert_conjugation(T, cls)
+
+
+def test_vector_that_is_no_eigenvector_is_rejected():
+    with pytest.raises(ValueError, match="not an eigenvector"):
+        classify_self_adjoint(REP_DIAGONAL, np.array([1.0, 1.0, 0.0]))
+    with pytest.raises(ValueError, match="nonzero"):
+        classify_self_adjoint(REP_DIAGONAL, np.zeros(3))
 
 
 def test_boundary_band_reports_double():
     """A perturbation far below classification_tol of a {21} block must
     still classify {21}, with the boundary warning raised."""
-    cls = classify_self_adjoint(REP_DOUBLE_NEAR)
+    cls = classify_self_adjoint(REP_DOUBLE_NEAR, E1)
     assert cls.type_tag == ONeillType.DOUBLE
     assert cls.boundary_warning
 
@@ -128,7 +168,7 @@ def test_near_boundary_sides():
     for eps, expected in [(1e-3, ONeillType.DIAGONAL),
                           (-1e-3, ONeillType.COMPLEX)]:
         T = np.array([[0.0, 0, 0], [0, 2 + eps, 1], [0, -1, 0]])
-        cls = classify_self_adjoint(T)
+        cls = classify_self_adjoint(T, E1)
         assert cls.type_tag == expected, eps
 
 
@@ -145,25 +185,27 @@ def test_split_complement_is_j_orthonormal(theta, phi):
 
 
 @pytest.mark.parametrize("k", [-3.0, 0.0, 0.5, 2.0])
-def test_near_scalar_operator_needs_one_eig(k, rng, monkeypatch):
+def test_near_scalar_operator_makes_no_lapack_call(k, rng, monkeypatch):
     """kI + E, with E J-self-adjoint and below a tenth of the band, alone
     and under O(2,1) conjugation (E rescaled after conjugating, so that
-    the operator classified stays that close to kI): y1 is an eigenvector
-    within the band, so it is taken without the cluster search, and the
-    classification is {11,1} with a normal form within the band of kI and
-    a transition in O(2,1), from one eig."""
+    the operator classified stays that close to kI): every vector is an
+    eigenvector within the band, so y1 and its image A y1 are both taken,
+    and the classification is {11,1} with a normal form within the band
+    of kI and a transition in O(2,1), with no LAPACK call."""
     band = DEFAULT_TOL.classification_tol * (1.0 + abs(k))
     for conjugate in (False, True):
         for _ in range(25):
             S = rng.normal(size=(3, 3))
             E = J21 @ (S + S.T)
+            n = E1
             if conjugate:
                 A = rand_o21(rng)
                 E = A @ E @ np.linalg.inv(A)
+                n = A @ E1
             E *= rng.uniform(0.0, 0.1) * band / np.abs(E).max()
             T = k * np.eye(3) + E
-            cls, calls = lapack_calls(monkeypatch, lambda: classify_self_adjoint(T))
-            assert calls == {"eig": 1}
+            cls, calls = lapack_calls(monkeypatch, lambda: classify_self_adjoint(T, n))
+            assert calls == {}
             assert cls.type_tag == ONeillType.DIAGONAL
             assert np.abs(cls.normal_form - k * np.eye(3)).max() <= band
             C = cls.transition
