@@ -50,7 +50,6 @@ from .curvature import (
     sectional,
 )
 from .metric import (
-    J21,
     MetricTensor,
     OrthonormalFrame,
     SignatureDiagnostics,
@@ -63,6 +62,14 @@ from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """J21, as metric.J21 builds it on first use: importing lorcurv does
+    not import numpy."""
+    if name == "J21":
+        return metric.J21
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AtlasEntry", "BasisLabel", "CanonicalForm",

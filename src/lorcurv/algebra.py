@@ -8,20 +8,22 @@ Two families are supported, parametrised on the natural basis (x, y, z):
 
 For ``Gc`` with c <= 1 a reduction-friendly ("adapted") basis is available
 in which ad(x3) acts triangularly on span(x1, x2); the transition matrices
-live here as well.
+live here as well.  Structure constants and automorphisms are Python
+floats; an algebra also holds its cross form M, [u, v] = M (u x v), which
+a basis change rewrites by the cofactors of the new basis.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
+from .arrays import Array, ArrayField, Rows, array, float_rows, matmul, transpose
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -83,6 +85,10 @@ class FamilyTag:
         return "Gc_lt1"
 
 
+#: every index triple (i, j, k), in lexicographic order
+_TRIPLES = tuple(itertools.product(range(3), repeat=3))
+
+
 @dataclass(frozen=True, eq=False)
 class LieAlgebra3:
     """A 3-dimensional Lie algebra given by structure constants.
@@ -93,46 +99,57 @@ class LieAlgebra3:
     identity, so an algebra can key what is derived from it.
     """
 
-    structure_constants: np.ndarray
+    structure_constants: Array = ArrayField(
+        3, "structure constants must have shape (3, 3, 3)")
     #: the nonzero constants (i, j, k, c[i, j, k]) as Python floats, read
     #: once, at construction
     _nonzero: tuple[tuple[int, int, int, float], ...] = field(init=False, repr=False)
+    #: the matrix M of the antisymmetric part, [u, v] = M (u x v) with the
+    #: Euclidean cross product: column l is [e_(l+1), e_(l+2)], indices mod 3
+    _cross: Rows = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.structure_constants, dtype=float)
-        if c.shape != (3, 3, 3):
-            raise ValueError("structure constants must have shape (3, 3, 3)")
-        ct = c.transpose(1, 0, 2)
-        if not (np.abs(c + ct) <= 1e-5 * np.abs(ct)).all():
+        c = self._structure_constants
+        if not all(abs(c[i][j][k] + c[j][i][k]) <= 1e-5 * abs(c[j][i][k])
+                   for i, j, k in _TRIPLES):
             raise ValueError("structure constants must be antisymmetric in (i, j)")
-        object.__setattr__(self, "structure_constants", c)
         object.__setattr__(self, "_nonzero", tuple(
-            (i, j, k, v) for i, plane in enumerate(c.tolist())
-            for j, row in enumerate(plane) for k, v in enumerate(row) if v))
+            (i, j, k, c[i][j][k]) for i, j, k in _TRIPLES if c[i][j][k]))
+        object.__setattr__(self, "_cross", _cross_form(c))
 
-    def bracket(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def bracket(self, u, v) -> Array:
         """[u, v] for coordinate vectors u, v in this basis."""
-        return np.einsum("i,j,ijk->k", np.asarray(u, float), np.asarray(v, float),
-                         self.structure_constants)
+        u, v = float_rows(u, 1), float_rows(v, 1)
+        c = self._structure_constants
+        return array([sum(u[i] * v[j] * c[i][j][k] for i in range(3) for j in range(3))
+                      for k in range(3)])
 
     def jacobi_residual(self) -> float:
         """Max-norm of the Jacobi identity over the basis triples:
         t[i, j, k] = [e_i, [e_j, e_k]] summed over the cyclic shifts of
         (i, j, k)."""
-        c = self.structure_constants
-        t = np.einsum("jkm,iml->ijkl", c, c)
-        s = t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
-        return float(np.abs(s).max())
+        c = self._structure_constants
+
+        def t(i, j, k, l):
+            return sum(c[j][k][m] * c[i][m][l] for m in range(3))
+        return max(abs(t(i, j, k, l) + t(k, i, j, l) + t(j, k, i, l))
+                   for (i, j, k), l in itertools.product(_TRIPLES, range(3)))
 
 
-def _constants_from_pairs(pairs: dict[tuple[int, int], list[float]]) -> np.ndarray:
-    """Build a (3,3,3) antisymmetric array from brackets [e_i, e_j] = vec."""
-    c = np.zeros((3, 3, 3))
+def _cross_form(c) -> Rows:
+    """The cross form M of constants c, from their antisymmetric part."""
+    return transpose(tuple(tuple(0.5 * (x - y) for x, y in zip(c[i][j], c[j][i]))
+                           for i, j in ((1, 2), (2, 0), (0, 1))))
+
+
+def _constants_from_pairs(pairs: dict[tuple[int, int], list[float]]):
+    """Build (3,3,3) antisymmetric constants from brackets [e_i, e_j] = vec."""
+    c = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
     for (i, j), vec in pairs.items():
         if i == j:
             raise ValueError("pairs must be keyed with i != j")
-        c[i, j] = vec
-        c[j, i] = -c[i, j]
+        c[i][j] = list(vec)
+        c[j][i] = [-x for x in vec]
     return c
 
 
@@ -169,27 +186,46 @@ def _family_algebra(tag: FamilyTag, basis_label: BasisLabel) -> LieAlgebra3:
         pairs = {(2, 0): [1.0 + w, 0.0, 0.0], (2, 1): [0.0, 1.0 - w, 0.0]}
     else:
         raise ValueError(f"cannot synthesise structure constants for {basis_label}")
-    alg = LieAlgebra3(_constants_from_pairs(pairs))
-    alg.structure_constants.setflags(write=False)
-    return alg
+    return LieAlgebra3(_constants_from_pairs(pairs))
 
 
-def bracket_constants(c: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Structure constants c rewritten in the basis e'_j = S e_j, exactly
-    antisymmetric in (i, j):
-    c'[i, j, k] = sum S[a, i] S[b, j] c[a, b, m] inv(S)[k, m].
-    The pair (a, b) -> (i, j) is one 9x9 matrix, so the rewrite is two
-    matrix products."""
-    SS = (S[:, None, :, None] * S[None, :, None, :]).reshape(9, 9)
-    consts = SS.T.dot(c.reshape(9, 3)).dot(np.linalg.inv(S).T).reshape(3, 3, 3)
-    return 0.5 * (consts - consts.transpose(1, 0, 2))
+def _cofactors(S: Rows) -> tuple[Rows, float]:
+    """The cofactor matrix K of S, whose column l is the cross product of
+    the columns l + 1 and l + 2 of S, and det S."""
+    (a, b, c), (d, e, f), (g, h, i) = S
+    K = ((e * i - f * h, f * g - d * i, d * h - e * g),
+         (c * h - b * i, a * i - c * g, b * g - a * h),
+         (b * f - c * e, c * d - a * f, a * e - b * d))
+    return K, a * K[0][0] + b * K[0][1] + c * K[0][2]
 
 
-def change_basis(alg: LieAlgebra3, S: np.ndarray) -> LieAlgebra3:
+def cross_rewrite(M: Rows, S: Rows) -> Rows:
+    """The matrix M' = K^T M K / det S of the brackets in the basis e'_j =
+    S e_j, for M with [u, v] = M (u x v) and K the cofactors of S:
+    [S u, S v] = M (S u x S v) = M K (u x v), and S^-1 = K^T / det S.
+    M' is homogeneous of degree 1 in S, so S is first scaled exactly by a
+    power of two to max|entry| in [1/2, 1) and M' scaled back: no cofactor
+    overflows, and a frame 2^k S gives exactly 2^k M'."""
+    k = math.frexp(max(abs(x) for row in S for x in row))[1]
+    K, det = _cofactors(tuple(tuple(math.ldexp(x, -k) for x in row) for row in S))
+    if not det:
+        raise ValueError("the basis change matrix is singular")
+    return tuple(tuple(math.ldexp(x / det, k) for x in row)
+                 for row in matmul(matmul(transpose(K), M), K))
+
+
+def _from_cross(M: Rows):
+    """The structure constants c[i][j][k] of the cross form M."""
+    cols = transpose(M)
+    zero = (0.0, 0.0, 0.0)
+    neg = tuple(tuple(-x for x in col) for col in cols)
+    return ((zero, cols[2], neg[1]), (neg[2], zero, cols[0]), (cols[1], neg[0], zero))
+
+
+def change_basis(alg: LieAlgebra3, S) -> LieAlgebra3:
     """Structure constants in the basis e'_j = S e_j (columns of S are the
     new basis vectors written in the old coordinates)."""
-    return LieAlgebra3(bracket_constants(alg.structure_constants,
-                                         np.asarray(S, dtype=float)))
+    return LieAlgebra3(_from_cross(cross_rewrite(alg._cross, float_rows(S))))
 
 
 def classification_basis(tag: FamilyTag) -> BasisLabel:
@@ -215,16 +251,16 @@ def _adapted_blocks(tag: FamilyTag) -> tuple[Block, Block]:
              (-1.0 / (2 * w), (w - 1.0) / (2 * w))))
 
 
-def adapted_transition(tag: FamilyTag) -> np.ndarray:
+def adapted_transition(tag: FamilyTag) -> Array:
     """Matrix T with columns = natural basis vectors in adapted coordinates,
     i.e. [v]_adapted = T [v]_natural.  Defined for c <= 1."""
-    return step_matrix((_adapted_blocks(tag)[1], (0.0, 0.0)))
+    return array(step_matrix((_adapted_blocks(tag)[1], (0.0, 0.0))))
 
 
-def adapted_basis_vectors(tag: FamilyTag) -> np.ndarray:
+def adapted_basis_vectors(tag: FamilyTag) -> Array:
     """Columns = adapted basis vectors in natural coordinates: the exact
     inverse of adapted_transition.  Defined for c <= 1."""
-    return step_matrix((_adapted_blocks(tag)[0], (0.0, 0.0)))
+    return array(step_matrix((_adapted_blocks(tag)[0], (0.0, 0.0))))
 
 
 def automorphism_step(tag: FamilyTag, *, block=None, alpha: float | None = None,
@@ -274,36 +310,36 @@ def automorphism_step(tag: FamilyTag, *, block=None, alpha: float | None = None,
     return ((b - a, -c * a), (a, b + a)), t
 
 
-def step_matrix(step: Step) -> np.ndarray:
-    """The 3x3 matrix [[P, t], [0, 1]] of an automorphism step."""
+def step_matrix(step: Step) -> Rows:
+    """The 3x3 matrix [[P, t], [0, 1]] of an automorphism step, as rows."""
     ((p, q), (r, s)), (t1, t2) = step
-    return np.array([[p, q, t1], [r, s, t2], [0.0, 0.0, 1.0]])
+    return (p, q, t1), (r, s, t2), (0.0, 0.0, 1.0)
 
 
 def automorphism_matrix(tag: FamilyTag, *, block=None, alpha: float | None = None,
                         beta: float | None = None,
-                        translation: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+                        translation: tuple[float, float] = (0.0, 0.0)) -> Array:
     """Assemble the 3x3 automorphism matrix in the natural basis: GI takes
     a 2x2 block, Gc an (alpha, beta) pair (see automorphism_step).  Both
     act trivially on z up to the translation part (t1, t2) in the last
     column.
     """
-    return step_matrix(automorphism_step(tag, block=block, alpha=alpha, beta=beta,
-                                         translation=translation))
+    return array(step_matrix(automorphism_step(tag, block=block, alpha=alpha,
+                                               beta=beta, translation=translation)))
 
 
 def adapted_automorphism(tag: FamilyTag, gamma: float, delta: float,
-                         translation: tuple[float, float] = (0.0, 0.0)) -> np.ndarray:
+                         translation: tuple[float, float] = (0.0, 0.0)) -> Array:
     """Automorphism written in the adapted basis (c <= 1).
 
     c = 1:  [[gamma, delta, t1], [0, gamma, t2], [0, 0, 1]],  gamma != 0
     c < 1:  [[gamma, 0, t1], [0, delta, t2], [0, 0, 1]],      gamma delta != 0
     """
-    return step_matrix(automorphism_step(tag, gamma=gamma, delta=delta,
-                                         translation=translation))
+    return array(step_matrix(automorphism_step(tag, gamma=gamma, delta=delta,
+                                               translation=translation)))
 
 
-def is_automorphism(alg: LieAlgebra3, A: np.ndarray,
+def is_automorphism(alg: LieAlgebra3, A,
                     tol: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Check A [u, v] = [A u, A v] on all basis pairs, to tolerance.
 
@@ -318,10 +354,10 @@ def is_automorphism(alg: LieAlgebra3, A: np.ndarray,
     algebra's nonzero constants, for the pairs (i, j) = (0, 1), (0, 2),
     (1, 2): the constants may be antisymmetric only to 1e-5, so the other
     pairs are not implied by these."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (3, 3):
+    try:
+        rows = float_rows(A)
+    except (TypeError, ValueError):
         return False
-    rows = A.tolist()
     (a, b, c), (d, e, f), (g, h, i) = rows
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     cols = (max(abs(a), abs(d), abs(g)), max(abs(b), abs(e), abs(h)),

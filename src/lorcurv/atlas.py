@@ -14,7 +14,10 @@ them against the numerical curvature engine, reporting per-cell residuals
 instead of raising, so systematic discrepancies (e.g. transcription slips
 in the source material for these formulas) surface as data.  Cells where
 the formula implemented here deliberately differs from its printed source
-carry a ``notes`` entry with the printed variant.
+carry a ``notes`` entry with the printed variant.  The formulas return
+rows of Python floats, and neither the tables nor the cross-check import
+numpy; ``canonical_matrix`` and the entries' Ricci operators hand out
+arrays.
 """
 
 from __future__ import annotations
@@ -27,18 +30,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from .algebra import (FamilyTag, bracket_constants, classification_basis,
-                      make_family_algebra)
-from .curvature import curvature_report, milnor_sectional
-from .metric import J21, MetricTensor, OrthonormalFrame
+from .algebra import FamilyTag, classification_basis, cross_rewrite, make_family_algebra
+from .arrays import Array, ArrayField, Rows, array, float_rows, matmul, transpose
+from .curvature import curvature_report, milnor_sectional, ricci_operator
+from .metric import _I3, MetricTensor, OrthonormalFrame
 from .oneill import ONeillType
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 _S2 = math.sqrt(2.0)
-_E = np.eye(3)
-_E.setflags(write=False)       # its rows are handed out as eigenvectors
+#: 1 / sqrt(2), the entries of a null pair's frame vectors
+_R = 1.0 / _S2
+_ZERO: Rows = ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -46,16 +48,21 @@ class FormSpec:
     form_id: str
     param_names: tuple[str, ...]
     domain: Callable          # (tag, p) -> bool
-    matrix: Callable          # (tag, p) -> 3x3 canonical matrix
-    frame: Callable           # (tag, p) -> 3x3 column matrix
-    ric: Callable             # (tag, p) -> 3x3 Ricci operator
+    matrix: Callable          # (tag, p) -> rows of the 3x3 canonical matrix
+    frame: Callable           # (tag, p) -> rows of the 3x3 column matrix
+    ric: Callable             # (tag, p) -> rows of the 3x3 Ricci operator
     #: (tag, p) -> a non-null eigenvector of ric, in the frame
-    eigenvector: Callable = lambda tag, p: _E[0]
+    eigenvector: Callable = lambda tag, p: (1.0, 0.0, 0.0)
     notes: dict[str, str] = field(default_factory=dict)
 
 
-def _cols(*vectors) -> np.ndarray:
-    return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+def _cols(*vectors) -> Rows:
+    """The matrix with these columns, as rows."""
+    return transpose(vectors)
+
+
+def _diag(a, b, c) -> Rows:
+    return (a, 0.0, 0.0), (0.0, b, 0.0), (0.0, 0.0, c)
 
 
 # --------------------------------------------------------------------------
@@ -65,59 +72,54 @@ def _gc_gt1_2_ric(tag, p):
     c, t, mu = tag.c, p["tau"], p["mu"]
     den = 2.0 * (1.0 - t) * mu
     r = (c - t) / (mu * math.sqrt(1.0 - t))
-    return np.array([
-        [(t * t + (4 - 2 * c) * t + (c * c - 4)) / den, 0.0, 0.0],
-        [0.0, (t * t + 2 * t - (c * c - 2 * c + 4)) / den, -r],
-        [0.0, r, -(t * t - 6 * t - (c * c - 2 * c - 4)) / den],
-    ])
+    return ((t * t + (4 - 2 * c) * t + (c * c - 4)) / den, 0.0, 0.0), \
+        (0.0, (t * t + 2 * t - (c * c - 2 * c + 4)) / den, -r), \
+        (0.0, r, -(t * t - 6 * t - (c * c - 2 * c - 4)) / den)
 
 
 def _gc_gt1_3_ric(tag, p):
     c, nu, mu = tag.c, p["nu"], p["mu"]
     den = 2.0 * (nu - 1.0) * mu
     r = (c - nu) / (mu * math.sqrt(nu - 1.0))
-    return np.array([
-        [(nu * nu + 2 * nu - (c * c - 2 * c + 4)) / den, r, 0.0],
-        [r, -(nu * nu - 6 * nu - (c * c - 2 * c - 4)) / den, 0.0],
-        [0.0, 0.0, ((nu - c) ** 2 + 4 * (nu - 1)) / den],
-    ])
+    return ((nu * nu + 2 * nu - (c * c - 2 * c + 4)) / den, r, 0.0), \
+        (r, -(nu * nu - 6 * nu - (c * c - 2 * c - 4)) / den, 0.0), \
+        (0.0, 0.0, ((nu - c) ** 2 + 4 * (nu - 1)) / den)
 
 
 def _lt1_10_matrix(tag, p):
-    return np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0], [0, 0, p["nu"]]])
+    return (1.0, 1.0, 0.0), (1.0, p["tau"], 0.0), (0.0, 0.0, p["nu"])
 
 
 def _lt1_10_1_ric(tag, p):
     w, t, nu = tag.w, p["tau"], p["nu"]
     den = nu * (1.0 - t)
     r = 2 * w * (1 + w) / (nu * math.sqrt(1.0 - t))
-    return np.array([
-        [-2 * (w * w + w + 1 - (1 + w) * t) / den, 0.0, -r],
-        [0.0, 2 * (w * w * t + t - 1) / den, 0.0],
-        [r, 0.0, 2 * (w * w + w - 1 + (1 - w) * t) / den],
-    ])
+    return (-2 * (w * w + w + 1 - (1 + w) * t) / den, 0.0, -r), \
+        (0.0, 2 * (w * w * t + t - 1) / den, 0.0), \
+        (r, 0.0, 2 * (w * w + w - 1 + (1 - w) * t) / den)
 
 
 def _lt1_10_2_ric(tag, p):
     w, t, nu = tag.w, p["tau"], p["nu"]
     den = nu * (t - 1.0)
     r = 2 * w * (1 + w) / (nu * math.sqrt(t - 1.0))
-    return np.array([
-        [2 * (w * w + w + 1 - (1 + w) * t) / den, -r, 0.0],
-        [-r, -2 * (w * w + w - 1 + (1 - w) * t) / den, 0.0],
-        [0.0, 0.0, -2 * (w * w * t + t - 1) / den],
-    ])
+    return (2 * (w * w + w + 1 - (1 + w) * t) / den, -r, 0.0), \
+        (-r, -2 * (w * w + w - 1 + (1 - w) * t) / den, 0.0), \
+        (0.0, 0.0, -2 * (w * w * t + t - 1) / den)
 
 
 def _lt1_11_ric(tag, p):
     w, e, mu = tag.w, p["eta"], p["mu"]
     den = mu * (1.0 - e)
     r = 2 * w * (1 + w) / (mu * math.sqrt(1.0 - e))
-    return np.array([
-        [2 * (w * w * e + e - 1) / den, 0.0, 0.0],
-        [0.0, 2 * (w * w + w - 1 + e - w * e) / den, r],
-        [0.0, -r, -2 * (w * w + w + 1 - (1 + w) * e) / den],
-    ])
+    return (2 * (w * w * e + e - 1) / den, 0.0, 0.0), \
+        (0.0, 2 * (w * w + w - 1 + e - w * e) / den, r), \
+        (0.0, -r, -2 * (w * w + w + 1 - (1 + w) * e) / den)
+
+
+def _null_pair_ric(x):
+    """The Ricci operator [[0, 0, 0], [0, -x, x], [0, -x, x]]."""
+    return (0.0, 0.0, 0.0), (0.0, -x, x), (0.0, -x, x)
 
 
 #: every canonical form by id, in table order; the prefix of an id before
@@ -127,264 +129,250 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
     FormSpec(
         "GI.1", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.diag([1.0, -1.0, p["mu"]]),
-        frame=lambda tag, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
-        ric=lambda tag, p: -(2.0 / p["mu"]) * np.eye(3),
+        matrix=lambda tag, p: _diag(1.0, -1.0, p["mu"]),
+        frame=lambda tag, p: _cols((1.0, 0.0, 0.0), (0.0, 0.0, 1.0 / math.sqrt(p["mu"])),
+                                   (0.0, 1.0, 0.0)),
+        ric=lambda tag, p: _diag(*[-(2.0 / p["mu"])] * 3),
     ),
     FormSpec(
         "GI.2", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.diag([1.0, 1.0, -p["mu"]]),
-        frame=lambda tag, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
-        ric=lambda tag, p: (2.0 / p["mu"]) * np.eye(3),
+        matrix=lambda tag, p: _diag(1.0, 1.0, -p["mu"]),
+        frame=lambda tag, p: _diag(1.0, 1.0, 1.0 / math.sqrt(p["mu"])),
+        ric=lambda tag, p: _diag(*[2.0 / p["mu"]] * 3),
     ),
     FormSpec(
         "GI.3", (),
         domain=lambda tag, p: True,
-        matrix=lambda tag, p: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        frame=lambda tag, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
-                                   (_E[1] - _E[2]) / _S2),
-        ric=lambda tag, p: np.zeros((3, 3)),
+        matrix=lambda tag, p: ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
+        frame=lambda tag, p: _cols((1.0, 0.0, 0.0), (0.0, _R, _R), (0.0, _R, -_R)),
+        ric=lambda tag, p: _ZERO,
     ),
     # family Gc, c > 1
     FormSpec(
         "Gc_gt1.1", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        frame=lambda tag, p: _cols(_E[0] / math.sqrt(p["mu"]),
-                                   (_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2),
-        ric=lambda tag, p: np.array(
-            [[-tag.c ** 2 * p["mu"] / 2, 0, 0],
-             [0, tag.c * (tag.c * p["mu"] + 1) / 2, -tag.c / 2],
-             [0, tag.c / 2, tag.c * (tag.c * p["mu"] - 1) / 2]]),
+        matrix=lambda tag, p: ((p["mu"], 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
+        frame=lambda tag, p: _cols((1.0 / math.sqrt(p["mu"]), 0.0, 0.0),
+                                   (0.0, _R, _R), (0.0, _R, -_R)),
+        ric=lambda tag, p: (
+            (-tag.c ** 2 * p["mu"] / 2, 0.0, 0.0),
+            (0.0, tag.c * (tag.c * p["mu"] + 1) / 2, -tag.c / 2),
+            (0.0, tag.c / 2, tag.c * (tag.c * p["mu"] - 1) / 2)),
     ),
     FormSpec(
         "Gc_gt1.2", ("mu", "tau"),
         domain=lambda tag, p: p["mu"] > 0 and p["tau"] < 1,
-        matrix=lambda tag, p: np.array([[1.0, 1.0, 0], [1.0, p["tau"], 0],
-                                        [0, 0, p["mu"]]]),
+        matrix=lambda tag, p: ((1.0, 1.0, 0.0), (1.0, p["tau"], 0.0), (0.0, 0.0, p["mu"])),
         frame=lambda tag, p: _cols(
-            _E[2] / math.sqrt(p["mu"]), _E[0],
-            (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
+            (0.0, 0.0, 1.0 / math.sqrt(p["mu"])), (1.0, 0.0, 0.0),
+            (1.0 / math.sqrt(1.0 - p["tau"]), -1.0 / math.sqrt(1.0 - p["tau"]), 0.0)),
         ric=_gc_gt1_2_ric,
         notes={"kappa31": "printed without the factor 4 in the denominator"},
     ),
     FormSpec(
         "Gc_gt1.3", ("mu", "nu"),
         domain=lambda tag, p: p["mu"] > 0 and 1 < p["nu"] <= tag.c,
-        matrix=lambda tag, p: np.array([[1.0, 1.0, 0], [1.0, p["nu"], 0],
-                                        [0, 0, -p["mu"]]]),
+        matrix=lambda tag, p: ((1.0, 1.0, 0.0), (1.0, p["nu"], 0.0), (0.0, 0.0, -p["mu"])),
         frame=lambda tag, p: _cols(
-            _E[0], (_E[0] - _E[1]) / math.sqrt(p["nu"] - 1.0),
-            _E[2] / math.sqrt(p["mu"])),
+            (1.0, 0.0, 0.0),
+            (1.0 / math.sqrt(p["nu"] - 1.0), -1.0 / math.sqrt(p["nu"] - 1.0), 0.0),
+            (0.0, 0.0, 1.0 / math.sqrt(p["mu"]))),
         ric=_gc_gt1_3_ric,
-        eigenvector=lambda tag, p: _E[2],
+        eigenvector=lambda tag, p: (0.0, 0.0, 1.0),
         notes={"ric11": "printed with an overall minus sign"},
     ),
     # family Gc, c = 1 (Q-adapted basis)
     FormSpec(
         "G1.1", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[0, 0, 1.0], [0, p["mu"], 0], [1.0, 0, 0]]),
-        frame=lambda tag, p: _cols(_E[1] / math.sqrt(p["mu"]),
-                                   (_E[0] + _E[2]) / _S2, (_E[0] - _E[2]) / _S2),
-        ric=lambda tag, p: np.zeros((3, 3)),
+        matrix=lambda tag, p: ((0.0, 0.0, 1.0), (0.0, p["mu"], 0.0), (1.0, 0.0, 0.0)),
+        frame=lambda tag, p: _cols((0.0, 1.0 / math.sqrt(p["mu"]), 0.0),
+                                   (_R, 0.0, _R), (_R, 0.0, -_R)),
+        ric=lambda tag, p: _ZERO,
     ),
     FormSpec(
         "G1.2", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[p["mu"], 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        frame=lambda tag, p: _cols(_E[0] / math.sqrt(p["mu"]),
-                                   (_E[1] + _E[2]) / _S2, (_E[1] - _E[2]) / _S2),
-        ric=lambda tag, p: np.array(
-            [[-p["mu"] / 2, math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)],
-             [math.sqrt(p["mu"] / 2), p["mu"] / 2, 0.0],
-             [math.sqrt(p["mu"] / 2), 0.0, p["mu"] / 2]]),
-        eigenvector=lambda tag, p: np.array(
-            [p["mu"], -math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)]),
+        matrix=lambda tag, p: ((p["mu"], 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
+        frame=lambda tag, p: _cols((1.0 / math.sqrt(p["mu"]), 0.0, 0.0),
+                                   (0.0, _R, _R), (0.0, _R, -_R)),
+        ric=lambda tag, p: (
+            (-p["mu"] / 2, math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)),
+            (math.sqrt(p["mu"] / 2), p["mu"] / 2, 0.0),
+            (math.sqrt(p["mu"] / 2), 0.0, p["mu"] / 2)),
+        eigenvector=lambda tag, p: (
+            p["mu"], -math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)),
     ),
     FormSpec(
         "G1.3", ("mu", "nu"),
         domain=lambda tag, p: p["mu"] > 0 and p["nu"] > 0,
-        matrix=lambda tag, p: np.diag([1.0, -p["nu"], p["mu"]]),
-        frame=lambda tag, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]),
-                                   _E[1] / math.sqrt(p["nu"])),
-        ric=lambda tag, p: np.array(
-            [[-(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0,
-              -1.0 / (p["mu"] * math.sqrt(p["nu"]))],
-             [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
-             [1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
-              (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"])]]),
-        eigenvector=lambda tag, p: _E[1],
+        matrix=lambda tag, p: _diag(1.0, -p["nu"], p["mu"]),
+        frame=lambda tag, p: _cols((1.0, 0.0, 0.0), (0.0, 0.0, 1.0 / math.sqrt(p["mu"])),
+                                   (0.0, 1.0 / math.sqrt(p["nu"]), 0.0)),
+        ric=lambda tag, p: (
+            (-(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0,
+             -1.0 / (p["mu"] * math.sqrt(p["nu"]))),
+            (0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0),
+            (1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
+             (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]))),
+        eigenvector=lambda tag, p: (0.0, 1.0, 0.0),
     ),
     FormSpec(
         "G1.4", ("mu", "nu"),
         domain=lambda tag, p: p["mu"] > 0 and p["nu"] > 0,
-        matrix=lambda tag, p: np.diag([1.0, p["nu"], -p["mu"]]),
-        frame=lambda tag, p: _cols(_E[0], _E[1] / math.sqrt(p["nu"]),
-                                   _E[2] / math.sqrt(p["mu"])),
-        ric=lambda tag, p: np.array(
-            [[(4 * p["nu"] - 1) / (2 * p["mu"] * p["nu"]),
-              1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0],
-             [1.0 / (p["mu"] * math.sqrt(p["nu"])),
-              (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0],
-             [0.0, 0.0, (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
-        eigenvector=lambda tag, p: _E[2],
+        matrix=lambda tag, p: _diag(1.0, p["nu"], -p["mu"]),
+        frame=lambda tag, p: _diag(1.0, 1.0 / math.sqrt(p["nu"]), 1.0 / math.sqrt(p["mu"])),
+        ric=lambda tag, p: (
+            ((4 * p["nu"] - 1) / (2 * p["mu"] * p["nu"]),
+             1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0),
+            (1.0 / (p["mu"] * math.sqrt(p["nu"])),
+             (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0),
+            (0.0, 0.0, (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]))),
+        eigenvector=lambda tag, p: (0.0, 0.0, 1.0),
         notes={"ric22": "printed as (4 mu + 1)/(2 mu nu)",
                "ric33": "printed as (4 mu + 1)/(2 mu nu)"},
     ),
     FormSpec(
         "G1.5", ("mu", "nu"),
         domain=lambda tag, p: p["mu"] > 0 and p["nu"] > 0,
-        matrix=lambda tag, p: np.diag([-1.0, p["nu"], p["mu"]]),
-        frame=lambda tag, p: _cols(_E[1] / math.sqrt(p["nu"]),
-                                   _E[2] / math.sqrt(p["mu"]), _E[0]),
-        ric=lambda tag, p: np.array(
-            [[(1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0,
-              1.0 / (p["mu"] * math.sqrt(p["nu"]))],
-             [0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0],
-             [-1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
-              -(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"])]]),
-        eigenvector=lambda tag, p: _E[1],
+        matrix=lambda tag, p: _diag(-1.0, p["nu"], p["mu"]),
+        frame=lambda tag, p: _cols((0.0, 1.0 / math.sqrt(p["nu"]), 0.0),
+                                   (0.0, 0.0, 1.0 / math.sqrt(p["mu"])), (1.0, 0.0, 0.0)),
+        ric=lambda tag, p: (
+            ((1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0,
+             1.0 / (p["mu"] * math.sqrt(p["nu"]))),
+            (0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0),
+            (-1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
+             -(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]))),
+        eigenvector=lambda tag, p: (0.0, 1.0, 0.0),
         notes={"ric22": "printed as (1 - 4 mu)/(2 mu nu)",
                "ric33": "printed as -(4 mu + 1)/(2 mu nu)"},
     ),
     FormSpec(
         "G1.6", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
-        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]),
-                                   (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
-        ric=lambda tag, p: np.array([[-2 / p["mu"], 0, 0],
-                                     [0, -3 / p["mu"], 1 / p["mu"]],
-                                     [0, -1 / p["mu"], -1 / p["mu"]]]),
+        matrix=lambda tag, p: ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, p["mu"])),
+        frame=lambda tag, p: _cols((0.0, 0.0, 1.0 / math.sqrt(p["mu"])),
+                                   (_R, _R, 0.0), (_R, -_R, 0.0)),
+        ric=lambda tag, p: ((-2 / p["mu"], 0.0, 0.0),
+                            (0.0, -3 / p["mu"], 1 / p["mu"]),
+                            (0.0, -1 / p["mu"], -1 / p["mu"])),
     ),
     FormSpec(
         "G1.7", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[0, -1.0, 0], [-1.0, 0, 0], [0, 0, p["mu"]]]),
-        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]),
-                                   (_E[0] - _E[1]) / _S2, (_E[0] + _E[1]) / _S2),
-        ric=lambda tag, p: np.array([[-2 / p["mu"], 0, 0],
-                                     [0, -1 / p["mu"], -1 / p["mu"]],
-                                     [0, 1 / p["mu"], -3 / p["mu"]]]),
+        matrix=lambda tag, p: ((0.0, -1.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 0.0, p["mu"])),
+        frame=lambda tag, p: _cols((0.0, 0.0, 1.0 / math.sqrt(p["mu"])),
+                                   (_R, -_R, 0.0), (_R, _R, 0.0)),
+        ric=lambda tag, p: ((-2 / p["mu"], 0.0, 0.0),
+                            (0.0, -1 / p["mu"], -1 / p["mu"]),
+                            (0.0, 1 / p["mu"], -3 / p["mu"])),
     ),
     # family Gc, c < 1 (P-adapted basis)
     FormSpec(
         "Gc_lt1.1", (),
         domain=lambda tag, p: True,
-        matrix=lambda tag, p: np.array([[0, 0, 1.0], [0, 1.0, 0], [1.0, 0, 0]]),
-        frame=lambda tag, p: _cols(_E[1], (_E[0] + _E[2]) / _S2,
-                                   (_E[0] - _E[2]) / _S2),
-        ric=lambda tag, p: np.array(
-            [[0, 0, 0],
-             [0, -tag.w * (tag.w - 1), tag.w * (tag.w - 1)],
-             [0, -tag.w * (tag.w - 1), tag.w * (tag.w - 1)]], dtype=float),
+        matrix=lambda tag, p: ((0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0)),
+        frame=lambda tag, p: _cols((0.0, 1.0, 0.0), (_R, 0.0, _R), (_R, 0.0, -_R)),
+        ric=lambda tag, p: _null_pair_ric(tag.w * (tag.w - 1)),
     ),
     FormSpec(
         "Gc_lt1.2", (),
         domain=lambda tag, p: True,
-        matrix=lambda tag, p: np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 1.0, 0]]),
-        frame=lambda tag, p: _cols(_E[0], (_E[1] + _E[2]) / _S2,
-                                   (_E[1] - _E[2]) / _S2),
-        ric=lambda tag, p: np.array(
-            [[0, 0, 0],
-             [0, -tag.w * (tag.w + 1), tag.w * (tag.w + 1)],
-             [0, -tag.w * (tag.w + 1), tag.w * (tag.w + 1)]], dtype=float),
+        matrix=lambda tag, p: ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)),
+        frame=lambda tag, p: _cols((1.0, 0.0, 0.0), (0.0, _R, _R), (0.0, _R, -_R)),
+        ric=lambda tag, p: _null_pair_ric(tag.w * (tag.w + 1)),
     ),
     FormSpec(
         "Gc_lt1.3", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[1.0, 1.0, 0], [1.0, 1.0, p["mu"]],
-                                        [0, p["mu"], 0]]),
-        frame=lambda tag, p: _cols(
-            _E[0],
-            _E[0] - _E[1] - _E[2] / (2 * p["mu"]),
-            _E[0] - _E[1] + _E[2] / (2 * p["mu"])),
-        ric=lambda tag, p: np.array(
-            [[-2 * tag.w ** 2 / p["mu"] ** 2,
-              tag.w * (1 + tag.w) / p["mu"] ** 2,
-              -tag.w * (1 + tag.w) / p["mu"] ** 2],
-             [tag.w * (1 + tag.w) / p["mu"] ** 2,
-              tag.w * (3 * tag.w - 1) / (2 * p["mu"] ** 2),
-              tag.w * (1 + tag.w) / (2 * p["mu"] ** 2)],
-             [tag.w * (1 + tag.w) / p["mu"] ** 2,
-              -tag.w * (1 + tag.w) / (2 * p["mu"] ** 2),
-              tag.w * (1 + 5 * tag.w) / (2 * p["mu"] ** 2)]]),
-        eigenvector=lambda tag, p: np.array([4 * tag.w, -(1 + tag.w), -(1 + tag.w)]),
+        matrix=lambda tag, p: ((1.0, 1.0, 0.0), (1.0, 1.0, p["mu"]), (0.0, p["mu"], 0.0)),
+        frame=lambda tag, p: _cols((1.0, 0.0, 0.0), (1.0, -1.0, -1.0 / (2 * p["mu"])),
+                                   (1.0, -1.0, 1.0 / (2 * p["mu"]))),
+        ric=lambda tag, p: (
+            (-2 * tag.w ** 2 / p["mu"] ** 2,
+             tag.w * (1 + tag.w) / p["mu"] ** 2,
+             -tag.w * (1 + tag.w) / p["mu"] ** 2),
+            (tag.w * (1 + tag.w) / p["mu"] ** 2,
+             tag.w * (3 * tag.w - 1) / (2 * p["mu"] ** 2),
+             tag.w * (1 + tag.w) / (2 * p["mu"] ** 2)),
+            (tag.w * (1 + tag.w) / p["mu"] ** 2,
+             -tag.w * (1 + tag.w) / (2 * p["mu"] ** 2),
+             tag.w * (1 + 5 * tag.w) / (2 * p["mu"] ** 2))),
+        eigenvector=lambda tag, p: (4 * tag.w, -(1 + tag.w), -(1 + tag.w)),
         notes={"ric33": "printed as z(1+5w)/(2 mu^2)"},
     ),
     FormSpec(
         "Gc_lt1.4", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.diag([1.0, 1.0, -p["mu"]]),
-        frame=lambda tag, p: _cols(_E[0], _E[1], _E[2] / math.sqrt(p["mu"])),
-        ric=lambda tag, p: np.diag([2 * (1 + tag.w) / p["mu"],
-                                    2 * (1 - tag.w) / p["mu"],
-                                    2 * (1 + tag.w ** 2) / p["mu"]]),
+        matrix=lambda tag, p: _diag(1.0, 1.0, -p["mu"]),
+        frame=lambda tag, p: _diag(1.0, 1.0, 1.0 / math.sqrt(p["mu"])),
+        ric=lambda tag, p: _diag(2 * (1 + tag.w) / p["mu"], 2 * (1 - tag.w) / p["mu"],
+                                 2 * (1 + tag.w ** 2) / p["mu"]),
     ),
     FormSpec(
         "Gc_lt1.5", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.diag([1.0, -1.0, p["mu"]]),
-        frame=lambda tag, p: _cols(_E[0], _E[2] / math.sqrt(p["mu"]), _E[1]),
-        ric=lambda tag, p: np.diag([-2 * (1 + tag.w) / p["mu"],
-                                    -2 * (1 + tag.w ** 2) / p["mu"],
-                                    2 * (tag.w - 1) / p["mu"]]),
+        matrix=lambda tag, p: _diag(1.0, -1.0, p["mu"]),
+        frame=lambda tag, p: _cols((1.0, 0.0, 0.0), (0.0, 0.0, 1.0 / math.sqrt(p["mu"])),
+                                   (0.0, 1.0, 0.0)),
+        ric=lambda tag, p: _diag(-2 * (1 + tag.w) / p["mu"], -2 * (1 + tag.w ** 2) / p["mu"],
+                                 2 * (tag.w - 1) / p["mu"]),
         notes={"ric33": "printed as 2(1-w)/mu"},
     ),
     FormSpec(
         "Gc_lt1.6", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.diag([-1.0, 1.0, p["mu"]]),
-        frame=lambda tag, p: _cols(_E[1], _E[2] / math.sqrt(p["mu"]), _E[0]),
-        ric=lambda tag, p: np.diag([2 * (tag.w - 1) / p["mu"],
-                                    -2 * (1 + tag.w ** 2) / p["mu"],
-                                    -2 * (1 + tag.w) / p["mu"]]),
+        matrix=lambda tag, p: _diag(-1.0, 1.0, p["mu"]),
+        frame=lambda tag, p: _cols((0.0, 1.0, 0.0), (0.0, 0.0, 1.0 / math.sqrt(p["mu"])),
+                                   (1.0, 0.0, 0.0)),
+        ric=lambda tag, p: _diag(2 * (tag.w - 1) / p["mu"], -2 * (1 + tag.w ** 2) / p["mu"],
+                                 -2 * (1 + tag.w) / p["mu"]),
     ),
     FormSpec(
         "Gc_lt1.7", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[0, 1.0, 0], [1.0, 0, 0], [0, 0, p["mu"]]]),
-        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]),
-                                   (_E[0] + _E[1]) / _S2, (_E[0] - _E[1]) / _S2),
-        ric=lambda tag, p: -(2.0 / p["mu"]) * np.eye(3),
+        matrix=lambda tag, p: ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, p["mu"])),
+        frame=lambda tag, p: _cols((0.0, 0.0, 1.0 / math.sqrt(p["mu"])),
+                                   (_R, _R, 0.0), (_R, -_R, 0.0)),
+        ric=lambda tag, p: _diag(*[-(2.0 / p["mu"])] * 3),
     ),
     FormSpec(
         "Gc_lt1.8", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[0, 1.0, 0], [1.0, 1.0, 0], [0, 0, p["mu"]]]),
-        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]), _E[1],
-                                   _E[0] - _E[1]),
-        ric=lambda tag, p: np.array(
-            [[-2 / p["mu"], 0, 0],
-             [0, -2 * (tag.w ** 2 - tag.w + 1) / p["mu"],
-              2 * tag.w * (tag.w - 1) / p["mu"]],
-             [0, -2 * tag.w * (tag.w - 1) / p["mu"],
-              2 * (tag.w ** 2 - tag.w - 1) / p["mu"]]]),
+        matrix=lambda tag, p: ((0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, p["mu"])),
+        frame=lambda tag, p: _cols((0.0, 0.0, 1.0 / math.sqrt(p["mu"])), (0.0, 1.0, 0.0),
+                                   (1.0, -1.0, 0.0)),
+        ric=lambda tag, p: (
+            (-2 / p["mu"], 0.0, 0.0),
+            (0.0, -2 * (tag.w ** 2 - tag.w + 1) / p["mu"],
+             2 * tag.w * (tag.w - 1) / p["mu"]),
+            (0.0, -2 * tag.w * (tag.w - 1) / p["mu"],
+             2 * (tag.w ** 2 - tag.w - 1) / p["mu"])),
     ),
     FormSpec(
         "Gc_lt1.9", ("mu",),
         domain=lambda tag, p: p["mu"] > 0,
-        matrix=lambda tag, p: np.array([[0, 1.0, 0], [1.0, -1.0, 0], [0, 0, p["mu"]]]),
-        frame=lambda tag, p: _cols(_E[2] / math.sqrt(p["mu"]), _E[0] + _E[1],
-                                   _E[1]),
-        ric=lambda tag, p: np.array(
-            [[-2 / p["mu"], 0, 0],
-             [0, 2 * (tag.w ** 2 - tag.w - 1) / p["mu"],
-              2 * tag.w * (tag.w - 1) / p["mu"]],
-             [0, -2 * tag.w * (tag.w - 1) / p["mu"],
-              -2 * (tag.w ** 2 - tag.w + 1) / p["mu"]]]),
+        matrix=lambda tag, p: ((0.0, 1.0, 0.0), (1.0, -1.0, 0.0), (0.0, 0.0, p["mu"])),
+        frame=lambda tag, p: _cols((0.0, 0.0, 1.0 / math.sqrt(p["mu"])), (1.0, 1.0, 0.0),
+                                   (0.0, 1.0, 0.0)),
+        ric=lambda tag, p: (
+            (-2 / p["mu"], 0.0, 0.0),
+            (0.0, 2 * (tag.w ** 2 - tag.w - 1) / p["mu"],
+             2 * tag.w * (tag.w - 1) / p["mu"]),
+            (0.0, -2 * tag.w * (tag.w - 1) / p["mu"],
+             -2 * (tag.w ** 2 - tag.w + 1) / p["mu"])),
     ),
     FormSpec(
         "Gc_lt1.10-1", ("nu", "tau"),
         domain=lambda tag, p: p["nu"] > 0 and p["tau"] < 1,
         matrix=_lt1_10_matrix,
         frame=lambda tag, p: _cols(
-            _E[0], _E[2] / math.sqrt(p["nu"]),
-            (_E[0] - _E[1]) / math.sqrt(1.0 - p["tau"])),
+            (1.0, 0.0, 0.0), (0.0, 0.0, 1.0 / math.sqrt(p["nu"])),
+            (1.0 / math.sqrt(1.0 - p["tau"]), -1.0 / math.sqrt(1.0 - p["tau"]), 0.0)),
         ric=_lt1_10_1_ric,
-        eigenvector=lambda tag, p: _E[1],
+        eigenvector=lambda tag, p: (0.0, 1.0, 0.0),
         notes={"ric33": "printed with denominator nu sqrt(1-tau)"},
     ),
     FormSpec(
@@ -392,21 +380,22 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
         domain=lambda tag, p: p["nu"] < 0 and p["tau"] > 1,
         matrix=_lt1_10_matrix,
         frame=lambda tag, p: _cols(
-            _E[0], (_E[0] - _E[1]) / math.sqrt(p["tau"] - 1.0),
-            _E[2] / math.sqrt(-p["nu"])),
+            (1.0, 0.0, 0.0),
+            (1.0 / math.sqrt(p["tau"] - 1.0), -1.0 / math.sqrt(p["tau"] - 1.0), 0.0),
+            (0.0, 0.0, 1.0 / math.sqrt(-p["nu"]))),
         ric=_lt1_10_2_ric,
-        eigenvector=lambda tag, p: _E[2],
+        eigenvector=lambda tag, p: (0.0, 0.0, 1.0),
         notes={"domain": "constraint column printed nu > 0; the matching "
                          "Lorentzian branch requires nu < 0"},
     ),
     FormSpec(
         "Gc_lt1.11", ("mu", "eta"),
         domain=lambda tag, p: p["mu"] > 0 and p["eta"] < 1,
-        matrix=lambda tag, p: np.array([[-1.0, 1.0, 0], [1.0, -p["eta"], 0],
-                                        [0, 0, p["mu"]]]),
+        matrix=lambda tag, p: ((-1.0, 1.0, 0.0), (1.0, -p["eta"], 0.0), (0.0, 0.0, p["mu"])),
         frame=lambda tag, p: _cols(
-            _E[2] / math.sqrt(p["mu"]),
-            (_E[0] + _E[1]) / math.sqrt(1.0 - p["eta"]), _E[0]),
+            (0.0, 0.0, 1.0 / math.sqrt(p["mu"])),
+            (1.0 / math.sqrt(1.0 - p["eta"]), 1.0 / math.sqrt(1.0 - p["eta"]), 0.0),
+            (1.0, 0.0, 0.0)),
         ric=_lt1_11_ric,
     ),
 )}
@@ -431,10 +420,9 @@ def get_form_spec(tag: FamilyTag, form_id: str) -> FormSpec:
     return spec
 
 
-def canonical_matrix(tag: FamilyTag, form_id: str,
-                     params: dict[str, float]) -> np.ndarray:
+def canonical_matrix(tag: FamilyTag, form_id: str, params: dict[str, float]) -> Array:
     """Exact canonical matrix of a form, in its classification basis."""
-    return get_form_spec(tag, form_id).matrix(tag, params)
+    return array(get_form_spec(tag, form_id).matrix(tag, params))
 
 
 def _spec_in_domain(tag: FamilyTag, form_id: str,
@@ -452,23 +440,25 @@ def paper_frame(tag: FamilyTag, form_id: str,
     return OrthonormalFrame(_spec_in_domain(tag, form_id, params).frame(tag, params))
 
 
-def _operator_type(T: np.ndarray, v: np.ndarray, s: float,
-                   tol: ToleranceConfig) -> ONeillType:
+def _operator_type(T: Rows, v, s: float, tol: ToleranceConfig) -> ONeillType:
     """The O'Neill type of a J-self-adjoint T with non-null eigenvector v, by
     the bands of oneill.classify_self_adjoint in curvature_report's unit s.
     A timelike v leaves a spacelike complement, where T is symmetric.  Else
     N = (T - m I) P, P the J-projector onto v's complement and m the mean of
     T's eigenvalues there, is [[e, r], [-r, -e]] on that plane, e = (b - d)/2,
     so D = 2 tr N^2 = (b - d)^2 - 4 r^2 comes without cancellation."""
-    Jv = J21 @ v
-    hvv = float(v @ Jv)
+    Jv = (v[0], v[1], -v[2])
+    hvv = sum(x * y for x, y in zip(v, Jv))
     if hvv < 0.0:
         return ONeillType.DIAGONAL
-    lam = float(Jv @ T @ v) / hvv
-    N = (T - 0.5 * (float(T.trace()) - lam) * _E) @ (_E - np.outer(v, Jv) / hvv)
-    D = 2.0 * float((N * N.T).sum())
-    n = float(np.abs(N).max())
-    if n <= tol.classification_tol * (s + float(np.abs(T).max())):
+    lam = sum(x * r * y for x, row in zip(Jv, T) for r, y in zip(row, v)) / hvv
+    m = 0.5 * (T[0][0] + T[1][1] + T[2][2] - lam)
+    N = matmul(tuple(tuple(x - m * e for x, e in zip(row, unit)) for row, unit in zip(T, _I3)),
+               tuple(tuple(e - x * y / hvv for e, y in zip(unit, Jv))
+                     for x, unit in zip(v, _I3)))
+    D = 2.0 * sum(N[i][j] * N[j][i] for i in range(3) for j in range(3))
+    n = max(abs(x) for row in N for x in row)
+    if n <= tol.classification_tol * (s + max(abs(x) for row in T for x in row)):
         return ONeillType.DIAGONAL
     if abs(D) <= tol.classification_tol * (2.0 * n) ** 2:
         return ONeillType.DOUBLE
@@ -479,7 +469,7 @@ def _operator_type(T: np.ndarray, v: np.ndarray, s: float,
 class ClosedFormCurvature:
     form_id: str
     params: dict[str, float]
-    ricci_op: np.ndarray
+    ricci_op: Array = ArrayField()
     rho: float
     kappas: tuple[float, float, float]
     oneill_type: ONeillType
@@ -489,8 +479,9 @@ def closed_form_report(tag: FamilyTag, form_id: str, params: dict[str, float],
                        tol: ToleranceConfig = DEFAULT_TOL) -> ClosedFormCurvature:
     spec = _spec_in_domain(tag, form_id, params)
     alg = make_family_algebra(tag, classification_basis(tag))
-    brackets = bracket_constants(alg.structure_constants, spec.frame(tag, params))
-    return _closed_form(spec, tag, params, float(np.abs(brackets).max()) ** 2, tol)
+    top = max(abs(x) for row in cross_rewrite(alg._cross, spec.frame(tag, params))
+              for x in row)
+    return _closed_form(spec, tag, params, top * top, tol)
 
 
 def _closed_form(spec: FormSpec, tag: FamilyTag, params: dict[str, float],
@@ -498,11 +489,12 @@ def _closed_form(spec: FormSpec, tag: FamilyTag, params: dict[str, float],
     """The closed-form curvature of a form in the domain; s, the squared
     largest bracket constant of its paper frame, is the unit in which the
     operator type is decided."""
-    ric = spec.ric(tag, params)
-    rho = float(np.trace(ric))
-    kappas = tuple(milnor_sectional(J21 @ ric, rho, _E[i], _E[j], tol)
+    ric = float_rows(spec.ric(tag, params))
+    rho = ric[0][0] + ric[1][1] + ric[2][2]
+    form = ricci_operator(ric)
+    kappas = tuple(milnor_sectional(form, rho, _I3[i], _I3[j], tol)
                    for i, j in ((0, 1), (1, 2), (2, 0)))
-    oneill_type = _operator_type(ric, np.asarray(spec.eigenvector(tag, params), float),
+    oneill_type = _operator_type(ric, float_rows(spec.eigenvector(tag, params), 1),
                                  s, tol)
     return ClosedFormCurvature(spec.form_id, dict(params), ric, rho, kappas,
                                oneill_type)
@@ -513,7 +505,7 @@ class AtlasEntry:
     form_id: str
     params: dict[str, float]
     closed: ClosedFormCurvature
-    engine_ricci_op: np.ndarray
+    engine_ricci_op: Array = ArrayField()
     engine_rho: float
     engine_kappas: tuple[float, float, float]
     engine_type: ONeillType
@@ -537,7 +529,8 @@ def cross_check(tag: FamilyTag, form_id: str, params: dict[str, float],
     h = MetricTensor(spec.matrix(tag, params), basis_label=basis)
     frame = OrthonormalFrame(spec.frame(tag, params))
     report = curvature_report(alg, h, frame=frame, tol=tol)
-    s = float(np.abs(report.connection.brackets).max()) ** 2
+    top = max(abs(x) for row in report.connection._brackets for vec in row for x in vec)
+    s = top * top
     closed = _closed_form(spec, tag, params, s, tol)
     flags: list[str] = []
     worst = 0.0
@@ -552,8 +545,8 @@ def cross_check(tag: FamilyTag, form_id: str, params: dict[str, float],
 
     for i in range(3):
         for j in range(3):
-            check(f"ric{i + 1}{j + 1}", float(closed.ricci_op[i, j]),
-                  float(report.ricci_op[i, j]))
+            check(f"ric{i + 1}{j + 1}", closed._ricci_op[i][j],
+                  report._ricci_op[i][j])
     check("rho", closed.rho, report.scalar)
     for label, cv, ev in zip(("kappa12", "kappa23", "kappa31"),
                              closed.kappas, report.sectional):
@@ -562,7 +555,7 @@ def cross_check(tag: FamilyTag, form_id: str, params: dict[str, float],
         flags.append(f"oneill: closed {closed.oneill_type.value} vs engine "
                      f"{report.oneill.type_tag.value}")
 
-    return AtlasEntry(form_id, dict(params), closed, report.ricci_op,
+    return AtlasEntry(form_id, dict(params), closed, report._ricci_op,
                       report.scalar, report.sectional,
                       report.oneill.type_tag, worst, tuple(flags),
                       dict(_FORMS[form_id].notes))
@@ -608,7 +601,7 @@ def emit_tables(tag: FamilyTag, grid: dict[str, list[float]],
             "params": e.params,
             "rho": e.closed.rho,
             "kappas": list(e.closed.kappas),
-            "ricci_operator": e.closed.ricci_op.tolist(),
+            "ricci_operator": e.closed._ricci_op,
             "oneill_type": e.closed.oneill_type.value,
             "max_residual": e.max_residual,
             "flags": list(e.flags),

@@ -24,7 +24,9 @@ congruence, evaluated on the returned witness's (P, t) from h's blocks,
 never read from the held entries.  A verdict of equivalence composes its
 witness W1 W2^-1 as (P, t) floats too, moves it to the natural basis by
 the 2x2 blocks of the adapted basis, checks its residual by the same
-congruence, and builds the witness array once.
+congruence.  Canonical matrices and witnesses are rows of Python floats;
+a CanonicalForm builds their arrays on first read, and ``equivalent``
+builds its witness array at the end.
 """
 
 from __future__ import annotations
@@ -34,15 +36,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .algebra import (BasisLabel, FamilyTag, Step, _adapted_blocks,
-                      adapted_basis_vectors, adapted_transition,
                       automorphism_step, classification_basis,
                       is_automorphism, make_family_algebra, step_matrix)
-from .atlas import canonical_matrix
+from .arrays import Array, ArrayField, Rows, array
+from .atlas import get_form_spec
 from .curvature import _connection, riemann
-from .metric import _I3, J21, MetricTensor, _derived, _eigh, _signature, pull_back_metric
+from .metric import _I3, _J, MetricTensor, _derived, _eigen, _signature, pull_back_metric
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -56,18 +56,14 @@ class CanonicalForm:
     family: FamilyTag
     form_id: str
     params: dict[str, float]
-    canonical_matrix: np.ndarray
-    witness: np.ndarray          # automorphism in the classification basis
-    basis_label: BasisLabel      # basis the canonical matrix lives in
+    canonical_matrix: Array = ArrayField()
+    witness: Array = ArrayField()    # automorphism in the classification basis
+    basis_label: BasisLabel          # basis the canonical matrix lives in
 
 
-#: the Riemann tensor of the unit-curvature model, J_im d_jl - J_jm d_il
-_UNIT_MODEL = (np.einsum("im,jl->ijml", J21, _I3)
-               - np.einsum("jm,il->ijml", J21, _I3))
-_UNIT_MODEL.setflags(write=False)
-#: the frame axes (y_i, y_j, y_m) of the model check, (i, j, m) in
-#: lexicographic order
-_AXIS_TRIPLES = tuple(itertools.product(tuple(_I3), repeat=3))
+#: the frame axes ((i, y_i), (j, y_j), (m, y_m)) of the model check,
+#: (i, j, m) in lexicographic order
+_AXIS_TRIPLES = tuple(itertools.product(enumerate(_I3), repeat=3))
 #: the entries (i, j), i <= j, of a symmetric 3x3 matrix
 _UPPER = tuple(itertools.combinations_with_replacement(range(3), 2))
 
@@ -83,16 +79,16 @@ def to_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
     """Rewrite a natural-basis metric in the adapted basis (c <= 1)."""
     if h.basis_label != BasisLabel.NATURAL:
         raise ValueError("expected a natural-basis metric")
-    U = adapted_basis_vectors(tag)
+    U = step_matrix((_adapted_blocks(tag)[0], (0.0, 0.0)))
     return pull_back_metric(h, U, basis_label=classification_basis(tag))
 
 
 def from_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
-    return pull_back_metric(h, adapted_transition(tag),
-                            basis_label=BasisLabel.NATURAL)
+    T = step_matrix((_adapted_blocks(tag)[1], (0.0, 0.0)))
+    return pull_back_metric(h, T, basis_label=BasisLabel.NATURAL)
 
 
-def _entrywise_gap(A: list[list[float]], B: list[list[float]]) -> float:
+def _entrywise_gap(A: Rows, B: Rows) -> float:
     """max |A_ij - B_ij| / sqrt(d_i d_j), d the row maxima of both symmetric
     matrices, given as rows: _Reducer.is_zero entry by entry, a margin free
     of scale."""
@@ -104,7 +100,7 @@ def _entrywise_gap(A: list[list[float]], B: list[list[float]]) -> float:
 _Blocks = tuple[float, float, float, float, float, float]
 
 
-def _blocks(rows: list[list[float]]) -> _Blocks:
+def _blocks(rows: Rows) -> _Blocks:
     """The blocks of a symmetric matrix given as rows."""
     (h11, h12, b1), (_, h22, b2), (_, _, g) = rows
     return h11, h12, h22, b1, b2, g
@@ -128,10 +124,10 @@ def _congruence(h0: _Blocks, step: Step) -> _Blocks:
             u1 * t1 + u2 * t2 + (t1 * b1 + t2 * b2 + g))
 
 
-def _rows(h: _Blocks) -> list[list[float]]:
+def _rows(h: _Blocks) -> Rows:
     """The rows of the symmetric matrix with these blocks."""
     h11, h12, h22, b1, b2, g = h
-    return [[h11, h12, b1], [h12, h22, b2], [b1, b2, g]]
+    return (h11, h12, b1), (h12, h22, b2), (b1, b2, g)
 
 
 def _compose(first: Step, second: Step) -> Step:
@@ -151,12 +147,12 @@ def _inverse(step: Step) -> Step:
             ((q * t2 - s * t1) / d, (r * t1 - p * t2) / d))
 
 
-def _strictly_lorentzian(C: np.ndarray) -> bool:
+def _strictly_lorentzian(C: Rows) -> bool:
     """Whether the symmetric matrix C has signature (2, 0, 1), with no
     tolerance band.  det C < 0 leaves one or three negative eigenvalues,
     and three exactly when C is negative definite, which Sylvester's
     criterion reads off the leading minors C00 and C00 C11 - C01^2."""
-    (a, b, c), (_, d, e), (_, _, f) = C.tolist()
+    (a, b, c), (_, d, e), (_, _, f) = C
     det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
     return det < 0.0 and not (a < 0.0 and a * d - b * b > 0.0)
 
@@ -168,9 +164,9 @@ class _Reducer:
     from h0's blocks and (P, t) after every step, so rounding is not
     carried from one step to the next."""
 
-    def __init__(self, h0: np.ndarray, tol: ToleranceConfig):
+    def __init__(self, h0: Rows, tol: ToleranceConfig):
         self.tol = tol
-        self.h0 = _blocks(h0.tolist())
+        self.h0 = _blocks(h0)
         self.P = ((1.0, 0.0), (0.0, 1.0))
         self.t = (0.0, 0.0)
         self._hold(self.h0)
@@ -193,8 +189,8 @@ class _Reducer:
         classification basis."""
         self.apply((((g, 0.0), (0.0, g)), t))
 
-    def witness(self) -> np.ndarray:
-        """The accumulated automorphism A as an array."""
+    def witness(self) -> Rows:
+        """The accumulated automorphism A, as rows."""
         return step_matrix((self.P, self.t))
 
     def entry(self, i: int, j: int) -> float:
@@ -272,7 +268,7 @@ def canonical_form(tag: FamilyTag, h: MetricTensor,
     """
     cf = _derived(h, ("canonical", tag, tol), lambda: _reduce(tag, h, tol))
     return CanonicalForm(cf.family, cf.form_id, dict(cf.params),
-                         cf.canonical_matrix, cf.witness, cf.basis_label)
+                         cf._canonical_matrix, cf._witness, cf.basis_label)
 
 
 def _reduce(tag: FamilyTag, h: MetricTensor,
@@ -281,13 +277,13 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
     if h.basis_label not in (target, BasisLabel.NATURAL):
         raise ValueError(f"metric basis {h.basis_label} not usable for {tag}")
     # a basis change keeps the signature but can blur it: read it on h as given
-    _, reason = _signature(_eigh(h)[0].tolist(), tol)
+    _, reason = _signature(_eigen(h, vectors=False)[0], tol)
     if reason is not None:
         raise DegenerateMetricError(reason)
     h_cls = h if h.basis_label == target else to_adapted_basis(tag, h)
 
     key = tag.family_key()
-    red = _Reducer(h_cls.entries, tol)
+    red = _Reducer(h_cls._entries, tol)
     if key == "GI":
         form_id, params = _reduce_gi(tag, red)
     elif key == "Gc_gt1":
@@ -297,7 +293,7 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
     else:
         form_id, params = _reduce_gc_lt1(tag, red)
 
-    canon = canonical_matrix(tag, form_id, params)
+    canon = get_form_spec(tag, form_id).matrix(tag, params)
     # A^T h A is congruent to the validated input, so this strict test stands
     # in for a sign test per reducer branch; a banded test refuses good forms
     if not _strictly_lorentzian(canon):
@@ -305,12 +301,10 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
     # the residual reads the witness returned, its (P, t) on h's blocks,
     # not the entries the steps held
     W = red.witness()
-    gap = _entrywise_gap(_rows(_congruence(red.h0, (red.P, red.t))), canon.tolist())
+    gap = _entrywise_gap(_rows(_congruence(red.h0, (red.P, red.t))), canon)
     if gap > 100 * tol.classification_tol:
         raise DegenerateMetricError(
             f"reduction residual {gap:g} too large for form {form_id}")
-    canon.setflags(write=False)
-    W.setflags(write=False)
     return CanonicalForm(tag, form_id, params, canon, W, target)
 
 
@@ -499,29 +493,35 @@ def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
 # equivalence and constant curvature
 
 def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
-               tol: ToleranceConfig = DEFAULT_TOL
-               ) -> tuple[bool, np.ndarray | None]:
+               tol: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, Array | None]:
     """Decide whether two metrics are related by an automorphism.
 
     Returns (flag, witness); the witness W satisfies W^T [h1] W = [h2] in
     the common input basis (both metrics must be given in the same basis).
     """
+    flag, W = _equivalence(tag, h1, h2, tol)
+    return flag, None if W is None else array(W)
+
+
+def _equivalence(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
+                 tol: ToleranceConfig) -> tuple[bool, Rows | None]:
+    """equivalent's verdict, with the witness as rows."""
     if h1.basis_label != h2.basis_label:
         raise ValueError("metrics must be given in the same basis")
     cf1 = canonical_form(tag, h1, tol)
     cf2 = canonical_form(tag, h2, tol)
     if cf1.form_id != cf2.form_id:
         return False, None
-    gap = _entrywise_gap(cf1.canonical_matrix.tolist(), cf2.canonical_matrix.tolist())
+    gap = _entrywise_gap(cf1._canonical_matrix, cf2._canonical_matrix)
     if gap > tol.classification_tol:
         return False, None
     # W = W1 W2^-1, composed as (P, t) floats
-    w = _compose(_step(cf1.witness), _inverse(_step(cf2.witness)))
+    w = _compose(_step(cf1._witness), _inverse(_step(cf2._witness)))
     if h1.basis_label == BasisLabel.NATURAL and cf1.basis_label != BasisLabel.NATURAL:
         # to the natural basis, U W T: both are [[B, 0], [0, 1]]
         U, T = _adapted_blocks(tag)
         w = _compose(_compose((U, (0.0, 0.0)), w), (T, (0.0, 0.0)))
-    got, want = _congruence(_blocks(h1.entries.tolist()), w), _blocks(h2.entries.tolist())
+    got, want = _congruence(_blocks(h1._entries), w), _blocks(h2._entries)
     res = max([abs(x - y) for x, y in zip(got, want)])
     if res > tol.classification_tol * max(map(abs, want)) * 100:
         raise ArithmeticError(f"equivalence witness residual {res:g} too large")
@@ -531,9 +531,9 @@ def equivalent(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
     return True, W
 
 
-def _step(W: np.ndarray) -> Step:
+def _step(W: Rows) -> Step:
     """The (P, t) of a witness [[P, t], [0, 1]]."""
-    (p, q, t1), (r, s, t2), _ = W.tolist()
+    (p, q, t1), (r, s, t2), _ = W
     return ((p, q), (r, s)), (t1, t2)
 
 
@@ -556,7 +556,7 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     needed, so the O'Neill classifier is not run."""
     cf = canonical_form(tag, h, tol)
     conn, ric, s = _connection(make_family_algebra(tag, h.basis_label), h, tol)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = ric.tolist()
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = ric
     k = (r00 + r11 - r22) / 6.0
     # in units of the squared frame brackets, as curvature_report classifies
     band = tol.classification_tol * s
@@ -565,9 +565,10 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
            abs(r11 - 2.0 * k), abs(r12), abs(r20), abs(r21),
            abs(r22 + 2.0 * k)) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
-    # R[i, j, m] = R_{y_i, y_j} y_m against k (J_im y_j - J_jm y_i)
-    R = np.array([riemann(conn, u, v, w) for u, v, w in _AXIS_TRIPLES])
-    if float(np.abs(R.reshape(3, 3, 3, 3) - k * _UNIT_MODEL).max()) > band:
+    # R_{y_i, y_j} y_m against the model k (J_im y_j - J_jm y_i), all 27
+    if max(abs(x - k * (_J[i][m] * y - _J[j][m] * z))
+           for (i, u), (j, v), (m, w) in _AXIS_TRIPLES
+           for x, y, z in zip(riemann(conn, u, v, w), v, u)) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
     if abs(k) <= band:
         return ConstantCurvatureClass.FLAT, cf

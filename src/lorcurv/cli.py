@@ -18,8 +18,9 @@ means not canonical), with one ``rejected: <message>`` line on stderr;
 2 parse or I/O error (``error: <field>: <message>``); 3 "not
 equivalent" (equiv only); 4 internal fault, an ``ArithmeticError`` or
 ``LinAlgError`` of the engine (one ``fault: <subcommand>: <message>``
-line on stderr).  ``validate`` prints its diagnostics and exits 1 when
-the metric is not Lorentzian.  classification_tol, the package's one
+line on stderr).  The subcommands compute on Python floats and write
+JSON from them: none imports numpy.  ``validate`` prints its diagnostics
+and exits 1 when the metric is not Lorentzian.  classification_tol, the package's one
 tolerance, is set per document by the "tolerance" field; ``atlas`` uses
 the default.
 
@@ -36,15 +37,13 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .algebra import (BasisLabel, FamilyTag, classification_basis,
                       make_family_algebra)
 from .atlas import PARAM_NAMES, emit_tables, paper_frame
 from .canonical import (
+    _equivalence,
     canonical_form,
     constant_curvature_class,
-    equivalent,
     to_adapted_basis,
 )
 from .curvature import curvature_report
@@ -125,7 +124,7 @@ def _parse_metric(node, basis: BasisLabel) -> MetricTensor:
         for j, value in enumerate(row):
             if not _finite_real(value):
                 raise InputError(f"metric[{i}][{j}]", "must be a finite real number")
-    return MetricTensor(np.array(node, dtype=float), basis_label=basis)
+    return MetricTensor(node, basis_label=basis)
 
 
 def _read_json(path: str):
@@ -190,8 +189,8 @@ def _form_payload(cf) -> dict:
     payload = {
         "form_id": cf.form_id,
         "params": cf.params,
-        "canonical_matrix": cf.canonical_matrix.tolist(),
-        "witness": cf.witness.tolist(),
+        "canonical_matrix": cf._canonical_matrix,
+        "witness": cf._witness,
         "basis": cf.basis_label.value,
     }
     payload.update(cf.params)
@@ -273,11 +272,11 @@ def cmd_equiv(args) -> int:
         raise InputError("family", "the two documents describe different families")
     if h1.basis_label != h2.basis_label:
         raise InputError("basis", "the two metrics use different bases")
-    flag, witness = equivalent(tag1, h1, h2, tol)
+    flag, witness = _equivalence(tag1, h1, h2, tol)
     if not flag:
         _emit({"equivalent": False, "witness": None})
         return EXIT_NOT_EQUIVALENT
-    _emit({"equivalent": True, "witness": witness.tolist()})
+    _emit({"equivalent": True, "witness": witness})
     return EXIT_OK
 
 
@@ -331,6 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _faults() -> tuple[type[Exception], ...]:
+    """The engine's internal faults: ArithmeticError, and numpy's
+    LinAlgError (a ValueError) where numpy is loaded; a process that never
+    imported numpy cannot raise it."""
+    numpy = sys.modules.get("numpy")
+    return (ArithmeticError,) if numpy is None else (ArithmeticError,
+                                                     numpy.linalg.LinAlgError)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -338,7 +346,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, OSError) as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except _faults() as exc:
         return _fail(EXIT_FAULT, f"fault: {args.command}: {exc}")
     except ValueError as exc:       # the library's rejections
         return _fail(EXIT_DOMAIN, f"rejected: {exc}")

@@ -1,9 +1,16 @@
 """Curvature of a left-invariant Lorentzian metric, computed in an
 orthonormal frame of the Lie algebra.
 
-Everything is algebraic: the Levi-Civita connection of a left-invariant
-metric is determined by the Koszul formula on frame brackets, so the
-whole curvature package reduces to finite-dimensional linear algebra.
+Everything is algebraic, and computed on Python floats: the Levi-Civita
+connection of a left-invariant metric is determined by the Koszul formula
+on frame brackets, and its Ricci matrix by a contraction of the
+connection with itself and with the brackets.  In dimension three the
+Weyl tensor vanishes, so Ric fixes the whole curvature tensor (Milnor
+1976): with the Schouten form P = ric - (rho / 4) h,
+
+    R_{u,v} w = P(u, w) v - P(v, w) u + h(u, w) P^ v - h(v, w) P^ u,
+
+P^ the operator of P, and the 4-index tensor is never built per metric.
 
 Sign convention for the curvature operator:
 
@@ -15,74 +22,144 @@ R_{u,v} w = k (h(u,w) v - h(v,w) u) and ric = 2k h.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .algebra import LieAlgebra3, bracket_constants
-from .metric import _I3, _SIGNS, J21, MetricTensor, OrthonormalFrame, \
-    _check_frame, _derived, frame_inner, orthonormal_frame
+from .algebra import LieAlgebra3, _cross_form, _from_cross, cross_rewrite
+from .arrays import Array, ArrayField, Rows, Vec, array, float_rows
+from .metric import _I3, MetricTensor, OrthonormalFrame, _check_frame, _derived, \
+    frame_inner, orthonormal_frame
 from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
-#: the frame signs of the Koszul formula, with its factor 1/2
-_HALF_SIGNS = 0.5 * _SIGNS
-_HALF_SIGNS.setflags(write=False)
-#: the frame axes y1, y2, y3 as rows
-_AXES = tuple(_I3)
+#: the diagonal of J, and the cyclic orders of the frame indices
+_SIGNS = (1.0, 1.0, -1.0)
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _bracket_form(i: int, j: int, k: int) -> dict[int, float]:
+    """c[i][j][k], the k-th component of [y_i, y_j], as a linear form in
+    the frame's cross form M (flat index 3 k + l): [y_i, y_j] = +-M e_l for
+    (i, j, l) in cyclic or anticyclic order, and 0 for i = j."""
+    if i == j:
+        return {}
+    l = 3 - i - j
+    return {3 * k + l: 1.0 if (i, j, l) in _CYCLIC else -1.0}
+
+
+def _gamma_form(i: int, j: int, k: int) -> dict[int, float]:
+    """gamma[i][j][k], the k-th component of nabla_{y_i} y_j, as a linear
+    form in M: the Koszul formula on an orthonormal frame,
+    (c[i][j][k] + e_j e_k c[k][i][j] + e_i e_k c[k][j][i]) / 2."""
+    form: dict[int, float] = {}
+    for ijk, w in (((i, j, k), 0.5), ((k, i, j), 0.5 * _SIGNS[j] * _SIGNS[k]),
+                   ((k, j, i), 0.5 * _SIGNS[i] * _SIGNS[k])):
+        for p, v in _bracket_form(*ijk).items():
+            form[p] = form.get(p, 0.0) + w * v
+    return {p: v for p, v in form.items() if v}
+
+
+#: c[i][j][k] and gamma[i][j][k] as linear forms in M, by (i, j, k)
+_BRACKET_FORMS = {ijk: _bracket_form(*ijk) for ijk in itertools.product(range(3), repeat=3)}
+_GAMMA_FORMS = {ijk: _gamma_form(*ijk) for ijk in _BRACKET_FORMS}
+
+
+def _ricci_form(i: int, k: int) -> tuple[tuple[float, int, int], ...]:
+    """ric[i][k] as a quadratic form in M, its terms (w, p, q) for
+    w M_p M_q: the trace over a of R[i][a][k][a],
+
+    ric[i][k] = sum_{a,m} c[i][a][m] G[m][k][a] - G[a][k][m] G[i][m][a]
+                + G[i][k][m] G[a][m][a],
+
+    multiplied out.  Every w is +-1/2 or +-1, so w M_p M_q is rounded once."""
+    form: dict[tuple[int, int], float] = {}
+    for a, m in itertools.product(range(3), repeat=2):
+        for x, y, sign in ((_BRACKET_FORMS[i, a, m], _GAMMA_FORMS[m, k, a], 1.0),
+                           (_GAMMA_FORMS[a, k, m], _GAMMA_FORMS[i, m, a], -1.0),
+                           (_GAMMA_FORMS[i, k, m], _GAMMA_FORMS[a, m, a], 1.0)):
+            for (p, u), (q, v) in itertools.product(x.items(), y.items()):
+                key = min(p, q), max(p, q)
+                form[key] = form.get(key, 0.0) + sign * u * v
+    return tuple((w, p, q) for (p, q), w in form.items() if w)
+
+
+#: the entries (i, k), i <= k, of the Ricci matrix and their quadratic forms
+_RICCI = tuple(((i, k), _ricci_form(i, k))
+               for i, k in itertools.combinations_with_replacement(range(3), 2))
 
 
 @dataclass(frozen=True)
 class Connection:
     """Levi-Civita connection in frame coordinates.
 
-    gamma[i, j, k] is the k-th component of nabla_{y_i} y_j; brackets holds
-    the structure constants of the frame vectors, so that covariant
-    derivatives and curvature never need to leave frame coordinates.
-    curvature[i, j, k, l] is the l-th component of R_{y_i, y_j} y_k.
+    brackets holds the structure constants of the frame vectors, so that
+    covariant derivatives and curvature never need to leave frame
+    coordinates; on an orthonormal frame they fix the connection.  The
+    Ricci matrix is computed from them with the connection, once.
+    gamma[i, j, k], the k-th component of nabla_{y_i} y_j, and
+    curvature[i, j, k, l], the l-th component of R_{y_i, y_j} y_k, are
+    built on first read.
     """
 
-    gamma: np.ndarray      # (3, 3, 3)
-    brackets: np.ndarray   # (3, 3, 3), frame structure constants
-    curvature: np.ndarray  # (3, 3, 3, 3), Riemann tensor
+    brackets: Array = ArrayField(3)    # (3, 3, 3), frame structure constants
+
+    def __post_init__(self) -> None:
+        m = [x for row in _cross_form(self._brackets) for x in row]
+        top = max(map(abs, m))
+        # |ric| <= 10 max|M|^2, so past this check no product or sum overflows
+        if not (all(map(math.isfinite, m)) and math.isfinite(16.0 * top * top)):
+            raise ValueError("curvature: the frame brackets or their Ricci matrix "
+                             "overflow the float range")
+        # each entry an exactly rounded sum of its products: Ric is small
+        # where the brackets nearly cancel (near c = 1), and a {21} type
+        # needs its block discriminant there to lie within the band
+        ric = [[0.0] * 3 for _ in range(3)]
+        for (i, k), terms in _RICCI:
+            ric[i][k] = ric[k][i] = math.fsum([w * m[p] * m[q] for w, p, q in terms])
+        (r00, r01, r02), (_, r11, r12), (_, _, r22) = ric
+        quarter = 0.25 * (r00 + r11 - r22)
+        memo = self.__dict__
+        # the cross form, flat (index 3 k + l), and the curvature unit s
+        memo["_cross"], memo["_unit"] = m, top * top
+        memo["_ric"] = tuple(map(tuple, ric))
+        # the Schouten form P = ric - (rho / 4) J, which riemann reads
+        memo["_schouten"] = ((r00 - quarter, r01, r02), (r01, r11 - quarter, r12),
+                             (r02, r12, r22 + quarter))
+
+    @property
+    def gamma(self) -> Array:
+        """The Christoffel symbols (3, 3, 3), read-only."""
+        m = self._cross
+        return _derived(self, "gamma", lambda: array(
+            [[[sum(v * m[p] for p, v in _GAMMA_FORMS[i, j, k].items()) for k in range(3)]
+              for j in range(3)] for i in range(3)], read_only=True))
+
+    @property
+    def curvature(self) -> Array:
+        """The Riemann tensor (3, 3, 3, 3), read-only."""
+        return _derived(self, "curvature", lambda: array(
+            [[[riemann(self, u, v, w) for w in _I3] for v in _I3] for u in _I3],
+            read_only=True))
 
 
 def levi_civita(alg: LieAlgebra3, frame: OrthonormalFrame) -> Connection:
-    """Koszul formula specialised to an orthonormal frame.
-
-    2 h(nabla_a b, y_k) = h([a,b], y_k) + h([y_k, a], b) + h([y_k, b], a)
-    and h(x, y_k) = sign_k x_k in frame coordinates.  The Riemann tensor
-    is built here, once per connection:
-
-    R[i,j,k,l] = sum_m c[i,j,m] G[m,k,l] - P[j,k,i,l] + P[i,k,j,l]
-
-    with G = gamma and P[a,b,c,d] = sum_m G[a,b,m] G[c,m,d], so R takes
-    two matrix products.  The arrays of the connection are read-only.
-    """
-    c = bracket_constants(alg.structure_constants, frame.columns)
-    # with d[i, j, k] = sign_k c[i, j, k], d.transpose(1, 2, 0)[i, j, k] =
-    # sign_j c[k, i, j] and d.transpose(2, 1, 0)[i, j, k] = sign_i c[k, j, i]
-    d = _SIGNS * c
-    gamma = _HALF_SIGNS * (d + d.transpose(1, 2, 0) + d.transpose(2, 1, 0))
-    P = gamma.reshape(9, 3).dot(
-        gamma.transpose(1, 0, 2).reshape(3, 9)).reshape(3, 3, 3, 3)
-    curv = (c.reshape(9, 3).dot(gamma.reshape(3, 9)).reshape(3, 3, 3, 3)
-            - P.transpose(2, 0, 1, 3) + P.transpose(0, 2, 1, 3))
-    for array in (gamma, c, curv):
-        array.setflags(write=False)
-    return Connection(gamma, c, curv)
+    """The Levi-Civita connection of an orthonormal frame, given by its
+    brackets: the algebra's cross form rewritten by the cofactors of the
+    frame (algebra.cross_rewrite), with no inverse taken.  The Koszul
+    formula, 2 h(nabla_a b, y_k) = h([a,b], y_k) + h([y_k, a], b) +
+    h([y_k, b], a) with h(x, y_k) = sign_k x_k, gives gamma from them."""
+    return Connection(_from_cross(cross_rewrite(alg._cross, frame._columns)))
 
 
-def _ricci(conn: Connection) -> tuple[np.ndarray, float]:
-    """The Ricci matrix of a connection, read-only, and the squared
-    maximum of its frame brackets, the unit of its curvature."""
-    ric = ricci_tensor(conn)
-    ric.setflags(write=False)
-    return ric, float(np.abs(conn.brackets).max()) ** 2
+def _ricci(conn: Connection) -> tuple[Rows, float]:
+    """The Ricci matrix of a connection, and the squared maximum of its
+    frame brackets, the unit of its curvature."""
+    return ricci_tensor(conn), conn._unit
 
 
 def _connection(alg: LieAlgebra3, h: MetricTensor,
-                tol: ToleranceConfig) -> tuple[Connection, np.ndarray, float]:
+                tol: ToleranceConfig) -> tuple[Connection, Rows, float]:
     """h's connection on alg in h's own frame, with its _ricci, built once
     per (h, alg, tol)."""
     def build():
@@ -91,64 +168,71 @@ def _connection(alg: LieAlgebra3, h: MetricTensor,
     return _derived(h, ("connection", alg, tol), build)
 
 
-def riemann(conn: Connection, u: np.ndarray, v: np.ndarray,
-            w: np.ndarray) -> np.ndarray:
+def riemann(conn: Connection, u, v, w) -> Vec:
     """R_{u,v} w = nabla_{[u,v]} w - nabla_u nabla_v w + nabla_v nabla_u w,
-    for u, v, w float arrays of frame coordinates.  The curvature tensor is
-    contracted with u, v and w in turn, each an exact pick when its vector
-    is a frame axis."""
-    return w.dot(v.dot(u.dot(conn.curvature.reshape(3, 27)).reshape(3, 9))
-                 .reshape(3, 3))
+    for u, v, w vectors of frame coordinates, from the Schouten form P:
+    P(u, w) v - P(v, w) u + P^ x, with x = h(u, w) v - h(v, w) u."""
+    (p00, p01, p02), (_, p11, p12), (_, _, p22) = conn._schouten
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    q0 = p00 * w0 + p01 * w1 + p02 * w2
+    q1 = p01 * w0 + p11 * w1 + p12 * w2
+    q2 = p02 * w0 + p12 * w1 + p22 * w2
+    a = u0 * q0 + u1 * q1 + u2 * q2
+    b = v0 * q0 + v1 * q1 + v2 * q2
+    hu = u0 * w0 + u1 * w1 - u2 * w2
+    hv = v0 * w0 + v1 * w1 - v2 * w2
+    x0, x1, x2 = hu * v0 - hv * u0, hu * v1 - hv * u1, hu * v2 - hv * u2
+    return (a * v0 - b * u0 + (p00 * x0 + p01 * x1 + p02 * x2),
+            a * v1 - b * u1 + (p01 * x0 + p11 * x1 + p12 * x2),
+            a * v2 - b * u2 - (p02 * x0 + p12 * x1 + p22 * x2))
 
 
-def ricci_tensor(conn: Connection) -> np.ndarray:
+def ricci_tensor(conn: Connection) -> Rows:
     """Matrix of ric(u, v) = sum_a sign_a h(R_{u, y_a} v, y_a) in the frame.
 
     With frame coordinates the trace collapses to summing the a-th
-    component of R_{y_i, y_a} y_j.
+    component of R_{y_i, y_a} y_j; it is summed from gamma and the brackets
+    when the connection is made.
     """
-    ric = conn.curvature.trace(axis1=1, axis2=3)
-    return 0.5 * (ric + ric.T)
+    return conn._ric
 
 
-def ricci_operator(ric: np.ndarray) -> np.ndarray:
+def ricci_operator(ric) -> Rows:
     """Raise an index with J: Ric = J [ric] (J-self-adjoint)."""
-    return J21 @ np.asarray(ric, dtype=float)
+    r0, r1, (x, y, z) = float_rows(ric)
+    return r0, r1, (-x, -y, -z)
 
 
-def sectional(conn: Connection, u: np.ndarray, v: np.ndarray,
-              tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def sectional(conn: Connection, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """kappa(u, v) = h(R_{u,v} u, v) / (h(u,u) h(v,v) - h(u,v)^2).
 
     Raises ValueError on a degenerate (lightlike) plane, where the
     denominator vanishes and the curvature of the plane is undefined.
     """
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    u0, u1, u2 = u.tolist()
-    v0, v1, v2 = v.tolist()
+    u0, u1, u2 = u
+    v0, v1, v2 = v
     den = ((u0 * u0 + u1 * u1 - u2 * u2) * (v0 * v0 + v1 * v1 - v2 * v2)
            - (u0 * v0 + u1 * v1 - u2 * v2) ** 2)
     # |u|^2 |v|^2 carries the units of den, so the band is free of scale
     if abs(den) <= tol.classification_tol * (
             (u0 * u0 + u1 * u1 + u2 * u2) * (v0 * v0 + v1 * v1 + v2 * v2)):
         raise ValueError("sectional curvature undefined on a degenerate plane")
-    r0, r1, r2 = riemann(conn, u, v, u).tolist()
-    return (r0 * v0 + r1 * v1 - r2 * v2) / den
+    r0, r1, r2 = riemann(conn, u, v, u)
+    return float((r0 * v0 + r1 * v1 - r2 * v2) / den)
 
 
-def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def cross(u, v) -> Vec:
     """Lorentzian cross product in an orthonormal frame:
     y1 x y2 = -y3, y2 x y3 = y1, y3 x y1 = y2."""
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
-    return np.array([u[1] * v[2] - u[2] * v[1],
-                     u[2] * v[0] - u[0] * v[2],
-                     -(u[0] * v[1] - u[1] * v[0])])
+    u0, u1, u2 = float_rows(u, 1)
+    v0, v1, v2 = float_rows(v, 1)
+    return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, -(u0 * v1 - u1 * v0)
 
 
-def milnor_sectional(ric: np.ndarray, rho: float, u: np.ndarray,
-                     v: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def milnor_sectional(ric, rho: float, u, v,
+                     tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Sectional curvature from Ricci data alone:
 
     h(u,u) h(v,v) kappa(u,v) = ric(u x v, u x v) - ||u x v||^2 rho / 2
@@ -156,21 +240,20 @@ def milnor_sectional(ric: np.ndarray, rho: float, u: np.ndarray,
     valid for h-orthonormal u, v; here u, v are only required to span a
     non-degenerate plane and are orthonormalised internally.
     """
-    u = np.asarray(u, float)
-    v = np.asarray(v, float)
+    u, v = float_rows(u, 1), float_rows(v, 1)
     nu = frame_inner(u, u)
-    if abs(nu) <= tol.classification_tol * float(u @ u):
+    if abs(nu) <= tol.classification_tol * sum(x * x for x in u):
         raise ValueError("u must be non-null")
-    u1 = u / np.sqrt(abs(nu))
-    v1 = v - np.sign(nu) * frame_inner(u1, v) * u1
+    u1 = tuple(x / math.sqrt(abs(nu)) for x in u)
+    f = math.copysign(1.0, nu) * frame_inner(u1, v)
+    v1 = tuple(y - f * x for x, y in zip(u1, v))
     nv = frame_inner(v1, v1)
-    if abs(nv) <= tol.classification_tol * float(v1 @ v1):
+    if abs(nv) <= tol.classification_tol * sum(x * x for x in v1):
         raise ValueError("plane is degenerate")
-    v1 = v1 / np.sqrt(abs(nv))
+    v1 = tuple(x / math.sqrt(abs(nv)) for x in v1)
     w = cross(u1, v1)
-    nw = frame_inner(w, w)
-    ric_ww = float(w @ np.asarray(ric, float) @ w)
-    return (ric_ww - nw * rho / 2.0) / (np.sign(nu) * np.sign(nv))
+    ric_ww = sum(x * r * y for x, row in zip(w, float_rows(ric)) for r, y in zip(row, w))
+    return (ric_ww - frame_inner(w, w) * rho / 2.0) * math.copysign(1.0, nu * nv)
 
 
 @dataclass(frozen=True)
@@ -179,8 +262,8 @@ class CurvatureReport:
 
     frame: OrthonormalFrame
     connection: Connection
-    ric_matrix: np.ndarray                      # symmetric, frame coords
-    ricci_op: np.ndarray                        # J * ric
+    ric_matrix: Array = ArrayField()             # symmetric, frame coords
+    ricci_op: Array = ArrayField()               # J * ric
     scalar: float
     sectional: tuple[float, float, float]       # kappa(y1,y2), (y2,y3), (y3,y1)
     principal_ricci: tuple[complex, complex, complex]
@@ -188,9 +271,9 @@ class CurvatureReport:
 
     def to_dict(self) -> dict:
         return {
-            "frame": self.frame.columns.tolist(),
-            "ric": self.ric_matrix.tolist(),
-            "ricci_operator": self.ricci_op.tolist(),
+            "frame": self.frame._columns,
+            "ric": self._ric_matrix,
+            "ricci_operator": self._ricci_op,
             "scalar": self.scalar,
             "sectional": {"k12": self.sectional[0], "k23": self.sectional[1],
                           "k31": self.sectional[2]},
@@ -198,8 +281,8 @@ class CurvatureReport:
                                 for z in self.principal_ricci],
             "oneill": {
                 "type": self.oneill.type_tag.value,
-                "normal_form": self.oneill.normal_form.tolist(),
-                "transition": self.oneill.transition.tolist(),
+                "normal_form": self.oneill._normal_form,
+                "transition": self.oneill._transition,
                 "discriminant": self.oneill.discriminant,
                 "boundary_warning": bool(self.oneill.boundary_warning),
             },
@@ -211,7 +294,8 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
                      tol: ToleranceConfig = DEFAULT_TOL) -> CurvatureReport:
     """Compute the full curvature report of a left-invariant metric.  A
     passed frame is checked and gets its own connection.  The algebra must
-    be non-unimodular: a unimodular one (tr ad = 0) raises ValueError."""
+    be non-unimodular: a unimodular one (tr ad = 0) raises ValueError, and
+    so does a metric whose curvature overflows the float range."""
     if frame is None:
         frame = orthonormal_frame(h, tol)     # checked where it is built
         conn, ric, s = _connection(alg, h, tol)
@@ -221,25 +305,30 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
         ric, s = _ricci(conn)
     # the h-dual n = J tau of the trace form tau_i = tr ad_{y_i} is normal
     # to the unimodular kernel, which Ric leaves invariant: an eigenvector
-    tau = conn.brackets.trace(axis1=1, axis2=2).tolist()
-    if max(map(abs, tau)) <= tol.classification_tol * s ** 0.5:
+    tau = [sum(row[j][j] for j in range(3)) for row in conn._brackets]
+    if max(map(abs, tau)) <= tol.classification_tol * math.sqrt(s):
         raise ValueError("curvature_report: the algebra is unimodular (tr ad = 0), "
                          "outside the non-unimodular domain of the classifier")
     op = ricci_operator(ric)
-    rho = float(op.trace())
-    y1, y2, y3 = _AXES
+    rho = op[0][0] + op[1][1] + op[2][2]
+    y1, y2, y3 = _I3
     kappas = (sectional(conn, y1, y2, tol), sectional(conn, y2, y3, tol),
               sectional(conn, y3, y1, tol))
     # the classifier's bands are absolute: it sees Ric in units of the
-    # squared frame brackets, and its normal form and D are scaled back
+    # squared frame brackets, and its normal form and D are scaled back,
+    # D as s (s D) so that D = 0 stays 0 where s^2 overflows
     s = s or 1.0
-    unit = classify_self_adjoint(op / s, (tau[0], tau[1], -tau[2]), tol)
-    cls = ONeillClassification(unit.type_tag, s * unit.normal_form,
-                               unit.transition, s * s * unit.discriminant,
+    unit = classify_self_adjoint(tuple(tuple(x / s for x in row) for row in op),
+                                 (tau[0], tau[1], -tau[2]), tol)
+    normal = tuple(tuple(s * x for x in row) for row in unit._normal_form)
+    D = s * (s * unit.discriminant)
+    if not all(map(math.isfinite, (rho, *kappas, D, *itertools.chain(*normal)))):
+        raise ValueError("curvature_report: a curvature value overflows the float range")
+    cls = ONeillClassification(unit.type_tag, normal, unit._transition, D,
                                unit.boundary_warning)
     # the principal values from the normal form: a00, then the block's
     # [[b, r], [-r, d]] as b and d, m +- i r or the Jordan cell's m twice
-    (a, _, _), (_, b, r), (_, r2, d) = cls.normal_form.tolist()
+    (a, _, _), (_, b, r), (_, r2, d) = normal
     m, i = 0.5 * (b + d), 0.5j * (r - r2)
     values = {ONeillType.COMPLEX: (m + i, m - i),
               ONeillType.DOUBLE: (m, m)}.get(cls.type_tag, (b, d))

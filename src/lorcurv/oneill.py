@@ -36,7 +36,9 @@ Rounding can flip two decisions, r = 0 and D = 0.  b, r and d carry a
 forward error err = 16 eps (1 + max|T|) max|C0|^2 for the split basis
 C0 = (v, p, q), and an r or a D outside its band but within that error
 is rejected, "O'Neill classification: ... within its rounding error".
-The classifier makes no LAPACK call.
+The classifier works on Python floats: the split, the conjugations, the
+boosts and the transition are rows of floats, and it makes no LAPACK
+call.
 """
 
 from __future__ import annotations
@@ -46,9 +48,8 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .metric import _I3, J21, frame_inner
+from .arrays import Array, ArrayField, Rows, array, float_rows, matmul, transpose
+from .metric import _I3, _J, frame_inner
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 
@@ -62,8 +63,8 @@ class ONeillType(str, Enum):
 @dataclass(frozen=True)
 class ONeillClassification:
     type_tag: ONeillType
-    normal_form: np.ndarray
-    transition: np.ndarray              # in O(2,1); normal = inv(T) A T
+    normal_form: Array = ArrayField()
+    transition: Array = ArrayField()    # in O(2,1); normal = inv(T) A T
     discriminant: float                 # (b-d)^2 - 4 r^2 of the block
     boundary_warning: bool = False
 
@@ -72,12 +73,14 @@ class ONeillClassification:
 _ERR = 16 * sys.float_info.epsilon
 
 
-def boost(theta: float) -> np.ndarray:
-    """Hyperbolic rotation in the (y2, y3) plane; lies in O(2,1)."""
+def _boost(theta: float) -> Rows:
     c, s = math.cosh(theta), math.sinh(theta)
-    return np.array([[1.0, 0.0, 0.0],
-                     [0.0, c, s],
-                     [0.0, s, c]])
+    return (1.0, 0.0, 0.0), (0.0, c, s), (0.0, s, c)
+
+
+def boost(theta: float) -> Array:
+    """Hyperbolic rotation in the (y2, y3) plane; lies in O(2,1)."""
+    return array(_boost(theta))
 
 
 def _apply(t: list, u: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -156,8 +159,7 @@ def _split_complement(v: tuple[float, float, float]
             (v2 * v0 / n, v2 * v1 / n, (v2 * v2 + 1.0) / n))
 
 
-def _block_transition(b: float, r: float, d: float,
-                      kind: str | None) -> np.ndarray:
+def _block_transition(b: float, r: float, d: float, kind: str | None) -> Rows:
     """O(2,1) transition normalising the block [[b, r], [-r, d]] on the
     (y2, y3) plane: reflecting the timelike axis when r < 0 flips the sign
     of r and stays in O(2,1); a boost by theta follows, which sends
@@ -167,7 +169,7 @@ def _block_transition(b: float, r: float, d: float,
     the diagonal (needs D < 0), "unit" rescales a D = 0 block so r' = 1,
     and None boosts not at all.
     """
-    F = J21 if r < 0 else _I3
+    F = _J if r < 0 else _I3
     r = abs(r)
     if kind is None:
         return F
@@ -182,10 +184,10 @@ def _block_transition(b: float, r: float, d: float,
         # |r - a|
         eps = 1 if (b - d) >= 0 else -1
         theta = -eps * 0.5 * math.log(0.5 * (r + 0.5 * abs(b - d)))
-    return F.dot(boost(theta))
+    return matmul(F, _boost(theta))
 
 
-def classify_self_adjoint(T: np.ndarray, n,
+def classify_self_adjoint(T, n,
                           tol: ToleranceConfig = DEFAULT_TOL
                           ) -> ONeillClassification:
     """Classify a J-self-adjoint operator, given its nonzero eigenvector
@@ -197,12 +199,12 @@ def classify_self_adjoint(T: np.ndarray, n,
     band, or if r or D lies within its rounding error of its band; and
     ArithmeticError if the transition found fails its residual checks.
     """
-    T = np.asarray(T, dtype=float)
-    if T.shape != (3, 3):
-        raise ValueError("operator must be 3x3")
-    norm = float(np.abs(T).max())
+    try:
+        t = float_rows(T)
+    except (TypeError, ValueError):
+        raise ValueError("operator must be 3x3") from None
+    norm = max(abs(x) for row in t for x in row)
     band = tol.classification_tol * (1.0 + norm)
-    t = T.tolist()
     # J T - (J T)^T is zero on the diagonal; off it, its entries are
     # t01 - t10, t02 + t20 and t12 + t21 up to sign
     sym_res = max(abs(t[0][1] - t[1][0]), abs(t[0][2] + t[2][0]),
@@ -212,8 +214,8 @@ def classify_self_adjoint(T: np.ndarray, n,
 
     v = _split_line(t, n, band, tol.classification_tol)
     p, q = _split_complement(v)
-    C0 = np.array((v, p, q)).T
-    _, (_, b, t12), (_, t21, d) = _conjugate(C0, T).tolist()
+    C0 = transpose((v, p, q))
+    _, (_, b, t12), (_, t21, d) = _conjugate(C0, t)
     r = 0.5 * (t12 - t21)
     # with e = (b - d)/2, D = 4 (|e| - |r|)(|e| + |r|): the block is {21}
     # when (e, r) lies within classification_tol of the null cone |e| = |r|
@@ -243,23 +245,24 @@ def classify_self_adjoint(T: np.ndarray, n,
         ttype, kind = ONeillType.DIAGONAL, "diag"
     else:
         ttype, kind = ONeillType.COMPLEX, "equal"
-    C = C0.dot(_block_transition(b, r, d, kind))
+    C = matmul(C0, _block_transition(b, r, d, kind))
 
-    normal = _conjugate(C, T)
+    normal = _conjugate(C, t)
     _check_transition(C, normal, ttype, band, lenient=boundary)
     return ONeillClassification(ttype, normal, C, D, boundary)
 
 
-def _conjugate(C: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _conjugate(C: Rows, T: Rows) -> Rows:
     """inv(C) T C for C in O(2,1), where inv(C) = J C^T J; _check_transition
     tests that C is in O(2,1)."""
-    return J21.dot(C.T).dot(J21).dot(T).dot(C)
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = C
+    return matmul(matmul(((x0, x1, -x2), (y0, y1, -y2), (-z0, -z1, z2)), T), C)
 
 
 def _check_transition(C, normal, ttype: ONeillType, band: float,
                       lenient: bool = False) -> None:
     # the columns x, y, z of C, and the entries of C^T J C - J from them
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = C.tolist()
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = C
     gram_res = max(abs(x0 * x0 + x1 * x1 - x2 * x2 - 1.0),
                    abs(y0 * y0 + y1 * y1 - y2 * y2 - 1.0),
                    abs(z0 * z0 + z1 * z1 - z2 * z2 + 1.0),
@@ -268,7 +271,7 @@ def _check_transition(C, normal, ttype: ONeillType, band: float,
                    abs(y0 * z0 + y1 * z1 - y2 * z2))
     # the residuals are sums of products of two (gram) or three (normal
     # form) entries of C, so both bands take max|C|^2
-    band *= 100 * float(np.abs(C).max()) ** 2
+    band *= 100 * max(abs(x) for row in C for x in row) ** 2
     if gram_res > band:
         raise ArithmeticError(f"transition is not in O(2,1) (residual {gram_res:g})")
     res = _pattern_residual(normal, ttype)
@@ -277,9 +280,9 @@ def _check_transition(C, normal, ttype: ONeillType, band: float,
             f"normal form residual {res:g} too large for type {ttype.value}")
 
 
-def _pattern_residual(a: np.ndarray, ttype: ONeillType) -> float:
+def _pattern_residual(a: Rows, ttype: ONeillType) -> float:
     """Largest deviation of a normal form from the pattern of its type."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     # every pattern is a00 plus a 2x2 block on (y2, y3)
     off = max(abs(a01), abs(a02), abs(a10), abs(a20))
     m = 0.5 * (a11 + a22)

@@ -1,12 +1,13 @@
 """Shared helpers: random automorphisms, random O(2,1) elements, the
 parameter grids used by the table-reproduction tests, and a counter of
-LAPACK calls."""
+LAPACK calls and of the package's own eigensolver."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+import lorcurv.metric
 from lorcurv import FamilyTag, adapted_automorphism, automorphism_matrix
 from lorcurv.oneill import boost
 
@@ -68,8 +69,9 @@ _LAPACK = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "inv", "det")
 
 def lapack_calls(monkeypatch, call):
     """The result of call() and the number of calls it made to each
-    np.linalg decomposition, inverse or determinant (zero counts left out)."""
-    counts = dict.fromkeys(_LAPACK, 0)
+    np.linalg decomposition, inverse or determinant, and to the package's
+    Jacobi eigensolver as "jacobi" (zero counts left out)."""
+    counts = dict.fromkeys((*_LAPACK, "jacobi"), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -80,6 +82,7 @@ def lapack_calls(monkeypatch, call):
     with monkeypatch.context() as m:
         for name in _LAPACK:
             m.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        m.setattr(lorcurv.metric, "_jacobi", counted("jacobi", lorcurv.metric._jacobi))
         result = call()
     return result, {name: n for name, n in counts.items() if n}
 

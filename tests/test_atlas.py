@@ -19,6 +19,7 @@ from lorcurv import (
     ONeillType,
     atlas_entries,
     canonical_matrix,
+    change_basis,
     classification_basis,
     classify_self_adjoint,
     closed_form_report,
@@ -30,7 +31,6 @@ from lorcurv import (
     paper_frame,
     validate_metric,
 )
-from lorcurv.algebra import bracket_constants
 from lorcurv.atlas import _param_grid
 from lorcurv.metric import J21
 from tests.conftest import ALL_TAGS, SWEEP_GRID
@@ -278,13 +278,9 @@ def test_symbolic_domains_lie_in_the_domains():
 
 
 def _symbolic_atlas(monkeypatch):
-    """Swap the atlas's math.sqrt and numpy builders for sympy's."""
+    """Swap the atlas's math.sqrt for sympy's: the formulas build their
+    matrices as rows, which then hold sympy expressions."""
     monkeypatch.setattr(lorcurv.atlas, "math", SimpleNamespace(sqrt=sp.sqrt))
-    monkeypatch.setattr(lorcurv.atlas, "np", SimpleNamespace(
-        array=lambda rows, dtype=None: sp.Matrix(rows), eye=sp.eye,
-        zeros=lambda shape: sp.zeros(*shape), diag=lambda d: sp.diag(*d),
-        asarray=lambda v, dtype=None: list(v),
-        column_stack=lambda cols: sp.Matrix.hstack(*map(sp.Matrix, cols))))
 
 
 def _assert_parallel(u, v, where):
@@ -295,7 +291,7 @@ def _assert_parallel(u, v, where):
 @pytest.mark.parametrize("spec", _ALL_SPECS, ids=lambda spec: spec.form_id)
 def test_eigenvector_is_non_null_on_domain(spec, monkeypatch):
     """spec.ric and spec.eigenvector evaluated on symbols, with the atlas's
-    math.sqrt and numpy builders swapped for sympy's: Ric v is parallel to
+    math.sqrt swapped for sympy's: Ric v is parallel to
     v identically, and h(v, v) is 1, -1, mu^2 or 16 w^2, nonzero on the
     whole domain."""
     _symbolic_atlas(monkeypatch)
@@ -349,7 +345,7 @@ def test_near_c1_type_is_the_engines(c):
     closed = closed_form_report(tag, "Gc_gt1.2", params)
     alg = make_family_algebra(tag, classification_basis(tag))
     frame = paper_frame(tag, "Gc_gt1.2", params).columns
-    brackets = bracket_constants(alg.structure_constants, frame)
+    brackets = change_basis(alg, frame).structure_constants
     s = float(np.abs(brackets).max()) ** 2
     n = J21 @ brackets.trace(axis1=1, axis2=2)
     engine = classify_self_adjoint(closed.ricci_op / s, n).type_tag

@@ -1,11 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lorcurv import cli
+from lorcurv import (canonical_matrix, classification_basis, cli, form_specs,
+                     pull_back_metric, MetricTensor)
+from lorcurv.atlas import _param_grid
 from lorcurv.cli import main
-from tests.conftest import SWEEP_GRID
+from tests.conftest import ALL_TAGS, SWEEP_GRID, rand_automorphism
 
 
 def _doc(tmp_path, name, family, metric, basis="natural", tolerance=None):
@@ -379,9 +385,10 @@ def test_lt1_form3_near_c1_is_a_rejection(tmp_path, capsys, frame, code):
         assert err == ""
 
 
-#: the engine call of each subcommand, as lorcurv.cli binds it
+#: the engine call of each subcommand, as lorcurv.cli binds it; equiv
+#: calls the verdict behind equivalent, whose witness is float rows
 _ENGINE_CALLS = {"classify": "canonical_form", "curvature": "curvature_report",
-                 "constcurv": "constant_curvature_class", "equiv": "equivalent"}
+                 "constcurv": "constant_curvature_class", "equiv": "_equivalence"}
 
 
 @pytest.mark.parametrize("command", sorted(_ENGINE_CALLS))
@@ -452,3 +459,129 @@ def test_custom_basis_exit2(tmp_path, capsys, command):
     assert main(argv) == cli.EXIT_PARSE
     assert capsys.readouterr().err == (
         'error: basis: expected "natural", "Q_adapted" or "P_adapted"\n')
+
+
+# --------------------------------------------------------------------------
+# whole CLI processes
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_README_DOC = {"family": {"Gc": 2}, "metric": [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]]}
+
+
+def _process(tmp_path, argv, docs=(), importtime=False):
+    """``python -m lorcurv.cli argv`` in a fresh interpreter, with the
+    documents written to files that {0}, {1} in argv stand for."""
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(tmp_path / f"doc{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    flags = ["-X", "importtime"] if importtime else []
+    return subprocess.run([sys.executable, *flags, "-m", "lorcurv.cli",
+                           *(a.format(*paths) for a in argv)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=_SRC))
+
+
+def _family_images():
+    """The README metric, and an automorphism image of the first sweep cell
+    of each family, in its classification basis."""
+    yield _README_DOC
+    rng = np.random.default_rng(5)
+    for tag in ALL_TAGS:
+        spec = form_specs(tag)[0]
+        params = next(_param_grid(spec, tag, SWEEP_GRID))
+        basis = classification_basis(tag)
+        h = MetricTensor(canonical_matrix(tag, spec.form_id, params), basis_label=basis)
+        image = pull_back_metric(h, rand_automorphism(tag, rng), basis)
+        yield {"family": "GI" if tag.c is None else {"Gc": tag.c},
+               "basis": basis.value, "metric": image.entries.tolist()}
+
+
+def test_metric_subcommands_do_not_import_numpy(tmp_path):
+    """validate, classify, curvature (own frame), constcurv and equiv compute
+    on floats and write JSON from them: numpy is never imported."""
+    for doc in _family_images():
+        for argv in (["validate", "{0}"], ["classify", "{0}"], ["curvature", "{0}"],
+                     ["constcurv", "{0}"], ["equiv", "{0}", "{0}"]):
+            proc = _process(tmp_path, argv, [doc], importtime=True)
+            assert proc.returncode == 0, (argv, doc, proc.stderr[-2000:])
+            json.loads(proc.stdout)
+            assert _numpy_free(proc.stderr), argv
+
+
+def _numpy_free(importtime: str) -> bool:
+    """Whether ``-X importtime`` output lists lorcurv and no numpy module."""
+    imported = {line.rpartition("|")[2].strip()
+                for line in importtime.splitlines() if line.startswith("import time:")}
+    return ("lorcurv.curvature" in imported
+            and not [m for m in imported if m.partition(".")[0] == "numpy"])
+
+
+def test_atlas_answers_without_numpy(tmp_path):
+    """atlas's closed-form tables and cross-checks are rows of floats too."""
+    proc = _process(tmp_path, ["atlas", "--family", "GI", "--grid", "mu=1,2"],
+                    importtime=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    assert len(rows) == 6 and rows[1].startswith("GI,,GI.1,mu=1,")
+    assert _numpy_free(proc.stderr)
+
+
+@pytest.mark.parametrize("argv,docs", [
+    (["curvature", "{0}"], [{"family": {"Gc": 1e308}, "metric": [[1, 0, 0], [0, 1, 0],
+                                                                 [0, 0, -1]]}]),
+    (["atlas", "--family", "Gc", "--c", "1", "--grid", "mu=1e-320"], []),
+], ids=["Gc-1e308", "atlas-mu-1e-320"])
+def test_overflow_is_rejected_by_name(tmp_path, argv, docs):
+    """Both algebras are non-unimodular; their curvature overflows the float
+    range, and the frame brackets or the Ricci matrix are rejected as such,
+    with one line and no warning, before the unimodular test."""
+    proc = _process(tmp_path, argv, docs)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("rejected: "), proc.stderr
+    assert "overflow" in proc.stderr
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+_GI1_IMAGE = [[2.0, 1.0, 0.5], [1.0, -0.5, 0.25], [0.5, 0.25, 1.5]]
+
+
+@pytest.mark.parametrize("family,metric", [({"Gc": 2}, _README_DOC["metric"]),
+                                           ("GI", _GI1_IMAGE)], ids=["README", "GI.1"])
+@pytest.mark.parametrize("command", ["classify", "curvature", "constcurv"])
+def test_exact_scalings_answer_or_reject(tmp_path, capsys, family, metric, command):
+    """lambda h for lambda = 2^+-520: every number printed is finite JSON,
+    and the form, type and class are those of lambda = 1, or the input is
+    rejected by name (exit 1, one line)."""
+    def answer(lam):
+        f = _doc(tmp_path, "m.json", family, [[lam * x for x in row] for row in metric])
+        code = main([command, f])
+        out, err = capsys.readouterr()
+        if code == cli.EXIT_DOMAIN:
+            assert out == "" and err.startswith("rejected: ") and err.count("\n") == 1
+            return None
+        assert code == 0 and err == ""
+        payload = _strict_json(out)
+        return payload.get("form_id"), payload.get("class"), payload.get("oneill", {}).get("type")
+
+    want = answer(1.0)
+    assert want is not None
+    for lam in (2.0 ** 520, 2.0 ** -520):
+        assert answer(lam) in (want, None), lam
+
+
+@pytest.mark.parametrize("lam", [1e-160, 1e-300])
+def test_small_metric_reports_a_finite_discriminant(tmp_path, capsys, lam):
+    """On GI, lambda J has Ric = -(2 / lambda) h: an Einstein metric, D = 0,
+    however large s^2 is."""
+    f = _doc(tmp_path, "m.json", "GI", [[lam, 0, 0], [0, lam, 0], [0, 0, -lam]])
+    assert main(["curvature", f]) == 0
+    payload = _strict_json(capsys.readouterr().out)
+    assert payload["oneill"]["discriminant"] == 0.0
+    assert payload["scalar"] == pytest.approx(6.0 / lam)

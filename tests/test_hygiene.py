@@ -7,8 +7,9 @@ package calls no function-style numpy reduction, the canonical reducer's
 steps call no numpy, the verdict path makes no numpy product or
 np.linalg call, the O'Neill classifier makes no np.linalg call at
 all, the package keeps no cache that outlives one
-metric, and a metric's matrix is decomposed only by metric.py's stored
-eigh.
+metric, a metric's matrix is decomposed only by metric.py's stored
+Jacobi eigensolver, and no module of the package imports numpy at module
+scope.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -206,8 +207,8 @@ def test_scan_finds_function_style_reduction():
         "line 6: np.min"]
 
 
-#: the reducer's steps work on Python floats: only its witness builder
-#: makes an array, once per reduction
+#: the reducer's steps work on Python floats; its witness builder is the
+#: one method that may build an array (it returns rows of floats)
 _REDUCER_ARRAY_METHODS = {"witness"}
 
 
@@ -493,14 +494,15 @@ def test_scan_finds_cross_call_cache():
     assert cross_call_caches(source) == ["_MORE", "_SEEN", "a", "b", "c"]
 
 
-#: the one decomposition of a metric: the eigh metric.py stores on it
-_METRIC_DECOMPOSERS = {"metric.py": ["eigh"]}
+#: the one decomposition of a metric: the Jacobi eigensolver whose result
+#: metric.py stores on it
+_METRIC_DECOMPOSERS = {"metric.py": ["_jacobi"]}
 
 
 def metric_decompositions(source: str) -> list[str]:
-    """Calls of ``eigvalsh`` (``np.linalg.eigvalsh`` or a bare import),
-    and calls of ``eigh`` on an expression that reads an ``.entries``
-    attribute, a metric's matrix."""
+    """Calls of ``eigvalsh`` (``np.linalg.eigvalsh`` or a bare import) and
+    of the package's ``_jacobi``, and calls of ``eigh`` on an expression
+    that reads an ``.entries`` attribute, a metric's matrix."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -508,7 +510,7 @@ def metric_decompositions(source: str) -> list[str]:
         name = _name(node.func)
         reads_entries = any(isinstance(n, ast.Attribute) and n.attr == "entries"
                             for arg in node.args for n in ast.walk(arg))
-        if name == "eigvalsh" or name == "eigh" and reads_entries:
+        if name in ("eigvalsh", "_jacobi") or name == "eigh" and reads_entries:
             found.append((node.lineno, node.col_offset, name))
     return [f"line {line}: {name}" for line, _, name in sorted(found)]
 
@@ -525,7 +527,48 @@ def test_scan_finds_metric_decomposition():
               "    a = np.linalg.eigvalsh(B) + eigvalsh(h.entries)\n"
               "    b = np.linalg.eigh(h.entries)\n"
               "    c = np.linalg.eigh(B.T @ J @ B)\n"
-              "    d = np.linalg.eig(h.entries)\n"
+              "    d = np.linalg.eig(h.entries) + _jacobi(h._entries)\n"
               "    return np.linalg.eigh(2.0 * h.entries[:2, :2]), a, b, c, d\n")
     assert metric_decompositions(source) == [
-        "line 5: eigvalsh", "line 5: eigvalsh", "line 6: eigh", "line 9: eigh"]
+        "line 5: eigvalsh", "line 5: eigvalsh", "line 6: eigh", "line 8: _jacobi",
+        "line 9: eigh"]
+
+
+def module_scope_numpy_imports(source: str) -> list[str]:
+    """``import numpy`` (or a numpy submodule) and ``from numpy ... import``
+    statements outside every function body: those run when the module is
+    imported."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(f"line {child.lineno}: {a.name}" for a in child.names
+                             if a.name.partition(".")[0] == "numpy")
+            elif (isinstance(child, ast.ImportFrom) and child.level == 0
+                    and (child.module or "").partition(".")[0] == "numpy"):
+                found.append(f"line {child.lineno}: {child.module}")
+            visit(child)
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_no_module_scope_numpy_import(path):
+    """import lorcurv, and the CLI's metric subcommands, import no numpy:
+    it is imported inside the functions that hand out an array."""
+    assert module_scope_numpy_imports(path.read_text()) == []
+
+
+def test_scan_finds_module_scope_numpy_import():
+    source = ("import math\nimport numpy as np\nimport numpy.linalg\n"
+              "from numpy import linalg\nfrom .numpy import x\n\n"
+              "try:\n    import numpy\nexcept ImportError:\n    pass\n\n"
+              "class K:\n    import numpy as inner\n\n"
+              "def f():\n    import numpy as np\n    return np\n\n"
+              "g = lambda: __import__('numpy')\n")
+    assert module_scope_numpy_imports(source) == [
+        "line 2: numpy", "line 3: numpy.linalg", "line 4: numpy", "line 8: numpy",
+        "line 13: numpy"]
