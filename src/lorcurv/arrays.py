@@ -30,8 +30,8 @@ def float_rows(value, rank: int = 2):
     x, y, z = value
     if rank == 1:
         return float(x), float(y), float(z)
-    return (float_rows(x, rank - 1), float_rows(y, rank - 1),
-            float_rows(z, rank - 1))
+    rank -= 1
+    return float_rows(x, rank), float_rows(y, rank), float_rows(z, rank)
 
 
 def array(rows, read_only: bool = False):
@@ -64,10 +64,10 @@ class ArrayField:
 
     Assignment, including the dataclass's own __init__, converts the value
     to nested float tuples of the field's rank, kept in the instance's
-    ``_<name>``, where the package reads them; a value of another shape
-    raises ValueError(message).  A tuple is taken as such rows as it is:
-    the package passes its own.  The first read of ``<name>`` builds the
-    ndarray.  The field has no default.
+    ``_<name>``, where the package reads them; a value of another shape,
+    or with an entry that is not a number, raises ValueError(message).
+    The first read of ``<name>`` builds the ndarray.  The field has no
+    default.
     """
 
     def __init__(self, rank: int = 2, message: str | None = None):
@@ -87,10 +87,9 @@ class ArrayField:
         return memo[self.array]
 
     def __set__(self, obj, value) -> None:
-        if type(value) is not tuple:
-            try:
-                value = float_rows(value, self.rank)
-            except (TypeError, ValueError):
-                raise ValueError(self.message) from None
+        try:
+            value = float_rows(value, self.rank)
+        except (TypeError, ValueError):
+            raise ValueError(self.message) from None
         obj.__dict__[self.rows] = value
         obj.__dict__.pop(self.array, None)

@@ -32,7 +32,7 @@ from typing import Callable
 
 from .algebra import FamilyTag, classification_basis, cross_rewrite, make_family_algebra
 from .arrays import Array, ArrayField, Rows, array, float_rows, matmul, transpose
-from .curvature import curvature_report, milnor_sectional, ricci_operator
+from .curvature import _ricci_operator, curvature_report, milnor_sectional
 from .metric import _I3, MetricTensor, OrthonormalFrame
 from .oneill import ONeillType
 from .tolerance import DEFAULT_TOL, ToleranceConfig
@@ -491,7 +491,7 @@ def _closed_form(spec: FormSpec, tag: FamilyTag, params: dict[str, float],
     operator type is decided."""
     ric = float_rows(spec.ric(tag, params))
     rho = ric[0][0] + ric[1][1] + ric[2][2]
-    form = ricci_operator(ric)
+    form = _ricci_operator(ric)
     kappas = tuple(milnor_sectional(form, rho, _I3[i], _I3[j], tol)
                    for i, j in ((0, 1), (1, 2), (2, 0)))
     oneill_type = _operator_type(ric, float_rows(spec.eigenvector(tag, params), 1),

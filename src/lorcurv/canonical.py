@@ -277,7 +277,7 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
     if h.basis_label not in (target, BasisLabel.NATURAL):
         raise ValueError(f"metric basis {h.basis_label} not usable for {tag}")
     # a basis change keeps the signature but can blur it: read it on h as given
-    _, reason = _signature(_eigen(h, vectors=False)[0], tol)
+    _, reason = _signature(_eigen(h)[0], tol)
     if reason is not None:
         raise DegenerateMetricError(reason)
     h_cls = h if h.basis_label == target else to_adapted_basis(tag, h)

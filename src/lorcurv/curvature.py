@@ -26,67 +26,34 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra3, _cross_form, _from_cross, cross_rewrite
+from .algebra import LieAlgebra3, _from_cross, cross_rewrite
 from .arrays import Array, ArrayField, Rows, Vec, array, float_rows
 from .metric import _I3, MetricTensor, OrthonormalFrame, _check_frame, _derived, \
     frame_inner, orthonormal_frame
 from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
-#: the diagonal of J, and the cyclic orders of the frame indices
+#: the diagonal of J
 _SIGNS = (1.0, 1.0, -1.0)
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _bracket_form(i: int, j: int, k: int) -> dict[int, float]:
-    """c[i][j][k], the k-th component of [y_i, y_j], as a linear form in
-    the frame's cross form M (flat index 3 k + l): [y_i, y_j] = +-M e_l for
-    (i, j, l) in cyclic or anticyclic order, and 0 for i = j."""
-    if i == j:
-        return {}
-    l = 3 - i - j
-    return {3 * k + l: 1.0 if (i, j, l) in _CYCLIC else -1.0}
+def _at(i: int, j: int, k: int) -> int:
+    """The index of [i][j][k] in a 3x3x3 array read flat."""
+    return 9 * i + 3 * j + k
 
 
-def _gamma_form(i: int, j: int, k: int) -> dict[int, float]:
-    """gamma[i][j][k], the k-th component of nabla_{y_i} y_j, as a linear
-    form in M: the Koszul formula on an orthonormal frame,
-    (c[i][j][k] + e_j e_k c[k][i][j] + e_i e_k c[k][j][i]) / 2."""
-    form: dict[int, float] = {}
-    for ijk, w in (((i, j, k), 0.5), ((k, i, j), 0.5 * _SIGNS[j] * _SIGNS[k]),
-                   ((k, j, i), 0.5 * _SIGNS[i] * _SIGNS[k])):
-        for p, v in _bracket_form(*ijk).items():
-            form[p] = form.get(p, 0.0) + w * v
-    return {p: v for p, v in form.items() if v}
-
-
-#: c[i][j][k] and gamma[i][j][k] as linear forms in M, by (i, j, k)
-_BRACKET_FORMS = {ijk: _bracket_form(*ijk) for ijk in itertools.product(range(3), repeat=3)}
-_GAMMA_FORMS = {ijk: _gamma_form(*ijk) for ijk in _BRACKET_FORMS}
-
-
-def _ricci_form(i: int, k: int) -> tuple[tuple[float, int, int], ...]:
-    """ric[i][k] as a quadratic form in M, its terms (w, p, q) for
-    w M_p M_q: the trace over a of R[i][a][k][a],
-
-    ric[i][k] = sum_{a,m} c[i][a][m] G[m][k][a] - G[a][k][m] G[i][m][a]
-                + G[i][k][m] G[a][m][a],
-
-    multiplied out.  Every w is +-1/2 or +-1, so w M_p M_q is rounded once."""
-    form: dict[tuple[int, int], float] = {}
-    for a, m in itertools.product(range(3), repeat=2):
-        for x, y, sign in ((_BRACKET_FORMS[i, a, m], _GAMMA_FORMS[m, k, a], 1.0),
-                           (_GAMMA_FORMS[a, k, m], _GAMMA_FORMS[i, m, a], -1.0),
-                           (_GAMMA_FORMS[i, k, m], _GAMMA_FORMS[a, m, a], 1.0)):
-            for (p, u), (q, v) in itertools.product(x.items(), y.items()):
-                key = min(p, q), max(p, q)
-                form[key] = form.get(key, 0.0) + sign * u * v
-    return tuple((w, p, q) for (p, q), w in form.items() if w)
-
-
-#: the entries (i, k), i <= k, of the Ricci matrix and their quadratic forms
-_RICCI = tuple(((i, k), _ricci_form(i, k))
-               for i, k in itertools.combinations_with_replacement(range(3), 2))
+#: the Koszul formula on an orthonormal frame, gamma[i][j][k] = (c[i][j][k]
+#: + e_j e_k c[k][i][j] + e_i e_k c[k][j][i]) / 2 with e the diagonal of J,
+#: as the flat indices of its three constants and the two signs
+_KOSZUL = tuple((_at(i, j, k), _at(k, i, j), _at(k, j, i), _SIGNS[j] * _SIGNS[k],
+                 _SIGNS[i] * _SIGNS[k]) for i, j, k in itertools.product(range(3), repeat=3))
+#: ric[i][k] for i <= k, the trace over a of R[i][a][k][a]:
+#: sum over a, m of c[i][a][m] G[m][k][a] - G[a][k][m] G[i][m][a] + G[i][k][m] G[a][m][a],
+#: its 27 products as index pairs into x = c + G + (-G), each read flat
+_RICCI = tuple(((i, k), tuple(itertools.chain.from_iterable(
+    ((_at(i, a, m), 27 + _at(m, k, a)), (54 + _at(a, k, m), 27 + _at(i, m, a)),
+     (27 + _at(i, k, m), 27 + _at(a, m, a))) for a, m in itertools.product(range(3), repeat=2))))
+    for i, k in itertools.combinations_with_replacement(range(3), 2))
 
 
 @dataclass(frozen=True)
@@ -95,34 +62,39 @@ class Connection:
 
     brackets holds the structure constants of the frame vectors, so that
     covariant derivatives and curvature never need to leave frame
-    coordinates; on an orthonormal frame they fix the connection.  The
-    Ricci matrix is computed from them with the connection, once.
-    gamma[i, j, k], the k-th component of nabla_{y_i} y_j, and
-    curvature[i, j, k, l], the l-th component of R_{y_i, y_j} y_k, are
-    built on first read.
+    coordinates; on an orthonormal frame they fix the connection, so it
+    is built from them alone.  gamma[i, j, k], the k-th component of
+    nabla_{y_i} y_j, and the Ricci matrix are computed from them once;
+    gamma as an array and curvature[i, j, k, l], the l-th component of
+    R_{y_i, y_j} y_k, are built on first read.
     """
 
     brackets: Array = ArrayField(3)    # (3, 3, 3), frame structure constants
 
     def __post_init__(self) -> None:
-        m = [x for row in _cross_form(self._brackets) for x in row]
-        top = max(map(abs, m))
-        # |ric| <= 10 max|M|^2, so past this check no product or sum overflows
-        if not (all(map(math.isfinite, m)) and math.isfinite(16.0 * top * top)):
+        x = [v for matrix in self._brackets for row in matrix for v in row]
+        top = max(map(abs, x))
+        # |gamma| <= 3/2 max|c|, so each of the 27 products summed into an
+        # entry of Ric is at most 9/4 max|c|^2, the entry below 61 max|c|^2
+        # and the Schouten form below 107 max|c|^2: past this check none
+        # of them overflows
+        if not (all(map(math.isfinite, x)) and math.isfinite(128.0 * top * top)):
             raise ValueError("curvature: the frame brackets or their Ricci matrix "
                              "overflow the float range")
+        gamma = [0.5 * (x[p] + s * x[q] + t * x[r]) for p, q, r, s, t in _KOSZUL]
+        x += gamma
+        x += [-g for g in gamma]
         # each entry an exactly rounded sum of its products: Ric is small
         # where the brackets nearly cancel (near c = 1), and a {21} type
         # needs its block discriminant there to lie within the band
         ric = [[0.0] * 3 for _ in range(3)]
         for (i, k), terms in _RICCI:
-            ric[i][k] = ric[k][i] = math.fsum([w * m[p] * m[q] for w, p, q in terms])
+            ric[i][k] = ric[k][i] = math.fsum([x[p] * x[q] for p, q in terms])
         (r00, r01, r02), (_, r11, r12), (_, _, r22) = ric
         quarter = 0.25 * (r00 + r11 - r22)
         memo = self.__dict__
-        # the cross form, flat (index 3 k + l), and the curvature unit s
-        memo["_cross"], memo["_unit"] = m, top * top
-        memo["_ric"] = tuple(map(tuple, ric))
+        # gamma read flat, Ric, and the curvature unit s = max|c|^2
+        memo["_gamma"], memo["_ric"], memo["_unit"] = gamma, tuple(map(tuple, ric)), top * top
         # the Schouten form P = ric - (rho / 4) J, which riemann reads
         memo["_schouten"] = ((r00 - quarter, r01, r02), (r01, r11 - quarter, r12),
                              (r02, r12, r22 + quarter))
@@ -130,10 +102,10 @@ class Connection:
     @property
     def gamma(self) -> Array:
         """The Christoffel symbols (3, 3, 3), read-only."""
-        m = self._cross
+        g = self._gamma
         return _derived(self, "gamma", lambda: array(
-            [[[sum(v * m[p] for p, v in _GAMMA_FORMS[i, j, k].items()) for k in range(3)]
-              for j in range(3)] for i in range(3)], read_only=True))
+            [[g[_at(i, j, 0):_at(i, j, 3)] for j in range(3)] for i in range(3)],
+            read_only=True))
 
     @property
     def curvature(self) -> Array:
@@ -171,7 +143,12 @@ def _connection(alg: LieAlgebra3, h: MetricTensor,
 def riemann(conn: Connection, u, v, w) -> Vec:
     """R_{u,v} w = nabla_{[u,v]} w - nabla_u nabla_v w + nabla_v nabla_u w,
     for u, v, w vectors of frame coordinates, from the Schouten form P:
-    P(u, w) v - P(v, w) u + P^ x, with x = h(u, w) v - h(v, w) u."""
+    P(u, w) v - P(v, w) u + P^ x, with x = h(u, w) v - h(v, w) u.
+
+    The result is a tuple of three floats, not an array: the sectional
+    curvatures and the Einstein model check call this per metric, in
+    processes that never import numpy.  numpy.asarray(...) gives the
+    vector for arithmetic."""
     (p00, p01, p02), (_, p11, p12), (_, _, p22) = conn._schouten
     u0, u1, u2 = u
     v0, v1, v2 = v
@@ -194,15 +171,22 @@ def ricci_tensor(conn: Connection) -> Rows:
 
     With frame coordinates the trace collapses to summing the a-th
     component of R_{y_i, y_a} y_j; it is summed from gamma and the brackets
-    when the connection is made.
+    when the connection is made.  The matrix is returned as its rows,
+    tuples of floats, since every curvature report reads it;
+    CurvatureReport.ric_matrix holds it as an array.
     """
     return conn._ric
 
 
-def ricci_operator(ric) -> Rows:
+def _ricci_operator(ric: Rows) -> Rows:
     """Raise an index with J: Ric = J [ric] (J-self-adjoint)."""
-    r0, r1, (x, y, z) = float_rows(ric)
+    r0, r1, (x, y, z) = ric
     return r0, r1, (-x, -y, -z)
+
+
+def ricci_operator(ric) -> Array:
+    """Raise an index with J: Ric = J [ric] (J-self-adjoint), an array."""
+    return array(_ricci_operator(float_rows(ric)))
 
 
 def sectional(conn: Connection, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -223,12 +207,18 @@ def sectional(conn: Connection, u, v, tol: ToleranceConfig = DEFAULT_TOL) -> flo
     return float((r0 * v0 + r1 * v1 - r2 * v2) / den)
 
 
-def cross(u, v) -> Vec:
+def _lorentz_cross(u: Vec, v: Vec) -> Vec:
     """Lorentzian cross product in an orthonormal frame:
     y1 x y2 = -y3, y2 x y3 = y1, y3 x y1 = y2."""
-    u0, u1, u2 = float_rows(u, 1)
-    v0, v1, v2 = float_rows(v, 1)
+    u0, u1, u2 = u
+    v0, v1, v2 = v
     return u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, -(u0 * v1 - u1 * v0)
+
+
+def cross(u, v) -> Array:
+    """Lorentzian cross product in an orthonormal frame, an array:
+    y1 x y2 = -y3, y2 x y3 = y1, y3 x y1 = y2."""
+    return array(_lorentz_cross(float_rows(u, 1), float_rows(v, 1)))
 
 
 def milnor_sectional(ric, rho: float, u, v,
@@ -251,7 +241,7 @@ def milnor_sectional(ric, rho: float, u, v,
     if abs(nv) <= tol.classification_tol * sum(x * x for x in v1):
         raise ValueError("plane is degenerate")
     v1 = tuple(x / math.sqrt(abs(nv)) for x in v1)
-    w = cross(u1, v1)
+    w = _lorentz_cross(u1, v1)
     ric_ww = sum(x * r * y for x, row in zip(w, float_rows(ric)) for r, y in zip(row, w))
     return (ric_ww - frame_inner(w, w) * rho / 2.0) * math.copysign(1.0, nu * nv)
 
@@ -309,7 +299,7 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     if max(map(abs, tau)) <= tol.classification_tol * math.sqrt(s):
         raise ValueError("curvature_report: the algebra is unimodular (tr ad = 0), "
                          "outside the non-unimodular domain of the classifier")
-    op = ricci_operator(ric)
+    op = _ricci_operator(ric)
     rho = op[0][0] + op[1][1] + op[2][2]
     y1, y2, y3 = _I3
     kappas = (sectional(conn, y1, y2, tol), sectional(conn, y2, y3, tol),

@@ -8,8 +8,7 @@ J = diag(1, 1, -1).
 A metric is decomposed by a cyclic Jacobi eigensolver on Python floats
 (``_eigen``), with no LAPACK call, and the result is stored on it: the
 signature check, the orthonormal frame and the canonical reducer read
-it.  The reducer needs only the eigenvalues, and where no decomposition
-is stored yet it runs one that skips the eigenvectors.
+it.
 """
 
 from __future__ import annotations
@@ -70,13 +69,8 @@ class MetricTensor:
 
     def __post_init__(self) -> None:
         # the entries are 0.5 (h + h^T), as numpy sums it, where that is
-        # finite; the diagonal h_ii is 0.5 (h_ii + h_ii) then.  A tuple is
-        # taken as it is, so its shape and entries are checked here too
-        try:
-            (a, b, c), (d, e, f), (g, k, m) = self._entries
-            a, e, m = float(a), float(e), float(m)
-        except (TypeError, ValueError):
-            raise ValueError("metric matrix must be 3x3") from None
+        # finite; the diagonal h_ii is 0.5 (h_ii + h_ii) then
+        (a, b, c), (d, e, f), (g, k, m) = self._entries
         if not all(map(math.isfinite, (a, b, c, d, e, f, g, k, m))):
             raise ValueError("metric matrix must be finite")
         big = max(abs(a), abs(b), abs(c), abs(d), abs(e), abs(f), abs(g), abs(k), abs(m))
@@ -96,9 +90,9 @@ def _derived(h, key: Hashable, build: Callable[[], _T]) -> _T:
     return memo[key]
 
 
-def _jacobi(rows: Rows, vectors: bool) -> tuple[Vec, tuple[Vec, Vec, Vec] | None]:
+def _jacobi(rows: Rows) -> tuple[Vec, tuple[Vec, Vec, Vec]]:
     """Eigenvalues of a symmetric 3x3 matrix in ascending order, and their
-    unit eigenvectors (None unless vectors), by cyclic Jacobi rotations.
+    unit eigenvectors, by cyclic Jacobi rotations.
 
     The matrix is first scaled by a power of two to max|entry| in [1/2, 1),
     which is exact for every entry above 2^-1022 of the largest, and the
@@ -127,10 +121,9 @@ def _jacobi(rows: Rows, vectors: bool) -> tuple[Vec, tuple[Vec, Vec, Vec] | None
             s, r = t * cs, t * cs / (1.0 + cs)
             a, d, b = a - t * b, d + t * b, 0.0
             c, e = c - s * (e + r * c), e + s * (c - r * e)
-            if vectors:
-                v00, v01 = v00 - s * (v01 + r * v00), v01 + s * (v00 - r * v01)
-                v10, v11 = v10 - s * (v11 + r * v10), v11 + s * (v10 - r * v11)
-                v20, v21 = v20 - s * (v21 + r * v20), v21 + s * (v20 - r * v21)
+            v00, v01 = v00 - s * (v01 + r * v00), v01 + s * (v00 - r * v01)
+            v10, v11 = v10 - s * (v11 + r * v10), v11 + s * (v10 - r * v11)
+            v20, v21 = v20 - s * (v21 + r * v20), v21 + s * (v20 - r * v21)
         if abs(c) > _OFF:       # the (0, 2) plane: a, f, c and the pair (b, e)
             theta = 0.5 * (f - a) / c
             t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
@@ -138,10 +131,9 @@ def _jacobi(rows: Rows, vectors: bool) -> tuple[Vec, tuple[Vec, Vec, Vec] | None
             s, r = t * cs, t * cs / (1.0 + cs)
             a, f, c = a - t * c, f + t * c, 0.0
             b, e = b - s * (e + r * b), e + s * (b - r * e)
-            if vectors:
-                v00, v02 = v00 - s * (v02 + r * v00), v02 + s * (v00 - r * v02)
-                v10, v12 = v10 - s * (v12 + r * v10), v12 + s * (v10 - r * v12)
-                v20, v22 = v20 - s * (v22 + r * v20), v22 + s * (v20 - r * v22)
+            v00, v02 = v00 - s * (v02 + r * v00), v02 + s * (v00 - r * v02)
+            v10, v12 = v10 - s * (v12 + r * v10), v12 + s * (v10 - r * v12)
+            v20, v22 = v20 - s * (v22 + r * v20), v22 + s * (v20 - r * v22)
         if abs(e) > _OFF:       # the (1, 2) plane: d, f, e and the pair (b, c)
             theta = 0.5 * (f - d) / e
             t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
@@ -149,27 +141,18 @@ def _jacobi(rows: Rows, vectors: bool) -> tuple[Vec, tuple[Vec, Vec, Vec] | None
             s, r = t * cs, t * cs / (1.0 + cs)
             d, f, e = d - t * e, f + t * e, 0.0
             b, c = b - s * (c + r * b), c + s * (b - r * c)
-            if vectors:
-                v01, v02 = v01 - s * (v02 + r * v01), v02 + s * (v01 - r * v02)
-                v11, v12 = v11 - s * (v12 + r * v11), v12 + s * (v11 - r * v12)
-                v21, v22 = v21 - s * (v22 + r * v21), v22 + s * (v21 - r * v22)
+            v01, v02 = v01 - s * (v02 + r * v01), v02 + s * (v01 - r * v02)
+            v11, v12 = v11 - s * (v12 + r * v11), v12 + s * (v11 - r * v12)
+            v21, v22 = v21 - s * (v22 + r * v21), v22 + s * (v21 - r * v22)
     columns = (v00, v10, v20), (v01, v11, v21), (v02, v12, v22)
     order = sorted(zip((math.ldexp(a, -k), math.ldexp(d, -k), math.ldexp(f, -k)), range(3)))
-    return (tuple(x for x, _ in order),
-            tuple(columns[i] for _, i in order) if vectors else None)
+    return tuple(x for x, _ in order), tuple(columns[i] for _, i in order)
 
 
-def _eigen(h: MetricTensor, vectors: bool = True):
+def _eigen(h: MetricTensor) -> tuple[Vec, tuple[Vec, Vec, Vec]]:
     """_jacobi of [h]: ascending eigenvalues and unit eigenvectors, once per
-    h, the package's one decomposition of a metric.  A caller that reads
-    only the eigenvalues (the reducer's signature check) passes
-    vectors=False: it reads the full decomposition where one is stored,
-    and otherwise one that skips the eigenvectors, stored as well."""
-    memo = h.__dict__.get("_derived", {})
-    if not vectors and "eigen" in memo:
-        return memo["eigen"]
-    return _derived(h, "eigen" if vectors else "eigenvalues",
-                    lambda: _jacobi(h._entries, vectors))
+    h, the package's one decomposition of a metric."""
+    return _derived(h, "eigen", lambda: _jacobi(h._entries))
 
 
 @dataclass(frozen=True)

@@ -7,21 +7,25 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 
 import lorcurv.metric
 from lorcurv import (
     DEFAULT_TOL,
     FamilyTag,
+    LieAlgebra3,
     MetricTensor,
     classify_self_adjoint,
+    cross,
     frame_gram_residual,
     levi_civita,
     make_family_algebra,
     orthonormal_frame,
+    ricci_operator,
     ricci_tensor,
     riemann,
 )
-from lorcurv.metric import _signature
+from lorcurv.metric import OrthonormalFrame, _signature
 from lorcurv.oneill import _conjugate
 from tests.test_curvature import _SCAN_C, _fuzz_metrics, _sweep_images
 
@@ -75,7 +79,7 @@ def test_eigenvalues_match_the_reference_and_eigh():
     sets, so the two agree within 8 eps max|lambda|."""
     worst_ref = worst_eigh = 0.0
     for H in _CASES:
-        ev, _ = lorcurv.metric._jacobi(tuple(map(tuple, H.tolist())), True)
+        ev, _ = lorcurv.metric._jacobi(tuple(map(tuple, H.tolist())))
         ref = _reference(H)
         top = float(np.abs(ref).max()) or 1.0
         worst_ref = max(worst_ref, float(np.abs(np.array(ev) - ref).max()) / top)
@@ -89,7 +93,7 @@ def test_eigenvectors_are_orthonormal_and_scale_free():
     """V^T V = I within 4 eps, H V = V Lambda within 8 eps max|H|, and
     2^k H has exactly 2^k times the eigenvalues and the same eigenvectors."""
     for H in _CASES:
-        ev, vecs = lorcurv.metric._jacobi(tuple(map(tuple, H.tolist())), True)
+        ev, vecs = lorcurv.metric._jacobi(tuple(map(tuple, H.tolist())))
         V = np.array(vecs).T
         assert np.abs(V.T @ V - np.eye(3)).max() <= 4 * EPS
         top = float(np.abs(H).max())
@@ -98,18 +102,15 @@ def test_eigenvectors_are_orthonormal_and_scale_free():
         for k in (-60, 60):
             if 1e-290 < top * 2.0 ** k < 1e300:
                 scaled = tuple(map(tuple, (2.0 ** k * H).tolist()))
-                ev2, vecs2 = lorcurv.metric._jacobi(scaled, True)
+                ev2, vecs2 = lorcurv.metric._jacobi(scaled)
                 assert ev2 == tuple(2.0 ** k * x for x in ev)
                 assert vecs2 == vecs
 
 
 def test_signature_decisions_match_eigh():
-    """The signature from the eigenvalues is eigh's; the run that skips the
-    eigenvectors gives the same eigenvalues bit for bit."""
+    """The signature from the eigenvalues is eigh's."""
     for H in _CASES:
-        rows = tuple(map(tuple, H.tolist()))
-        ev, _ = lorcurv.metric._jacobi(rows, True)
-        assert lorcurv.metric._jacobi(rows, False) == (ev, None)
+        ev, _ = lorcurv.metric._jacobi(tuple(map(tuple, H.tolist())))
         assert _signature(ev, DEFAULT_TOL) == _signature(np.linalg.eigh(H)[0].tolist(),
                                                          DEFAULT_TOL), H
 
@@ -231,3 +232,39 @@ def test_fields_read_as_read_only_arrays():
                   make_family_algebra(tag).structure_constants, lorcurv.J21):
         assert isinstance(array, np.ndarray) and not array.flags.writeable
     assert math.isclose(float(np.trace(rep.ricci_op)), rep.scalar)
+
+
+def test_constructors_check_tuples_by_name():
+    """A tuple from a caller is checked and converted like any other value:
+    a wrong shape is refused by name, and rows given as lists are copied
+    into float tuples, so editing the lists later changes nothing."""
+    with pytest.raises(ValueError, match="frame must be a 3x3 column matrix"):
+        OrthonormalFrame(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+    with pytest.raises(ValueError, match=r"structure constants must have shape \(3, 3, 3\)"):
+        LieAlgebra3(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    with pytest.raises(ValueError, match="metric matrix must be 3x3"):
+        MetricTensor(((1.0, 0.0), (0.0, 1.0)))
+    c = np.zeros((3, 3, 3))
+    c[2, 0, 0], c[0, 2, 0] = 1.0, -1.0
+    rows = tuple(c[i].tolist() for i in range(3))      # a tuple of lists
+    alg = LieAlgebra3(rows)
+    rows[2][0][0] = 5.0
+    assert alg.structure_constants[2, 0, 0] == 1.0
+    assert alg._structure_constants[2][0] == (1.0, 0.0, 0.0)
+    assert lorcurv.change_basis(alg, np.eye(3))._structure_constants[2][0][0] == 1.0
+
+
+def test_public_matrix_functions_return_arrays():
+    """ricci_operator and cross hand out ndarrays, so arithmetic on them is
+    arithmetic; riemann and ricci_tensor, which every report calls, hand
+    out tuples of floats."""
+    ric = np.diag([1.0, 2.0, 3.0])
+    op = ricci_operator(ric)
+    assert isinstance(op, np.ndarray) and np.array_equal(2 * op, np.diag([2.0, 4.0, -6.0]))
+    assert isinstance(cross((1, 0, 0), (0, 1, 0)), np.ndarray)
+    assert np.array_equal(-cross((1, 0, 0), (0, 1, 0)), [0.0, 0.0, 1.0])
+    tag = FamilyTag("Gc", 2.0)
+    h = MetricTensor(np.array([[-1.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 4.0]]))
+    conn = levi_civita(make_family_algebra(tag), orthonormal_frame(h))
+    assert type(riemann(conn, (1, 0, 0), (0, 1, 0), (1, 0, 0))) is tuple
+    assert type(ricci_tensor(conn)) is tuple
