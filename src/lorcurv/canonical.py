@@ -14,18 +14,18 @@ Classification bases:
   (natural-basis input is converted first).
 
 In its classification basis every automorphism of these families is
-A = [[P, t], [0, 1]], with P a 2x2 block and t a translation of z.  The
-reducer works on the block form h = [[H, b], [b^T, gamma]]: each step is
-a (P, t) pair of Python floats from ``automorphism_step``, and after each
-step H, b and gamma of A^T h A are recomputed from the input's blocks and
-the accumulated (P, t) by one congruence helper.  Every decision reads
-those entries.  The residual against the canonical matrix is the same
-congruence, evaluated on the returned witness's (P, t) from h's blocks,
-never read from the held entries.  A verdict of equivalence composes its
-witness W1 W2^-1 as (P, t) floats too, moves it to the natural basis by
-the 2x2 blocks of the adapted basis, checks its residual by the same
-congruence.  Canonical matrices and witnesses are rows of Python floats;
-a CanonicalForm builds their arrays on first read, and ``equivalent``
+A = [[P, t], [0, 1]], with P a 2x2 block and t a translation of z, one
+``Step`` of Python floats.  The reducer holds the accumulated step and
+C = A^T h A as rows of floats, recomputed from the input's rows by one
+congruence helper after every step.  Every decision reads C in units:
+C_ij / (u_i u_j) with u_i = sqrt(max_k |C_ik|), a number in [-1, 1] that
+does not change under h -> lambda h.  The residual against the canonical
+matrix is the same congruence, evaluated on the returned witness, never
+read from the held rows.  A verdict of equivalence composes its witness
+W1 W2^-1 as a step too, moves it to the natural basis by the 2x2 blocks
+of the adapted basis, and checks its residual by the same congruence.
+Canonical matrices and witnesses are rows of Python floats; a
+CanonicalForm builds their arrays on first read, and ``equivalent``
 builds its witness array at the end.
 """
 
@@ -88,46 +88,39 @@ def from_adapted_basis(tag: FamilyTag, h: MetricTensor) -> MetricTensor:
     return pull_back_metric(h, T, basis_label=BasisLabel.NATURAL)
 
 
+def _unit(row) -> float:
+    """u_i = sqrt(max_k |M_ik|) of row i of a symmetric matrix M (1 for a
+    row of zeros), or of rows i of several, joined.  M_ij / (u_i u_j) is in
+    [-1, 1] for every multiple of M, and no product of two row maxima is
+    formed, so at no scale of h does a decision leave the float range."""
+    return math.sqrt(max(map(abs, row))) or 1.0
+
+
 def _entrywise_gap(A: Rows, B: Rows) -> float:
-    """max |A_ij - B_ij| / sqrt(d_i d_j), d the row maxima of both symmetric
-    matrices, given as rows: _Reducer.is_zero entry by entry, a margin free
-    of scale."""
-    d = [max(map(abs, a + b)) for a, b in zip(A, B)]
-    return max([abs(A[i][j] - B[i][j]) / math.sqrt(d[i] * d[j]) for i, j in _UPPER])
+    """max |A_ij - B_ij| / (u_i u_j), u the units of the rows of both
+    symmetric matrices: _Reducer.is_zero entry by entry, a margin free of
+    scale."""
+    u = [_unit(a + b) for a, b in zip(A, B)]
+    return max([abs(A[i][j] - B[i][j]) / (u[i] * u[j]) for i, j in _UPPER])
 
 
-#: the blocks (h11, h12, h22, b1, b2, gamma) of h = [[H, b], [b^T, gamma]]
-_Blocks = tuple[float, float, float, float, float, float]
-
-
-def _blocks(rows: Rows) -> _Blocks:
-    """The blocks of a symmetric matrix given as rows."""
-    (h11, h12, b1), (_, h22, b2), (_, _, g) = rows
-    return h11, h12, h22, b1, b2, g
-
-
-def _congruence(h0: _Blocks, step: Step) -> _Blocks:
-    """The blocks of A^T h0 A, A = [[P, t], [0, 1]]:
+def _congruence(h0: Rows, step: Step) -> Rows:
+    """A^T h0 A, A = [[P, t], [0, 1]], for h0 = [[H0, b0], [b0^T, gamma0]]:
 
         H = P^T H0 P,  b = P^T (H0 t + b0),  gamma = t^T (H0 t + b0) + b0^T t + gamma0,
 
     summed in the order of the product (A^T h0) A: the rows m of P^T H0,
     and u = H0 t + b0, first."""
     ((p, q), (r, s)), (t1, t2) = step
-    h11, h12, h22, b1, b2, g = h0
+    (h11, h12, b1), (_, h22, b2), (_, _, g) = h0
     m11, m12 = p * h11 + r * h12, p * h12 + r * h22
     m21, m22 = q * h11 + s * h12, q * h12 + s * h22
     u1, u2 = t1 * h11 + t2 * h12 + b1, t1 * h12 + t2 * h22 + b2
-    return (m11 * p + m12 * r, m11 * q + m12 * s, m21 * q + m22 * s,
-            m11 * t1 + m12 * t2 + (p * b1 + r * b2),
-            m21 * t1 + m22 * t2 + (q * b1 + s * b2),
-            u1 * t1 + u2 * t2 + (t1 * b1 + t2 * b2 + g))
-
-
-def _rows(h: _Blocks) -> Rows:
-    """The rows of the symmetric matrix with these blocks."""
-    h11, h12, h22, b1, b2, g = h
-    return (h11, h12, b1), (h12, h22, b2), (b1, b2, g)
+    c12 = m11 * q + m12 * s
+    c13 = m11 * t1 + m12 * t2 + (p * b1 + r * b2)
+    c23 = m21 * t1 + m22 * t2 + (q * b1 + s * b2)
+    return ((m11 * p + m12 * r, c12, c13), (c12, m21 * q + m22 * s, c23),
+            (c13, c23, u1 * t1 + u2 * t2 + (t1 * b1 + t2 * b2 + g)))
 
 
 def _compose(first: Step, second: Step) -> Step:
@@ -147,6 +140,12 @@ def _inverse(step: Step) -> Step:
             ((q * t2 - s * t1) / d, (r * t1 - p * t2) / d))
 
 
+def _exponent(*xs: float) -> int:
+    """The e with 2^e max |x| in [1/2, 1): scaling by 2^e is exact, and
+    leaves a product of such numbers inside the float range."""
+    return -math.frexp(max(map(abs, xs)))[1]
+
+
 def _strictly_lorentzian(C: Rows) -> bool:
     """Whether the symmetric matrix C has signature (2, 0, 1), with no
     tolerance band.  det C < 0 leaves one or three negative eigenvalues,
@@ -158,30 +157,20 @@ def _strictly_lorentzian(C: Rows) -> bool:
 
 
 class _Reducer:
-    """Accumulates automorphism steps A = [[P, t], [0, 1]] of the
-    classification basis, and holds A^T h0 A in its block form
-    [[H, b], [b^T, gamma]] as Python floats, recomputed by _congruence
-    from h0's blocks and (P, t) after every step, so rounding is not
-    carried from one step to the next."""
+    """Accumulates automorphism steps of the classification basis as one
+    step A = [[P, t], [0, 1]], and holds C = A^T h0 A as rows of Python
+    floats, recomputed by _congruence from h0 and A after every step, so
+    rounding is not carried from one step to the next."""
 
     def __init__(self, h0: Rows, tol: ToleranceConfig):
         self.tol = tol
-        self.h0 = _blocks(h0)
-        self.P = ((1.0, 0.0), (0.0, 1.0))
-        self.t = (0.0, 0.0)
-        self._hold(self.h0)
-
-    def _hold(self, blocks: _Blocks) -> None:
-        """Hold these blocks of A^T h0 A as H, b and gamma."""
-        h11, h12, h22, b1, b2, g = blocks
-        self.H = ((h11, h12), (h12, h22))
-        self.b = (b1, b2)
-        self.gamma = g
+        self.h0 = self.C = h0
+        self.step: Step = (((1.0, 0.0), (0.0, 1.0)), (0.0, 0.0))
 
     def apply(self, step: Step) -> None:
         """Compose with the step (Q, s): P <- P Q, t <- P s + t."""
-        self.P, self.t = _compose((self.P, self.t), step)
-        self._hold(_congruence(self.h0, (self.P, self.t)))
+        self.step = _compose(self.step, step)
+        self.C = _congruence(self.h0, self.step)
 
     def scale_translate(self, g: float, t: tuple[float, float] = (0.0, 0.0)) -> None:
         """Apply P = g I with translation t: a scaling of the plane with a
@@ -189,44 +178,27 @@ class _Reducer:
         classification basis."""
         self.apply((((g, 0.0), (0.0, g)), t))
 
-    def witness(self) -> Rows:
-        """The accumulated automorphism A, as rows."""
-        return step_matrix((self.P, self.t))
-
-    def entry(self, i: int, j: int) -> float:
-        """(A^T h0 A)_ij, read from the block it lies in."""
-        if i < 2 and j < 2:
-            return self.H[i][j]
-        if i == j:
-            return self.gamma
-        return self.b[min(i, j)]
-
-    def row_max(self, i: int) -> float:
-        """d_i = max_k |(A^T h0 A)_ik|."""
-        if i == 2:
-            return max(abs(self.b[0]), abs(self.b[1]), abs(self.gamma))
-        return max(abs(self.H[i][0]), abs(self.H[i][1]), abs(self.b[i]))
-
-    def band(self, *entries: float) -> float:
-        """The zero band of a quantity combined from these entries."""
-        return self.tol.classification_tol * max(map(abs, entries))
-
     def is_zero(self, i: int, j: int) -> bool:
-        """|h_ij| <= tol sqrt(d_i d_j): the same verdict for every multiple of h."""
-        return (abs(self.entry(i, j)) <= self.tol.classification_tol
-                * math.sqrt(self.row_max(i) * self.row_max(j)))
+        """|C_ij| / (u_i u_j) <= tol: the same verdict for every multiple of h."""
+        C = self.C
+        return abs(C[i][j]) / (_unit(C[i]) * _unit(C[j])) <= self.tol.classification_tol
 
     def plane_degenerate(self) -> bool:
-        """Whether the plane block H is singular to tolerance."""
-        (h11, h12), (_, h22) = self.H
-        return (abs(h11 * h22 - h12 * h12)
-                <= self.tol.classification_tol * self.row_max(0) * self.row_max(1))
+        """Whether the plane block of C is singular to tolerance: its
+        determinant in units, from the entries C_ij / (u_i u_j)."""
+        row0, row1, _ = self.C
+        u0, u1 = _unit(row0), _unit(row1)
+        x, y, z = row0[0] / (u0 * u0), row0[1] / (u0 * u1), row1[1] / (u1 * u1)
+        return abs(x * z - y * y) <= self.tol.classification_tol
 
     def clear_translation(self) -> None:
-        """Translate z by -H^-1 b, so that b vanishes; H must be
-        non-degenerate."""
-        (h11, h12), (_, h22) = self.H
-        b1, b2 = self.b
+        """Translate z by -H^-1 b, so that b vanishes; the plane block H must
+        be non-degenerate.  t has degree 0 in h: it is solved on H and b
+        scaled by one power of two, so no product leaves the float range."""
+        (h11, h12, b1), (_, h22, b2), _ = self.C
+        e = _exponent(h11, h12, h22)
+        h11, h12, h22 = math.ldexp(h11, e), math.ldexp(h12, e), math.ldexp(h22, e)
+        b1, b2 = math.ldexp(b1, e), math.ldexp(b2, e)
         pprime = h12 * h12 - h11 * h22
         self.scale_translate(1.0, ((b1 * h22 - h12 * b2) / pprime,
                                    (h11 * b2 - h12 * b1) / pprime))
@@ -244,16 +216,16 @@ class _Reducer:
         h(x_i, z) = 1 and (x_j, z) = (z, z) = 0, j = 1 - i; returns
         h(x_j, x_j), which must be positive."""
         j = 1 - i
-        hjj = self.H[j][j]
+        hjj = self.C[j][j]
         if self.is_zero(i, 2) or self.is_zero(j, j) or hjj < 0:
             raise DegenerateMetricError("pivot vanishes in degenerate branch")
         t = [0.0, 0.0]
-        t[j] = -self.b[j] / hjj
-        self.scale_translate(1.0 / self.b[i], t)
+        t[j] = -self.C[j][2] / hjj
+        self.scale_translate(1.0 / self.C[i][2], t)
         t = [0.0, 0.0]
-        t[i] = -self.gamma / 2.0
+        t[i] = -self.C[2][2] / 2.0
         self.scale_translate(1.0, t)
-        return self.H[j][j]
+        return self.C[j][j]
 
 
 def canonical_form(tag: FamilyTag, h: MetricTensor,
@@ -282,30 +254,20 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
         raise DegenerateMetricError(reason)
     h_cls = h if h.basis_label == target else to_adapted_basis(tag, h)
 
-    key = tag.family_key()
     red = _Reducer(h_cls._entries, tol)
-    if key == "GI":
-        form_id, params = _reduce_gi(tag, red)
-    elif key == "Gc_gt1":
-        form_id, params = _reduce_gc_gt1(tag, red)
-    elif key == "G1":
-        form_id, params = _reduce_g1(tag, red)
-    else:
-        form_id, params = _reduce_gc_lt1(tag, red)
-
+    form_id, params = _FAMILY_REDUCERS[tag.family_key()](tag, red)
     canon = get_form_spec(tag, form_id).matrix(tag, params)
     # A^T h A is congruent to the validated input, so this strict test stands
     # in for a sign test per reducer branch; a banded test refuses good forms
     if not _strictly_lorentzian(canon):
         raise DegenerateMetricError("inconsistent signature in reduction")
-    # the residual reads the witness returned, its (P, t) on h's blocks,
-    # not the entries the steps held
-    W = red.witness()
-    gap = _entrywise_gap(_rows(_congruence(red.h0, (red.P, red.t))), canon)
+    # the residual reads the witness returned, its step on h's rows, not
+    # the rows the steps held
+    gap = _entrywise_gap(_congruence(red.h0, red.step), canon)
     if gap > 100 * tol.classification_tol:
         raise DegenerateMetricError(
             f"reduction residual {gap:g} too large for form {form_id}")
-    return CanonicalForm(tag, form_id, params, canon, W, target)
+    return CanonicalForm(tag, form_id, params, canon, step_matrix(red.step), target)
 
 
 # --------------------------------------------------------------------------
@@ -314,7 +276,7 @@ def _reduce(tag: FamilyTag, h: MetricTensor,
 def _reduce_gi(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
     swap = automorphism_step(tag, block=((0.0, 1.0), (1.0, 0.0)))
     if not red.is_zero(0, 1):
-        (h11, h12), (_, h22) = red.H
+        (h11, h12, _), (_, h22, _), _ = red.C
         theta = 0.5 * math.atan2(2 * h12, h11 - h22)
         cos, sin = math.cos(theta), math.sin(theta)
         red.apply(automorphism_step(tag, block=((cos, -sin), (sin, cos))))
@@ -330,14 +292,15 @@ def _reduce_gi(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
 
     # both pivots alive: translate, order signs, scale
     red.clear_translation()
-    if red.H[0][0] < 0 < red.H[1][1]:
+    if red.C[0][0] < 0 < red.C[1][1]:
         red.apply(swap)
-    (h11, _), (_, h22) = red.H
+    (h11, _, _), (_, h22, _), _ = red.C
     red.apply(automorphism_step(tag, block=((1.0 / math.sqrt(abs(h11)), 0.0),
                                             (0.0, 1.0 / math.sqrt(abs(h22))))))
-    if red.H[1][1] < 0:
-        return "GI.1", {"mu": red.gamma}
-    return "GI.2", {"mu": -red.gamma}
+    _, (_, e2, _), (_, _, g) = red.C
+    if e2 < 0:
+        return "GI.1", {"mu": g}
+    return "GI.2", {"mu": -g}
 
 
 # --------------------------------------------------------------------------
@@ -347,7 +310,7 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     cpar = tag.c
     if red.plane_degenerate():
         if not red.is_zero(0, 1):
-            (h11, h12), _ = red.H
+            (h11, h12, _), _, _ = red.C
             m = max(abs(h11), abs(h12))
             red.apply(automorphism_step(tag, alpha=h11 / m, beta=(h11 - h12) / m))
         if red.null_index() == 0:
@@ -363,11 +326,15 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     # (c - 1)^2: for det H < 0 one root has m > 0, and it gives t < 1
     # (Gc_gt1.2); for det H > 0 both do, on either side of c, and the one
     # at or below c is nu (Gc_gt1.3).  So the root taken is the one that
-    # lands in the canonical domain, and no second step is needed.
+    # lands in the canonical domain, and no second step is needed.  The
+    # roots are projective: the quadratic is formed on H scaled by one
+    # power of two, so bq^2 stays inside the float range.
     red.clear_translation()
-    (h11, h12), (_, h22) = red.H
-    aq = h11 - h12
-    bq = (cpar - 2.0) * h11 + 2.0 * h12 - h22
+    (h11, h12, _), (_, h22, _), _ = red.C
+    e = _exponent(h11, h12, h22)
+    g11, g12, g22 = math.ldexp(h11, e), math.ldexp(h12, e), math.ldexp(h22, e)
+    aq = g11 - g12
+    bq = (cpar - 2.0) * g11 + 2.0 * g12 - g22
     cq = -(cpar - 1.0) * aq
     q = -0.5 * (bq + math.copysign(math.sqrt(bq * bq - 4.0 * aq * cq), bq))
     best = None
@@ -379,15 +346,15 @@ def _reduce_gc_gt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
         if m > 0.0:
             t = (h11 * x * x + 2.0 * h12 * x * y + h22 * y * y) / m
             # t within the band above c is nu = c, where the domain ends
-            if t <= cpar + red.band(cpar) and (best is None or t > best[0]):
+            if t <= cpar + red.tol.classification_tol * cpar and (best is None or t > best[0]):
                 best = (t, alpha / math.sqrt(m), beta / math.sqrt(m))
     if best is None:
         raise DegenerateMetricError("inconsistent signature in reduction")
     red.apply(automorphism_step(tag, alpha=best[1], beta=best[2]))
-    t = red.H[1][1]
+    _, (_, t, _), (_, _, g) = red.C
     if t < 1.0:
-        return "Gc_gt1.2", {"mu": red.gamma, "tau": t}
-    return "Gc_gt1.3", {"mu": -red.gamma, "nu": min(t, cpar)}
+        return "Gc_gt1.2", {"mu": g, "tau": t}
+    return "Gc_gt1.3", {"mu": -g, "nu": min(t, cpar)}
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +365,7 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
         if not red.is_zero(0, 1):
             if red.is_zero(0, 0):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            (h11, h12), _ = red.H
+            (h11, h12, _), _, _ = red.C
             m = max(abs(h11), abs(h12))
             red.apply(automorphism_step(tag, gamma=h11 / m, delta=-h12 / m))
         i = red.null_index()
@@ -408,12 +375,11 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
 
     if not red.is_zero(0, 0):
         if not red.is_zero(0, 1):
-            (h11, h12), _ = red.H
+            (h11, h12, _), _, _ = red.C
             m = max(abs(h11), abs(h12))
             red.apply(automorphism_step(tag, gamma=h11 / m, delta=-h12 / m))
-        red.scale_translate(1.0 / math.sqrt(abs(red.H[0][0])))
-        (d1, _), (_, d2) = red.H
-        d3 = red.gamma
+        red.scale_translate(1.0 / math.sqrt(abs(red.C[0][0])))
+        (d1, _, _), (_, d2, _), (_, _, d3) = red.C
         if d1 > 0 and d2 < 0:
             return "G1.3", {"nu": -d2, "mu": d3}
         if d1 > 0:
@@ -421,11 +387,11 @@ def _reduce_g1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]]:
         return "G1.5", {"nu": d2, "mu": d3}
 
     # h11 = 0 with non-degenerate block: h12 != 0
-    red.scale_translate(1.0 / math.sqrt(abs(red.H[0][1])))
-    (_, h12), (_, h22) = red.H
+    red.scale_translate(1.0 / math.sqrt(abs(red.C[0][1])))
+    (_, h12, _), (_, h22, _), _ = red.C
     sgn = 1.0 if h12 > 0 else -1.0
     red.apply(automorphism_step(tag, gamma=1.0, delta=-sgn * h22 / 2.0))
-    return ("G1.6" if sgn > 0 else "G1.7"), {"mu": red.gamma}
+    return ("G1.6" if sgn > 0 else "G1.7"), {"mu": red.C[2][2]}
 
 
 # --------------------------------------------------------------------------
@@ -436,19 +402,19 @@ def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
         if not red.is_zero(0, 1):
             if red.is_zero(0, 0) or red.is_zero(1, 1):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
-            (h11, h12), _ = red.H
+            (h11, h12, _), _, _ = red.C
             red.apply(automorphism_step(tag, gamma=h12 / h11, delta=1.0))
-            (h11, h12), _ = red.H
+            (h11, h12, _), _, _ = red.C
             a = 0.5 * (h11 + h12)  # the block is a multiple of ones
             if a <= 0:
                 raise DegenerateMetricError("inconsistent signature in reduction")
             red.scale_translate(1.0 / math.sqrt(a))
-            (nu_, lam), g = red.b, red.gamma
-            if abs(lam - nu_) <= red.band(lam, nu_):
+            (_, _, nu_), (_, _, lam), (_, _, g) = red.C
+            if abs(lam - nu_) <= red.tol.classification_tol * max(abs(lam), abs(nu_)):
                 raise DegenerateMetricError("pivot vanishes in degenerate branch")
             red.scale_translate(1.0, ((nu_ ** 2 - 2 * nu_ * lam + g) / (2 * (lam - nu_)),
                                       (nu_ ** 2 - g) / (2 * (lam - nu_))))
-            mu = red.b[1]
+            mu = red.C[1][2]
             if mu < 0:
                 red.scale_translate(-1.0)
                 mu = -mu
@@ -461,12 +427,11 @@ def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
 
     red.clear_translation()
 
-    (h11, h12), (_, h22) = red.H
+    (h11, h12, _), (_, h22, _), _ = red.C
     if red.is_zero(0, 1):
         red.apply(automorphism_step(tag, gamma=1.0 / math.sqrt(abs(h11)),
                                     delta=1.0 / math.sqrt(abs(h22))))
-        (e1, _), (_, e2) = red.H
-        d3 = red.gamma
+        (e1, _, _), (_, e2, _), (_, _, d3) = red.C
         if e1 > 0 and e2 > 0:
             return "Gc_lt1.4", {"mu": -d3}
         return ("Gc_lt1.5" if e1 > 0 else "Gc_lt1.6"), {"mu": d3}
@@ -474,19 +439,23 @@ def _reduce_gc_lt1(tag: FamilyTag, red: _Reducer) -> tuple[str, dict[str, float]
     if red.is_zero(0, 0):
         if red.is_zero(1, 1):
             red.apply(automorphism_step(tag, gamma=1.0 / h12, delta=1.0))
-            return "Gc_lt1.7", {"mu": red.gamma}
+            return "Gc_lt1.7", {"mu": red.C[2][2]}
         r = math.sqrt(abs(h22))
         red.apply(automorphism_step(tag, gamma=r / h12, delta=1.0 / r))
-        return ("Gc_lt1.8" if red.H[1][1] > 0 else "Gc_lt1.9"), {"mu": red.gamma}
+        _, (_, e2, _), (_, _, g) = red.C
+        return ("Gc_lt1.8" if e2 > 0 else "Gc_lt1.9"), {"mu": g}
 
     r = math.sqrt(abs(h11))
     red.apply(automorphism_step(tag, gamma=1.0 / r, delta=r / h12))
-    (eps, _), (_, t) = red.H
-    nu = red.gamma
+    (eps, _, _), (_, t, _), (_, _, nu) = red.C
     if eps > 0:
         return (("Gc_lt1.10-1" if nu > 0 else "Gc_lt1.10-2"),
                 {"nu": nu, "tau": t})
     return "Gc_lt1.11", {"mu": nu, "eta": -t}
+
+
+_FAMILY_REDUCERS = {"GI": _reduce_gi, "Gc_gt1": _reduce_gc_gt1, "G1": _reduce_g1,
+                    "Gc_lt1": _reduce_gc_lt1}
 
 
 # --------------------------------------------------------------------------
@@ -515,15 +484,15 @@ def _equivalence(tag: FamilyTag, h1: MetricTensor, h2: MetricTensor,
     gap = _entrywise_gap(cf1._canonical_matrix, cf2._canonical_matrix)
     if gap > tol.classification_tol:
         return False, None
-    # W = W1 W2^-1, composed as (P, t) floats
+    # W = W1 W2^-1, composed as a step
     w = _compose(_step(cf1._witness), _inverse(_step(cf2._witness)))
     if h1.basis_label == BasisLabel.NATURAL and cf1.basis_label != BasisLabel.NATURAL:
         # to the natural basis, U W T: both are [[B, 0], [0, 1]]
         U, T = _adapted_blocks(tag)
         w = _compose(_compose((U, (0.0, 0.0)), w), (T, (0.0, 0.0)))
-    got, want = _congruence(_blocks(h1._entries), w), _blocks(h2._entries)
-    res = max([abs(x - y) for x, y in zip(got, want)])
-    if res > tol.classification_tol * max(map(abs, want)) * 100:
+    got, want = _congruence(h1._entries, w), h2._entries
+    res = max([abs(x - y) for g, r in zip(got, want) for x, y in zip(g, r)])
+    if res > tol.classification_tol * max(map(abs, itertools.chain(*want))) * 100:
         raise ArithmeticError(f"equivalence witness residual {res:g} too large")
     W = step_matrix(w)
     if not is_automorphism(make_family_algebra(tag, h1.basis_label), W, tol):

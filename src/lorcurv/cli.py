@@ -16,11 +16,13 @@ that does not fit the family, a pivot inside the tolerance band, a
 metric whose frame is not h-orthonormal, which under ``--frame paper``
 means not canonical), with one ``rejected: <message>`` line on stderr;
 2 parse or I/O error (``error: <field>: <message>``); 3 "not
-equivalent" (equiv only); 4 internal fault, an ``ArithmeticError`` or
-``LinAlgError`` of the engine (one ``fault: <subcommand>: <message>``
-line on stderr).  The subcommands compute on Python floats and write
-JSON from them: none imports numpy.  ``validate`` prints its diagnostics
-and exits 1 when the metric is not Lorentzian.  classification_tol, the package's one
+equivalent" (equiv only); 4 internal fault, an ``ArithmeticError`` of the
+engine or an answer that is not strict JSON (NaN or an infinity), with
+one ``fault: <subcommand>: <message>`` line on stderr.  The subcommands
+compute on Python floats and write JSON from them: none imports numpy.
+``validate`` prints its diagnostics, with ``det`` null where the product
+of the eigenvalues leaves the float range, and exits 1 when the metric is
+not Lorentzian.  classification_tol, the package's one
 tolerance, is set per document by the "tolerance" field; ``atlas`` uses
 the default.
 
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .algebra import (BasisLabel, FamilyTag, classification_basis,
@@ -158,7 +161,13 @@ def _load_document(path: str, family_required: bool = True):
 
 
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write payload as strict JSON; a NaN or an infinity in it is the
+    engine's fault, not a verdict on the input."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ArithmeticError(f"answer is not JSON: {exc}") from None
+    sys.stdout.write(text + "\n")
 
 
 def _fail(code: int, message: str) -> int:
@@ -176,7 +185,7 @@ def cmd_validate(args) -> int:
         "accepted": diag.accepted,
         "signature": list(diag.signature),
         "eigenvalues": list(diag.eigenvalues),
-        "det": diag.det,
+        "det": diag.det if math.isfinite(diag.det) else None,
         "reason": diag.reason,
         "family": None if tag is None else tag.family_key(),
         "basis": h.basis_label.value,
@@ -330,15 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _faults() -> tuple[type[Exception], ...]:
-    """The engine's internal faults: ArithmeticError, and numpy's
-    LinAlgError (a ValueError) where numpy is loaded; a process that never
-    imported numpy cannot raise it."""
-    numpy = sys.modules.get("numpy")
-    return (ArithmeticError,) if numpy is None else (ArithmeticError,
-                                                     numpy.linalg.LinAlgError)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, OSError) as exc:
         return _fail(EXIT_PARSE, f"error: {exc}")
-    except _faults() as exc:
+    except ArithmeticError as exc:
         return _fail(EXIT_FAULT, f"fault: {args.command}: {exc}")
     except ValueError as exc:       # the library's rejections
         return _fail(EXIT_DOMAIN, f"rejected: {exc}")

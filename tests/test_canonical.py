@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -575,6 +576,8 @@ def test_strict_signature_test_matches_eigvalsh(rng):
 _REDUCER_TAGS = [FamilyTag("GI"), FamilyTag("Gc", 2.0), FamilyTag("Gc", 1.0),
                  FamilyTag("Gc", 0.75)]
 _entry = st.floats(-3.0, 3.0)
+#: a metric entry anywhere from 2^-500 to 2^500 in size, or zero
+_wide_entry = st.builds(math.ldexp, _entry, st.integers(-500, 500))
 
 
 def _step(red, tag, kind, x):
@@ -601,45 +604,48 @@ def _step(red, tag, kind, x):
     return True
 
 
-#: the held entries and numpy's A^T h0 A sum the same terms in different
+#: the held rows and numpy's A^T h0 A sum the same terms in different
 #: orders, so they may differ by rounding in the size of those terms,
-#: (|A|^T |h0| |A|)_ij, and not in the entry's band unit sqrt(d_i d_j):
-#: when the terms cancel, that unit is much smaller than they are.
-#: Measured worst 1.8 ulps of the terms over 5,000 examples.  Where
-#: products underflow, a partial sum may be off by a few subnormal
-#: spacings in either computation, and the next factor, an entry of a
-#: column of A, multiplies that error
+#: (|A|^T |h0| |A|)_ij, and not in the entry's unit u_i u_j: when the
+#: terms cancel, that unit is much smaller than they are.  Measured worst
+#: 1.8 ulps of the terms over 5,000 examples.  Where products underflow,
+#: a partial sum may be off by a few subnormal spacings in either
+#: computation, and the next factor, an entry of a column of A,
+#: multiplies that error
 _HELD_ULPS = 4
 _UNDERFLOW = 18 * np.finfo(float).smallest_subnormal
 
 
 @settings(max_examples=200, deadline=None)
 @given(family=st.sampled_from(_REDUCER_TAGS),
-       h=st.lists(_entry, min_size=6, max_size=6),
+       h=st.lists(_wide_entry, min_size=6, max_size=6),
        steps=st.lists(st.tuples(st.sampled_from([0, 1]),
                                 st.lists(_entry, min_size=5, max_size=5)),
                       max_size=6))
 def test_reducer_band_follows_every_step(family, h, steps):
-    """The reducer holds A^T h0 A as the blocks H, b and gamma, recomputed
-    after every step.  After every step, is_zero, band and
-    plane_degenerate follow the rule evaluated on the held entries
-    exactly: |h_ij| <= tol sqrt(d_i d_j) with d_i the held row maxima,
-    and |det H| <= tol d_0 d_1.  The held entries match numpy's
-    A^T h0 A of the witness within _HELD_ULPS ulps of the summed terms."""
+    """The reducer holds C = A^T h0 A as rows, recomputed after every
+    step.  After every step, is_zero and plane_degenerate follow the one
+    unit rule on the held rows exactly: with u_i = sqrt(max_k |C_ik|)
+    (1 for a row of zeros), |C_ij| / (u_i u_j) <= tol, and for the plane block the determinant of
+    those quotients, |x_00 x_11 - x_01^2| <= tol.  The held rows match
+    numpy's A^T h0 A of the accumulated step within _HELD_ULPS ulps of the
+    summed terms.  The entries of h0 span 2^-500 to 2^500, so the rule is
+    checked where a product of two row maxima would leave the float
+    range."""
     h0 = np.array([[h[0], h[1], h[2]], [h[1], h[3], h[4]], [h[2], h[4], h[5]]])
-    red = lorcurv.canonical._Reducer(h0, DEFAULT_TOL)
+    red = lorcurv.canonical._Reducer(tuple(map(tuple, h0.tolist())), DEFAULT_TOL)
     tol = DEFAULT_TOL.classification_tol
 
     def check():
-        (h11, h12), (h21, h22) = red.H
-        (b1, b2), g = red.b, red.gamma
-        held = np.array([[h11, h12, b1], [h21, h22, b2], [b1, b2, g]])
-        d = np.abs(held).max(axis=1)
+        held = np.array(red.C)
+        assert (held == held.T).all()
+        u = np.sqrt(np.abs(held).max(axis=1))
+        u[u == 0.0] = 1.0       # a row of zeros: its entries stay zero
+        x = held / np.outer(u, u)
         for i, j in itertools.combinations_with_replacement(range(3), 2):
-            assert red.is_zero(i, j) == (abs(held[i, j]) <= tol * np.sqrt(d[i] * d[j]))
-        assert red.band(h11, h12) == tol * max(abs(h11), abs(h12))
-        assert red.plane_degenerate() == (abs(h11 * h22 - h12 * h12) <= tol * d[0] * d[1])
-        A = np.array(red.witness())
+            assert red.is_zero(i, j) == (abs(x[i, j]) <= tol)
+        assert red.plane_degenerate() == (abs(x[0, 0] * x[1, 1] - x[0, 1] * x[0, 1]) <= tol)
+        A = np.array(step_matrix(red.step))
         terms = np.abs(A).T @ np.abs(h0) @ np.abs(A)
         cols = 1.0 + np.abs(A).sum(axis=0)
         bound = _HELD_ULPS * np.spacing(terms) + _UNDERFLOW * np.outer(cols, cols)
@@ -652,22 +658,26 @@ def test_reducer_band_follows_every_step(family, h, steps):
 
 
 def test_reducer_composes_steps():
-    """The witness of two steps is their matrix product [[P Q, P s + t],
-    [0, 1]]; small integers keep both sides exact."""
+    """The accumulated step of two steps is their matrix product [[P Q,
+    P s + t], [0, 1]], and C is A^T h0 A for it; small integers keep every
+    side exact."""
     tag = FamilyTag("GI")
     first = automorphism_step(tag, block=((2.0, -1.0), (3.0, 1.0)), translation=(1.0, -2.0))
     second = automorphism_step(tag, block=((0.0, 4.0), (-1.0, 2.0)), translation=(3.0, 5.0))
-    red = lorcurv.canonical._Reducer(np.diag([1.0, 1.0, -1.0]), DEFAULT_TOL)
+    h0 = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0))
+    red = lorcurv.canonical._Reducer(h0, DEFAULT_TOL)
     red.apply(first)
     red.apply(second)
-    assert np.array_equal(red.witness(), np.array(step_matrix(first)) @ step_matrix(second))
+    A = np.array(step_matrix(first)) @ step_matrix(second)
+    assert np.array_equal(step_matrix(red.step), A)
+    assert np.array_equal(red.C, A.T @ np.array(h0) @ A)
 
 
 def test_residual_reads_the_witness(monkeypatch):
     """The reduction residual A^T h0 A - C is formed from the witness
-    returned, not from the entries the steps held: a step that leaves a
-    wrong gamma behind changes the parameter read from it, and the
-    reduction is rejected."""
+    returned, not from the rows the steps held: a step that leaves a wrong
+    C_22 behind changes the parameter read from it, and the reduction is
+    rejected."""
     tag = FamilyTag("Gc", 2.0)
     C = canonical_matrix(tag, "Gc_gt1.2", {"mu": 1.0, "tau": 0.5})
     A = automorphism_matrix(tag, alpha=0.3, beta=1.1, translation=(0.4, -0.2))
@@ -677,7 +687,8 @@ def test_residual_reads_the_witness(monkeypatch):
 
     def perturbed(red, step):
         apply(red, step)
-        red.gamma *= 1.5
+        r0, r1, (b1, b2, g) = red.C
+        red.C = r0, r1, (b1, b2, 1.5 * g)
 
     monkeypatch.setattr(lorcurv.canonical._Reducer, "apply", perturbed)
     with pytest.raises(DegenerateMetricError, match="^reduction residual"):

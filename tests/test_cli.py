@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -421,18 +423,35 @@ def test_engine_value_error_exit1(tmp_path, capsys, monkeypatch, command):
     assert capsys.readouterr().err == "rejected: boom\n"
 
 
-@pytest.mark.parametrize("command", sorted(_ENGINE_CALLS))
-def test_linalg_error_is_a_fault(tmp_path, capsys, monkeypatch, command):
-    """numpy's LinAlgError is a ValueError, but a failed factorisation is
-    the engine's fault, not a verdict on the input."""
-    def fault(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_answer_that_is_not_json_is_a_fault(tmp_path, capsys, monkeypatch, value):
+    """The CLI writes strict JSON: an answer holding NaN or an infinity is
+    refused before anything is written, as an internal fault (exit 4)."""
+    real = cli.canonical_form
 
-    monkeypatch.setattr(cli, _ENGINE_CALLS[command], fault)
+    def broken(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), params={"mu": value})
+
+    monkeypatch.setattr(cli, "canonical_form", broken)
     f = _doc(tmp_path, "m.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]])
-    argv = [command, f] + ([f] if command == "equiv" else [])
-    assert main(argv) == cli.EXIT_FAULT
-    assert capsys.readouterr().err == f"fault: {command}: Singular matrix\n"
+    assert main(["classify", f]) == cli.EXIT_FAULT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("fault: classify: answer is not JSON: "
+                   f"Out of range float values are not JSON compliant: {value}\n")
+
+
+def test_validate_reports_an_overflowing_det_as_null(tmp_path, capsys):
+    """The product of the eigenvalues of diag(1e200, 1e200, -1e200) is not
+    a float: det is null, and the rest of the diagnostics are finite."""
+    f = _doc(tmp_path, "m.json", "GI", [[1e200, 0, 0], [0, 1e200, 0], [0, 0, -1e200]])
+    code, out = _run(capsys, "validate", f)
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["det"] is None
+    assert payload["eigenvalues"] == [-1e200, 1e200, 1e200]
+    f = _doc(tmp_path, "m.json", "GI", [[2, 0, 0], [0, 1, 0], [0, 0, -1]])
+    assert _strict_json(_run(capsys, "validate", f)[1])["det"] == -2.0
 
 
 _DOCUMENT_COMMANDS = ["validate", "classify", "curvature", "constcurv", "equiv"]
@@ -557,8 +576,10 @@ _GI1_IMAGE = [[2.0, 1.0, 0.5], [1.0, -0.5, 0.25], [0.5, 0.25, 1.5]]
 @pytest.mark.parametrize("command", ["classify", "curvature", "constcurv"])
 def test_exact_scalings_answer_or_reject(tmp_path, capsys, family, metric, command):
     """lambda h for lambda = 2^+-520: every number printed is finite JSON,
-    and the form, type and class are those of lambda = 1, or the input is
-    rejected by name (exit 1, one line)."""
+    and the form and class are those of lambda = 1.  The reduction decides
+    on entries in units and solves on exactly rescaled blocks, so classify
+    and constcurv answer; curvature gives lambda = 1's type or, where s^2
+    leaves the float range, rejects the input by name (exit 1, one line)."""
     def answer(lam):
         f = _doc(tmp_path, "m.json", family, [[lam * x for x in row] for row in metric])
         code = main([command, f])
@@ -573,7 +594,19 @@ def test_exact_scalings_answer_or_reject(tmp_path, capsys, family, metric, comma
     want = answer(1.0)
     assert want is not None
     for lam in (2.0 ** 520, 2.0 ** -520):
-        assert answer(lam) in (want, None), lam
+        assert answer(lam) in ((want, None) if command == "curvature" else (want,)), lam
+
+
+def test_tiny_metric_is_classified(tmp_path, capsys):
+    """A GI metric with entries near 1e-300: the translation is solved on
+    the plane block and column scaled by one power of two, so no product
+    underflows to a zero divisor."""
+    f = _doc(tmp_path, "m.json", "GI", [[1e-300, 1e-301, 0], [1e-301, 2e-300, 3e-301],
+                                        [0, 3e-301, -1e-300]])
+    assert main(["classify", f]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _strict_json(out)["form_id"] == "GI.2"
 
 
 @pytest.mark.parametrize("lam", [1e-160, 1e-300])

@@ -3,13 +3,12 @@ is used in that module, every module-private top-level function or
 class of the package is used outside its own definition, every
 parameter of a function of the package is read by its body, every
 default of a module-private function is overridden by some call, the
-package calls no function-style numpy reduction, the canonical reducer's
-steps call no numpy, the verdict path makes no numpy product or
-np.linalg call, the O'Neill classifier makes no np.linalg call at
-all, the package keeps no cache that outlives one
-metric, a metric's matrix is decomposed only by metric.py's stored
-Jacobi eigensolver, and no module of the package imports numpy at module
-scope.
+package calls no function-style numpy reduction, the canonical reducer
+calls no numpy, the verdict path makes no numpy product or np.linalg
+call, no module of the package calls or refers to np.linalg at all,
+the package keeps no cache that outlives one metric, a metric's matrix
+is decomposed only by metric.py's stored Jacobi eigensolver, and no
+module of the package imports numpy at module scope.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -207,11 +206,6 @@ def test_scan_finds_function_style_reduction():
         "line 6: np.min"]
 
 
-#: the reducer's steps work on Python floats; its witness builder is the
-#: one method that may build an array (it returns rows of floats)
-_REDUCER_ARRAY_METHODS = {"witness"}
-
-
 def _rooted_at_np(node: ast.AST) -> bool:
     while isinstance(node, ast.Attribute):
         node = node.value
@@ -219,15 +213,14 @@ def _rooted_at_np(node: ast.AST) -> bool:
 
 
 def reducer_numpy_calls(source: str) -> list[str]:
-    """Calls ``np.…(...)`` in methods of class ``_Reducer`` other than
-    its witness builder."""
+    """Calls ``np.…(...)`` in methods of class ``_Reducer``: it holds rows
+    of Python floats and its accumulated step, and builds no array."""
     found = []
     for cls in ast.walk(ast.parse(source)):
         if not (isinstance(cls, ast.ClassDef) and cls.name == "_Reducer"):
             continue
         for fn in cls.body:
-            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    or fn.name in _REDUCER_ARRAY_METHODS):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             found += [f"line {node.lineno}: {fn.name}" for node in ast.walk(fn)
                       if isinstance(node, ast.Call) and _rooted_at_np(node.func)]
@@ -255,14 +248,15 @@ def test_scan_finds_reducer_numpy_call():
               "        return np.eye(3)\n\n"
               "def helper():\n"
               "    return np.eye(3)\n")
-    assert reducer_numpy_calls(source) == ["line 5: apply", "line 9: gap"]
+    assert reducer_numpy_calls(source) == ["line 5: apply", "line 7: witness",
+                                           "line 9: gap"]
 
 
-#: the verdict path works on Python floats: the reducer, the witness
-#: algebra of a verdict and the automorphism check, by module
-_FLOAT_PATH = {"canonical.py": {"_Reducer", "_congruence", "_compose", "_inverse",
-                                "_step", "_blocks", "_rows", "_entrywise_gap",
-                                "equivalent"},
+#: the verdict path works on Python floats: the reducer, its units, the
+#: witness algebra of a verdict and the automorphism check, by module
+_FLOAT_PATH = {"canonical.py": {"_Reducer", "_unit", "_congruence", "_compose",
+                                "_inverse", "_step", "_entrywise_gap",
+                                "_equivalence", "equivalent"},
                "algebra.py": {"is_automorphism"}}
 _PRODUCT_CALLS = {"dot", "matmul", "einsum", "tensordot"}
 
@@ -317,24 +311,37 @@ def test_scan_finds_numpy_product():
         "line 10: equivalent: einsum"]
 
 
-def linalg_calls(source: str) -> list[str]:
-    """Every ``np.linalg`` (or bare ``linalg``) call anywhere in ``source``."""
-    return [f"line {n.lineno}: {_name(n.func)}" for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Call) and _rooted_at_linalg(n.func)]
+def linalg_uses(source: str) -> list[str]:
+    """Every ``np.linalg`` (or bare ``linalg``) call or attribute reference
+    anywhere in ``source``, such as ``np.linalg.eig(T)`` or
+    ``np.linalg.LinAlgError``, once per use."""
+    found, inner = [], set()
+    for n in ast.walk(ast.parse(source)):      # outer attributes come first
+        if isinstance(n, ast.Attribute) and id(n) not in inner and _rooted_at_linalg(n):
+            found.append((n.lineno, n.col_offset, n.attr))
+            part = n.value
+            while isinstance(part, ast.Attribute):
+                inner.add(id(part))
+                part = part.value
+    return [f"line {line}: {attr}" for line, _, attr in sorted(found)]
 
 
 def test_classifier_makes_no_linalg_call():
     """The O'Neill classifier splits off the eigenvector it is given in
-    closed form, with no decomposition."""
-    assert linalg_calls((_ROOT / "src/lorcurv/oneill.py").read_text()) == []
+    closed form, and no module of the package decomposes, inverts or
+    refers to np.linalg at all, not even to catch its LinAlgError."""
+    uses = {p.name: linalg_uses(p.read_text()) for p in _PACKAGE}
+    assert {name: found for name, found in uses.items() if found} == {}
 
 
 def test_scan_finds_linalg_call():
     source = ("import numpy as np\nfrom numpy import linalg\n\n"
               "def classify(T):\n"
               "    lam, vecs = np.linalg.eig(T)\n"
-              "    return lam, linalg.svd(T @ vecs), np.abs(T).max()\n")
-    assert linalg_calls(source) == ["line 5: eig", "line 6: svd"]
+              "    return lam, linalg.svd(T @ vecs), np.abs(T).max()\n\n"
+              "def faults():\n"
+              "    return (ArithmeticError, np.linalg.LinAlgError)\n")
+    assert linalg_uses(source) == ["line 5: eig", "line 6: svd", "line 9: LinAlgError"]
 
 
 #: modules on the per-op curvature path, where an array rebuilt on every

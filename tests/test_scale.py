@@ -1,6 +1,7 @@
 """Discrete answers do not depend on units: the form id, the O'Neill type,
 the constant-curvature class and the equivalence verdict of lambda h are
-those of h, for lambda across twelve orders of magnitude."""
+those of h, for lambda across twelve orders of magnitude, and for exact
+powers of two out to 2^+-1000."""
 
 import numpy as np
 import pytest
@@ -131,3 +132,53 @@ def test_near_c1_reduction_outcome_is_scale_free(c):
         if len(set(outcomes)) > 1:
             moved.append((i, outcomes))
     assert moved == []
+
+
+_GI1_IMAGE = (FamilyTag("GI"), [[2.0, 1.0, 0.5], [1.0, -0.5, 0.25], [0.5, 0.25, 1.5]])
+#: lambda = 2^k beyond the range where a product of two entries of lambda h
+#: is a float; 2^k is exact, so lambda h is exactly lambda times h
+_EXPONENTS = [-1000, -520, 520, 1000]
+
+
+@pytest.mark.parametrize("k", _EXPONENTS)
+@pytest.mark.parametrize("tag,metric", [_README, _GI1_IMAGE], ids=["readme", "GI.1"])
+def test_exact_scalings_reduce_as_at_one(tag, metric, k):
+    """The reducer decides every entry as C_ij / (u_i u_j) and solves on
+    entries scaled by one power of two, so at lambda = 2^k the form and
+    the constant-curvature class are lambda = 1's, mu is exactly lambda
+    mu_1 and tau is unchanged."""
+    lam = 2.0 ** k
+    cls1, cf1 = constant_curvature_class(tag, MetricTensor(metric))
+    cls, cf = constant_curvature_class(tag, MetricTensor([[lam * x for x in row]
+                                                          for row in metric]))
+    assert (cf.form_id, cls) == (cf1.form_id, cls1)
+    assert cf.params == {n: lam * v if n == "mu" else v for n, v in cf1.params.items()}
+    assert canonical_form(tag, MetricTensor(lam * np.array(metric))).params == cf.params
+
+
+@pytest.mark.parametrize("c", [None, 2.0, 0.75, 1.0, -3.0, 1e4, 1.0 + 1e-6, 1.0 - 1e-6])
+def test_fuzz_answers_are_free_of_exact_scalings(c):
+    """On the 300 fuzz metrics, every fuzz metric h that canonical_form
+    answers gives the same form id at 2^k h, k = +-520 and +-1000, and
+    the others are rejected at every k too, except just below c = 1:
+    there the residual of a Gc_lt1.3 reduction is measured against the
+    unit entry h(x_i, z) = 1 of the canonical matrix while its rounding
+    grows with lambda, so 14 of the 300 metrics at c = 1 - 1e-6, rejected
+    at lambda = 1, 2^520 and 2^1000, reduce to Gc_lt1.3 at 2^-520 and
+    2^-1000."""
+    tag = FamilyTag("GI") if c is None else FamilyTag("Gc", c)
+    moved = []
+    for i, (_, h) in enumerate(_fuzz_metrics(c)):
+        outcomes = []
+        for lam in [1.0] + [2.0 ** k for k in _EXPONENTS]:
+            try:
+                outcomes.append(canonical_form(tag, MetricTensor(lam * h.entries)).form_id)
+            except DegenerateMetricError:
+                outcomes.append(None)
+        if len(set(outcomes)) > 1:
+            moved.append((i, outcomes))
+    if c == 1.0 - 1e-6:
+        assert len(moved) == 14
+        assert {tuple(o) for _, o in moved} == {(None, "Gc_lt1.3", "Gc_lt1.3", None, None)}
+    else:
+        assert moved == []
