@@ -40,9 +40,9 @@ from .algebra import (BasisLabel, FamilyTag, Step, _adapted_blocks,
                       automorphism_step, classification_basis,
                       is_automorphism, make_family_algebra, step_matrix)
 from .arrays import Array, ArrayField, Rows, array
-from .atlas import get_form_spec
 from .curvature import _connection, riemann
 from .metric import _I3, _J, MetricTensor, _derived, _eigen, _signature, pull_back_metric
+from .registry import get_form_spec
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
 

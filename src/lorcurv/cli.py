@@ -20,6 +20,9 @@ equivalent" (equiv only); 4 internal fault, an ``ArithmeticError`` of the
 engine or an answer that is not strict JSON (NaN or an infinity), with
 one ``fault: <subcommand>: <message>`` line on stderr.  The subcommands
 compute on Python floats and write JSON from them: none imports numpy.
+Each subcommand imports the engine modules it runs inside its own
+function, once its input has parsed, so that a process loads only those:
+``classify`` neither the classifier nor the atlas, ``atlas`` no reducer.
 ``validate`` prints its diagnostics, with ``det`` null where the product
 of the eigenvalues leaves the float range, and exits 1 when the metric is
 not Lorentzian.  classification_tol, the package's one
@@ -40,16 +43,9 @@ import json
 import math
 import sys
 
+from . import __version__
 from .algebra import (BasisLabel, FamilyTag, classification_basis,
                       make_family_algebra)
-from .atlas import PARAM_NAMES, emit_tables, paper_frame
-from .canonical import (
-    _equivalence,
-    canonical_form,
-    constant_curvature_class,
-    to_adapted_basis,
-)
-from .curvature import curvature_report
 from .metric import FrameResidualError, MetricTensor, validate_metric
 from .tolerance import DEFAULT_TOL, ToleranceConfig
 
@@ -208,13 +204,17 @@ def _form_payload(cf) -> dict:
 
 def cmd_classify(args) -> int:
     tag, h, tol = _load_document(args.file)
+    from .canonical import canonical_form
     _emit(_form_payload(canonical_form(tag, h, tol)))
     return EXIT_OK
 
 
 def cmd_curvature(args) -> int:
     tag, h, tol = _load_document(args.file)
+    from .curvature import curvature_report
     if args.frame == "paper":
+        from .canonical import canonical_form, to_adapted_basis
+        from .registry import paper_frame
         cf = canonical_form(tag, h, tol)
         target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
         frame = paper_frame(tag, cf.form_id, cf.params)
@@ -233,6 +233,7 @@ def cmd_curvature(args) -> int:
 
 
 def _parse_grid(spec: str) -> dict[str, list[float]]:
+    from .registry import PARAM_NAMES
     grid: dict[str, list[float]] = {}
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -265,6 +266,7 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
 def cmd_atlas(args) -> int:
     tag = _field("--c", FamilyTag, args.family, args.c)
     grid = _parse_grid(args.grid)
+    from .atlas import emit_tables
     text = emit_tables(tag, grid, fmt=args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -281,6 +283,7 @@ def cmd_equiv(args) -> int:
         raise InputError("family", "the two documents describe different families")
     if h1.basis_label != h2.basis_label:
         raise InputError("basis", "the two metrics use different bases")
+    from .canonical import _equivalence
     flag, witness = _equivalence(tag1, h1, h2, tol)
     if not flag:
         _emit({"equivalent": False, "witness": None})
@@ -291,6 +294,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_constcurv(args) -> int:
     tag, h, tol = _load_document(args.file)
+    from .canonical import constant_curvature_class
     cls, cf = constant_curvature_class(tag, h, tol)
     _emit({"class": cls.value, "form_id": cf.form_id, "params": cf.params})
     return EXIT_OK
@@ -303,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lorcurv",
         description="Curvature and canonical forms of left-invariant "
                     "Lorentzian metrics on 3D non-unimodular Lie groups.")
-    parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a metric document")

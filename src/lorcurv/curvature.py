@@ -25,13 +25,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .algebra import LieAlgebra3, _from_cross, cross_rewrite
 from .arrays import Array, ArrayField, Rows, Vec, array, float_rows
 from .metric import _I3, MetricTensor, OrthonormalFrame, _check_frame, _derived, \
     frame_inner, orthonormal_frame
-from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
 from .tolerance import DEFAULT_TOL, ToleranceConfig
+
+if TYPE_CHECKING:
+    from .oneill import ONeillClassification
 
 #: the diagonal of J
 _SIGNS = (1.0, 1.0, -1.0)
@@ -286,6 +289,9 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     passed frame is checked and gets its own connection.  The algebra must
     be non-unimodular: a unimodular one (tr ad = 0) raises ValueError, and
     so does a metric whose curvature overflows the float range."""
+    # imported here, not at module scope: the reducer reads connections
+    # from this module, and a process that only reduces never loads oneill
+    from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
     if frame is None:
         frame = orthonormal_frame(h, tol)     # checked where it is built
         conn, ric, s = _connection(alg, h, tol)

@@ -12,6 +12,7 @@ import lorcurv.atlas
 import lorcurv.curvature
 import lorcurv.metric
 import lorcurv.oneill
+import lorcurv.registry
 from lorcurv import (
     DEFAULT_TOL,
     FamilyTag,
@@ -278,9 +279,10 @@ def test_symbolic_domains_lie_in_the_domains():
 
 
 def _symbolic_atlas(monkeypatch):
-    """Swap the atlas's math.sqrt for sympy's: the formulas build their
-    matrices as rows, which then hold sympy expressions."""
-    monkeypatch.setattr(lorcurv.atlas, "math", SimpleNamespace(sqrt=sp.sqrt))
+    """Swap the registry's math.sqrt for sympy's: the formulas, which the
+    registry holds, build their matrices as rows, which then hold sympy
+    expressions."""
+    monkeypatch.setattr(lorcurv.registry, "math", SimpleNamespace(sqrt=sp.sqrt))
 
 
 def _assert_parallel(u, v, where):

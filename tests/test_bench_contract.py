@@ -6,12 +6,15 @@ run the benchmark's own self-test."""
 
 import importlib
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lorcurv
 import lorcurv.canonical
 import lorcurv.curvature
 from lorcurv import (
@@ -69,6 +72,53 @@ def test_tracer_installs_and_uninstalls():
     finally:
         t.uninstall()
     assert lorcurv.canonical.riemann is original
+
+
+def test_name_read_while_traced_is_not_kept():
+    """In a fresh process, after a bare ``import lorcurv``: the package
+    binds a name when its home module runs (here, inside
+    ``Tracer.install``), never when the name is read, so a name first
+    read while the tracer is installed gives the wrapper then and the
+    original once the tracer is uninstalled."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import sys\n"
+         f"sys.path.insert(0, {str(root / 'bench')!r})\n"
+         "import lorcurv\n"
+         "from tracer import Tracer\n"
+         "t = Tracer()\n"
+         "t.install()\n"
+         "assert hasattr(lorcurv.riemann, '__wrapped__')\n"
+         "t.uninstall()\n"
+         "assert lorcurv.riemann is lorcurv.curvature.riemann\n"
+         "assert not hasattr(lorcurv.riemann, '__wrapped__')\n"],
+        capture_output=True, text=True, timeout=120, check=False,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_cli_child_counts_classify(tmp_path):
+    """``bench/child.py cli`` installs the tracer in a CLI process, where
+    the modules classify does not run (the atlas, the classifier) are
+    entered but not yet run; it finds all six traced modules, exits 0
+    and counts the one canonical_form call."""
+    root = Path(__file__).resolve().parents[1]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"family": {"Gc": 2},
+                               "metric": [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]]}))
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", str(root / "bench" / "child.py"), "cli",
+         str(trace), "classify", str(doc)],
+        capture_output=True, text=True, timeout=120, check=False,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["form_id"] == "Gc_gt1.2"
+    calls = json.loads(trace.read_text())["calls"]
+    assert calls["canonical.canonical_form"] == 1
+    assert set(calls) == set(tracer.NAMES)
 
 
 #: traced calls of one survey op (curvature_report, then

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lorcurv.canonical
+import lorcurv.curvature
 from lorcurv import (canonical_matrix, classification_basis, cli, form_specs,
                      pull_back_metric, MetricTensor)
 from lorcurv.atlas import _param_grid
@@ -29,6 +32,16 @@ def _run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_version_is_the_package_version(capsys):
+    """--version prints lorcurv.__version__, which is pyproject.toml's."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"lorcurv {lorcurv.__version__}\n"
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == lorcurv.__version__
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -387,10 +400,18 @@ def test_lt1_form3_near_c1_is_a_rejection(tmp_path, capsys, frame, code):
         assert err == ""
 
 
-#: the engine call of each subcommand, as lorcurv.cli binds it; equiv
-#: calls the verdict behind equivalent, whose witness is float rows
-_ENGINE_CALLS = {"classify": "canonical_form", "curvature": "curvature_report",
-                 "constcurv": "constant_curvature_class", "equiv": "_equivalence"}
+#: the engine call of each subcommand, by the module the subcommand imports
+#: it from when it runs; equiv calls the verdict behind equivalent, whose
+#: witness is float rows
+_ENGINE_CALLS = {"classify": ("canonical", "canonical_form"),
+                 "curvature": ("curvature", "curvature_report"),
+                 "constcurv": ("canonical", "constant_curvature_class"),
+                 "equiv": ("canonical", "_equivalence")}
+
+
+def _patch_engine(monkeypatch, command, replacement):
+    module, name = _ENGINE_CALLS[command]
+    monkeypatch.setattr(getattr(lorcurv, module), name, replacement)
 
 
 @pytest.mark.parametrize("command", sorted(_ENGINE_CALLS))
@@ -400,7 +421,7 @@ def test_internal_fault_exit4(tmp_path, capsys, monkeypatch, command):
     def fault(*args, **kwargs):
         raise ArithmeticError("transition is not in O(2,1) (residual 1)")
 
-    monkeypatch.setattr(cli, _ENGINE_CALLS[command], fault)
+    _patch_engine(monkeypatch, command, fault)
     f = _doc(tmp_path, "m.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]])
     argv = [command, f] + ([f] if command == "equiv" else [])
     assert main(argv) == cli.EXIT_FAULT == 4
@@ -416,7 +437,7 @@ def test_engine_value_error_exit1(tmp_path, capsys, monkeypatch, command):
     def reject(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, _ENGINE_CALLS[command], reject)
+    _patch_engine(monkeypatch, command, reject)
     f = _doc(tmp_path, "m.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]])
     argv = [command, f] + ([f] if command == "equiv" else [])
     assert main(argv) == cli.EXIT_DOMAIN == 1
@@ -427,12 +448,12 @@ def test_engine_value_error_exit1(tmp_path, capsys, monkeypatch, command):
 def test_answer_that_is_not_json_is_a_fault(tmp_path, capsys, monkeypatch, value):
     """The CLI writes strict JSON: an answer holding NaN or an infinity is
     refused before anything is written, as an internal fault (exit 4)."""
-    real = cli.canonical_form
+    real = lorcurv.canonical.canonical_form
 
     def broken(*args, **kwargs):
         return dataclasses.replace(real(*args, **kwargs), params={"mu": value})
 
-    monkeypatch.setattr(cli, "canonical_form", broken)
+    monkeypatch.setattr(lorcurv.canonical, "canonical_form", broken)
     f = _doc(tmp_path, "m.json", {"Gc": 2}, [[-1, -1, 0], [-1, 0, 0], [0, 0, 4]])
     assert main(["classify", f]) == cli.EXIT_FAULT
     out, err = capsys.readouterr()
@@ -529,10 +550,13 @@ def test_metric_subcommands_do_not_import_numpy(tmp_path):
 
 
 def _numpy_free(importtime: str) -> bool:
-    """Whether ``-X importtime`` output lists lorcurv and no numpy module."""
+    """Whether ``-X importtime`` output lists the package lorcurv and no
+    numpy module.  The engine modules are run by the package's LazyLoader,
+    outside the import statement that ``-X importtime`` times, so the
+    package stands for them."""
     imported = {line.rpartition("|")[2].strip()
                 for line in importtime.splitlines() if line.startswith("import time:")}
-    return ("lorcurv.curvature" in imported
+    return ("lorcurv" in imported
             and not [m for m in imported if m.partition(".")[0] == "numpy"])
 
 

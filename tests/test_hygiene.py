@@ -7,8 +7,10 @@ package calls no function-style numpy reduction, the canonical reducer
 calls no numpy, the verdict path makes no numpy product or np.linalg
 call, no module of the package calls or refers to np.linalg at all,
 the package keeps no cache that outlives one metric, a metric's matrix
-is decomposed only by metric.py's stored Jacobi eigensolver, and no
-module of the package imports numpy at module scope.
+is decomposed only by metric.py's stored Jacobi eigensolver, no
+module of the package imports numpy at module scope, and no engine
+module imports the atlas or the CLI at module scope, nor curvature the
+classifier.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -579,3 +581,69 @@ def test_scan_finds_module_scope_numpy_import():
     assert module_scope_numpy_imports(source) == [
         "line 2: numpy", "line 3: numpy.linalg", "line 4: numpy", "line 8: numpy",
         "line 13: numpy"]
+
+
+#: the engine modules, below the atlas and the CLI: a CLI subcommand loads
+#: only the modules it runs, so none of these imports the atlas or the CLI
+#: when it is imported, and curvature, which the reducer imports for its
+#: connection, imports the classifier only where a report is classified
+_ENGINE_LAYERS = {name: {"atlas", "cli"} for name in (
+    "tolerance.py", "arrays.py", "algebra.py", "metric.py", "oneill.py",
+    "registry.py", "canonical.py")}
+_ENGINE_LAYERS["curvature.py"] = {"atlas", "cli", "oneill"}
+
+
+def _type_checking_only(node: ast.AST) -> bool:
+    """An ``if TYPE_CHECKING:`` block, which never runs."""
+    return (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+            and node.test.id == "TYPE_CHECKING")
+
+
+def module_scope_package_imports(source: str) -> list[str]:
+    """The lorcurv modules that ``source`` imports outside every function
+    body and every ``if TYPE_CHECKING:`` block, relative or absolute."""
+    found = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                    or _type_checking_only(child)):
+                continue
+            names = []      # dotted names below the package
+            if isinstance(child, ast.Import):
+                names = [a.name.partition(".")[2] for a in child.names
+                         if a.name.partition(".")[0] == "lorcurv"]
+            elif isinstance(child, ast.ImportFrom):
+                root, _, below = (child.module or "").partition(".")
+                if child.level == 0 and root == "lorcurv":      # from lorcurv[.x]
+                    names = [below] if below else [a.name for a in child.names]
+                elif child.level == 1:                          # from .[x]
+                    names = [child.module] if child.module else [a.name for a in child.names]
+            found.extend(f"line {child.lineno}: {n.partition('.')[0]}"
+                         for n in names if n)
+            visit(child)
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(_ENGINE_LAYERS))
+def test_engine_modules_import_no_upper_layer(name):
+    imported = module_scope_package_imports(
+        (_ROOT / "src/lorcurv" / name).read_text())
+    assert [m for m in imported if m.partition(": ")[2] in _ENGINE_LAYERS[name]] == []
+
+
+def test_scan_finds_module_scope_package_import():
+    source = ("from __future__ import annotations\n"
+              "from typing import TYPE_CHECKING\n"
+              "from .atlas import emit_tables\nfrom . import cli, registry\n"
+              "import lorcurv.oneill\nfrom lorcurv.canonical import x\n"
+              "from lorcurv import metric\nimport lorcurvx\nfrom ..atlas import y\n\n"
+              "if TYPE_CHECKING:\n    from .oneill import ONeillType\n\n"
+              "try:\n    from .atlas.sub import z\nexcept ImportError:\n    pass\n\n"
+              "class K:\n    from .cli import main\n\n"
+              "def f():\n    from .oneill import classify_self_adjoint\n"
+              "    return classify_self_adjoint\n")
+    assert module_scope_package_imports(source) == [
+        "line 3: atlas", "line 4: cli", "line 4: registry", "line 5: oneill",
+        "line 6: canonical", "line 7: metric", "line 15: atlas", "line 20: cli"]
