@@ -282,6 +282,20 @@ class CurvatureReport:
         }
 
 
+#: the classifier module, imported by the first report, not at module
+#: scope: the reducer reads connections from this module, and a process
+#: that only reduces never loads oneill
+_oneill = None
+
+
+def _classifier():
+    global _oneill
+    if _oneill is None:
+        from . import oneill
+        _oneill = oneill
+    return _oneill
+
+
 def curvature_report(alg: LieAlgebra3, h: MetricTensor,
                      frame: OrthonormalFrame | None = None,
                      tol: ToleranceConfig = DEFAULT_TOL) -> CurvatureReport:
@@ -289,9 +303,7 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     passed frame is checked and gets its own connection.  The algebra must
     be non-unimodular: a unimodular one (tr ad = 0) raises ValueError, and
     so does a metric whose curvature overflows the float range."""
-    # imported here, not at module scope: the reducer reads connections
-    # from this module, and a process that only reduces never loads oneill
-    from .oneill import ONeillClassification, ONeillType, classify_self_adjoint
+    oneill = _classifier()
     if frame is None:
         frame = orthonormal_frame(h, tol)     # checked where it is built
         conn, ric, s = _connection(alg, h, tol)
@@ -314,20 +326,20 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     # squared frame brackets, and its normal form and D are scaled back,
     # D as s (s D) so that D = 0 stays 0 where s^2 overflows
     s = s or 1.0
-    unit = classify_self_adjoint(tuple(tuple(x / s for x in row) for row in op),
-                                 (tau[0], tau[1], -tau[2]), tol)
+    unit = oneill.classify_self_adjoint(
+        tuple(tuple(x / s for x in row) for row in op), (tau[0], tau[1], -tau[2]), tol)
     normal = tuple(tuple(s * x for x in row) for row in unit._normal_form)
     D = s * (s * unit.discriminant)
     if not all(map(math.isfinite, (rho, *kappas, D, *itertools.chain(*normal)))):
         raise ValueError("curvature_report: a curvature value overflows the float range")
-    cls = ONeillClassification(unit.type_tag, normal, unit._transition, D,
-                               unit.boundary_warning)
+    cls = oneill.ONeillClassification(unit.type_tag, normal, unit._transition, D,
+                                      unit.boundary_warning)
     # the principal values from the normal form: a00, then the block's
     # [[b, r], [-r, d]] as b and d, m +- i r or the Jordan cell's m twice
     (a, _, _), (_, b, r), (_, r2, d) = normal
     m, i = 0.5 * (b + d), 0.5j * (r - r2)
-    values = {ONeillType.COMPLEX: (m + i, m - i),
-              ONeillType.DOUBLE: (m, m)}.get(cls.type_tag, (b, d))
+    values = {oneill.ONeillType.COMPLEX: (m + i, m - i),
+              oneill.ONeillType.DOUBLE: (m, m)}.get(cls.type_tag, (b, d))
     principal = tuple(sorted((complex(z) for z in (a, *values)),
                              key=lambda z: (round(z.real, 12), z.imag)))
     return CurvatureReport(frame, conn, ric, op, rho, kappas, principal, cls)
