@@ -40,7 +40,6 @@ from .algebra import (BasisLabel, FamilyTag, Step, _adapted_blocks,
                       automorphism_step, classification_basis,
                       is_automorphism, make_family_algebra, step_matrix)
 from .arrays import Array, ArrayField, Rows, array
-from .curvature import _connection, riemann
 from .metric import _I3, _J, MetricTensor, _derived, _eigen, _signature, pull_back_metric
 from .registry import get_form_spec
 from .tolerance import DEFAULT_TOL, ToleranceConfig
@@ -506,6 +505,27 @@ def _step(W: Rows) -> Step:
     return ((p, q), (r, s)), (t1, t2)
 
 
+#: the curvature engine, imported by the first constant-curvature check,
+#: not at module scope: a process that only reduces never loads it
+_curvature = None
+
+
+def _engine():
+    global _curvature
+    if _curvature is None:
+        from . import curvature
+        _curvature = curvature
+    return _curvature
+
+
+def __getattr__(name: str):
+    """``riemann``, the engine's, which the constant-curvature check calls:
+    ``lorcurv.canonical.riemann is lorcurv.curvature.riemann``."""
+    if name == "riemann":
+        return _engine().riemann
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
                              tol: ToleranceConfig = DEFAULT_TOL
                              ) -> tuple[ConstantCurvatureClass, CanonicalForm]:
@@ -523,8 +543,9 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     deletion waits for the benchmark change that re-points that count
     (ROADMAP item 1).  The sign of k names the class.  No operator type is
     needed, so the O'Neill classifier is not run."""
+    curvature = _engine()
     cf = canonical_form(tag, h, tol)
-    conn, ric, s = _connection(make_family_algebra(tag, h.basis_label), h, tol)
+    conn, ric, s = curvature._connection(make_family_algebra(tag, h.basis_label), h, tol)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = ric
     k = (r00 + r11 - r22) / 6.0
     # in units of the squared frame brackets, as curvature_report classifies
@@ -537,7 +558,7 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     # R_{y_i, y_j} y_m against the model k (J_im y_j - J_jm y_i), all 27
     if max(abs(x - k * (_J[i][m] * y - _J[j][m] * z))
            for (i, u), (j, v), (m, w) in _AXIS_TRIPLES
-           for x, y, z in zip(riemann(conn, u, v, w), v, u)) > band:
+           for x, y, z in zip(curvature.riemann(conn, u, v, w), v, u)) > band:
         return ConstantCurvatureClass.NON_CONSTANT, cf
     if abs(k) <= band:
         return ConstantCurvatureClass.FLAT, cf

@@ -22,7 +22,8 @@ one ``fault: <subcommand>: <message>`` line on stderr.  The subcommands
 compute on Python floats and write JSON from them: none imports numpy.
 Each subcommand imports the engine modules it runs inside its own
 function, once its input has parsed, so that a process loads only those:
-``classify`` neither the classifier nor the atlas, ``atlas`` no reducer.
+``classify`` no curvature engine, classifier or atlas, ``atlas`` no
+reducer.
 ``validate`` prints its diagnostics, with ``det`` null where the product
 of the eigenvalues leaves the float range, and exits 1 when the metric is
 not Lorentzian.  classification_tol, the package's one

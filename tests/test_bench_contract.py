@@ -58,8 +58,9 @@ def test_bench_selftest_passes():
 
 
 def test_canonical_calls_engine_riemann():
-    """The constant-curvature model check calls riemann through the name
-    bound in lorcurv.canonical, which the tracer rebinds."""
+    """The constant-curvature model check calls the engine's riemann, read
+    from lorcurv.curvature when it runs, which the tracer rebinds; the
+    name lorcurv.canonical.riemann resolves to it."""
     assert lorcurv.canonical.riemann is lorcurv.curvature.riemann
 
 

@@ -9,8 +9,8 @@ call, no module of the package calls or refers to np.linalg at all,
 the package keeps no cache that outlives one metric, a metric's matrix
 is decomposed only by metric.py's stored Jacobi eigensolver, no
 module of the package imports numpy at module scope, and no engine
-module imports the atlas or the CLI at module scope, nor curvature the
-classifier.
+module imports the atlas or the CLI at module scope, nor the reducer
+the curvature engine, nor curvature the classifier.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -585,11 +585,13 @@ def test_scan_finds_module_scope_numpy_import():
 
 #: the engine modules, below the atlas and the CLI: a CLI subcommand loads
 #: only the modules it runs, so none of these imports the atlas or the CLI
-#: when it is imported, and curvature, which the reducer imports for its
-#: connection, imports the classifier only where a report is classified
+#: when it is imported, the reducer imports the curvature engine only where
+#: constant curvature is decided, and curvature the classifier only where a
+#: report is classified
 _ENGINE_LAYERS = {name: {"atlas", "cli"} for name in (
     "tolerance.py", "arrays.py", "algebra.py", "metric.py", "oneill.py",
-    "registry.py", "canonical.py")}
+    "registry.py")}
+_ENGINE_LAYERS["canonical.py"] = {"atlas", "cli", "curvature"}
 _ENGINE_LAYERS["curvature.py"] = {"atlas", "cli", "oneill"}
 
 

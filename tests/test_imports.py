@@ -75,17 +75,17 @@ def test_bare_import_executes_no_submodule():
 
 _CORE = ["lorcurv", "lorcurv.algebra", "lorcurv.arrays", "lorcurv.metric",
          "lorcurv.tolerance"]
-_REDUCER = ["lorcurv.canonical", "lorcurv.curvature", "lorcurv.registry"]
+_REDUCER = ["lorcurv.canonical", "lorcurv.registry"]
 
 #: the lorcurv modules each subcommand runs, besides lorcurv.cli itself
 _BUDGETS = {
     "validate": (["validate", "{0}"], _CORE),
     "classify": (["classify", "{0}"], _CORE + _REDUCER),
     "equiv": (["equiv", "{0}", "{0}"], _CORE + _REDUCER),
-    "constcurv": (["constcurv", "{0}"], _CORE + _REDUCER),
+    "constcurv": (["constcurv", "{0}"], _CORE + _REDUCER + ["lorcurv.curvature"]),
     "curvature": (["curvature", "{0}"], _CORE + ["lorcurv.curvature", "lorcurv.oneill"]),
     "curvature-paper": (["curvature", "--frame", "paper", "{0}"],
-                        _CORE + _REDUCER + ["lorcurv.oneill"]),
+                        _CORE + _REDUCER + ["lorcurv.curvature", "lorcurv.oneill"]),
     "atlas": (["atlas", "--family", "Gc", "--c", "2", "--grid", "mu=1;tau=0.5;nu=1.5"],
               _CORE + ["lorcurv.atlas", "lorcurv.curvature", "lorcurv.oneill",
                        "lorcurv.registry"]),
@@ -96,7 +96,7 @@ _BUDGETS = {
 def test_subcommand_runs_only_its_modules(tmp_path, command):
     """The CLI run as ``python -m lorcurv.cli`` runs it, through runpy,
     which warns if lorcurv.cli is already entered; a classify or equiv
-    process runs neither the classifier nor the atlas, curvature in its
+    process runs no curvature engine, classifier or atlas, curvature in its
     own frame runs no reducer, constcurv no classifier and atlas no
     reducer."""
     argv, expected = _BUDGETS[command]
