@@ -3,8 +3,10 @@ three-dimensional non-unimodular Lie groups.
 
 ``import lorcurv`` executes none of the package's modules, so that a
 process compiles only the modules it runs.  The engine modules are
-entered in ``sys.modules`` through ``importlib.util.LazyLoader`` and run
-on first use.  A public name resolves on attribute access (PEP 562)
+entered in ``sys.modules`` through ``importlib.util.LazyLoader``, and
+this is the one place that decides when a module runs: it runs when a
+name is first read from it, and binding it with ``from . import x``
+runs nothing.  A public name resolves on attribute access (PEP 562)
 until its home module has run; from then on it is bound here, as the
 module's own binding when it ran, so that a read costs no ``__getattr__``
 call.
@@ -71,8 +73,8 @@ class _BindingLoader:
 
 def _register_lazily(fullname: str) -> None:
     """Enter the module in sys.modules, to be run on its first attribute
-    access; an import statement that names it reads its ``__spec__`` and
-    so runs it."""
+    access; ``from .x import y`` and ``import lorcurv.x`` read its
+    ``__spec__`` and so run it, ``from . import x`` only binds it."""
     if fullname in sys.modules:
         return
     spec = importlib.util.find_spec(fullname)

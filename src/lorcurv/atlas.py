@@ -126,8 +126,7 @@ def cross_check(tag: FamilyTag, form_id: str, params: dict[str, float],
     h = MetricTensor(spec.matrix(tag, params), basis_label=basis)
     frame = OrthonormalFrame(spec.frame(tag, params))
     report = curvature_report(alg, h, frame=frame, tol=tol)
-    top = max(abs(x) for row in report.connection._brackets for vec in row for x in vec)
-    s = top * top
+    s = report.connection._unit
     closed = _closed_form(spec, tag, params, s, tol)
     flags: list[str] = []
     worst = 0.0

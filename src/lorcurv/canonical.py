@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import curvature
 from .algebra import (BasisLabel, FamilyTag, Step, _adapted_blocks,
                       automorphism_step, classification_basis,
                       is_automorphism, make_family_algebra, step_matrix)
@@ -505,24 +506,11 @@ def _step(W: Rows) -> Step:
     return ((p, q), (r, s)), (t1, t2)
 
 
-#: the curvature engine, imported by the first constant-curvature check,
-#: not at module scope: a process that only reduces never loads it
-_curvature = None
-
-
-def _engine():
-    global _curvature
-    if _curvature is None:
-        from . import curvature
-        _curvature = curvature
-    return _curvature
-
-
 def __getattr__(name: str):
     """``riemann``, the engine's, which the constant-curvature check calls:
     ``lorcurv.canonical.riemann is lorcurv.curvature.riemann``."""
     if name == "riemann":
-        return _engine().riemann
+        return curvature.riemann
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -543,7 +531,6 @@ def constant_curvature_class(tag: FamilyTag, h: MetricTensor,
     deletion waits for the benchmark change that re-points that count
     (ROADMAP item 1).  The sign of k names the class.  No operator type is
     needed, so the O'Neill classifier is not run."""
-    curvature = _engine()
     cf = canonical_form(tag, h, tol)
     conn, ric, s = curvature._connection(make_family_algebra(tag, h.basis_label), h, tol)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = ric

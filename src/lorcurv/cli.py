@@ -20,15 +20,17 @@ equivalent" (equiv only); 4 internal fault, an ``ArithmeticError`` of the
 engine or an answer that is not strict JSON (NaN or an infinity), with
 one ``fault: <subcommand>: <message>`` line on stderr.  The subcommands
 compute on Python floats and write JSON from them: none imports numpy.
-Each subcommand imports the engine modules it runs inside its own
-function, once its input has parsed, so that a process loads only those:
-``classify`` no curvature engine, classifier or atlas, ``atlas`` no
-reducer.
+The engine modules are bound here with ``from . import x``, which runs
+nothing: a module runs when a subcommand first reads a name from it,
+once its input has parsed, so that a process runs only the modules it
+calls: ``classify`` no curvature engine, classifier or atlas, ``atlas``
+no reducer.
 ``validate`` prints its diagnostics, with ``det`` null where the product
 of the eigenvalues leaves the float range, and exits 1 when the metric is
 not Lorentzian.  classification_tol, the package's one
-tolerance, is set per document by the "tolerance" field; ``atlas`` uses
-the default.
+tolerance, is set per document by the "tolerance" field; the two
+documents of ``equiv`` must set the same one, as they must name the same
+family and basis; ``atlas`` uses the default.
 
 This module checks only the shape of its input: FamilyTag and
 ToleranceConfig decide which c and tolerances are valid, and their
@@ -44,7 +46,7 @@ import json
 import math
 import sys
 
-from . import __version__
+from . import __version__, atlas, canonical, curvature, registry
 from .algebra import (BasisLabel, FamilyTag, classification_basis,
                       make_family_algebra)
 from .metric import FrameResidualError, MetricTensor, validate_metric
@@ -205,36 +207,32 @@ def _form_payload(cf) -> dict:
 
 def cmd_classify(args) -> int:
     tag, h, tol = _load_document(args.file)
-    from .canonical import canonical_form
-    _emit(_form_payload(canonical_form(tag, h, tol)))
+    _emit(_form_payload(canonical.canonical_form(tag, h, tol)))
     return EXIT_OK
 
 
 def cmd_curvature(args) -> int:
     tag, h, tol = _load_document(args.file)
-    from .curvature import curvature_report
     if args.frame == "paper":
-        from .canonical import canonical_form, to_adapted_basis
-        from .registry import paper_frame
-        cf = canonical_form(tag, h, tol)
-        target = h if h.basis_label == cf.basis_label else to_adapted_basis(tag, h)
-        frame = paper_frame(tag, cf.form_id, cf.params)
+        cf = canonical.canonical_form(tag, h, tol)
+        target = (h if h.basis_label == cf.basis_label
+                  else canonical.to_adapted_basis(tag, h))
+        frame = registry.paper_frame(tag, cf.form_id, cf.params)
         alg = make_family_algebra(tag, cf.basis_label)
         try:
-            report = curvature_report(alg, target, frame=frame, tol=tol)
+            report = curvature.curvature_report(alg, target, frame=frame, tol=tol)
         except FrameResidualError as exc:
             raise ValueError("metric is not in canonical form; canonicalize first "
                              f"(form {cf.form_id}, residual {exc.residual:g})"
                              ) from None
     else:
         alg = make_family_algebra(tag, h.basis_label)
-        report = curvature_report(alg, h, tol=tol)
+        report = curvature.curvature_report(alg, h, tol=tol)
     _emit(report.to_dict())
     return EXIT_OK
 
 
 def _parse_grid(spec: str) -> dict[str, list[float]]:
-    from .registry import PARAM_NAMES
     grid: dict[str, list[float]] = {}
     for chunk in spec.split(";"):
         chunk = chunk.strip()
@@ -246,9 +244,9 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
         name = name.strip()
         if not name:
             raise InputError("--grid", f"bad grid entry {chunk!r}")
-        if name not in PARAM_NAMES:
-            raise InputError("--grid", f"no canonical form takes {name!r}; "
-                             f"expected one of {', '.join(sorted(PARAM_NAMES))}")
+        if name not in registry.PARAM_NAMES:
+            raise InputError("--grid", f"no canonical form takes {name!r}; expected "
+                             f"one of {', '.join(sorted(registry.PARAM_NAMES))}")
         if name in grid:
             raise InputError("--grid", f"{name!r} is given more than once")
         try:
@@ -267,8 +265,7 @@ def _parse_grid(spec: str) -> dict[str, list[float]]:
 def cmd_atlas(args) -> int:
     tag = _field("--c", FamilyTag, args.family, args.c)
     grid = _parse_grid(args.grid)
-    from .atlas import emit_tables
-    text = emit_tables(tag, grid, fmt=args.format)
+    text = atlas.emit_tables(tag, grid, fmt=args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -279,13 +276,14 @@ def cmd_atlas(args) -> int:
 
 def cmd_equiv(args) -> int:
     tag1, h1, tol = _load_document(args.file1)
-    tag2, h2, _ = _load_document(args.file2)
+    tag2, h2, tol2 = _load_document(args.file2)
     if tag1 != tag2:
         raise InputError("family", "the two documents describe different families")
     if h1.basis_label != h2.basis_label:
         raise InputError("basis", "the two metrics use different bases")
-    from .canonical import _equivalence
-    flag, witness = _equivalence(tag1, h1, h2, tol)
+    if tol != tol2:
+        raise InputError("tolerance", "the two documents set different tolerances")
+    flag, witness = canonical._equivalence(tag1, h1, h2, tol)
     if not flag:
         _emit({"equivalent": False, "witness": None})
         return EXIT_NOT_EQUIVALENT
@@ -295,8 +293,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_constcurv(args) -> int:
     tag, h, tol = _load_document(args.file)
-    from .canonical import constant_curvature_class
-    cls, cf = constant_curvature_class(tag, h, tol)
+    cls, cf = canonical.constant_curvature_class(tag, h, tol)
     _emit({"class": cls.value, "form_id": cf.form_id, "params": cf.params})
     return EXIT_OK
 

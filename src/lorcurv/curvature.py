@@ -25,16 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import oneill
 from .algebra import LieAlgebra3, _from_cross, cross_rewrite
 from .arrays import Array, ArrayField, Rows, Vec, array, float_rows
 from .metric import _I3, MetricTensor, OrthonormalFrame, _check_frame, _derived, \
     frame_inner, orthonormal_frame
 from .tolerance import DEFAULT_TOL, ToleranceConfig
-
-if TYPE_CHECKING:
-    from .oneill import ONeillClassification
 
 #: the diagonal of J
 _SIGNS = (1.0, 1.0, -1.0)
@@ -260,7 +257,7 @@ class CurvatureReport:
     scalar: float
     sectional: tuple[float, float, float]       # kappa(y1,y2), (y2,y3), (y3,y1)
     principal_ricci: tuple[complex, complex, complex]
-    oneill: ONeillClassification
+    oneill: oneill.ONeillClassification
 
     def to_dict(self) -> dict:
         return {
@@ -282,20 +279,6 @@ class CurvatureReport:
         }
 
 
-#: the classifier module, imported by the first report, not at module
-#: scope: the reducer reads connections from this module, and a process
-#: that only reduces never loads oneill
-_oneill = None
-
-
-def _classifier():
-    global _oneill
-    if _oneill is None:
-        from . import oneill
-        _oneill = oneill
-    return _oneill
-
-
 def curvature_report(alg: LieAlgebra3, h: MetricTensor,
                      frame: OrthonormalFrame | None = None,
                      tol: ToleranceConfig = DEFAULT_TOL) -> CurvatureReport:
@@ -303,7 +286,6 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     passed frame is checked and gets its own connection.  The algebra must
     be non-unimodular: a unimodular one (tr ad = 0) raises ValueError, and
     so does a metric whose curvature overflows the float range."""
-    oneill = _classifier()
     if frame is None:
         frame = orthonormal_frame(h, tol)     # checked where it is built
         conn, ric, s = _connection(alg, h, tol)

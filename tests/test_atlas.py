@@ -209,6 +209,35 @@ def test_derived_types_match_printed_rules(tag):
     assert cells > 0
 
 
+#: the sweep grid with mu widened to four and eight decades either side
+_WIDE_MU_GRID = dict(SWEEP_GRID, mu=[1e-8, 1e-4, *SWEEP_GRID["mu"], 1e4, 1e8])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the closed-form type band "
+                   "grows with the paper frame's bracket unit at extreme mu")
+def test_derived_types_at_extreme_mu_are_printed_or_rejected():
+    """Over every family, with mu from 1e-8 to 1e8, the derived type is
+    the printed one or a rejection by name.  It types Gc_gt1.1 (c = 2, 5)
+    at mu = 1e-8 and 1e8, and G1.2 at mu = 1e8, {11,1} where the printed
+    rule says {21}: the block's D is 0 and its r is -c/2, exactly, but
+    the band tol (s + max|T|) takes s from the paper frame's largest
+    bracket, which grows like mu^-1 or mu, while the nilpotent part
+    stays c/2."""
+    band = DEFAULT_TOL.classification_tol
+    wrong = []
+    for tag in ALL_TAGS:
+        for spec in form_specs(tag):
+            for params in _param_grid(spec, tag, _WIDE_MU_GRID):
+                printed = _PRINTED_TYPES[spec.form_id](tag, params, band)
+                try:
+                    derived = closed_form_report(tag, spec.form_id, params).oneill_type
+                except ValueError:
+                    continue
+                if derived != printed:
+                    wrong.append((tag.c, spec.form_id, params, derived.value))
+    assert wrong == []
+
+
 @pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
 def test_spec_eigenvectors_are_non_null_eigenvectors(tag):
     """Each spec's eigenvector v is non-null and T v = lam v, with lam its

@@ -203,6 +203,22 @@ def test_equiv_cross_family_exit2(tmp_path, capsys):
     assert main(["equiv", f1, f2]) == 2
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["tight-first", "loose-first"])
+def test_equiv_different_tolerances_exit2(tmp_path, capsys, order):
+    """Two documents that set different tolerances are a parse error in
+    either order, so that the verdict cannot depend on the order: the
+    metric and its 1e-6 perturbation are inequivalent within 1e-9 and
+    equivalent within 1e-3."""
+    files = [_doc(tmp_path, "a.json", {"Gc": 2}, [[1, 1, 0], [1, 0, 0], [0, 0, 4]],
+                  tolerance={"classification_tol": 1e-9}),
+             _doc(tmp_path, "b.json", {"Gc": 2}, [[1, 1, 0], [1, 0, 0], [0, 0, 4.000001]],
+                  tolerance={"classification_tol": 1e-3})]
+    assert main(["equiv", *(files[i] for i in order)]) == cli.EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: tolerance: the two documents set different tolerances\n"
+
+
 def test_constcurv(tmp_path, capsys):
     f = _doc(tmp_path, "m.json", "GI", [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     code, out = _run(capsys, "constcurv", f)

@@ -8,9 +8,10 @@ calls no numpy, the verdict path makes no numpy product or np.linalg
 call, no module of the package calls or refers to np.linalg at all,
 the package keeps no cache that outlives one metric, a metric's matrix
 is decomposed only by metric.py's stored Jacobi eigensolver, no
-module of the package imports numpy at module scope, and no engine
-module imports the atlas or the CLI at module scope, nor the reducer
-the curvature engine, nor curvature the classifier.
+module of the package imports numpy at module scope, no engine module
+imports the atlas or the CLI, the reducer binds the curvature engine
+and curvature the classifier without running them, and no function
+body of the package imports a module of the package.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -583,16 +584,16 @@ def test_scan_finds_module_scope_numpy_import():
         "line 13: numpy"]
 
 
-#: the engine modules, below the atlas and the CLI: a CLI subcommand loads
-#: only the modules it runs, so none of these imports the atlas or the CLI
-#: when it is imported, the reducer imports the curvature engine only where
-#: constant curvature is decided, and curvature the classifier only where a
-#: report is classified
-_ENGINE_LAYERS = {name: {"atlas", "cli"} for name in (
-    "tolerance.py", "arrays.py", "algebra.py", "metric.py", "oneill.py",
-    "registry.py")}
-_ENGINE_LAYERS["canonical.py"] = {"atlas", "cli", "curvature"}
-_ENGINE_LAYERS["curvature.py"] = {"atlas", "cli", "oneill"}
+#: the engine modules, below the atlas and the CLI.  A CLI subcommand runs
+#: only the modules it calls, so none of these imports the atlas or the
+#: CLI in any form (the package does not enter ``cli`` lazily, so binding
+#: it runs it), and the reducer binds the curvature engine, and curvature
+#: the classifier, without running it: the package runs each on its
+#: first use
+_ENGINE_MODULES = ("tolerance.py", "arrays.py", "algebra.py", "metric.py",
+                   "oneill.py", "curvature.py", "registry.py", "canonical.py")
+_UPPER_LAYERS = {"atlas", "cli"}
+_BOUND_ONLY = {"canonical.py": {"curvature"}, "curvature.py": {"oneill"}}
 
 
 def _type_checking_only(node: ast.AST) -> bool:
@@ -601,9 +602,31 @@ def _type_checking_only(node: ast.AST) -> bool:
             and node.test.id == "TYPE_CHECKING")
 
 
+def _package_modules(node: ast.AST) -> list[tuple[str, str]]:
+    """The lorcurv modules an import statement names, relative or
+    absolute, each with what the statement does to it: ``from . import x``
+    and ``from lorcurv import x`` bind x, which the package runs on first
+    use; ``import lorcurv.x`` and ``from .x import y`` read x's spec and
+    so run it."""
+    found = []      # (what, dotted name below the package)
+    if isinstance(node, ast.Import):
+        found = [("runs", a.name.partition(".")[2]) for a in node.names
+                 if a.name.partition(".")[0] == "lorcurv"]
+    elif isinstance(node, ast.ImportFrom):
+        root, _, below = (node.module or "").partition(".")
+        if node.level == 0 and root == "lorcurv":      # from lorcurv[.x]
+            found = ([("runs", below)] if below
+                     else [("binds", a.name) for a in node.names])
+        elif node.level == 1:                           # from .[x]
+            found = ([("runs", node.module)] if node.module
+                     else [("binds", a.name) for a in node.names])
+    return [(what, name.partition(".")[0]) for what, name in found if name]
+
+
 def module_scope_package_imports(source: str) -> list[str]:
-    """The lorcurv modules that ``source`` imports outside every function
-    body and every ``if TYPE_CHECKING:`` block, relative or absolute."""
+    """The lorcurv modules that ``source`` binds or runs outside every
+    function body and every ``if TYPE_CHECKING:`` block, as
+    ``line <n>: binds <module>`` or ``line <n>: runs <module>``."""
     found = []
 
     def visit(node: ast.AST) -> None:
@@ -611,28 +634,28 @@ def module_scope_package_imports(source: str) -> list[str]:
             if (isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
                     or _type_checking_only(child)):
                 continue
-            names = []      # dotted names below the package
-            if isinstance(child, ast.Import):
-                names = [a.name.partition(".")[2] for a in child.names
-                         if a.name.partition(".")[0] == "lorcurv"]
-            elif isinstance(child, ast.ImportFrom):
-                root, _, below = (child.module or "").partition(".")
-                if child.level == 0 and root == "lorcurv":      # from lorcurv[.x]
-                    names = [below] if below else [a.name for a in child.names]
-                elif child.level == 1:                          # from .[x]
-                    names = [child.module] if child.module else [a.name for a in child.names]
-            found.extend(f"line {child.lineno}: {n.partition('.')[0]}"
-                         for n in names if n)
+            found.extend(f"line {child.lineno}: {what} {module}"
+                         for what, module in _package_modules(child))
             visit(child)
     visit(ast.parse(source))
     return found
 
 
-@pytest.mark.parametrize("name", sorted(_ENGINE_LAYERS))
+def upper_layer_imports(name: str, source: str) -> list[str]:
+    """The module-scope imports of engine module ``name`` that break the
+    layering: an upper layer in any form, or a module it may only bind
+    that it runs."""
+    found = []
+    for line in module_scope_package_imports(source):
+        what, _, module = line.partition(": ")[2].partition(" ")
+        if module in _UPPER_LAYERS or (what == "runs" and module in _BOUND_ONLY.get(name, ())):
+            found.append(line)
+    return found
+
+
+@pytest.mark.parametrize("name", _ENGINE_MODULES)
 def test_engine_modules_import_no_upper_layer(name):
-    imported = module_scope_package_imports(
-        (_ROOT / "src/lorcurv" / name).read_text())
-    assert [m for m in imported if m.partition(": ")[2] in _ENGINE_LAYERS[name]] == []
+    assert upper_layer_imports(name, (_ROOT / "src/lorcurv" / name).read_text()) == []
 
 
 def test_scan_finds_module_scope_package_import():
@@ -645,7 +668,58 @@ def test_scan_finds_module_scope_package_import():
               "try:\n    from .atlas.sub import z\nexcept ImportError:\n    pass\n\n"
               "class K:\n    from .cli import main\n\n"
               "def f():\n    from .oneill import classify_self_adjoint\n"
-              "    return classify_self_adjoint\n")
+              "    return classify_self_adjoint\n\n"
+              "from . import curvature\nfrom lorcurv import oneill as o\n"
+              "from .curvature import riemann\nfrom lorcurv.oneill import ONeillType\n"
+              "import lorcurv.oneill.sub as s\nimport lorcurv\n")
     assert module_scope_package_imports(source) == [
-        "line 3: atlas", "line 4: cli", "line 4: registry", "line 5: oneill",
-        "line 6: canonical", "line 7: metric", "line 15: atlas", "line 20: cli"]
+        "line 3: runs atlas", "line 4: binds cli", "line 4: binds registry",
+        "line 5: runs oneill", "line 6: runs canonical", "line 7: binds metric",
+        "line 15: runs atlas", "line 20: runs cli",
+        "line 26: binds curvature", "line 27: binds oneill", "line 28: runs curvature",
+        "line 29: runs oneill", "line 30: runs oneill"]
+
+
+def test_scan_finds_upper_layer_import():
+    """The reducer may bind the curvature engine but not run it; binding
+    the atlas or the CLI breaks the layering of every engine module."""
+    source = ("from . import curvature, oneill\nfrom . import atlas\n"
+              "from lorcurv import cli\nfrom .curvature import riemann\n"
+              "import lorcurv.oneill\n")
+    assert upper_layer_imports("canonical.py", source) == [
+        "line 2: binds atlas", "line 3: binds cli", "line 4: runs curvature"]
+    assert upper_layer_imports("curvature.py", source) == [
+        "line 2: binds atlas", "line 3: binds cli", "line 5: runs oneill"]
+    assert upper_layer_imports("metric.py", source) == [
+        "line 2: binds atlas", "line 3: binds cli"]
+
+
+def function_package_imports(source: str) -> list[str]:
+    """The lorcurv modules that an import statement inside a function
+    body of ``source`` names, bound or run: the package decides when a
+    module runs, so a module binds the modules it calls at module scope.
+    ``import numpy`` names no package module."""
+    found = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((node.lineno, module) for node in ast.walk(fn)
+                         for _, module in _package_modules(node))
+    return [f"line {line}: {module}" for line, module in sorted(found)]
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_no_function_imports_a_package_module(path):
+    assert function_package_imports(path.read_text()) == []
+
+
+def test_scan_finds_function_package_import():
+    source = ("from . import curvature\n\n"
+              "def array(x):\n    import numpy as np\n    return np.asarray(x)\n\n"
+              "def f():\n    from . import oneill\n    import lorcurv.atlas\n"
+              "    def g():\n        from .curvature import riemann\n"
+              "        return riemann\n"
+              "    return oneill, lorcurv, g\n\n"
+              "class K:\n    from .registry import PARAM_NAMES\n\n"
+              "    def m(self):\n        from lorcurv import cli\n        return cli\n")
+    assert function_package_imports(source) == [
+        "line 8: oneill", "line 9: atlas", "line 11: curvature", "line 19: cli"]
