@@ -279,6 +279,26 @@ class CurvatureReport:
         }
 
 
+def _trace_form(brackets) -> list[float]:
+    """tau_i = tr ad_{y_i}: n = J tau is normal to the unimodular kernel,
+    which Ric leaves invariant, so n is an eigenvector of Ric."""
+    return [sum(row[j][j] for j in range(3)) for row in brackets]
+
+
+def _classify_ricci(op: Rows, tau, s: float,
+                    tol: ToleranceConfig) -> oneill.ONeillClassification:
+    """The O'Neill type of a Ricci operator op, the package's one rule:
+    op / s and n = J tau go to the classifier, whose bands are absolute,
+    and its normal form and D are scaled back, D as s (s D) so that D = 0
+    stays 0 where s^2 overflows.  s is the squared largest bracket."""
+    s = s or 1.0
+    unit = oneill.classify_self_adjoint(
+        tuple(tuple(x / s for x in row) for row in op), (tau[0], tau[1], -tau[2]), tol)
+    return oneill.ONeillClassification(
+        unit.type_tag, tuple(tuple(s * x for x in row) for row in unit._normal_form),
+        unit._transition, s * (s * unit.discriminant), unit.boundary_warning)
+
+
 def curvature_report(alg: LieAlgebra3, h: MetricTensor,
                      frame: OrthonormalFrame | None = None,
                      tol: ToleranceConfig = DEFAULT_TOL) -> CurvatureReport:
@@ -293,9 +313,7 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
         _check_frame(frame, h, tol)
         conn = levi_civita(alg, frame)
         ric, s = _ricci(conn)
-    # the h-dual n = J tau of the trace form tau_i = tr ad_{y_i} is normal
-    # to the unimodular kernel, which Ric leaves invariant: an eigenvector
-    tau = [sum(row[j][j] for j in range(3)) for row in conn._brackets]
+    tau = _trace_form(conn._brackets)
     if max(map(abs, tau)) <= tol.classification_tol * math.sqrt(s):
         raise ValueError("curvature_report: the algebra is unimodular (tr ad = 0), "
                          "outside the non-unimodular domain of the classifier")
@@ -304,21 +322,13 @@ def curvature_report(alg: LieAlgebra3, h: MetricTensor,
     y1, y2, y3 = _I3
     kappas = (sectional(conn, y1, y2, tol), sectional(conn, y2, y3, tol),
               sectional(conn, y3, y1, tol))
-    # the classifier's bands are absolute: it sees Ric in units of the
-    # squared frame brackets, and its normal form and D are scaled back,
-    # D as s (s D) so that D = 0 stays 0 where s^2 overflows
-    s = s or 1.0
-    unit = oneill.classify_self_adjoint(
-        tuple(tuple(x / s for x in row) for row in op), (tau[0], tau[1], -tau[2]), tol)
-    normal = tuple(tuple(s * x for x in row) for row in unit._normal_form)
-    D = s * (s * unit.discriminant)
-    if not all(map(math.isfinite, (rho, *kappas, D, *itertools.chain(*normal)))):
+    cls = _classify_ricci(op, tau, s, tol)
+    if not all(map(math.isfinite, (rho, *kappas, cls.discriminant,
+                                   *itertools.chain(*cls._normal_form)))):
         raise ValueError("curvature_report: a curvature value overflows the float range")
-    cls = oneill.ONeillClassification(unit.type_tag, normal, unit._transition, D,
-                                      unit.boundary_warning)
     # the principal values from the normal form: a00, then the block's
     # [[b, r], [-r, d]] as b and d, m +- i r or the Jordan cell's m twice
-    (a, _, _), (_, b, r), (_, r2, d) = normal
+    (a, _, _), (_, b, r), (_, r2, d) = cls._normal_form
     m, i = 0.5 * (b + d), 0.5j * (r - r2)
     values = {oneill.ONeillType.COMPLEX: (m + i, m - i),
               oneill.ONeillType.DOUBLE: (m, m)}.get(cls.type_tag, (b, d))

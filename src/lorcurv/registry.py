@@ -3,11 +3,11 @@
 Each canonical form is keyed once, by its FormSpec.  The spec records, as
 explicit formulas in the form parameters: its domain, the canonical
 matrix in the classification basis of the family, a distinguished
-orthonormal frame, the Ricci operator in that frame and a non-null
-eigenvector of it.  Each formula is a callable of the FamilyTag (its c
-and, for c < 1, w) and the parameters, and returns rows of Python floats.
-Cells where a formula deliberately differs from its printed source carry
-a ``notes`` entry with the printed variant.
+orthonormal frame and the Ricci operator in that frame.  Each formula is
+a callable of the FamilyTag (its c and, for c < 1, w) and the parameters,
+and returns rows of Python floats.  Cells where a formula deliberately
+differs from its printed source carry a ``notes`` entry with the printed
+variant.
 
 The reducer (``canonical``) reads the canonical matrices here, and the
 closed-form curvature atlas (``atlas``) the frames and Ricci operators;
@@ -39,8 +39,6 @@ class FormSpec:
     matrix: Callable          # (tag, p) -> rows of the 3x3 canonical matrix
     frame: Callable           # (tag, p) -> rows of the 3x3 column matrix
     ric: Callable             # (tag, p) -> rows of the 3x3 Ricci operator
-    #: (tag, p) -> a non-null eigenvector of ric, in the frame
-    eigenvector: Callable = lambda tag, p: (1.0, 0.0, 0.0)
     notes: dict[str, str] = field(default_factory=dict)
 
 
@@ -167,7 +165,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             (1.0 / math.sqrt(p["nu"] - 1.0), -1.0 / math.sqrt(p["nu"] - 1.0), 0.0),
             (0.0, 0.0, 1.0 / math.sqrt(p["mu"]))),
         ric=_gc_gt1_3_ric,
-        eigenvector=lambda tag, p: (0.0, 0.0, 1.0),
         notes={"ric11": "printed with an overall minus sign"},
     ),
     # family Gc, c = 1 (Q-adapted basis)
@@ -189,8 +186,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             (-p["mu"] / 2, math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)),
             (math.sqrt(p["mu"] / 2), p["mu"] / 2, 0.0),
             (math.sqrt(p["mu"] / 2), 0.0, p["mu"] / 2)),
-        eigenvector=lambda tag, p: (
-            p["mu"], -math.sqrt(p["mu"] / 2), -math.sqrt(p["mu"] / 2)),
     ),
     FormSpec(
         "G1.3", ("mu", "nu"),
@@ -204,7 +199,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             (0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0),
             (1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
              (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]))),
-        eigenvector=lambda tag, p: (0.0, 1.0, 0.0),
     ),
     FormSpec(
         "G1.4", ("mu", "nu"),
@@ -217,7 +211,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             (1.0 / (p["mu"] * math.sqrt(p["nu"])),
              (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]), 0.0),
             (0.0, 0.0, (4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]))),
-        eigenvector=lambda tag, p: (0.0, 0.0, 1.0),
         notes={"ric22": "printed as (4 mu + 1)/(2 mu nu)",
                "ric33": "printed as (4 mu + 1)/(2 mu nu)"},
     ),
@@ -233,7 +226,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             (0.0, (1 - 4 * p["nu"]) / (2 * p["mu"] * p["nu"]), 0.0),
             (-1.0 / (p["mu"] * math.sqrt(p["nu"])), 0.0,
              -(4 * p["nu"] + 1) / (2 * p["mu"] * p["nu"]))),
-        eigenvector=lambda tag, p: (0.0, 1.0, 0.0),
         notes={"ric22": "printed as (1 - 4 mu)/(2 mu nu)",
                "ric33": "printed as -(4 mu + 1)/(2 mu nu)"},
     ),
@@ -288,7 +280,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             (tag.w * (1 + tag.w) / p["mu"] ** 2,
              -tag.w * (1 + tag.w) / (2 * p["mu"] ** 2),
              tag.w * (1 + 5 * tag.w) / (2 * p["mu"] ** 2))),
-        eigenvector=lambda tag, p: (4 * tag.w, -(1 + tag.w), -(1 + tag.w)),
         notes={"ric33": "printed as z(1+5w)/(2 mu^2)"},
     ),
     FormSpec(
@@ -360,7 +351,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             (1.0, 0.0, 0.0), (0.0, 0.0, 1.0 / math.sqrt(p["nu"])),
             (1.0 / math.sqrt(1.0 - p["tau"]), -1.0 / math.sqrt(1.0 - p["tau"]), 0.0)),
         ric=_lt1_10_1_ric,
-        eigenvector=lambda tag, p: (0.0, 1.0, 0.0),
         notes={"ric33": "printed with denominator nu sqrt(1-tau)"},
     ),
     FormSpec(
@@ -372,7 +362,6 @@ _FORMS: dict[str, FormSpec] = {spec.form_id: spec for spec in (
             (1.0 / math.sqrt(p["tau"] - 1.0), -1.0 / math.sqrt(p["tau"] - 1.0), 0.0),
             (0.0, 0.0, 1.0 / math.sqrt(-p["nu"]))),
         ric=_lt1_10_2_ric,
-        eigenvector=lambda tag, p: (0.0, 0.0, 1.0),
         notes={"domain": "constraint column printed nu > 0; the matching "
                          "Lorentzian branch requires nu < 0"},
     ),

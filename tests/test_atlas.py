@@ -213,16 +213,16 @@ def test_derived_types_match_printed_rules(tag):
 _WIDE_MU_GRID = dict(SWEEP_GRID, mu=[1e-8, 1e-4, *SWEEP_GRID["mu"], 1e4, 1e8])
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the closed-form type band "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the classifier's r band "
                    "grows with the paper frame's bracket unit at extreme mu")
 def test_derived_types_at_extreme_mu_are_printed_or_rejected():
     """Over every family, with mu from 1e-8 to 1e8, the derived type is
     the printed one or a rejection by name.  It types Gc_gt1.1 (c = 2, 5)
     at mu = 1e-8 and 1e8, and G1.2 at mu = 1e8, {11,1} where the printed
     rule says {21}: the block's D is 0 and its r is -c/2, exactly, but
-    the band tol (s + max|T|) takes s from the paper frame's largest
-    bracket, which grows like mu^-1 or mu, while the nilpotent part
-    stays c/2."""
+    the classifier sees T / s, with s the square of the paper frame's
+    largest bracket, which grows like mu^-1 or mu, while the nilpotent
+    part stays c/2; its r band tol (1 + max|T / s|) swallows r / s."""
     band = DEFAULT_TOL.classification_tol
     wrong = []
     for tag in ALL_TAGS:
@@ -238,27 +238,11 @@ def test_derived_types_at_extreme_mu_are_printed_or_rejected():
     assert wrong == []
 
 
-@pytest.mark.parametrize("tag", ALL_TAGS, ids=lambda t: f"{t.kind}-{t.c}")
-def test_spec_eigenvectors_are_non_null_eigenvectors(tag):
-    """Each spec's eigenvector v is non-null and T v = lam v, with lam its
-    Rayleigh quotient h(T v, v) / h(v, v), for T the spec's Ricci operator."""
-    for spec, params in _cells(tag):
-        T = spec.ric(tag, params)
-        v = np.asarray(spec.eigenvector(tag, params), dtype=float)
-        hvv = float(v @ J21 @ v)
-        assert abs(hvv) > 1e-12 * float(v @ v), (spec.form_id, params)
-        lam = float(v @ J21 @ T @ v) / hvv
-        res = float(np.linalg.norm(T @ v - lam * v))
-        assert res <= 1e-12 * float(np.abs(T).max()) * float(np.linalg.norm(v)), \
-            (spec.form_id, params, res)
-
-
 # --------------------------------------------------------------------------
-# symbolic proof that each spec's eigenvector is a non-null eigenvector of
-# its Ricci operator on the form's whole domain, not only on the sweep grid:
-# then every Ricci operator on these groups has a spacelike eigenvector
-# (a timelike one leaves a spacelike complement, where the operator is
-# symmetric), and O'Neill's type {3} never occurs
+# symbolic proof, on each form's whole domain and not only on the sweep
+# grid, that the eigenvector n = J tau that curvature_report hands the
+# classifier leads it to a spacelike eigenvector of the Ricci operator:
+# then O'Neill's type {3}, whose only eigenvectors are null, never occurs
 
 _m, _n, _s, _w, _a = sp.symbols("m n s w a", positive=True)
 _t = sp.Symbol("t", nonnegative=True)
@@ -308,31 +292,16 @@ def test_symbolic_domains_lie_in_the_domains():
 
 
 def _symbolic_atlas(monkeypatch):
-    """Swap the registry's math.sqrt for sympy's: the formulas, which the
-    registry holds, build their matrices as rows, which then hold sympy
-    expressions."""
+    """Swap the registry's math.sqrt for sympy's, and its 1 / sqrt(2) for
+    the exact one: the formulas, which the registry holds, build their
+    matrices as rows, which then hold exact sympy expressions."""
     monkeypatch.setattr(lorcurv.registry, "math", SimpleNamespace(sqrt=sp.sqrt))
+    monkeypatch.setattr(lorcurv.registry, "_R", 1 / sp.sqrt(2))
 
 
 def _assert_parallel(u, v, where):
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert sp.simplify(u[i] * v[j] - u[j] * v[i]) == 0, (where, i, j)
-
-
-@pytest.mark.parametrize("spec", _ALL_SPECS, ids=lambda spec: spec.form_id)
-def test_eigenvector_is_non_null_on_domain(spec, monkeypatch):
-    """spec.ric and spec.eigenvector evaluated on symbols, with the atlas's
-    math.sqrt swapped for sympy's: Ric v is parallel to
-    v identically, and h(v, v) is 1, -1, mu^2 or 16 w^2, nonzero on the
-    whole domain."""
-    _symbolic_atlas(monkeypatch)
-    tag, params = _symbolic_point(spec)
-    T = _exact(spec.ric(tag, params))
-    v = _exact(list(spec.eigenvector(tag, params)))
-    _assert_parallel(T * v, v, spec.form_id)
-    hvv = sp.factor(v[0] ** 2 + v[1] ** 2 - v[2] ** 2)
-    assert hvv in (1, -1, _m ** 2, 16 * _w ** 2), (spec.form_id, hvv)
-    assert hvv.is_nonzero
 
 
 #: the trace form tau(u) = tr ad_u in each family's classification basis:
@@ -349,20 +318,73 @@ def test_trace_form_is_the_engines():
         assert tau.tolist() == [float(x) for x in _TRACE_FORM], tag
 
 
+def _trace_form_dual(spec, tag, params) -> sp.Matrix:
+    """n = J F^T tau for F the paper frame: the h-dual of the trace form
+    in frame coordinates, the eigenvector curvature_report hands the
+    classifier."""
+    return sp.diag(1, 1, -1) * _exact(spec.frame(tag, params)).T * _TRACE_FORM
+
+
 @pytest.mark.parametrize("spec", _ALL_SPECS, ids=lambda spec: spec.form_id)
 def test_trace_form_dual_is_a_ricci_eigenvector(spec, monkeypatch):
-    """The eigenvector curvature_report hands the classifier: for F the
-    paper frame, n = J F^T tau is the h-dual of the trace form in frame
-    coordinates.  On the whole domain of each form n is nonzero and
-    spec.ric n is parallel to n identically.  Every metric is an
-    automorphism image of a canonical one, automorphisms fix tau, and the
-    Ricci operator is read in a frame, so this covers every metric."""
+    """On the whole domain of each form n is nonzero and spec.ric n is
+    parallel to n identically.  Every metric is an automorphism image of
+    a canonical one, automorphisms fix tau, and the Ricci operator is read
+    in a frame, so this covers every metric."""
     _symbolic_atlas(monkeypatch)
     tag, params = _symbolic_point(spec)
-    F = _exact(spec.frame(tag, params))
-    n = sp.diag(1, 1, -1) * F.T * _TRACE_FORM
+    n = _trace_form_dual(spec, tag, params)
     assert any(sp.simplify(x).is_nonzero for x in n), (spec.form_id, n)
     _assert_parallel(_exact(spec.ric(tag, params)) * n, n, spec.form_id)
+
+
+#: the forms whose n is null, with the a and b - lam_n of the classifier's
+#: null branch on the whole domain: a vanishes identically, or b - lam_n
+#: nowhere
+_NULL_SPLITS = {
+    "GI.3": (0, 0), "G1.1": (0, 0), "Gc_lt1.1": (0, 0), "Gc_lt1.2": (0, 0),
+    "Gc_gt1.1": (0, -_m * (_a ** 2 + 1) ** 2),
+    "G1.2": (sp.sqrt(2 * _m) / 2, -_m),
+    "Gc_lt1.3": (_w * (_w + 1) / _m ** 2, -4 * _w ** 2 / _m ** 2),
+}
+
+
+@pytest.mark.parametrize("spec", _ALL_SPECS, ids=lambda spec: spec.form_id)
+def test_eigenvector_is_non_null_on_domain(spec, monkeypatch):
+    """No form is O'Neill type {3}: from n the classifier reaches a
+    non-null eigenvector, on the form's whole domain.
+
+    For 18 forms h(n, n) is +-4/mu or +-4/nu.  A spacelike n is split off
+    itself; a timelike n leaves the spacelike plane n^perp, where Ric is
+    symmetric and has a spacelike eigenvector.  For the 7 forms of
+    _NULL_SPLITS n is null, and the classifier's null branch takes
+    w0 = (n1, -n0, 0) in the invariant plane n^perp, with
+    T w0 = a n + b w0.  It splits off v = w0 when a = 0, else
+    v = w0 + a / (b - lam_n) n.  v is an eigenvector, and
+    h(v, v) = h(w0, w0) = n0^2 + n1^2 > 0, since n is null and
+    h-orthogonal to w0."""
+    _symbolic_atlas(monkeypatch)
+    tag, params = _symbolic_point(spec)
+    T = _exact(spec.ric(tag, params))
+    n = _trace_form_dual(spec, tag, params)
+    hnn = sp.factor(n[0] ** 2 + n[1] ** 2 - n[2] ** 2)
+    if spec.form_id not in _NULL_SPLITS:
+        assert hnn in (4 / _m, -4 / _m, 4 / _n, -4 / _n), (spec.form_id, hnn)
+        return
+    assert hnn == 0, (spec.form_id, hnn)
+    w0 = sp.Matrix([n[1], -n[0], 0])
+    a = sp.simplify((T * w0)[2] / n[2])
+    b = sp.simplify(((T * w0)[0] * n[1] - (T * w0)[1] * n[0]) / (n[0] ** 2 + n[1] ** 2))
+    lam = sp.simplify((T * n)[2] / n[2])
+    assert sp.simplify(T * w0 - a * n - b * w0) == sp.zeros(3, 1), spec.form_id
+    assert sp.simplify(T * n - lam * n) == sp.zeros(3, 1), spec.form_id
+    want_a, want_gap = _NULL_SPLITS[spec.form_id]
+    assert sp.simplify(a - want_a) == 0 and sp.simplify(b - lam - want_gap) == 0, \
+        (spec.form_id, a, b - lam)
+    assert a == 0 or sp.factor(want_gap).is_nonzero, spec.form_id
+    v = w0 if a == 0 else w0 + a / (b - lam) * n
+    _assert_parallel(T * v, v, spec.form_id)
+    assert sp.simplify(v[0] ** 2 + v[1] ** 2 - v[2] ** 2).is_positive, spec.form_id
 
 
 @pytest.mark.parametrize("c", [1.0001, 1.0 + 1e-6])
@@ -386,23 +408,46 @@ def test_near_c1_type_is_the_engines(c):
 
 
 def test_closed_forms_call_no_engine(monkeypatch):
-    """The atlas is the oracle of the engine: closed_form_report types
-    every cell with the classifier, the curvature report, the connection
-    and the frame builder all switched off."""
+    """The atlas is the oracle of the engine's curvature: closed_form_report
+    gets every cell's Ricci operator with the curvature report, the
+    connection and the frame builder all switched off.  It types the
+    operator with the engine's classifier, once per cell, which is the one
+    O'Neill type rule of the package; _PRINTED_TYPES checks those types."""
     def engine(*args, **kwargs):
         raise AssertionError("closed_form_report called the engine")
 
-    for module, name in ((lorcurv.oneill, "classify_self_adjoint"),
-                         (lorcurv.atlas, "curvature_report"),
+    for module, name in ((lorcurv.atlas, "curvature_report"),
                          (lorcurv.curvature, "levi_civita"),
                          (lorcurv.metric, "orthonormal_frame")):
         monkeypatch.setattr(module, name, engine)
+    classify, calls = lorcurv.oneill.classify_self_adjoint, []
+    monkeypatch.setattr(lorcurv.oneill, "classify_self_adjoint",
+                        lambda *args: calls.append(1) or classify(*args))
     cells = 0
     for tag in ALL_TAGS:
         for spec, params in _cells(tag):
             closed_form_report(tag, spec.form_id, params)
             cells += 1
-    assert cells == 335
+    assert cells == len(calls) == 335
+
+
+#: |tau| and |eta| from 1e-5 to 1e-1, on both signs
+_SMALL = [sign * x for sign in (1.0, -1.0) for x in np.geomspace(1e-5, 1e-1, 17)]
+
+
+@pytest.mark.parametrize("form_id,fixed,name", [
+    ("Gc_lt1.10-1", {"nu": 1.5}, "tau"), ("Gc_lt1.11", {"mu": 1.5}, "eta"),
+], ids=["Gc_lt1.10-1", "Gc_lt1.11"])
+def test_closed_and_engine_types_agree_near_the_double_root(form_id, fixed, name):
+    """At c = 0 (w = 1) the printed discriminant of these forms is tau^2
+    (eta^2), so the block's D is small near tau = 0.  The closed forms and
+    the engine type the operator by one rule, so cross_check flags no
+    type, also where that rule answers {21} for the exact type {11,1}
+    (ROADMAP item 13)."""
+    tag = FamilyTag("Gc", 0.0)
+    for x in _SMALL:
+        flags = cross_check(tag, form_id, {**fixed, name: x}).flags
+        assert not [f for f in flags if f.startswith("oneill:")], (x, flags)
 
 
 def test_form_counts():

@@ -261,6 +261,17 @@ def test_atlas_family_rule_comes_from_the_tag(capsys):
     assert capsys.readouterr().err == "error: --c: family GI takes no parameter\n"
 
 
+def test_atlas_rejection_names_its_cell(capsys):
+    """A grid cell that the classifier cannot decide (G1.2 at mu = 1e-8:
+    its spacelike eigenvector sinks into the band) exits 1, and the one
+    stderr line names the form and its parameters."""
+    assert main(["atlas", "--family", "Gc", "--c", "1",
+                 "--grid", "mu=1e-8,1"]) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("rejected: G1.2 at {'mu': 1e-08}: O'Neill classification: ")
+    assert err.count("\n") == 1
+
+
 def test_atlas_bad_grid_exit2():
     assert main(["atlas", "--family", "GI", "--grid", "mu=banana"]) == 2
     assert main(["atlas", "--family", "GI", "--grid", ""]) == 2

@@ -6,6 +6,7 @@ default of a module-private function is overridden by some call, the
 package calls no function-style numpy reduction, the canonical reducer
 calls no numpy, the verdict path makes no numpy product or np.linalg
 call, no module of the package calls or refers to np.linalg at all,
+the atlas reads classification_tol only in cross_check's residual flag,
 the package keeps no cache that outlives one metric, a metric's matrix
 is decomposed only by metric.py's stored Jacobi eigensolver, no
 module of the package imports numpy at module scope, no engine module
@@ -441,6 +442,49 @@ def test_scan_finds_mixed_unit_band():
               "d = tol.abs_tol * (1.0 + abs(x))\n"
               "e = tol.classification_tol * x + 1.0\n")
     assert mixed_unit_bands(source) == ["line 1", "line 2"]
+
+
+#: the one place where the atlas reads classification_tol: the residual
+#: flag of cross_check.  The O'Neill type of a closed form is the engine's
+#: (curvature._classify_ricci), so the atlas takes no type decision of its
+#: own, and reads the band nowhere else
+_ATLAS_TOL_READER = ("cross_check", "check")
+
+
+def tolerance_reads(source: str) -> list[tuple[str, ...]]:
+    """The enclosing function names, outermost first, of every read of
+    ``classification_tol`` in ``source``; () at module scope."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if _name(child) == "classification_tol" and isinstance(
+                    getattr(child, "ctx", None), ast.Load):
+                found.append(scope)
+            visit(child, scope)
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_atlas_reads_the_band_only_in_its_residual_flag():
+    source = (_ROOT / "src/lorcurv/atlas.py").read_text()
+    assert tolerance_reads(source) == [_ATLAS_TOL_READER]
+
+
+def test_scan_finds_tolerance_reads():
+    source = ("BAND = DEFAULT_TOL.classification_tol\n\n"
+              "def _operator_type(T, tol):\n"
+              "    if n <= tol.classification_tol * s:\n        return 0\n"
+              "    return abs(D) <= classification_tol * n\n\n"
+              "def cross_check(tol):\n"
+              "    def check(res):\n"
+              "        return res > tol.classification_tol\n"
+              "    tol.abs_tol\n    classification_tol = 1.0\n")
+    assert tolerance_reads(source) == [
+        (), ("_operator_type",), ("_operator_type",), ("cross_check", "check")]
 
 
 #: the one store across calls: a family algebra is a fixed object of
