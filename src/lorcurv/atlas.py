@@ -11,7 +11,7 @@ engine, reporting per-cell residuals, so systematic discrepancies (e.g.
 transcription slips in the source material for these formulas) surface
 as data, next to the spec's ``notes`` on its printed variants.  Neither
 the tables nor the cross-check import numpy; the entries' Ricci operators
-hand out arrays.  The registry's names are importable from here too.
+hand out arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from . import registry
 from .algebra import (FamilyTag, _from_cross, classification_basis, cross_rewrite,
                       make_family_algebra)
 from .arrays import Array, ArrayField, float_rows
@@ -32,12 +31,6 @@ from .metric import _I3, MetricTensor, OrthonormalFrame
 from .oneill import ONeillType
 from .registry import FormSpec, _spec_in_domain, form_specs
 from .tolerance import DEFAULT_TOL, ToleranceConfig
-
-#: the registry's lookups, which ``lorcurv.atlas`` names as well
-PARAM_NAMES, canonical_matrix, get_form_spec, paper_frame = (
-    registry.PARAM_NAMES, registry.canonical_matrix, registry.get_form_spec,
-    registry.paper_frame)
-
 
 @dataclass(frozen=True)
 class ClosedFormCurvature:
@@ -63,6 +56,7 @@ def _closed_form(spec: FormSpec, tag: FamilyTag, params: dict[str, float],
     """The closed-form curvature of a form in the domain, typed with the
     trace form tau and squared largest bracket s of its paper frame."""
     ric = float_rows(spec.ric(tag, params))
+    ric = tuple(tuple(x + 0.0 for x in row) for row in ric)   # -0 (-c x at c = 0) reads 0
     rho = ric[0][0] + ric[1][1] + ric[2][2]
     form = _ricci_operator(ric)
     kappas = tuple(milnor_sectional(form, rho, _I3[i], _I3[j], tol)
@@ -128,10 +122,11 @@ def cross_check(tag: FamilyTag, form_id: str, params: dict[str, float],
 
 
 def _param_grid(spec: FormSpec, tag: FamilyTag, grid: dict[str, list[float]]):
-    """Cross product of grid values over the form's parameters, filtered
-    by the form's domain, in deterministic order."""
+    """Cross product of each parameter's distinct grid values over the
+    form's parameters, filtered by the form's domain, in deterministic
+    order."""
     names = spec.param_names
-    for values in itertools.product(*(sorted(grid.get(n, [])) for n in names)):
+    for values in itertools.product(*(sorted(set(grid.get(n, []))) for n in names)):
         params = {n: float(v) for n, v in zip(names, values)}
         if spec.domain(tag, params):
             yield params

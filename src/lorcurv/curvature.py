@@ -243,7 +243,8 @@ def milnor_sectional(ric, rho: float, u, v,
     v1 = tuple(x / math.sqrt(abs(nv)) for x in v1)
     w = _lorentz_cross(u1, v1)
     ric_ww = sum(x * r * y for x, row in zip(w, float_rows(ric)) for r, y in zip(row, w))
-    return (ric_ww - frame_inner(w, w) * rho / 2.0) * math.copysign(1.0, nu * nv)
+    k = (ric_ww - frame_inner(w, w) * rho / 2.0) * math.copysign(1.0, nu * nv)
+    return k + 0.0      # a zero in a timelike plane reads 0, not -0
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Shared helpers: random automorphisms, random O(2,1) elements, the
 parameter grids used by the table-reproduction tests, and a counter of
-LAPACK calls and of the package's own eigensolver."""
+the package's eigensolver calls."""
 
 from __future__ import annotations
 
@@ -64,27 +64,18 @@ def rand_o21(rng: np.random.Generator) -> np.ndarray:
     return A @ signs
 
 
-_LAPACK = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "inv", "det")
-
-
-def lapack_calls(monkeypatch, call):
-    """The result of call() and the number of calls it made to each
-    np.linalg decomposition, inverse or determinant, and to the package's
-    Jacobi eigensolver as "jacobi" (zero counts left out)."""
-    counts = dict.fromkeys((*_LAPACK, "jacobi"), 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
+def jacobi_calls(monkeypatch, call):
+    """The result of call() and the number of calls it made to the
+    package's Jacobi eigensolver, metric._jacobi, as {"jacobi": n}, or {}
+    for none.  The package names numpy only in arrays.array
+    (tests/test_hygiene.py), so it has no other eigensolver and makes no
+    LAPACK call."""
+    calls = []
+    jacobi = lorcurv.metric._jacobi
     with monkeypatch.context() as m:
-        for name in _LAPACK:
-            m.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-        m.setattr(lorcurv.metric, "_jacobi", counted("jacobi", lorcurv.metric._jacobi))
+        m.setattr(lorcurv.metric, "_jacobi", lambda rows: calls.append(rows) or jacobi(rows))
         result = call()
-    return result, {name: n for name, n in counts.items() if n}
+    return result, {"jacobi": len(calls)} if calls else {}
 
 
 @pytest.fixture

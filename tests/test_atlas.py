@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -619,6 +620,29 @@ def test_json_round_trips():
         arr = np.asarray(row["ricci_operator"], dtype=float)
         assert arr.shape == (3, 3)
         assert json.loads(json.dumps(row)) == row
+
+
+def test_repeated_grid_values_give_one_row():
+    """mu = 1, 1 is the grid mu = 1: each parameter's values are a set."""
+    tag = FamilyTag("GI")
+    text = emit_tables(tag, {"mu": [1.0, 1, 1.0]})
+    assert text == emit_tables(tag, {"mu": [1.0]})
+    assert [row[2] for row in csv.reader(io.StringIO(text))][1:] == ["GI.1", "GI.2", "GI.3"]
+
+
+#: a zero printed with a minus sign, as CSV (-0) or JSON (-0.0) writes it
+_NEGATIVE_ZERO = re.compile(r"(?<![\w.])-0(\.0)?(?![\w.])")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_no_emitted_zero_reads_negative(fmt):
+    """GI.3's and Gc_lt1.1's kappa23 and kappa31 are zeros in timelike
+    planes, and Gc_lt1.1's Ricci operator has -c x entries at c = 0:
+    each reads 0."""
+    assert _NEGATIVE_ZERO.search("GI.3,,0,0,-0,-0") and _NEGATIVE_ZERO.search("[-0.0,")
+    for tag in ALL_TAGS:
+        text = emit_tables(tag, SWEEP_GRID, fmt)
+        assert _NEGATIVE_ZERO.search(text) is None, (tag, fmt)
 
 
 def test_bad_format_rejected():

@@ -35,7 +35,7 @@ from lorcurv import (
 )
 from lorcurv.algebra import automorphism_step, step_matrix
 from lorcurv.atlas import form_specs, _param_grid
-from tests.conftest import ALL_TAGS, SWEEP_GRID, lapack_calls, rand_automorphism
+from tests.conftest import ALL_TAGS, SWEEP_GRID, jacobi_calls, rand_automorphism
 from tests.test_curvature import _fuzz_metrics, _sweep_cells
 
 
@@ -480,7 +480,7 @@ def test_canonical_form_lapack_budget(monkeypatch):
     budget = {"jacobi": 1}
     tag = FamilyTag("Gc", 2.0)
     h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
-    cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h))
+    cf, calls = jacobi_calls(monkeypatch, lambda: canonical_form(tag, h))
     assert cf.form_id == "Gc_gt1.2"
     assert calls == budget
 
@@ -491,15 +491,15 @@ def test_canonical_form_lapack_budget(monkeypatch):
     B = automorphism_matrix(tag, block=[[0.0, -2.0], [1.5, 0.5]],
                             translation=(-1.0, 0.4))
     h1, h2 = MetricTensor(A.T @ C @ A), MetricTensor(B.T @ C @ B)
-    cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h1))
+    cf, calls = jacobi_calls(monkeypatch, lambda: canonical_form(tag, h1))
     assert cf.form_id == "GI.1"
     assert calls == budget
-    (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
+    (flag, _), calls = jacobi_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
     assert flag
     assert calls == {"jacobi": 1}
     # on fresh metrics, both are reduced
     h1, h2 = MetricTensor(h1.entries), MetricTensor(h2.entries)
-    (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
+    (flag, _), calls = jacobi_calls(monkeypatch, lambda: equivalent(tag, h1, h2))
     assert flag
     assert calls == {"jacobi": 2}
 
@@ -520,15 +520,15 @@ def test_natural_basis_equivalent_lapack_budget(c, monkeypatch):
     h = from_adapted_basis(tag, h_ad)
     A = automorphism_matrix(tag, alpha=0.7, beta=1.3, translation=(0.4, -0.6))
     h2 = MetricTensor(A.T @ h.entries @ A)
-    cf, calls = lapack_calls(monkeypatch, lambda: canonical_form(tag, h))
+    cf, calls = jacobi_calls(monkeypatch, lambda: canonical_form(tag, h))
     assert cf.form_id == form_id
     assert calls == {"jacobi": 1}
-    (flag, W), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h, h2))
+    (flag, W), calls = jacobi_calls(monkeypatch, lambda: equivalent(tag, h, h2))
     assert flag
     assert calls == {"jacobi": 1}
     assert is_automorphism(make_family_algebra(tag), W)
     h, h2 = MetricTensor(h.entries), MetricTensor(h2.entries)
-    (flag, _), calls = lapack_calls(monkeypatch, lambda: equivalent(tag, h, h2))
+    (flag, _), calls = jacobi_calls(monkeypatch, lambda: equivalent(tag, h, h2))
     assert flag
     assert calls == {"jacobi": 2}
 
@@ -717,7 +717,7 @@ def test_survey_builds_one_frame_and_one_connection(monkeypatch):
         report = curvature_report(make_family_algebra(tag), h)
         return report, constant_curvature_class(tag, h)
 
-    (report, (cls, cf)), calls = lapack_calls(monkeypatch, survey)
+    (report, (cls, cf)), calls = jacobi_calls(monkeypatch, survey)
     assert calls == {"jacobi": 1}
     assert len(built) == 1
     assert cls == ConstantCurvatureClass.NON_CONSTANT
@@ -752,7 +752,7 @@ def test_each_metric_is_decomposed_once(c, basis, form_id, params, monkeypatch):
         curvature_report(make_family_algebra(tag, basis), h)
         return cf
 
-    cf, calls = lapack_calls(monkeypatch, analyse)
+    cf, calls = jacobi_calls(monkeypatch, analyse)
     assert cf.form_id == form_id
     assert calls == {"jacobi": 1}, calls
 

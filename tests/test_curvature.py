@@ -9,6 +9,7 @@ from lorcurv import (
     LieAlgebra3,
     MetricTensor,
     ONeillType,
+    OrthonormalFrame,
     adapted_automorphism,
     classification_basis,
     canonical_form,
@@ -30,7 +31,8 @@ from lorcurv import (
 )
 from lorcurv.atlas import _param_grid
 from lorcurv.curvature import frame_inner
-from tests.conftest import ALL_TAGS, SWEEP_GRID, lapack_calls, rand_automorphism
+from lorcurv.oneill import boost
+from tests.conftest import ALL_TAGS, SWEEP_GRID, jacobi_calls, rand_automorphism
 
 
 def _report(tag, form_id, params):
@@ -319,6 +321,33 @@ def test_trace_form_dual_is_an_eigenvector_on_fuzz_metrics(c):
         assert np.abs(Tn - (n @ Tn) * n).max() <= 1e-12 * s, (c, Tn, n)
 
 
+#: swaps y1 and y2, so that B -> P B P turns a boost along y2 into one along y1
+_SWAP12 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: the classifier decides in the "
+                   "passed frame's unit s, and its r and D bands are not boost-invariant")
+def test_boosted_frames_give_the_own_frame_type():
+    """curvature_report in the frame F B, with F the metric's own frame and
+    B a boost along y1 or y2 by theta = 2, 4, 6, gives the own-frame type or
+    a rejection by name, on the first 20 fuzz metrics at c = 2.  12 of them
+    flip; metric 0 turns {1zz} into {11,1} at theta = 6."""
+    wrong = []
+    for i, (alg, h) in enumerate(_fuzz_metrics(2.0, count=20)):
+        own = curvature_report(alg, h).oneill.type_tag
+        F = orthonormal_frame(h).columns
+        for theta in (2.0, 4.0, 6.0):
+            B = boost(theta)
+            for axis, frame in (("y1", F @ _SWAP12 @ B @ _SWAP12), ("y2", F @ B)):
+                try:
+                    rep = curvature_report(alg, h, frame=OrthonormalFrame(frame))
+                except ValueError:
+                    continue
+                if rep.oneill.type_tag != own:
+                    wrong.append((i, axis, theta, own.value, rep.oneill.type_tag.value))
+    assert wrong == []
+
+
 def test_unimodular_algebra_is_rejected():
     """The classifier's eigenvector comes from tr ad, which vanishes on a
     unimodular algebra: the Heisenberg algebra, [e1, e2] = e3, is refused
@@ -387,14 +416,14 @@ def test_curvature_report_lapack_budget(monkeypatch):
     tag = FamilyTag("Gc", 2.0)
     alg = make_family_algebra(tag)
     h = MetricTensor(np.array([[-1.0, -1, 0], [-1, 0, 0], [0, 0, 4]]))
-    rep, calls = lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
+    rep, calls = jacobi_calls(monkeypatch, lambda: curvature_report(alg, h))
     assert rep.oneill.type_tag == ONeillType.COMPLEX
     assert calls == {"jacobi": 1}
 
     tag = FamilyTag("GI")
     alg = make_family_algebra(tag)
     h = MetricTensor(canonical_matrix(tag, "GI.1", {"mu": 1.0}))
-    rep, calls = lapack_calls(monkeypatch, lambda: curvature_report(alg, h))
+    rep, calls = jacobi_calls(monkeypatch, lambda: curvature_report(alg, h))
     assert np.abs(rep.ricci_op - rep.scalar / 3 * np.eye(3)).max() < 1e-12
     assert calls == {"jacobi": 1}
 

@@ -3,16 +3,13 @@ is used in that module, every module-private top-level function or
 class of the package is used outside its own definition, every
 parameter of a function of the package is read by its body, every
 default of a module-private function is overridden by some call, the
-package calls no function-style numpy reduction, the canonical reducer
-calls no numpy, the verdict path makes no numpy product or np.linalg
-call, no module of the package calls or refers to np.linalg at all,
-the atlas reads classification_tol only in cross_check's residual flag,
-the package keeps no cache that outlives one metric, a metric's matrix
-is decomposed only by metric.py's stored Jacobi eigensolver, no
-module of the package imports numpy at module scope, no engine module
-imports the atlas or the CLI, the reducer binds the curvature engine
-and curvature the classifier without running them, and no function
-body of the package imports a module of the package.
+package names numpy only inside arrays.array (the engine computes on
+Python floats), the atlas reads classification_tol only in
+cross_check's residual flag, the package keeps no cache that outlives
+one metric, metric._eigen alone calls the Jacobi eigensolver, no engine
+module imports the atlas or the CLI, the reducer binds the curvature
+engine and curvature the classifier without running them, and no
+function body of the package imports a module of the package.
 ``__init__.py`` files re-export by importing, and ``from __future__``
 imports switch on compiler features, so both are exempt from the import
 scan."""
@@ -179,228 +176,69 @@ def test_scan_finds_unpassed_default():
         "a.py line 1: _f(z)", "a.py line 1: _f(k)", "a.py line 7: _h(v)"]
 
 
-#: reductions the package calls as ndarray methods: on 3x3 arrays the
-#: ``np.max(x)`` wrappers cost more than the arithmetic
-_REDUCTIONS = {"max", "min", "sum", "all", "any"}
+#: the one function of the package that names numpy: arrays.array builds
+#: the ndarrays the public API hands out, and the engine computes on floats
+_NUMPY_BOUNDARY = {"arrays.py": "array"}
+_IMPORT_CALLS = {"__import__", "import_module"}
 
 
-def function_style_reductions(source: str) -> list[str]:
-    """Calls ``np.max(...)``, ``np.min(...)``, ``np.sum(...)``,
-    ``np.all(...)`` or ``np.any(...)`` in ``source``."""
-    calls = [node for node in ast.walk(ast.parse(source))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in _REDUCTIONS
-             and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"]
-    return [f"line {node.lineno}: np.{node.func.attr}"
-            for node in sorted(calls, key=lambda n: (n.lineno, n.col_offset))]
+def _numpy_module(name: object) -> bool:
+    return isinstance(name, str) and name.partition(".")[0] == "numpy"
 
 
-@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
-def test_no_function_style_reductions(path):
-    assert function_style_reductions(path.read_text()) == []
-
-
-def test_scan_finds_function_style_reduction():
-    source = ("import numpy as np\nx = np.zeros(3)\n"
-              "a = np.max(np.abs(x))\nb = np.abs(x).max() + np.sum(x)\n"
-              "c = np.all(x > 0) or np.any(x)\nd = np.min(x) + x.min() + max(x)\n"
-              "e = np.maximum(x, 1.0).sum()\n")
-    assert function_style_reductions(source) == [
-        "line 3: np.max", "line 4: np.sum", "line 5: np.all", "line 5: np.any",
-        "line 6: np.min"]
-
-
-def _rooted_at_np(node: ast.AST) -> bool:
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    return isinstance(node, ast.Name) and node.id == "np"
-
-
-def reducer_numpy_calls(source: str) -> list[str]:
-    """Calls ``np.…(...)`` in methods of class ``_Reducer``: it holds rows
-    of Python floats and its accumulated step, and builds no array."""
-    found = []
-    for cls in ast.walk(ast.parse(source)):
-        if not (isinstance(cls, ast.ClassDef) and cls.name == "_Reducer"):
-            continue
-        for fn in cls.body:
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            found += [f"line {node.lineno}: {fn.name}" for node in ast.walk(fn)
-                      if isinstance(node, ast.Call) and _rooted_at_np(node.func)]
-    return found
-
-
-def test_reducer_steps_call_no_numpy():
-    source = (_ROOT / "src/lorcurv/canonical.py").read_text()
-    assert reducer_numpy_calls(source) == []
-
-
-def test_scan_finds_reducer_numpy_call():
-    source = ("import numpy as np\n\n"
-              "class _Reducer:\n"
-              "    def apply(self, B):\n"
-              "        self.A = np.asarray(B) @ self.A\n"
-              "    def witness(self):\n"
-              "        return np.array(self.A)\n"
-              "    def gap(self):\n"
-              "        return float(np.linalg.det(self.A)) + np.pi\n"
-              "    def rows(self):\n"
-              "        return self.A.tolist()\n\n"
-              "class Other:\n"
-              "    def apply(self):\n"
-              "        return np.eye(3)\n\n"
-              "def helper():\n"
-              "    return np.eye(3)\n")
-    assert reducer_numpy_calls(source) == ["line 5: apply", "line 7: witness",
-                                           "line 9: gap"]
-
-
-#: the verdict path works on Python floats: the reducer, its units, the
-#: witness algebra of a verdict and the automorphism check, by module
-_FLOAT_PATH = {"canonical.py": {"_Reducer", "_unit", "_congruence", "_compose",
-                                "_inverse", "_step", "_entrywise_gap",
-                                "_equivalence", "equivalent"},
-               "algebra.py": {"is_automorphism"}}
-_PRODUCT_CALLS = {"dot", "matmul", "einsum", "tensordot"}
-
-
-def _rooted_at_linalg(node: ast.AST) -> bool:
-    while isinstance(node, ast.Attribute):
-        if node.attr == "linalg":
-            return True
-        node = node.value
-    return isinstance(node, ast.Name) and node.id == "linalg"
-
-
-def numpy_products(source: str, names: set[str]) -> list[str]:
-    """``np.linalg`` calls, ``@`` products and ``dot``, ``matmul``,
-    ``einsum`` or ``tensordot`` calls inside the top-level functions and
-    classes ``names`` of ``source``; each name must be defined there."""
-    found, defined = [], set()
-    for node in ast.parse(source).body:
-        if getattr(node, "name", None) not in names:
-            continue
-        defined.add(node.name)
-        for n in ast.walk(node):
-            if isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult):
-                found.append((n.lineno, n.col_offset, f"{node.name}: @"))
-            elif isinstance(n, ast.Call) and (_rooted_at_linalg(n.func)
-                                              or _name(n.func) in _PRODUCT_CALLS):
-                found.append((n.lineno, n.col_offset, f"{node.name}: {_name(n.func)}"))
-    found += [(0, 0, f"{name}: not defined") for name in sorted(names - defined)]
+def numpy_uses(source: str, boundary: str | None = None) -> list[str]:
+    """Every numpy import in ``source`` (an ``import`` or ``from numpy``
+    statement, or an ``__import__``/``import_module`` call) and every read
+    of a name such a statement binds, outside the top-level function
+    ``boundary``: ``line <n>: import <module>`` or ``line <n>: <name>``."""
+    nodes = [n for top in ast.parse(source).body
+             if not (isinstance(top, ast.FunctionDef) and top.name == boundary)
+             for n in ast.walk(top)]
+    found, bound = [], set()
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if _numpy_module(a.name):
+                    found.append((node.lineno, node.col_offset, f"import {a.name}"))
+                    bound.add(a.asname or "numpy")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+                and _numpy_module(node.module)):
+            found.append((node.lineno, node.col_offset, f"import {node.module}"))
+            bound.update(a.asname or a.name for a in node.names)
+        elif (isinstance(node, ast.Call) and _name(node.func) in _IMPORT_CALLS
+                and node.args and _numpy_module(getattr(node.args[0], "value", None))):
+            found.append((node.lineno, node.col_offset, f"import {node.args[0].value}"))
+    found += [(n.lineno, n.col_offset, n.id) for n in nodes
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in bound]
     return [f"line {line}: {what}" for line, _, what in sorted(found)]
 
 
-@pytest.mark.parametrize("module", sorted(_FLOAT_PATH))
-def test_verdict_path_makes_no_numpy_products(module):
-    source = (_ROOT / "src/lorcurv" / module).read_text()
-    assert numpy_products(source, _FLOAT_PATH[module]) == []
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
+def test_numpy_is_named_only_in_arrays_array(path):
+    """import lorcurv, and the CLI's metric subcommands, import no numpy,
+    and the engine calls none: it computes on Python floats."""
+    assert numpy_uses(path.read_text(), _NUMPY_BOUNDARY.get(path.name)) == []
 
 
-def test_scan_finds_numpy_product():
-    source = ("import numpy as np\nfrom numpy import linalg\n\n"
-              "class _Reducer:\n"
-              "    def witness(self):\n"
-              "        return self.A @ self.B\n\n"
-              "def equivalent(W, h):\n"
-              "    d = np.linalg.det(W) + linalg.norm(W)\n"
-              "    return W.T.dot(h).dot(W), np.einsum('ij->i', h), d\n\n"
-              "def other(W):\n"
-              "    return W @ W, np.linalg.inv(W)\n")
-    assert numpy_products(source, {"_Reducer", "equivalent", "gone"}) == [
-        "line 0: gone: not defined", "line 6: _Reducer: @",
-        "line 9: equivalent: det", "line 9: equivalent: norm",
-        "line 10: equivalent: dot", "line 10: equivalent: dot",
-        "line 10: equivalent: einsum"]
-
-
-def linalg_uses(source: str) -> list[str]:
-    """Every ``np.linalg`` (or bare ``linalg``) call or attribute reference
-    anywhere in ``source``, such as ``np.linalg.eig(T)`` or
-    ``np.linalg.LinAlgError``, once per use."""
-    found, inner = [], set()
-    for n in ast.walk(ast.parse(source)):      # outer attributes come first
-        if isinstance(n, ast.Attribute) and id(n) not in inner and _rooted_at_linalg(n):
-            found.append((n.lineno, n.col_offset, n.attr))
-            part = n.value
-            while isinstance(part, ast.Attribute):
-                inner.add(id(part))
-                part = part.value
-    return [f"line {line}: {attr}" for line, _, attr in sorted(found)]
-
-
-def test_classifier_makes_no_linalg_call():
-    """The O'Neill classifier splits off the eigenvector it is given in
-    closed form, and no module of the package decomposes, inverts or
-    refers to np.linalg at all, not even to catch its LinAlgError."""
-    uses = {p.name: linalg_uses(p.read_text()) for p in _PACKAGE}
-    assert {name: found for name, found in uses.items() if found} == {}
-
-
-def test_scan_finds_linalg_call():
-    source = ("import numpy as np\nfrom numpy import linalg\n\n"
-              "def classify(T):\n"
-              "    lam, vecs = np.linalg.eig(T)\n"
-              "    return lam, linalg.svd(T @ vecs), np.abs(T).max()\n\n"
-              "def faults():\n"
-              "    return (ArithmeticError, np.linalg.LinAlgError)\n")
-    assert linalg_uses(source) == ["line 5: eig", "line 6: svd", "line 9: LinAlgError"]
-
-
-#: modules on the per-op curvature path, where an array rebuilt on every
-#: call costs a numpy dispatch that a module constant does not
-_CURVATURE_PATH = [_ROOT / "src/lorcurv" / name
-                   for name in ("oneill.py", "curvature.py", "metric.py")]
-_ARRAY_BUILDERS = {"array", "asarray", "eye", "identity", "diag", "zeros",
-                   "ones", "full", "arange"}
-
-
-def _literal(node: ast.AST) -> bool:
-    """A number or other constant, a signed one, or a list or tuple of them."""
-    if isinstance(node, ast.Constant):
-        return True
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        return _literal(node.operand)
-    if isinstance(node, (ast.List, ast.Tuple)):
-        return all(map(_literal, node.elts))
-    return False
-
-
-def constant_arrays_in_functions(source: str) -> list[str]:
-    """Calls such as ``np.eye(3)`` or ``np.diag([1.0, 1.0, -1.0])`` inside
-    a function body: a numpy array builder whose positional arguments are
-    all literals, so that every call builds the same array."""
-    found = {}
-    for fn in ast.walk(ast.parse(source)):
-        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _ARRAY_BUILDERS
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "np"
-                    and all(map(_literal, node.args))):
-                found[(node.lineno, node.col_offset)] = node.func.attr
-    return [f"line {line}: np.{name}" for (line, _), name in sorted(found.items())]
-
-
-@pytest.mark.parametrize("path", _CURVATURE_PATH, ids=lambda p: p.name)
-def test_no_constant_arrays_in_functions(path):
-    assert constant_arrays_in_functions(path.read_text()) == []
-
-
-def test_scan_finds_constant_array_in_function():
-    source = ("import numpy as np\nJ = np.diag([1.0, 1.0, -1.0])\n\n"
-              "def f(v, a, n):\n"
-              "    e = np.eye(3)\n"
-              "    s = np.diag([1.0, 1.0, -1.0]) @ np.array([v[1], -v[0], 0.0])\n"
-              "    m = np.array([[0.0, 1, -1], [1, 0, 0]]) + np.diag(np.diag(a))\n"
-              "    def g():\n        return np.zeros((3, 3), dtype=float)\n"
-              "    return np.eye(n) + J, lambda: np.asarray(-2.0)\n")
-    assert constant_arrays_in_functions(source) == [
-        "line 5: np.eye", "line 6: np.diag", "line 7: np.array",
-        "line 9: np.zeros", "line 10: np.asarray"]
+def test_scan_finds_numpy_use():
+    source = ("import math\nimport numpy as np\nimport numpy.linalg\n"
+              "from numpy import linalg\nfrom .numpy import x\n\n"
+              "class K:\n    import numpy as inner\n"
+              "    J = inner.diag([1.0, 1.0, -1.0])\n\n"
+              "def f(W, h):\n"
+              "    d = np.linalg.det(W) + linalg.norm(W) + np.max(np.abs(h))\n"
+              "    return W.T.dot(h) @ W, numpy.linalg.LinAlgError, x.max(), d\n\n"
+              "def array(rows):\n    import numpy\n    return numpy.array(rows)\n\n"
+              "g = lambda: __import__('numpy'), importlib.import_module('numpy.linalg')\n"
+              "numpy = math.pi\n")
+    outside = ["line 2: import numpy", "line 3: import numpy.linalg",
+               "line 4: import numpy", "line 8: import numpy", "line 9: inner",
+               "line 12: np", "line 12: linalg", "line 12: np", "line 12: np",
+               "line 13: numpy"]
+    imports = ["line 19: import numpy", "line 19: import numpy.linalg"]
+    assert numpy_uses(source, "array") == outside + imports
+    assert numpy_uses(source) == outside + [
+        "line 16: import numpy", "line 17: numpy"] + imports
 
 
 #: every module's zero bands take the unit of the quantity they test.
@@ -548,25 +386,18 @@ def test_scan_finds_cross_call_cache():
     assert cross_call_caches(source) == ["_MORE", "_SEEN", "a", "b", "c"]
 
 
-#: the one decomposition of a metric: the Jacobi eigensolver whose result
-#: metric.py stores on it
-_METRIC_DECOMPOSERS = {"metric.py": ["_jacobi"]}
+#: the one decomposition of a metric: metric._eigen runs the Jacobi
+#: eigensolver and stores its result on the metric
+_METRIC_DECOMPOSERS = {"metric.py": ["_eigen"]}
 
 
 def metric_decompositions(source: str) -> list[str]:
-    """Calls of ``eigvalsh`` (``np.linalg.eigvalsh`` or a bare import) and
-    of the package's ``_jacobi``, and calls of ``eigh`` on an expression
-    that reads an ``.entries`` attribute, a metric's matrix."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _name(node.func)
-        reads_entries = any(isinstance(n, ast.Attribute) and n.attr == "entries"
-                            for arg in node.args for n in ast.walk(arg))
-        if name in ("eigvalsh", "_jacobi") or name == "eigh" and reads_entries:
-            found.append((node.lineno, node.col_offset, name))
-    return [f"line {line}: {name}" for line, _, name in sorted(found)]
+    """The top-level definition around each call of ``_jacobi``, the
+    package's eigensolver, in ``source`` (``<module>`` outside every one)."""
+    found = [(n.lineno, getattr(top, "name", "<module>"))
+             for top in ast.parse(source).body for n in ast.walk(top)
+             if isinstance(n, ast.Call) and _name(n.func) == "_jacobi"]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
 
 
 @pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
@@ -576,56 +407,13 @@ def test_metrics_are_decomposed_once(path):
 
 
 def test_scan_finds_metric_decomposition():
-    source = ("import numpy as np\nfrom numpy.linalg import eigvalsh\n\n"
-              "def f(h, B, J):\n"
-              "    a = np.linalg.eigvalsh(B) + eigvalsh(h.entries)\n"
-              "    b = np.linalg.eigh(h.entries)\n"
-              "    c = np.linalg.eigh(B.T @ J @ B)\n"
-              "    d = np.linalg.eig(h.entries) + _jacobi(h._entries)\n"
-              "    return np.linalg.eigh(2.0 * h.entries[:2, :2]), a, b, c, d\n")
+    source = ("def _eigen(h):\n"
+              "    return _derived(h, 'eigen', lambda: _jacobi(h._entries))\n\n"
+              "class Frame:\n    def build(self, h):\n"
+              "        return metric._jacobi(h._entries), eigh(h.entries)\n\n"
+              "W = _jacobi(((1.0, 0.0, 0.0),) * 3)\n")
     assert metric_decompositions(source) == [
-        "line 5: eigvalsh", "line 5: eigvalsh", "line 6: eigh", "line 8: _jacobi",
-        "line 9: eigh"]
-
-
-def module_scope_numpy_imports(source: str) -> list[str]:
-    """``import numpy`` (or a numpy submodule) and ``from numpy ... import``
-    statements outside every function body: those run when the module is
-    imported."""
-    found = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            if isinstance(child, ast.Import):
-                found.extend(f"line {child.lineno}: {a.name}" for a in child.names
-                             if a.name.partition(".")[0] == "numpy")
-            elif (isinstance(child, ast.ImportFrom) and child.level == 0
-                    and (child.module or "").partition(".")[0] == "numpy"):
-                found.append(f"line {child.lineno}: {child.module}")
-            visit(child)
-    visit(ast.parse(source))
-    return found
-
-
-@pytest.mark.parametrize("path", _PACKAGE, ids=lambda p: p.name)
-def test_no_module_scope_numpy_import(path):
-    """import lorcurv, and the CLI's metric subcommands, import no numpy:
-    it is imported inside the functions that hand out an array."""
-    assert module_scope_numpy_imports(path.read_text()) == []
-
-
-def test_scan_finds_module_scope_numpy_import():
-    source = ("import math\nimport numpy as np\nimport numpy.linalg\n"
-              "from numpy import linalg\nfrom .numpy import x\n\n"
-              "try:\n    import numpy\nexcept ImportError:\n    pass\n\n"
-              "class K:\n    import numpy as inner\n\n"
-              "def f():\n    import numpy as np\n    return np\n\n"
-              "g = lambda: __import__('numpy')\n")
-    assert module_scope_numpy_imports(source) == [
-        "line 2: numpy", "line 3: numpy.linalg", "line 4: numpy", "line 8: numpy",
-        "line 13: numpy"]
+        "line 2: _eigen", "line 6: Frame", "line 8: <module>"]
 
 
 #: the engine modules, below the atlas and the CLI.  A CLI subcommand runs

@@ -66,7 +66,8 @@ def test_bare_import_executes_no_submodule():
         "import lorcurv\n"
         "code = 0\n" + _REPORT +
         "assert lorcurv.canonical.riemann is lorcurv.curvature.riemann\n"
-        "assert lorcurv.registry.get_form_spec is lorcurv.atlas.get_form_spec\n"
+        "assert lorcurv.registry.get_form_spec is lorcurv.get_form_spec\n"
+        "assert not hasattr(lorcurv.atlas, 'get_form_spec')\n"
         "assert lorcurv.cli.main is sys.modules['lorcurv.cli'].main\n"
         "assert lorcurv.riemann is lorcurv.curvature.riemann\n")
     assert proc.returncode == 0, proc.stderr

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from lorcurv import DEFAULT_TOL, J21, ONeillType, classify_self_adjoint
 from lorcurv.oneill import _split_complement, boost
-from tests.conftest import lapack_calls, rand_o21
+from tests.conftest import jacobi_calls, rand_o21
 
 # J-self-adjoint representatives of the four types; {3} has no spacelike
 # eigenvector, is no Ricci operator on these groups, and is rejected.  The
@@ -204,7 +204,7 @@ def test_near_scalar_operator_makes_no_lapack_call(k, rng, monkeypatch):
                 n = A @ E1
             E *= rng.uniform(0.0, 0.1) * band / np.abs(E).max()
             T = k * np.eye(3) + E
-            cls, calls = lapack_calls(monkeypatch, lambda: classify_self_adjoint(T, n))
+            cls, calls = jacobi_calls(monkeypatch, lambda: classify_self_adjoint(T, n))
             assert calls == {}
             assert cls.type_tag == ONeillType.DIAGONAL
             assert np.abs(cls.normal_form - k * np.eye(3)).max() <= band
